@@ -11,7 +11,9 @@ s_minus are its roots and lambda_plus / lambda_minus the corresponding
 half-squared distances.
 
 All functions here are pure, stateless and raise DomainError outside their
-stated domains rather than returning NaN.
+stated domains rather than returning NaN.  The ``*_many`` functions are the
+array forms the minimizer scan evaluates; they repeat the scalar operations
+in the same order, so each element equals the scalar value bit for bit.
 
 Numerical note: ratios whose numerators vanish like theta^3
 (theta - sin(theta) and friends) lose all precision near zero when formed
@@ -24,6 +26,8 @@ from __future__ import annotations
 
 import math
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .errors import DegenerateLineError, DomainError
 
@@ -260,6 +264,45 @@ def coef_B(theta: float, _mode: Optional[str] = None) -> float:
     return versine(theta) / theta_minus_sin(theta, "direct")
 
 
+# Array form of coef_A and coef_B for the minimizer scan.  numpy's float64
+# sin, cos and sqrt matched math's on every argument tested, tan did not
+# (README, "Numerical notes"), so the array forms use only those three and
+# arithmetic.
+
+
+def _coefs_series(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t2 = t * t
+    p3 = _p_r3(t2)
+    sr = _sin_half_r(t2)
+    return -_u_r3(t2) / p3, 2.0 * sr * sr / (t * p3)
+
+
+def _coefs_direct(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    sh = np.sin(0.5 * t)
+    p = t - np.sin(t)
+    return -(2.0 * sh - t * np.cos(0.5 * t)) / p, 2.0 * sh * sh / p
+
+
+def coefs_many(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coef_A, coef_B) at every element of a float64 array, each element
+    bit-identical to the scalar function.  Each side of SMALL_ANGLE is
+    evaluated on its own elements only (the direct forms are 0/0 at tiny
+    angles)."""
+    inside = (0.0 < theta) & (theta < TWO_PI)
+    if not inside.all():
+        _check_angle_open(float(theta[np.argmin(inside)]))
+    small = theta < SMALL_ANGLE
+    if not small.any():
+        return _coefs_direct(theta)
+    if small.all():
+        return _coefs_series(theta)
+    a = np.empty_like(theta)
+    b = np.empty_like(theta)
+    a[small], b[small] = _coefs_series(theta[small])
+    a[~small], b[~small] = _coefs_direct(theta[~small])
+    return a, b
+
+
 # ---------------------------------------------------------------------------
 # auxiliary index functions used by the interval constructions
 # ---------------------------------------------------------------------------
@@ -400,6 +443,14 @@ def _half_sq_from_root(theta: float, s: float) -> float:
     """
     ratio = math.sin(0.5 * theta) / theta
     q4 = math.sin(0.25 * theta)
+    inner = (s - 1.0) * (s - 1.0) + 4.0 * s * q4 * q4
+    return inner / (2.0 * ratio * ratio)
+
+
+def _half_sq_from_root_many(theta: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """_half_sq_from_root elementwise, bit-identical to it."""
+    ratio = np.sin(0.5 * theta) / theta
+    q4 = np.sin(0.25 * theta)
     inner = (s - 1.0) * (s - 1.0) + 4.0 * s * q4 * q4
     return inner / (2.0 * ratio * ratio)
 

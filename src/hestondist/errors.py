@@ -39,6 +39,11 @@ class BracketError(HestonDistError, ValueError):
     """A root bracket does not straddle the target value."""
 
 
+class ScanShapeError(HestonDistError, ValueError):
+    """An array objective returned a result whose shape differs from the
+    array of scan nodes it was given."""
+
+
 class ConvergenceError(HestonDistError, RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 

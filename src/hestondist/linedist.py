@@ -18,6 +18,11 @@ gamma:
   [0, psi_inv(|gamma|)) when beta < |gamma|; the theta = 0 endpoint is the
   crossing of the line with the vertical axis, at v = beta/|gamma|.
 
+Each objective comes in two forms: a scalar function of theta for the
+golden-section refine, and an array form that evaluates all scan nodes of
+minimize_on_interval in one call.  The two agree bit for bit on every node,
+so the answers are those of the scalar scan.
+
 Every closed-form path is validated against oracle_dist, a deliberately
 slow reference that minimizes the point distance along the line over a
 dense v-grid with local refinement.
@@ -108,6 +113,7 @@ def _s_minus_raw(beta: float, gamma: float, theta: float) -> float:
 
 
 _HUGE = sys.float_info.max
+_ROOT_HUGE = _HUGE ** 0.5
 
 
 def _sq(x: float) -> float:
@@ -117,18 +123,79 @@ def _sq(x: float) -> float:
 def _lam(theta: float, s: float) -> float:
     if s < 0.0 or not math.isfinite(s):
         # reachable only through rounding right at an interval endpoint
-        s = 0.0 if s < 0.0 else _HUGE ** 0.5
+        s = 0.0 if s < 0.0 else _ROOT_HUGE
     val = cf._half_sq_from_root(theta, s)
     # astronomically distant candidates can overflow; keep the scan sound
     return val if math.isfinite(val) else _HUGE
 
 
-def _plus_objective(beta: float, gamma: float) -> Callable[[float], float]:
-    return lambda t: _lam(t, _s_plus_raw(beta, gamma, t))
+# Array forms of the objectives above for the minimizer scan: the same
+# operations in the same order, so every node value equals the scalar one.
 
 
-def _minus_objective(beta: float, gamma: float) -> Callable[[float], float]:
-    return lambda t: _lam(t, _s_minus_raw(beta, gamma, t))
+def _clamped_disc_root_many(
+    beta: float, gamma: float, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, sqrt of the clamped discriminant) at every node, formed as in
+    _s_plus_raw and _s_minus_raw."""
+    a, b = cf.coefs_many(theta)
+    disc = a * a - (1.0 - gamma * b) * (1.0 - beta * b)
+    disc[disc < 0.0] = 0.0
+    return a, b, np.sqrt(disc)
+
+
+def _s_plus_many(beta: float, gamma: float, theta: np.ndarray) -> np.ndarray:
+    """_s_plus_raw at every node, bit-identical to it."""
+    a, b, root = _clamped_disc_root_many(beta, gamma, theta)
+    return (1.0 - beta * b) / (a - root)
+
+
+def _s_minus_many(beta: float, gamma: float, theta: np.ndarray) -> np.ndarray:
+    """_s_minus_raw at every node, bit-identical to it (+inf at the pole)."""
+    a, b, root = _clamped_disc_root_many(beta, gamma, theta)
+    den = 1.0 - gamma * b
+    with np.errstate(divide="ignore"):
+        s = (a - root) / den
+    s[den == 0.0] = math.inf
+    return s
+
+
+def _lam_many(theta: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """_lam at every node, bit-identical to it.  Clamps s in place."""
+    s[s < 0.0] = 0.0
+    s[~np.isfinite(s)] = _ROOT_HUGE
+    val = cf._half_sq_from_root_many(theta, s)
+    val[~np.isfinite(val)] = _HUGE
+    return val
+
+
+_Objective = tuple[Callable[[float], float], Callable[[np.ndarray], np.ndarray]]
+
+
+def _branch_objective(
+    s_raw: Callable[[float, float, float], float],
+    s_many: Callable[[float, float, np.ndarray], np.ndarray],
+    beta: float,
+    gamma: float,
+) -> _Objective:
+    """The half-squared distance through one intersection root, as a scalar
+    function of theta and as its array form for the scan."""
+
+    def many(ts: np.ndarray) -> np.ndarray:
+        # Python floats overflow to inf and turn inf - inf into nan without
+        # a word; _lam_many saturates both, so numpy may stay quiet as well
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _lam_many(ts, s_many(beta, gamma, ts))
+
+    return (lambda t: _lam(t, s_raw(beta, gamma, t))), many
+
+
+def _plus_objective(beta: float, gamma: float) -> _Objective:
+    return _branch_objective(_s_plus_raw, _s_plus_many, beta, gamma)
+
+
+def _minus_objective(beta: float, gamma: float) -> _Objective:
+    return _branch_objective(_s_minus_raw, _s_minus_many, beta, gamma)
 
 
 def _axis_value(v: float) -> float:
@@ -136,6 +203,24 @@ def _axis_value(v: float) -> float:
     d = math.sqrt(v) - 1.0
     val = 2.0 * d * d
     return val if math.isfinite(val) else _HUGE
+
+
+def _with_axis(v_axis: float, objective: _Objective) -> _Objective:
+    """The objective with the theta = 0 node replaced by the axis crossing
+    at v = v_axis."""
+    fn, fn_many = objective
+    axis = _axis_value(v_axis)
+
+    def many(ts: np.ndarray) -> np.ndarray:
+        at_axis = ts == 0.0
+        if not at_axis.any():
+            return fn_many(ts)
+        out = np.empty_like(ts)
+        out[at_axis] = axis
+        out[~at_axis] = fn_many(ts[~at_axis])
+        return out
+
+    return (lambda t: axis if t == 0.0 else fn(t)), many
 
 
 def _clip_below(x: float) -> float:
@@ -233,9 +318,8 @@ def _solve_vertical(beta: float, variant: str, tol: float) -> DistanceSolution:
     lo, hi = vertical_bracket(beta, variant)
     # the root-based evaluation of the level-curve distance stays accurate
     # where the closed form loses digits to cancellation (tiny beta)
-    report, half_sq = minimize_on_interval(
-        _plus_objective(beta, 0.0), (lo, hi), tol=tol
-    )
+    fn, fn_many = _plus_objective(beta, 0.0)
+    report, half_sq = minimize_on_interval(fn, (lo, hi), tol=tol, fn_many=fn_many)
     t_star = report.value
     v_star = ls.curve_v(t_star, beta)
     return DistanceSolution(
@@ -279,9 +363,10 @@ def _solve_right_slanted(beta: float, gamma: float, tol: float) -> DistanceSolut
         # single minus branch from the corner (0, 0); the cap is min(2*gamma, pi)
         hi = min(2.0 * gamma, math.pi) if gamma < half_pi else math.pi
         hi = min(hi, _clip_below(ls.psi_inv(gamma)))
-        fn_minus = _minus_objective(0.0, gamma)
-        fn = lambda t: _axis_value(0.0) if t == 0.0 else fn_minus(t)
-        report, half_sq = minimize_on_interval(fn, (0.0, hi), tol=tol)
+        fn, fn_many = _with_axis(0.0, _minus_objective(0.0, gamma))
+        report, half_sq = minimize_on_interval(
+            fn, (0.0, hi), tol=tol, fn_many=fn_many
+        )
         t_star = report.value
         v_star = 0.0 if t_star == 0.0 else _sq(_s_minus_raw(0.0, gamma, t_star))
         return _closed(beta, gamma, t_star, v_star, half_sq, "slanted-minus", report)
@@ -292,8 +377,9 @@ def _solve_right_slanted(beta: float, gamma: float, tol: float) -> DistanceSolut
         if beta < half_pi:
             hi = min(hi, 2.0 * beta)
         hi = max(hi, lo)
+        fn, fn_many = _plus_objective(beta, gamma)
         report, half_sq = minimize_on_interval(
-            _plus_objective(beta, gamma), (lo, hi), tol=tol
+            fn, (lo, hi), tol=tol, fn_many=fn_many
         )
         t_star = report.value
         v_star = _sq(max(_s_plus_raw(beta, gamma, t_star), 0.0))
@@ -304,8 +390,9 @@ def _solve_right_slanted(beta: float, gamma: float, tol: float) -> DistanceSolut
         if beta > half_pi and gamma > half_pi + 2.0 / (2.0 * beta - math.pi):
             # the minus branch provably cannot win here
             hi_plus = max(ls.psi_inv(beta), lo)
+            fn, fn_many = _plus_objective(beta, gamma)
             report, half_sq = minimize_on_interval(
-                _plus_objective(beta, gamma), (lo, hi_plus), tol=tol
+                fn, (lo, hi_plus), tol=tol, fn_many=fn_many
             )
             t_star = report.value
             v_star = _sq(max(_s_plus_raw(beta, gamma, t_star), 0.0))
@@ -315,22 +402,26 @@ def _solve_right_slanted(beta: float, gamma: float, tol: float) -> DistanceSolut
         cap = ls.theta_crit(beta, gamma)
         hi_plus = max(min(ls.psi_inv(beta), cap), lo)
         hi_minus = max(min(_clip_below(ls.psi_inv(gamma)), cap), lo)
+        fn, fn_many = _plus_objective(beta, gamma)
         rep_p, val_p = minimize_on_interval(
-            _plus_objective(beta, gamma), (lo, hi_plus), tol=tol
+            fn, (lo, hi_plus), tol=tol, fn_many=fn_many
         )
+        fn, fn_many = _minus_objective(beta, gamma)
         rep_m, val_m = minimize_on_interval(
-            _minus_objective(beta, gamma), (lo, hi_minus), tol=tol
+            fn, (lo, hi_minus), tol=tol, fn_many=fn_many
         )
     else:
         # beta > gamma > 0: no nearest-point cap is available on this side
         lo = ls.eta_alpha_inv(beta, gamma)
         hi_plus = max(ls.psi_inv(beta), lo)
         hi_minus = max(_clip_below(ls.psi_inv(gamma)), lo)
+        fn, fn_many = _plus_objective(beta, gamma)
         rep_p, val_p = minimize_on_interval(
-            _plus_objective(beta, gamma), (lo, hi_plus), tol=tol
+            fn, (lo, hi_plus), tol=tol, fn_many=fn_many
         )
+        fn, fn_many = _minus_objective(beta, gamma)
         rep_m, val_m = minimize_on_interval(
-            _minus_objective(beta, gamma), (lo, hi_minus), tol=tol
+            fn, (lo, hi_minus), tol=tol, fn_many=fn_many
         )
 
     if val_m < val_p - TIE_RTOL * max(1.0, val_p):
@@ -348,17 +439,17 @@ def _solve_left_slanted(beta: float, gamma: float, tol: float) -> DistanceSoluti
     v_axis = beta / a_g  # crossing of the line with the vertical axis
     if beta > a_g:
         hi = ls.psi_inv(beta)
-        fn_plus = _plus_objective(beta, gamma)
-        fn = lambda t: _axis_value(v_axis) if t == 0.0 else fn_plus(t)
-        report, half_sq = minimize_on_interval(fn, (0.0, hi), tol=tol)
+        fn, fn_many = _with_axis(v_axis, _plus_objective(beta, gamma))
+        report, half_sq = minimize_on_interval(
+            fn, (0.0, hi), tol=tol, fn_many=fn_many
+        )
         t_star = report.value
         v_star = v_axis if t_star == 0.0 else _sq(max(_s_plus_raw(beta, gamma, t_star), 0.0))
         return _closed(beta, gamma, t_star, v_star, half_sq, "left-slanted", report)
     # beta < |gamma|: negative indices; work on the mirrored line (-beta, -gamma)
     hi = _clip_below(ls.psi_inv(a_g))
-    fn_minus = _minus_objective(-beta, a_g)
-    fn = lambda t: _axis_value(v_axis) if t == 0.0 else fn_minus(t)
-    report, half_sq = minimize_on_interval(fn, (0.0, hi), tol=tol)
+    fn, fn_many = _with_axis(v_axis, _minus_objective(-beta, a_g))
+    report, half_sq = minimize_on_interval(fn, (0.0, hi), tol=tol, fn_many=fn_many)
     t_star = report.value
     v_star = v_axis if t_star == 0.0 else _sq(_s_minus_raw(-beta, a_g, t_star))
     return DistanceSolution(

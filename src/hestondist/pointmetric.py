@@ -195,9 +195,9 @@ def _f_arr(v: np.ndarray, d: np.ndarray) -> np.ndarray:
     branch as the scalar version."""
     s = np.sqrt(v)
     t2 = d * d
-    sr = 0.5 + t2 * (-1.0 / 48.0 + t2 / 3840.0)  # sin(d/2)/d
-    qr = 0.25 + t2 * (-1.0 / 384.0 + t2 / 122880.0)  # sin(d/4)/d
-    p3 = 1.0 / 6.0 + t2 * (-1.0 / 120.0 + t2 / 5040.0)  # (d - sin d)/d^3
+    sr = cf._sin_half_r(t2)
+    qr = cf._sin_quarter_r(t2)
+    p3 = cf._p_r3(t2)
     series = d * ((s - 1.0) ** 2 * p3 + 4.0 * s * qr * qr * (1.0 + 2.0 * sr)) / (
         2.0 * sr * sr
     )

@@ -5,6 +5,11 @@ distance formulas funnels through these two routines.  The minimizer never
 assumes unimodality: a coarse uniform scan localizes the best cell before
 golden-section refinement, which keeps it robust on objectives whose
 interior critical-point structure is only known empirically.
+
+The scan may be evaluated as one array call (``fn_many``) while the
+golden-section refine stays scalar; the two forms of the objective must
+agree bit for bit on every node, so the result does not depend on which
+one ran.
 """
 
 from __future__ import annotations
@@ -13,9 +18,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+import numpy as np
 from scipy.optimize import brentq
 
-from .errors import BracketError, ConvergenceError, NonFiniteSampleError
+from .errors import (
+    BracketError,
+    ConvergenceError,
+    NonFiniteSampleError,
+    ScanShapeError,
+)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -131,6 +142,8 @@ def minimize_on_interval(
     tol: float = MIN_TOL,
     scan_cells: int = SCAN_CELLS,
     max_iter: int = 200,
+    *,
+    fn_many: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[SolveReport, float]:
     """Minimize fn over a closed interval; returns (argmin report, value).
 
@@ -138,7 +151,14 @@ def minimize_on_interval(
     include both endpoints and the midpoint) localizes the best cell, then
     golden-section refines within the bracketing cell pair.  Endpoint
     minima are legitimate answers and are returned as-is.  A non-finite
-    sample aborts with the offending node.
+    sample aborts with the first offending node; ties go to the first
+    node attaining the minimum.
+
+    ``fn_many``, when given, is the array form of ``fn``: it maps the
+    read-only array of scan nodes to the array of their values in one
+    call, and must equal ``fn`` bit for bit on every node.  It replaces
+    only the scan; the refine always calls ``fn``.  A result whose shape
+    differs from the node array raises ScanShapeError.
     """
     lo, hi = bracket
     if hi < lo:
@@ -151,19 +171,49 @@ def minimize_on_interval(
 
     n = scan_cells + 1
     h = (hi - lo) / scan_cells
-    best_i, best_x, best_f = -1, lo, math.inf
-    xs = [lo + i * h for i in range(n - 1)] + [hi]
-    for i, x in enumerate(xs):
-        fx = fn(x)
-        if not math.isfinite(fx):
-            raise NonFiniteSampleError(i, x, fx)
-        if fx < best_f:
-            best_i, best_x, best_f = i, x, fx
+    if fn_many is None:
+        best_i, best_x, best_f = -1, lo, math.inf
+        xs = [lo + i * h for i in range(n - 1)] + [hi]
+        for i, x in enumerate(xs):
+            fx = fn(x)
+            if not math.isfinite(fx):
+                raise NonFiniteSampleError(i, x, fx)
+            if fx < best_f:
+                best_i, best_x, best_f = i, x, fx
+    else:
+        best_i, xs, best_f = _scan_many(fn_many, lo, hi, h, n)
+        best_x = float(xs[best_i])
 
-    a = xs[max(best_i - 1, 0)]
-    b = xs[min(best_i + 1, n - 1)]
+    a = float(xs[max(best_i - 1, 0)])
+    b = float(xs[min(best_i + 1, n - 1)])
     gx, gf, iters, width = _golden(fn, a, b, tol, max_iter)
     if gf < best_f:
         best_x, best_f = gx, gf
     # residual reports the final bracket width reached by the refinement
     return SolveReport(best_x, iters, width, "grid-refine"), best_f
+
+
+def _scan_many(
+    fn_many: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    h: float,
+    n: int,
+) -> tuple[int, np.ndarray, float]:
+    """The scan of minimize_on_interval as one array call; returns (index of
+    the first minimum, the nodes, the minimum value).  The nodes are
+    lo + i*h and hi, the same doubles the scalar scan visits."""
+    nodes = lo + np.arange(n) * h
+    nodes[-1] = hi
+    nodes.flags.writeable = False
+    fs = np.asarray(fn_many(nodes), dtype=float)
+    if fs.shape != nodes.shape:
+        raise ScanShapeError(
+            f"array objective returned shape {fs.shape}, expected {nodes.shape}"
+        )
+    finite = np.isfinite(fs)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise NonFiniteSampleError(i, float(nodes[i]), float(fs[i]))
+    i = int(fs.argmin())
+    return i, nodes, float(fs[i])

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 import hestondist as hd
-from hestondist import BracketError, NonFiniteSampleError
+from hestondist import BracketError, HestonDistError, NonFiniteSampleError
+from hestondist.errors import ScanShapeError
 from hestondist.solvers import minimize_on_interval, solve_monotone
 
 PI = math.pi
@@ -96,3 +98,67 @@ class TestMinimizeOnInterval:
         rep, val = minimize_on_interval(lambda t: (t - 3.0) ** 2, (1.0, 1.0))
         assert rep.value == 1.0
         assert val == 4.0
+
+
+class TestArrayScan:
+    """The fn_many contract: the array scan behaves exactly like the scalar one."""
+
+    def test_non_finite_node_matches_scalar_scan(self):
+        fn = lambda t: math.inf if t > 0.5 else t
+        fn_many = lambda ts: np.where(ts > 0.5, math.inf, ts)
+        with pytest.raises(NonFiniteSampleError) as scalar:
+            minimize_on_interval(fn, (0.0, 1.0))
+        with pytest.raises(NonFiniteSampleError) as array:
+            minimize_on_interval(fn, (0.0, 1.0), fn_many=fn_many)
+        assert array.value.node_index == scalar.value.node_index == 129
+        assert array.value.x == scalar.value.x
+        assert type(array.value.x) is float
+
+    def test_nan_node_is_rejected(self):
+        fn_many = lambda ts: np.where(ts == 0.25, math.nan, ts)
+        with pytest.raises(NonFiniteSampleError) as exc:
+            minimize_on_interval(lambda t: t, (0.0, 1.0), fn_many=fn_many)
+        assert exc.value.node_index == 64
+
+    def test_tie_goes_to_lowest_index(self):
+        # equal minima at the nodes 0.25 and 0.75 (indices 64 and 192)
+        fn = lambda t: abs(abs(t - 0.5) - 0.25)
+        fn_many = lambda ts: np.abs(np.abs(ts - 0.5) - 0.25)
+        rep, val = minimize_on_interval(fn, (0.0, 1.0), fn_many=fn_many)
+        assert (rep, val) == minimize_on_interval(fn, (0.0, 1.0))
+        assert rep.value == 0.25 and val == 0.0
+        assert type(rep.value) is float and type(val) is float
+
+    def test_degenerate_interval_never_calls_fn_many(self):
+        def fn_many(ts):
+            raise AssertionError("fn_many called on a degenerate interval")
+
+        rep, val = minimize_on_interval(
+            lambda t: (t - 3.0) ** 2, (1.0, 1.0), fn_many=fn_many
+        )
+        assert rep.value == 1.0 and val == 4.0
+
+    def test_nodes_are_read_only(self):
+        def fn_many(ts):
+            with pytest.raises(ValueError):
+                ts[0] = 5.0
+            return ts * ts
+
+        fn = lambda t: t * t
+        got = minimize_on_interval(fn, (-1.0, 2.0), fn_many=fn_many)
+        assert got == minimize_on_interval(fn, (-1.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "fn_many",
+        [
+            lambda ts: ts[:-1],
+            lambda ts: 0.0,
+            lambda ts: ts[:, None],
+            lambda ts: np.concatenate([ts, ts]),
+        ],
+        ids=["short", "scalar", "column", "long"],
+    )
+    def test_wrong_shape_raises(self, fn_many):
+        with pytest.raises(ScanShapeError) as exc:
+            minimize_on_interval(lambda t: t, (0.0, 1.0), fn_many=fn_many)
+        assert isinstance(exc.value, HestonDistError)
