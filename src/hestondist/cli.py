@@ -280,6 +280,18 @@ def _strike_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad strike list {text!r}: {exc}")
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
+        )
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heston-dist",
@@ -287,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         "implied-volatility limit.",
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=_tolerance, default=None,
                         help="solver tolerance override")
     parser.add_argument("--quiet-meta", action="store_true",
                         help="suppress the version banner in the output")

@@ -6,6 +6,12 @@ assumes unimodality: a coarse uniform scan localizes the best cell before
 golden-section refinement, which keeps it robust on objectives whose
 interior critical-point structure is only known empirically.
 
+The root solve is a pure-Python port of SciPy's ``brentq.c``: it visits the
+same iterates and reports the same iteration count as
+``scipy.optimize.brentq``, but evaluates the function once per iteration
+(n + 1 calls for n iterations, endpoints included), never re-evaluating the
+endpoints or the root.  The package has no SciPy dependency.
+
 The scan may be evaluated as one array call (``fn_many``) while the
 golden-section refine stays scalar; the two forms of the objective must
 agree bit for bit on every node, so the result does not depend on which
@@ -19,11 +25,11 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     BracketError,
     ConvergenceError,
+    DomainError,
     NonFiniteSampleError,
     ScanShapeError,
 )
@@ -31,6 +37,7 @@ from .errors import (
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 ROOT_TOL = 1e-12
+_RTOL = 4.0 * math.ulp(1.0)  # brentq's smallest admissible rtol
 MIN_TOL = 1e-9
 SCAN_CELLS = 256
 
@@ -65,13 +72,20 @@ def solve_monotone(
 ) -> SolveReport:
     """Find the argument where a monotone function attains ``target``.
 
-    The bracket must straddle the target: (fn(lo)-target)*(fn(hi)-target)
-    <= 0, otherwise BracketError.  Uses Brent's bisection/interpolation
-    hybrid; deterministic for identical inputs.
+    The bracket must straddle the target: fn(lo)-target and fn(hi)-target
+    must be finite and either one of them zero or of opposite signs
+    (compared by sign bit, so values whose product underflows still
+    count), otherwise BracketError.  ``tol`` must be positive, otherwise
+    DomainError.  Uses Brent's bisection/interpolation hybrid (``_brent``)
+    with absolute tolerance ``tol`` and relative tolerance 4 ulp; a NaN
+    value of fn inside the bracket or an exhausted iteration budget raises
+    ConvergenceError.  Deterministic for identical inputs.
     """
     lo, hi = bracket
     if not (lo < hi):
         raise BracketError(f"bracket must have lo < hi, got [{lo!r}, {hi!r}]")
+    if not tol > 0.0:
+        raise DomainError(f"root tolerance must be positive, got {tol!r}")
     flo = fn(lo) - target
     fhi = fn(hi) - target
     if not (math.isfinite(flo) and math.isfinite(fhi)):
@@ -80,26 +94,98 @@ def solve_monotone(
         return SolveReport(lo, 0, 0.0, "bisection-hybrid")
     if fhi == 0.0:
         return SolveReport(hi, 0, 0.0, "bisection-hybrid")
-    if flo * fhi > 0.0:
+    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
         raise BracketError(
             f"no sign change: fn(lo)-target={flo!r}, fn(hi)-target={fhi!r}"
         )
-    root, res = brentq(
-        lambda x: fn(x) - target,
-        lo,
-        hi,
-        xtol=tol,
-        rtol=4.0 * math.ulp(1.0),
-        maxiter=max_iter,
-        full_output=True,
+    root, froot, iterations = _brent(
+        lambda x: fn(x) - target, lo, hi, flo, fhi, tol, _RTOL, max_iter
     )
-    if not res.converged:
-        raise ConvergenceError(
-            f"root solve did not converge in {max_iter} iterations; "
-            f"best bracket around {root!r}"
-        )
-    residual = abs(fn(root) - target)
-    return SolveReport(root, res.iterations, residual, "bisection-hybrid")
+    return SolveReport(root, iterations, abs(froot), "bisection-hybrid")
+
+
+def _brent(
+    f: Callable[[float], float],
+    xpre: float,
+    xcur: float,
+    fpre: float,
+    fcur: float,
+    xtol: float,
+    rtol: float,
+    maxiter: int,
+) -> tuple[float, float, int]:
+    """Brent's root solve on [xpre, xcur]; returns (root, f(root), iterations).
+
+    A line-for-line port of ``brentq.c`` from SciPy (BSD-3-Clause,
+    Copyright (c) 2001-2002 Enthought, Inc. and 2003 onward the SciPy
+    Developers), so it visits the same iterates as ``scipy.optimize.brentq``
+    and reports the same iteration count.  Unlike SciPy it takes the
+    endpoint values the caller has already computed and returns the value
+    at the root, so it calls ``f`` once in every iteration but the last,
+    which stops at the convergence test.  The caller guarantees finite,
+    nonzero endpoint values of opposite sign.
+
+    C semantics are kept where Python differs: ``signbit`` is compared via
+    ``math.copysign``, the ``MIN`` macro is ``a if a < b else b``, and an
+    extrapolation that divides by zero (inf or NaN in C) takes the
+    bisection step that C's comparison would.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for iterations in range(1, maxiter + 1):
+        if (
+            fpre != 0.0
+            and fcur != 0.0
+            and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, fcur, iterations
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                try:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (
+                        -fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre))
+                    )
+                except ZeroDivisionError:
+                    stry = math.inf
+            a, b = abs(spre), 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (a if a < b else b):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ConvergenceError(
+                f"root solve met a NaN function value at x={xcur!r}"
+            )
+    raise ConvergenceError(
+        f"root solve did not converge in {maxiter} iterations; "
+        f"best bracket around {xcur!r}"
+    )
 
 
 def _golden(
@@ -159,10 +245,18 @@ def minimize_on_interval(
     call, and must equal ``fn`` bit for bit on every node.  It replaces
     only the scan; the refine always calls ``fn``.  A result whose shape
     differs from the node array raises ScanShapeError.
+
+    ``tol`` must be finite and nonnegative, otherwise DomainError; 0 asks
+    the refine for the smallest width a double can hold, so it usually runs
+    ``max_iter`` steps.
     """
     lo, hi = bracket
     if hi < lo:
         raise BracketError(f"bracket must have lo <= hi, got [{lo!r}, {hi!r}]")
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(
+            f"minimizer tolerance must be finite and >= 0, got {tol!r}"
+        )
     if hi == lo or hi - lo <= tol * 1e-3:
         val = fn(lo)
         if not math.isfinite(val):

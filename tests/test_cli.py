@@ -96,6 +96,21 @@ class TestOutputContract:
             main(["dist", "line", "--beta", "1"])  # missing --gamma
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "x"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main([f"--tol={tol}", "dist", "line", "--beta", "1", "--gamma", "0.5"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_zero_tolerance_accepted(self, capsys):
+        code, out = run_cli(capsys, "--tol", "0", "dist", "line", "--beta", "1",
+                            "--gamma", "0.5")
+        assert code == 0
+        assert json.loads(out)["outputs"]["value"] == pytest.approx(
+            1.4580417057, abs=1e-9
+        )
+
     def test_computation_error_record(self, capsys):
         code, out = run_cli(
             capsys, "dist", "point", "--x0", "0", "--v0", "0", "--x1", "1",

@@ -1,0 +1,286 @@
+"""The root solve, pinned bit for bit and checked against scipy's brentq.
+
+The pins were recorded with the scipy-backed solve that ``_brent`` replaced:
+every SolveReport (value, iterations, residual) that ``delta_of`` and the
+inverse index maps produce, as ``float.hex`` strings.  The differential test
+runs only where scipy is installed; the package itself does not need it.
+"""
+
+import math
+import random
+
+import pytest
+
+import hestondist.levelsets as ls
+import hestondist.pointmetric as pm
+from hestondist.solvers import ROOT_TOL, solve_monotone
+
+# delta_of(x, v) with x = f_of(v, delta): for v in (1, 0.25, 4, 37) the
+# small-angle deltas 1e-5, 3e-4, 2e-3, 9e-3, the near-2*pi deltas
+# 2*pi - (1e-3, 1e-6, 1e-9) and the mid-range deltas 0.7, 2.5, 4.1 (both
+# signs of x at v = 1); then v -> 0 (1e-6, 1e-10, 1e-14, 0) at deltas
+# 0.01, 1.3, 3.0, 5.9.  Row: x, v, delta_of(x, v), its SolveReports as
+# (value, iterations, residual).
+DELTA_OF_PINS = [
+    (1.0000000000041668e-05, 1.0, '0x1.4f8b588e36885p-17',
+     [('0x1.4f8b588e36885p-17', 5, '0x1.b000000000000p-63')]),
+    (0.000300000001125, 1.0, '0x1.3a92a3053d02bp-12',
+     [('0x1.3a92a3053d02bp-12', 5, '0x1.6236000000000p-48')]),
+    (0.002000000333333384, 1.0, '0x1.0624dd2f1a9fdp-9',
+     [('0x1.0624dd2f1a9fdp-9', 6, '0x1.0000000000000p-61')]),
+    (0.009000030375092264, 1.0, '0x1.26e978d4fdf37p-7',
+     [('0x1.26e978d4fdf37p-7', 6, '0x1.0000000000000p-57')]),
+    (50265483.504242726, 1.0, '0x1.920f52f66fde5p+2',
+     [('0x1.920f52f66fde5p+2', 16, '0x1.18e1400000000p-9')]),
+    (50265482418762.76, 1.0, '0x1.921fb11284e95p+2',
+     [('0x1.921fb11284e95p+2', 21, '0x0.0p+0')]),
+    (5.026544951649868e+19, 1.0, '0x1.921fb5432ff0bp+2',
+     [('0x1.921fb5432ff0bp+2', 26, '0x1.44d5129700000p+46')]),
+    (0.7145586847389862, 1.0, '0x1.6666666666666p-1',
+     [('0x1.6666666666666p-1', 6, '0x0.0p+0')]),
+    (-0.7145586847389862, 1.0, '-0x1.6666666666666p-1',
+     [('0x1.6666666666666p-1', 6, '0x0.0p+0')]),
+    (3.3436436302217567, 1.0, '0x1.4000000000001p+1',
+     [('0x1.4000000000001p+1', 8, '0x0.0p+0')]),
+    (-3.3436436302217567, 1.0, '-0x1.4000000000001p+1',
+     [('0x1.4000000000001p+1', 8, '0x0.0p+0')]),
+    (10.900773895228998, 1.0, '0x1.0666666666665p+2',
+     [('0x1.0666666666665p+2', 9, '0x1.0000000000000p-47')]),
+    (-10.900773895228998, 1.0, '-0x1.0666666666665p+2',
+     [('0x1.0666666666665p+2', 9, '0x1.0000000000000p-47')]),
+    (5.833333333356945e-06, 0.25, '0x1.4f8b588e3688ap-17',
+     [('0x1.4f8b588e3688ap-17', 5, '0x1.e000000000000p-64')]),
+    (0.0001750000006375, 0.25, '0x1.3a92a3053e24bp-12',
+     [('0x1.3a92a3053e24bp-12', 5, '0x1.881a000000000p-49')]),
+    (0.001166666855555584, 0.25, '0x1.0624dd2f1a9fdp-9',
+     [('0x1.0624dd2f1a9fdp-9', 6, '0x1.0000000000000p-62')]),
+    (0.00525001721255199, 0.25, '0x1.26e978d4fdf38p-7',
+     [('0x1.26e978d4fdf38p-7', 6, '0x1.0000000000000p-58')]),
+    (28274334.667423587, 0.25, '0x1.920f52f66fdeep+2',
+     [('0x1.920f52f66fdeep+2', 16, '0x1.8afd000000000p-11')]),
+    (28274333860554.246, 0.25, '0x1.921fb11284e95p+2',
+     [('0x1.921fb11284e95p+2', 21, '0x0.0p+0')]),
+    (2.8274315353030504e+19, 0.25, '0x1.921fb5432ff0bp+2',
+     [('0x1.921fb5432ff0bp+2', 26, '0x1.6d6fb4e980000p+45')]),
+    (0.4165824037032378, 0.25, '0x1.6666666666666p-1',
+     [('0x1.6666666666666p-1', 6, '0x0.0p+0')]),
+    (1.9357552182391218, 0.25, '0x1.4000000000000p+1',
+     [('0x1.4000000000000p+1', 8, '0x0.0p+0')]),
+    (6.2311531281598285, 0.25, '0x1.0666666666665p+2',
+     [('0x1.0666666666665p+2', 9, '0x1.4000000000000p-48')]),
+    (2.333333333342778e-05, 4.0, '0x1.4f8b588e3688ap-17',
+     [('0x1.4f8b588e3688ap-17', 5, '0x1.e000000000000p-62')]),
+    (0.00070000000255, 4.0, '0x1.3a92a3053e24bp-12',
+     [('0x1.3a92a3053e24bp-12', 5, '0x1.881a000000000p-47')]),
+    (0.004666667422222336, 4.0, '0x1.0624dd2f1a9fdp-9',
+     [('0x1.0624dd2f1a9fdp-9', 6, '0x1.0000000000000p-60')]),
+    (0.02100006885020796, 4.0, '0x1.26e978d4fdf38p-7',
+     [('0x1.26e978d4fdf38p-7', 6, '0x1.0000000000000p-56')]),
+    (113097338.66969435, 4.0, '0x1.920f52f66fdeep+2',
+     [('0x1.920f52f66fdeep+2', 16, '0x1.8afd000000000p-9')]),
+    (113097335442216.98, 4.0, '0x1.921fb11284e95p+2',
+     [('0x1.921fb11284e95p+2', 21, '0x0.0p+0')]),
+    (1.1309726141212202e+20, 4.0, '0x1.921fb5432ff0bp+2',
+     [('0x1.921fb5432ff0bp+2', 26, '0x1.6d6fb4e980000p+47')]),
+    (1.6663296148129512, 4.0, '0x1.6666666666666p-1',
+     [('0x1.6666666666666p-1', 6, '0x0.0p+0')]),
+    (7.743020872956487, 4.0, '0x1.4000000000000p+1',
+     [('0x1.4000000000000p+1', 8, '0x0.0p+0')]),
+    (24.924612512639314, 4.0, '0x1.0666666666665p+2',
+     [('0x1.0666666666665p+2', 9, '0x1.4000000000000p-46')]),
+    (0.00014694254176820121, 37.0, '0x1.4f8b588e3689cp-17',
+     [('0x1.4f8b588e3689cp-17', 5, '0x1.3800000000000p-59')]),
+    (0.004408276267623272, 37.0, '0x1.3a92a30541acap-12',
+     [('0x1.3a92a30541acap-12', 5, '0x1.00c6000000000p-44')]),
+    (0.02938851267751806, 37.0, '0x1.0624dd2f1a9fdp-9',
+     [('0x1.0624dd2f1a9fdp-9', 6, '0x1.0000000000000p-57')]),
+    (0.13224868161522008, 37.0, '0x1.26e978d4fdf38p-7',
+     [('0x1.26e978d4fdf38p-7', 6, '0x1.8000000000000p-54')]),
+    (630398613.387663, 37.0, '0x1.920f52f66fdfap+2',
+     [('0x1.920f52f66fdfap+2', 16, '0x1.b854000000000p-9')]),
+    (630398579490373.4, 37.0, '0x1.921fb11284e95p+2',
+     [('0x1.921fb11284e95p+2', 21, '0x0.0p+0')]),
+    (6.303981668505148e+20, 37.0, '0x1.921fb5432fefcp+2',
+     [('0x1.921fb5432fefcp+2', 26, '0x1.fd3876c420000p+53')]),
+    (10.474744600655642, 37.0, '0x1.6666666666663p-1',
+     [('0x1.6666666666663p-1', 7, '0x1.4000000000000p-47')]),
+    (47.61291374373564, 37.0, '0x1.4000000000000p+1',
+     [('0x1.4000000000000p+1', 8, '0x0.0p+0')]),
+    (146.9895563004805, 37.0, '0x1.0666666666666p+2',
+     [('0x1.0666666666666p+2', 8, '0x0.0p+0')]),
+    (0.003336681130614941, 1e-06, '0x1.47ae147ae4dedp-7',
+     [('0x1.47ae147ae4dedp-7', 6, '0x1.314c000000000p-46')]),
+    (0.45978503780266194, 1e-06, '0x1.4cccccccccccdp+0',
+     [('0x1.4cccccccccccdp+0', 6, '0x0.0p+0')]),
+    (1.4384217088489168, 1e-06, '0x1.8000000000000p+1',
+     [('0x1.8000000000000p+1', 8, '0x0.0p+0')]),
+    (86.68081482220205, 1e-06, '0x1.799999999999ap+2',
+     [('0x1.799999999999ap+2', 11, '0x0.0p+0')]),
+    (0.003333377778353772, 1e-10, '0x1.47ae147ae4e19p-7',
+     [('0x1.47ae147ae4e19p-7', 6, '0x1.3346000000000p-46')]),
+    (0.45931028787595973, 1e-10, '0x1.4cccccccccccdp+0',
+     [('0x1.4cccccccccccdp+0', 6, '0x0.0p+0')]),
+    (1.4366464459928079, 1e-10, '0x1.8000000000000p+1',
+     [('0x1.8000000000000p+1', 8, '0x0.0p+0')]),
+    (86.51219475242539, 1e-10, '0x1.799999999999ap+2',
+     [('0x1.799999999999ap+2', 11, '0x0.0p+0')]),
+    (0.0033333447778279707, 1e-14, '0x1.47ae147ae4e1ap-7',
+     [('0x1.47ae147ae4e1ap-7', 6, '0x1.3352000000000p-46')]),
+    (0.4593055449233624, 1e-14, '0x1.4cccccccccccep+0',
+     [('0x1.4cccccccccccep+0', 6, '0x0.0p+0')]),
+    (1.436628707585447, 1e-14, '0x1.8000000000000p+1',
+     [('0x1.8000000000000p+1', 8, '0x0.0p+0')]),
+    (86.51050940809584, 1e-14, '0x1.799999999999ap+2',
+     [('0x1.799999999999ap+2', 11, '0x0.0p+0')]),
+    (0.003333344444492659, 0.0, '0x1.47ae147ae4e1ap-7',
+     [('0x1.47ae147ae4e1ap-7', 6, '0x1.3352000000000p-46')]),
+    (0.45930549701520956, 0.0, '0x1.4cccccccccccep+0',
+     [('0x1.4cccccccccccep+0', 6, '0x0.0p+0')]),
+    (1.4366285284110516, 0.0, '0x1.8000000000000p+1',
+     [('0x1.8000000000000p+1', 8, '0x0.0p+0')]),
+    (86.51049238450226, 0.0, '0x1.799999999999ap+2',
+     [('0x1.799999999999ap+2', 11, '0x0.0p+0')]),
+]
+INVERSE_MAP_PINS = [
+    ('psi_inv', (0.001,), '0x1.8937440b89456p-9',
+     [('0x1.8937440b89456p-9', 5, '0x0.0p+0')]),
+    ('eta_inv', (0.001,), '0x1.0624da5218b49p-9',
+     [('0x1.0624da5218b49p-9', 5, '0x0.0p+0')]),
+    ('psi_inv', (0.3,), '0x1.c0f7d31b351acp-1',
+     [('0x1.c0f7d31b351acp-1', 7, '0x1.a000000000000p-51')]),
+    ('eta_inv', (0.3,), '0x1.2ebb4e2feee47p-1',
+     [('0x1.2ebb4e2feee47p-1', 7, '0x1.b000000000000p-50')]),
+    ('psi_inv', (1.0,), '0x1.34bcc7fa591b2p+1',
+     [('0x1.34bcc7fa591b2p+1', 7, '0x0.0p+0')]),
+    ('eta_inv', (1.0,), '0x1.bfabd562c1b97p+0',
+     [('0x1.bfabd562c1b97p+0', 8, '0x1.0000000000000p-53')]),
+    ('psi_inv', (1.5707963267948966,), '0x1.921fb54442d18p+1',
+     [('0x1.921fb54442d18p+1', 3, '0x0.0p+0')]),
+    ('eta_inv', (1.5707963267948966,), '0x1.33eb8317dd4c2p+1',
+     [('0x1.33eb8317dd4c2p+1', 8, '0x1.e000000000000p-49')]),
+    ('psi_inv', (3.0,), '0x1.034ddfa0c8f5ep+2',
+     [('0x1.034ddfa0c8f5ep+2', 11, '0x1.0000000000000p-51')]),
+    ('eta_inv', (3.0,), '0x1.ae038068af1aap+1',
+     [('0x1.ae038068af1aap+1', 10, '0x1.7000000000000p-47')]),
+    ('psi_inv', (40.0,), '0x1.6dda932676cadp+2',
+     [('0x1.6dda932676cadp+2', 12, '0x1.8000000000000p-46')]),
+    ('eta_inv', (40.0,), '0x1.5f2430775864fp+2',
+     [('0x1.5f2430775864fp+2', 8, '0x1.0000000000000p-45')]),
+    ('psi_inv', (10000.0,), '0x1.8fdae15cdfdc7p+2',
+     [('0x1.8fdae15cdfdc7p+2', 16, '0x1.5680000000000p-30')]),
+    ('eta_inv', (10000.0,), '0x1.8eea50a116664p+2',
+     [('0x1.8eea50a116664p+2', 9, '0x1.4c00000000000p-33')]),
+    ('eta_alpha_inv', (0.5, 0.2), '0x1.0b9d083119c62p-1',
+     [('0x1.66c0cdd4632c7p+0', 8, '0x1.0000000000000p-53'),
+      ('0x1.0b9d083119c62p-1', 7, '0x1.6000000000000p-52')]),
+    ('eta_alpha_inv', (1.0, 0.9), '0x1.ac9b29cdfcd00p+0',
+     [('0x1.34bcc7fa591b2p+1', 7, '0x0.0p+0'),
+      ('0x1.ac9b29cdfcd00p+0', 8, '0x1.0000000000000p-53')]),
+    ('eta_alpha_inv', (2.0, 1.5), '0x1.437bb97b593b2p+1',
+     [('0x1.c1123a518f69dp+1', 9, '0x0.0p+0'),
+      ('0x1.437bb97b593b2p+1', 8, '0x1.0000000000000p-47')]),
+    ('eta_alpha_inv', (0.1, 0.05), '0x1.0382f6dfe64dfp-3',
+     [('0x1.3248a03d87321p-2', 7, '0x1.4800000000000p-51'),
+      ('0x1.0382f6dfe64dfp-3', 7, '0x1.3600000000000p-50')]),
+    ('eta_alpha_inv', (3.0, 2.9), '0x1.aaf8be4ead2bbp+1',
+     [('0x1.034ddfa0c8f5ep+2', 11, '0x1.0000000000000p-51'),
+      ('0x1.aaf8be4ead2bbp+1', 10, '0x1.8000000000000p-50')]),
+    ('eta_alpha_inv', (1.0, 0.0001), '0x1.3a909f8972462p-12',
+     [('0x1.34bcc7fa591b2p+1', 7, '0x0.0p+0'),
+      ('0x1.3a909f8972462p-12', 5, '0x1.2484000000000p-50')]),
+    ('x_crit_inv', (0.0001,), '0x1.a36e2eb7a165fp-14',
+     [('0x1.a36e2eb7a165fp-14', 5, '0x1.0000000000000p-66')]),
+    ('x_crit_inv', (0.2,), '0x1.9af9f353d39a2p-3',
+     [('0x1.9af9f353d39a2p-3', 7, '0x1.2000000000000p-52')]),
+    ('x_crit_inv', (0.8,), '0x1.b2ce1df7473c5p-1',
+     [('0x1.b2ce1df7473c5p-1', 9, '0x1.0000000000000p-53')]),
+    ('x_crit_inv', (1.5,), '0x1.17024790e0d93p+1',
+     [('0x1.17024790e0d93p+1', 11, '0x0.0p+0')]),
+    ('x_crit_inv', (1.5707,), '0x1.84b01ffdc01fap+1',
+     [('0x1.84b01ffdc01fap+1', 17, '0x0.0p+0')]),
+    ('theta_crit', (0.1, 0.5), '0x1.2695abc1b5196p-1',
+     [('0x1.2695abc1b5196p-1', 7, '0x1.3800000000000p-50')]),
+    ('theta_crit', (0.5, 2.0), '0x1.b7c29312ea97cp+0',
+     [('0x1.b7c29312ea97cp+0', 9, '0x1.8000000000000p-52')]),
+    ('theta_crit', (1.0, 1.0), '0x1.cca56bdb2eed5p+0',
+     [('0x1.cca56bdb2eed5p+0', 9, '0x0.0p+0')]),
+    ('theta_crit', (1.5, 0.1), '0x1.22a4e2891d559p+1',
+     [('0x1.22a4e2891d559p+1', 12, '0x1.0000000000000p-52')]),
+    ('theta_crit', (2.0, 3.0), '0x1.c1123a518f69dp+1',
+     [('0x1.c1123a518f69dp+1', 9, '0x0.0p+0')]),
+    ('theta_crit', (0.001, 0.001), '0x1.0624da521890ap-9',
+     [('0x1.0624da521890ap-9', 5, '0x1.7ec0000000000p-52')]),
+    ('theta_crit', (0.7853981633974483, 1.0), '0x1.921fb54442d18p+0',
+     [('0x1.921fb54442d18p+0', 10, '0x1.0000000000000p-53')]),
+]
+
+
+def _recording(monkeypatch, module):
+    reports = []
+    solve = module.solve_monotone
+
+    def record(*args, **kwargs):
+        report = solve(*args, **kwargs)
+        reports.append((report.value.hex(), report.iterations, report.residual.hex()))
+        return report
+
+    monkeypatch.setattr(module, "solve_monotone", record)
+    return reports
+
+
+@pytest.mark.parametrize("x, v, delta, reports", DELTA_OF_PINS)
+def test_delta_of_pins(monkeypatch, x, v, delta, reports):
+    seen = _recording(monkeypatch, pm)
+    assert pm.delta_of(x, v).hex() == delta
+    assert seen == reports
+
+
+@pytest.mark.parametrize("name, args, value, reports", INVERSE_MAP_PINS)
+def test_inverse_map_pins(monkeypatch, name, args, value, reports):
+    seen = _recording(monkeypatch, ls)
+    assert getattr(ls, name)(*args).hex() == value
+    assert seen == reports
+
+
+def _monotone_cases():
+    """Seeded increasing functions with a root in (-6, 7).
+
+    The smooth ones let the solver interpolate and extrapolate almost every
+    step; the saturating, kinked, flat-rooted and underflowing ones force
+    it to reject steps and bisect."""
+    rng = random.Random(20261018)
+    cases = []
+    for i in range(40):
+        k = rng.uniform(0.2, 8.0)
+        c = rng.uniform(-4.0, 4.0)
+        p = rng.choice((3, 5, 9))
+        smooth = [
+            lambda t, k=k, c=c: math.expm1(k * (t - c) / 8.0),
+            lambda t, k=k, c=c: (t - c) + 0.1 * k * (t - c) ** 3,
+            lambda t, k=k, c=c: math.atan(k * (t - c)),
+        ]
+        rough = [
+            lambda t, k=k, c=c: math.tanh(50.0 * k * (t - c)),
+            lambda t, c=c, p=p: (t - c) ** p,
+            lambda t, c=c: math.copysign(abs(t - c) ** 0.1, t - c),
+            lambda t, k=k, c=c: (t - c) if t < c else k * 1e3 * (t - c),
+            lambda t, c=c, p=p: 1e-160 * (t - c) ** p,
+        ]
+        cases += [("interpolation", i, fn) for fn in smooth]
+        cases += [("bisection", i, fn) for fn in rough]
+    return cases
+
+
+@pytest.mark.parametrize("xtol", [1e-3, 1e-8, ROOT_TOL, 1e-13, 1e-300])
+def test_matches_scipy_brentq(xtol):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    rtol = 4.0 * math.ulp(1.0)
+    for kind, i, fn in _monotone_cases():
+        got = solve_monotone(fn, (-6.0, 7.0), tol=xtol)
+        root, res = brentq(
+            fn, -6.0, 7.0, xtol=xtol, rtol=rtol, maxiter=200, full_output=True
+        )
+        assert res.converged, (kind, i)
+        assert got.value.hex() == root.hex(), (kind, i)
+        assert got.iterations == res.iterations, (kind, i)
+        assert got.residual == abs(fn(root)), (kind, i)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import hestondist as hd
-from hestondist import BracketError, HestonDistError, NonFiniteSampleError
+from hestondist import (
+    BracketError,
+    ConvergenceError,
+    DomainError,
+    HestonDistError,
+    NonFiniteSampleError,
+)
 from hestondist.errors import ScanShapeError
 from hestondist.solvers import minimize_on_interval, solve_monotone
 
@@ -44,6 +50,41 @@ class TestSolveMonotone:
     def test_exact_endpoint(self):
         rep = solve_monotone(lambda x: x, (0.5, 1.0), target=0.5)
         assert rep.value == 0.5 and rep.iterations == 0
+
+    def test_same_sign_with_underflowing_product(self):
+        # 1e-200 * 1e-200 underflows to 0: the signs decide, not the product
+        with pytest.raises(HestonDistError) as exc:
+            solve_monotone(lambda x: 1e-200, (0.0, 1.0))
+        assert isinstance(exc.value, BracketError)
+
+    def test_nan_inside_bracket(self):
+        fn = lambda x: math.nan if 0.25 < x < 0.75 else x - 0.5
+        with pytest.raises(HestonDistError) as exc:
+            solve_monotone(fn, (0.0, 1.0))
+        assert isinstance(exc.value, ConvergenceError)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_bad_tolerance(self, tol):
+        with pytest.raises(HestonDistError) as exc:
+            solve_monotone(lambda x: x - 0.5, (0.0, 1.0), tol=tol)
+        assert isinstance(exc.value, DomainError)
+
+    def test_iteration_budget(self):
+        with pytest.raises(ConvergenceError):
+            solve_monotone(math.atan, (-1.0, 3.0), max_iter=2)
+
+    def test_one_evaluation_per_iteration(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return math.expm1(x) - 0.7
+
+        rep = solve_monotone(fn, (0.0, 2.0))
+        # both endpoints, then one call per iteration but the last, which
+        # stops at the convergence test; the residual is not re-evaluated
+        assert len(calls) == rep.iterations + 1
+        assert rep.residual == abs(fn(rep.value))
 
 
 class TestMinimizeOnInterval:
@@ -98,6 +139,18 @@ class TestMinimizeOnInterval:
         rep, val = minimize_on_interval(lambda t: (t - 3.0) ** 2, (1.0, 1.0))
         assert rep.value == 1.0
         assert val == 4.0
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_bad_tolerance(self, tol):
+        with pytest.raises(DomainError):
+            minimize_on_interval(lambda t: (t - 1.0) ** 2, (0.0, 2.0), tol=tol)
+
+    def test_zero_tolerance_refines_to_the_budget(self):
+        rep, val = minimize_on_interval(
+            lambda t: (t - 1.0) ** 2, (0.0, 2.0), tol=0.0, max_iter=60
+        )
+        assert rep.iterations == 60
+        assert rep.value == pytest.approx(1.0, abs=1e-8)
 
 
 class TestArrayScan:
