@@ -22,6 +22,7 @@ import argparse
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from typing import Any
@@ -292,6 +293,25 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+# A negative number, exponent form included.  argparse tells option values
+# from options by a pattern of its own that, before Python 3.13, has no
+# exponent form, so it would take "-1e-3" for an option name.
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write "--opt -1e-3" as "--opt=-1e-3", which argparse reads as the
+    option's value on every Python version."""
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and _NEGATIVE_NUMBER.fullmatch(tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heston-dist",
@@ -363,7 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    )
     try:
         record, rows = args.handler(args)
     except UsageError as exc:

@@ -25,7 +25,7 @@ switch point.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,14 +70,6 @@ def _check_angle_sym(theta: float, name: str = "theta") -> None:
 # underflows; the cubes themselves vanish below ~1e-103.
 
 
-def _pick(t: float, series: float, direct: float, mode: Optional[str]) -> float:
-    if mode == "series":
-        return series
-    if mode == "direct":
-        return direct
-    return series if abs(t) < SMALL_ANGLE else direct
-
-
 def _p_r3(t2: float) -> float:
     """(t - sin t)/t^3 by series; t2 = t*t."""
     return 1.0 / 6.0 + t2 * (-1.0 / 120.0 + t2 / 5040.0)
@@ -103,22 +95,25 @@ def _sin_quarter_r(t2: float) -> float:
     return 0.25 + t2 * (-1.0 / 384.0 + t2 / 122880.0)
 
 
-def theta_minus_sin(t: float, _mode: Optional[str] = None) -> float:
+def theta_minus_sin(t: float) -> float:
     """theta - sin(theta), accurate near zero (~theta^3/6)."""
-    series = t * (t * t) * _p_r3(t * t)
-    return _pick(t, series, t - math.sin(t), _mode)
+    if abs(t) < SMALL_ANGLE:
+        return t * (t * t) * _p_r3(t * t)
+    return t - math.sin(t)
 
 
-def two_sin_half_minus_cos_weighted(t: float, _mode: Optional[str] = None) -> float:
+def two_sin_half_minus_cos_weighted(t: float) -> float:
     """2*sin(t/2) - t*cos(t/2), accurate near zero (~theta^3/12)."""
-    series = t * (t * t) * _u_r3(t * t)
-    return _pick(t, series, 2.0 * math.sin(0.5 * t) - t * math.cos(0.5 * t), _mode)
+    if abs(t) < SMALL_ANGLE:
+        return t * (t * t) * _u_r3(t * t)
+    return 2.0 * math.sin(0.5 * t) - t * math.cos(0.5 * t)
 
 
-def two_sin_half_minus_theta(t: float, _mode: Optional[str] = None) -> float:
+def two_sin_half_minus_theta(t: float) -> float:
     """2*sin(t/2) - t, accurate near zero (~ -theta^3/24)."""
-    series = t * (t * t) * _w_r3(t * t)
-    return _pick(t, series, 2.0 * math.sin(0.5 * t) - t, _mode)
+    if abs(t) < SMALL_ANGLE:
+        return t * (t * t) * _w_r3(t * t)
+    return 2.0 * math.sin(0.5 * t) - t
 
 
 def versine(t: float) -> float:
@@ -132,7 +127,7 @@ def versine(t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def psi(theta: float, _mode: Optional[str] = None) -> float:
+def psi(theta: float) -> float:
     """Boundary abscissa of the level curve with index theta.
 
     psi(theta) = (theta - sin theta)/(1 - cos theta); odd, strictly
@@ -142,15 +137,15 @@ def psi(theta: float, _mode: Optional[str] = None) -> float:
     if theta == 0.0:
         raise DomainError("psi is undefined at theta = 0")
     if theta < 0.0:
-        return -psi(-theta, _mode)
-    if _mode != "direct" and (theta < SMALL_ANGLE or _mode == "series"):
+        return -psi(-theta)
+    if theta < SMALL_ANGLE:
         t2 = theta * theta
         sr = _sin_half_r(t2)
         return theta * _p_r3(t2) / (2.0 * sr * sr)
-    return theta_minus_sin(theta, "direct") / versine(theta)
+    return theta_minus_sin(theta) / versine(theta)
 
 
-def f_of(v: float, delta: float, _mode: Optional[str] = None) -> float:
+def f_of(v: float, delta: float) -> float:
     """Abscissa of the point with ordinate v on the arc indexed by delta.
 
     For fixed v this is odd and strictly increasing in delta on (-2*pi,
@@ -168,9 +163,9 @@ def f_of(v: float, delta: float, _mode: Optional[str] = None) -> float:
     if delta == 0.0:
         return 0.0
     if delta < 0.0:
-        return -f_of(v, -delta, _mode)
+        return -f_of(v, -delta)
     s = math.sqrt(v)
-    if _mode != "direct" and (delta < SMALL_ANGLE or _mode == "series"):
+    if delta < SMALL_ANGLE:
         t2 = delta * delta
         sr = _sin_half_r(t2)
         qr = _sin_quarter_r(t2)
@@ -178,13 +173,13 @@ def f_of(v: float, delta: float, _mode: Optional[str] = None) -> float:
         return delta * num / (2.0 * sr * sr)
     sh = math.sin(0.5 * delta)
     q4 = math.sin(0.25 * delta)
-    num = (s - 1.0) ** 2 * theta_minus_sin(delta, "direct") + 4.0 * s * q4 * q4 * (
+    num = (s - 1.0) ** 2 * theta_minus_sin(delta) + 4.0 * s * q4 * q4 * (
         delta + 2.0 * sh
     )
     return num / (2.0 * sh * sh)
 
 
-def lambda_big(x: float, theta: float, _mode: Optional[str] = None) -> float:
+def lambda_big(x: float, theta: float) -> float:
     """Half the squared distance from (0, 1) to the point of the level
     curve with index theta that has abscissa x.
 
@@ -199,8 +194,8 @@ def lambda_big(x: float, theta: float, _mode: Optional[str] = None) -> float:
     if theta >= TWO_PI or theta <= -TWO_PI:
         raise DomainError(f"theta must lie in (-2*pi, 2*pi), got {theta!r}")
     if theta < 0.0:
-        return lambda_big(-x, -theta, _mode)
-    if _mode != "direct" and (theta < SMALL_ANGLE or _mode == "series"):
+        return lambda_big(-x, -theta)
+    if theta < SMALL_ANGLE:
         # everything scaled by theta^3 so that nothing underflows
         t2 = theta * theta
         p3, u3, w3 = _p_r3(t2), _u_r3(t2), _w_r3(t2)
@@ -220,9 +215,9 @@ def lambda_big(x: float, theta: float, _mode: Optional[str] = None) -> float:
             - 2.0 * sr * sr * math.sqrt(theta * scaled_radicand)
         )
         return bracket / (theta * p3 * p3)
-    p = theta_minus_sin(theta, "direct")
-    u = two_sin_half_minus_cos_weighted(theta, "direct")
-    w = two_sin_half_minus_theta(theta, "direct")
+    p = theta_minus_sin(theta)
+    u = two_sin_half_minus_cos_weighted(theta)
+    w = two_sin_half_minus_theta(theta)
     sh = math.sin(0.5 * theta)
     c = 2.0 * sh * sh
     radicand = 2.0 * p * x + w * (2.0 * sh + theta)
@@ -237,31 +232,29 @@ def lambda_big(x: float, theta: float, _mode: Optional[str] = None) -> float:
     return (theta / p) ** 2 * bracket
 
 
-def coef_A(theta: float, _mode: Optional[str] = None) -> float:
+def coef_A(theta: float) -> float:
     """A(theta) = (theta*cos(theta/2) - 2*sin(theta/2))/(theta - sin theta).
 
     Negative on (0, 2*pi); -A is strictly increasing from 1/2 to 1.
     """
     _check_angle_open(theta)
-    if _mode != "direct" and (theta < SMALL_ANGLE or _mode == "series"):
+    if theta < SMALL_ANGLE:
         t2 = theta * theta
         return -_u_r3(t2) / _p_r3(t2)
-    return -two_sin_half_minus_cos_weighted(theta, "direct") / theta_minus_sin(
-        theta, "direct"
-    )
+    return -two_sin_half_minus_cos_weighted(theta) / theta_minus_sin(theta)
 
 
-def coef_B(theta: float, _mode: Optional[str] = None) -> float:
+def coef_B(theta: float) -> float:
     """B(theta) = (1 - cos theta)/(theta - sin theta) = 1/psi(theta).
 
     Positive and strictly decreasing on (0, 2*pi).
     """
     _check_angle_open(theta)
-    if _mode != "direct" and (theta < SMALL_ANGLE or _mode == "series"):
+    if theta < SMALL_ANGLE:
         t2 = theta * theta
         sr = _sin_half_r(t2)
         return 2.0 * sr * sr / (theta * _p_r3(t2))
-    return versine(theta) / theta_minus_sin(theta, "direct")
+    return versine(theta) / theta_minus_sin(theta)
 
 
 # Array form of coef_A and coef_B for the minimizer scan.  numpy's float64

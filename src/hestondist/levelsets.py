@@ -25,7 +25,7 @@ from . import corefuncs as cf
 from .errors import DomainError
 from .pointmetric import ManifoldPoint
 from .solution import DistanceSolution
-from .solvers import report_closed_form, solve_monotone
+from .solvers import grow_to_two_pi, report_closed_form, solve_monotone
 
 _EPS_ANGLE = 1e-12
 _STEP_CAP = 200
@@ -61,14 +61,10 @@ def _radicand(t: float, x: float) -> float:
     return r
 
 
-def curve_v(theta: float, x: float, split: bool = False) -> float:
+def curve_v(theta: float, x: float) -> float:
     """Ordinate of the level-curve point with abscissa x (x >= psi(|theta|)).
 
-    The canonical evaluation squares the nonnegative root
-    (sqrt(N) - u)/(theta - sin theta).  ``split=True`` instead uses the
-    equal-value decomposition v1 - v2 (affine minus root-of-affine); it
-    subtracts two positive quantities and is kept only so tests can check
-    the two forms agree.
+    Squares the nonnegative root (sqrt(N) - u)/(theta - sin theta).
     """
     if theta == 0.0:
         raise DomainError("theta = 0 indexes the vertical axis, not a graph")
@@ -78,10 +74,6 @@ def curve_v(theta: float, x: float, split: bool = False) -> float:
     p = cf.theta_minus_sin(t)
     u = cf.two_sin_half_minus_cos_weighted(t)
     sh = math.sin(0.5 * t)
-    if split:
-        v1 = 2.0 * sh * sh / p * x + 2.0 * u * u / (p * p) - 1.0
-        v2 = 2.0 * sh * u / (p * p) * math.sqrt(r)
-        return v1 - v2
     s = (sh * math.sqrt(r) - u) / p
     if s < 0.0:  # only by rounding at the curve start
         s = 0.0
@@ -206,27 +198,12 @@ def dist_to_horizontal(tau: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _grow_upper(fn, target: float, lo: float) -> float:
-    """March toward 2*pi by gap-halving until fn exceeds target.  Saturates
-    at the largest double below 2*pi for unreachable targets."""
-    cap = math.nextafter(cf.TWO_PI, 0.0)
-    hi = lo
-    for _ in range(_STEP_CAP):
-        nxt = cf.TWO_PI - 0.5 * (cf.TWO_PI - hi)
-        if nxt >= cap or nxt <= hi:
-            return cap
-        hi = nxt
-        if fn(hi) >= target:
-            return hi
-    raise DomainError(f"target {target!r} not reached below 2*pi")
-
-
 def psi_inv(y: float, tol: float = 1e-13) -> float:
     """Inverse of the boundary-abscissa map psi on (0, inf)."""
     if y <= 0.0:
         raise DomainError(f"psi_inv needs a positive argument, got {y!r}")
     lo = min(_EPS_ANGLE, y)
-    hi = _grow_upper(cf.psi, y, lo)
+    hi = grow_to_two_pi(cf.psi, y, lo)
     if cf.psi(hi) < y:
         return hi  # saturated one ulp below 2*pi
     return solve_monotone(cf.psi, (lo, hi), target=y, tol=tol).value
@@ -237,7 +214,7 @@ def eta_inv(y: float, tol: float = 1e-13) -> float:
     if y <= 0.0:
         raise DomainError(f"eta_inv needs a positive argument, got {y!r}")
     lo = min(_EPS_ANGLE, y)
-    hi = _grow_upper(cf.eta, y, lo)
+    hi = grow_to_two_pi(cf.eta, y, lo)
     if cf.eta(hi) < y:
         return hi
     return solve_monotone(cf.eta, (lo, hi), target=y, tol=tol).value

@@ -3,12 +3,11 @@
 The computation is reduced to one-variable minimization over explicit
 finite intervals of the arc index theta.  Which level curves meet the line,
 and through which intersection root, depends on the ordering of beta and
-gamma:
+gamma (admissible_intervals gives those sets):
 
 * vertical lines (gamma = 0): minimize lambda_big(beta, .) over
   [beta/11, 2*beta] when 0 < beta < pi/2 and over [1/7, pi] when
-  beta >= pi/2; three equivalent shorter/simpler interval variants are
-  exposed for cross-checking.
+  beta >= pi/2.
 * right slanted lines (gamma > 0): minimize lambda_plus and lambda_minus
   over intervals bounded below by the tangency index (an eta-type inverse)
   and above by the nearest-point-curve crossing, the boundary index
@@ -17,6 +16,12 @@ gamma:
   [0, psi_inv(beta)] when beta > |gamma|, or over the mirror image of
   [0, psi_inv(|gamma|)) when beta < |gamma|; the theta = 0 endpoint is the
   crossing of the line with the vertical axis, at v = beta/|gamma|.
+
+_searches holds this case split as a table, one row per minimization: the
+branch label, the objective, the interval, how to recover the argmin's
+ordinate and the sign of the line's own index.  One driver, _solve, runs
+minimize_on_interval on every row and keeps the lowest; a later row must
+beat the incumbent by more than TIE_RTOL.
 
 Each objective comes in two forms: a scalar function of theta for the
 golden-section refine, and an array form that evaluates all scan nodes of
@@ -33,7 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,8 +63,6 @@ EDGE_CLIP = 1e-9
 # When the plus- and minus-branch minima agree within this relative
 # tolerance the plus argmin (smaller v) is reported, for determinism.
 TIE_RTOL = 1e-12
-
-KP_VARIANTS = ("kp", "reduction", "finnal", "record")
 
 
 @dataclass(frozen=True)
@@ -273,191 +276,140 @@ def admissible_intervals(beta: float, gamma: float) -> list[AdmissibleInterval]:
 
 
 # ---------------------------------------------------------------------------
-# vertical lines
+# the search table and its driver
 # ---------------------------------------------------------------------------
 
 
-def vertical_bracket(beta: float, variant: str = "kp") -> tuple[float, float]:
-    """Minimization interval for a vertical line x = beta > 0.
-
-    The variants are provably equivalent (they all contain the minimizer):
-    'kp' uses the parameter-free bounds, 'reduction' the sharpest ones,
-    'finnal' the simplified ones, 'record' the full admissible set.
-    """
+def vertical_bracket(beta: float) -> tuple[float, float]:
+    """Minimization interval for a vertical line x = beta > 0: the
+    parameter-free bounds [beta/11, 2*beta] for beta < pi/2 and [1/7, pi]
+    beyond.  It contains the minimizer and lies inside the admissible set
+    (0, psi_inv(beta)]."""
     if beta <= 0.0:
         raise DomainError(f"vertical_bracket needs beta > 0, got {beta!r}")
-    if variant not in KP_VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}; options: {KP_VARIANTS}")
+    if beta < 0.5 * math.pi:
+        return beta / 11.0, 2.0 * beta
+    return 1.0 / 7.0, math.pi
+
+
+class _Search(NamedTuple):
+    """One minimization of the case split: the branch label of its answer,
+    the objective (scalar, array), the theta-interval, the ordinate of the
+    line point at a searched index, and the sign that maps a searched index
+    to the line's own (-1 where the mirrored line is searched)."""
+
+    branch: str
+    objective: _Objective
+    lo: float
+    hi: float
+    v_at: Callable[[float], float]
+    sign: float = 1.0
+
+
+def _searches(beta: float, gamma: float) -> list[_Search]:
+    """The minimizations that locate the distance to a line with beta >= 0
+    (gamma > 0 when beta = 0) that misses the base point, plus branch
+    first.  Each row's interval lies inside admissible_intervals for its
+    root."""
     half_pi = 0.5 * math.pi
-    if variant == "kp":
-        if beta < half_pi:
-            return beta / 11.0, 2.0 * beta
-        return 1.0 / 7.0, math.pi
-    if variant == "reduction":
-        if beta < half_pi:
-            hi = ls.x_crit_inv(beta)
-            tau = (0.5 * hi + 1.0) ** 2
-            return delta_of(beta, tau), hi
-        z = math.sqrt(
-            2.0 * math.pi * beta
-            + 8.0
-            - 4.0 * math.sqrt(2.0 * math.pi * beta + 4.0 - math.pi**2)
+
+    def plus(lo: float, hi: float) -> _Search:
+        return _Search(
+            "slanted-plus", _plus_objective(beta, gamma), lo, hi,
+            lambda t: _sq(max(_s_plus_raw(beta, gamma, t), 0.0)),
         )
-        tau_hat = (0.5 * z + 1.0) ** 2
-        return delta_of(beta, tau_hat), math.pi
-    if variant == "finnal":
-        if beta < half_pi:
-            return delta_of(beta, (beta + 1.0) ** 2), 2.0 * beta
-        return delta_of(beta, 5.0 * beta), math.pi
-    # 'record': the full admissible set (0, psi_inv(beta)], left end clipped
-    hi = ls.psi_inv(beta)
-    return min(EDGE_CLIP, 0.5 * hi), hi
 
-
-def _solve_vertical(beta: float, variant: str, tol: float) -> DistanceSolution:
-    lo, hi = vertical_bracket(beta, variant)
-    # the root-based evaluation of the level-curve distance stays accurate
-    # where the closed form loses digits to cancellation (tiny beta)
-    fn, fn_many = _plus_objective(beta, 0.0)
-    report, half_sq = minimize_on_interval(fn, (lo, hi), tol=tol, fn_many=fn_many)
-    t_star = report.value
-    v_star = ls.curve_v(t_star, beta)
-    return DistanceSolution(
-        value=math.sqrt(2.0 * half_sq),
-        half_squared=half_sq,
-        argmin=ManifoldPoint(beta, v_star),
-        theta_at_argmin=t_star,
-        branch="vertical-kp",
-        report=report,
-    )
-
-
-# ---------------------------------------------------------------------------
-# slanted lines
-# ---------------------------------------------------------------------------
-
-
-def _closed(
-    beta: float,
-    gamma: float,
-    theta: float,
-    v: float,
-    half_sq: float,
-    branch: str,
-    report: SolveReport,
-) -> DistanceSolution:
-    return DistanceSolution(
-        value=math.sqrt(2.0 * half_sq),
-        half_squared=half_sq,
-        argmin=ManifoldPoint(beta + gamma * v, v),
-        theta_at_argmin=theta,
-        branch=branch,
-        report=report,
-    )
-
-
-def _solve_right_slanted(beta: float, gamma: float, tol: float) -> DistanceSolution:
-    """gamma > 0, beta >= 0."""
-    half_pi = 0.5 * math.pi
-    if beta == 0.0:
-        # single minus branch from the corner (0, 0); the cap is min(2*gamma, pi)
-        hi = min(2.0 * gamma, math.pi) if gamma < half_pi else math.pi
-        hi = min(hi, _clip_below(ls.psi_inv(gamma)))
-        fn, fn_many = _with_axis(0.0, _minus_objective(0.0, gamma))
-        report, half_sq = minimize_on_interval(
-            fn, (0.0, hi), tol=tol, fn_many=fn_many
+    def minus(lo: float, hi: float) -> _Search:
+        return _Search(
+            "slanted-minus", _minus_objective(beta, gamma), lo, hi,
+            lambda t: _sq(max(_s_minus_raw(beta, gamma, t), 0.0)),
         )
-        t_star = report.value
-        v_star = 0.0 if t_star == 0.0 else _sq(_s_minus_raw(0.0, gamma, t_star))
-        return _closed(beta, gamma, t_star, v_star, half_sq, "slanted-minus", report)
 
-    if beta == gamma:
-        lo = ls.eta_inv(beta)
-        hi = ls.psi_inv(beta)
-        if beta < half_pi:
-            hi = min(hi, 2.0 * beta)
-        hi = max(hi, lo)
-        fn, fn_many = _plus_objective(beta, gamma)
-        report, half_sq = minimize_on_interval(
-            fn, (lo, hi), tol=tol, fn_many=fn_many
-        )
-        t_star = report.value
-        v_star = _sq(max(_s_plus_raw(beta, gamma, t_star), 0.0))
-        return _closed(beta, gamma, t_star, v_star, half_sq, "slanted-plus", report)
-
-    if gamma > beta:
-        lo = ls.eta_alpha_inv(gamma, beta)
-        if beta > half_pi and gamma > half_pi + 2.0 / (2.0 * beta - math.pi):
-            # the minus branch provably cannot win here
-            hi_plus = max(ls.psi_inv(beta), lo)
-            fn, fn_many = _plus_objective(beta, gamma)
-            report, half_sq = minimize_on_interval(
-                fn, (lo, hi_plus), tol=tol, fn_many=fn_many
+    if gamma == 0.0:
+        # the root-based evaluation of the level-curve distance stays accurate
+        # where the closed form loses digits to cancellation (tiny beta)
+        return [
+            _Search(
+                "vertical-kp", _plus_objective(beta, 0.0), *vertical_bracket(beta),
+                lambda t: ls.curve_v(t, beta),
             )
-            t_star = report.value
-            v_star = _sq(max(_s_plus_raw(beta, gamma, t_star), 0.0))
-            return _closed(
-                beta, gamma, t_star, v_star, half_sq, "slanted-plus", report
-            )
-        cap = ls.theta_crit(beta, gamma)
-        hi_plus = max(min(ls.psi_inv(beta), cap), lo)
-        hi_minus = max(min(_clip_below(ls.psi_inv(gamma)), cap), lo)
-        fn, fn_many = _plus_objective(beta, gamma)
-        rep_p, val_p = minimize_on_interval(
-            fn, (lo, hi_plus), tol=tol, fn_many=fn_many
-        )
-        fn, fn_many = _minus_objective(beta, gamma)
-        rep_m, val_m = minimize_on_interval(
-            fn, (lo, hi_minus), tol=tol, fn_many=fn_many
-        )
-    else:
+        ]
+    if gamma > 0.0:
+        if beta == 0.0:
+            # single minus branch from the corner (0, 0); the cap is min(2*gamma, pi)
+            hi = min(2.0 * gamma, math.pi) if gamma < half_pi else math.pi
+            hi = min(hi, _clip_below(ls.psi_inv(gamma)))
+            return [
+                _Search(
+                    "slanted-minus", _with_axis(0.0, _minus_objective(0.0, gamma)),
+                    0.0, hi,
+                    lambda t: 0.0 if t == 0.0 else _sq(_s_minus_raw(0.0, gamma, t)),
+                )
+            ]
+        if beta == gamma:
+            lo = ls.eta_inv(beta)
+            hi = ls.psi_inv(beta)
+            if beta < half_pi:
+                hi = min(hi, 2.0 * beta)
+            return [plus(lo, max(hi, lo))]
+        if gamma > beta:
+            lo = ls.eta_alpha_inv(gamma, beta)
+            if beta > half_pi and gamma > half_pi + 2.0 / (2.0 * beta - math.pi):
+                # the minus branch provably cannot win here
+                return [plus(lo, max(ls.psi_inv(beta), lo))]
+            cap = ls.theta_crit(beta, gamma)
+            return [
+                plus(lo, max(min(ls.psi_inv(beta), cap), lo)),
+                minus(lo, max(min(_clip_below(ls.psi_inv(gamma)), cap), lo)),
+            ]
         # beta > gamma > 0: no nearest-point cap is available on this side
         lo = ls.eta_alpha_inv(beta, gamma)
-        hi_plus = max(ls.psi_inv(beta), lo)
-        hi_minus = max(_clip_below(ls.psi_inv(gamma)), lo)
-        fn, fn_many = _plus_objective(beta, gamma)
-        rep_p, val_p = minimize_on_interval(
-            fn, (lo, hi_plus), tol=tol, fn_many=fn_many
-        )
-        fn, fn_many = _minus_objective(beta, gamma)
-        rep_m, val_m = minimize_on_interval(
-            fn, (lo, hi_minus), tol=tol, fn_many=fn_many
-        )
-
-    if val_m < val_p - TIE_RTOL * max(1.0, val_p):
-        t_star = rep_m.value
-        v_star = _sq(max(_s_minus_raw(beta, gamma, t_star), 0.0))
-        return _closed(beta, gamma, t_star, v_star, val_m, "slanted-minus", rep_m)
-    t_star = rep_p.value
-    v_star = _sq(max(_s_plus_raw(beta, gamma, t_star), 0.0))
-    return _closed(beta, gamma, t_star, v_star, val_p, "slanted-plus", rep_p)
-
-
-def _solve_left_slanted(beta: float, gamma: float, tol: float) -> DistanceSolution:
-    """gamma < 0, beta > 0, beta != |gamma|."""
+        return [
+            plus(lo, max(ls.psi_inv(beta), lo)),
+            minus(lo, max(_clip_below(ls.psi_inv(gamma)), lo)),
+        ]
     a_g = -gamma
     v_axis = beta / a_g  # crossing of the line with the vertical axis
     if beta > a_g:
-        hi = ls.psi_inv(beta)
-        fn, fn_many = _with_axis(v_axis, _plus_objective(beta, gamma))
-        report, half_sq = minimize_on_interval(
-            fn, (0.0, hi), tol=tol, fn_many=fn_many
+        return [
+            _Search(
+                "left-slanted", _with_axis(v_axis, _plus_objective(beta, gamma)),
+                0.0, ls.psi_inv(beta),
+                lambda t: v_axis if t == 0.0
+                else _sq(max(_s_plus_raw(beta, gamma, t), 0.0)),
+            )
+        ]
+    # beta < |gamma|: negative indices; search the mirrored line (-beta, -gamma)
+    return [
+        _Search(
+            "left-slanted", _with_axis(v_axis, _minus_objective(-beta, a_g)),
+            0.0, _clip_below(ls.psi_inv(a_g)),
+            lambda t: v_axis if t == 0.0 else _sq(_s_minus_raw(-beta, a_g, t)),
+            -1.0,
         )
-        t_star = report.value
-        v_star = v_axis if t_star == 0.0 else _sq(max(_s_plus_raw(beta, gamma, t_star), 0.0))
-        return _closed(beta, gamma, t_star, v_star, half_sq, "left-slanted", report)
-    # beta < |gamma|: negative indices; work on the mirrored line (-beta, -gamma)
-    hi = _clip_below(ls.psi_inv(a_g))
-    fn, fn_many = _with_axis(v_axis, _minus_objective(-beta, a_g))
-    report, half_sq = minimize_on_interval(fn, (0.0, hi), tol=tol, fn_many=fn_many)
-    t_star = report.value
-    v_star = v_axis if t_star == 0.0 else _sq(_s_minus_raw(-beta, a_g, t_star))
+    ]
+
+
+def _solve(beta: float, gamma: float, tol: float) -> DistanceSolution:
+    """Run every search of the table; a later one wins only when it is lower
+    by more than TIE_RTOL, so near-ties keep the earlier (plus) argmin."""
+    best = None
+    for search in _searches(beta, gamma):
+        fn, fn_many = search.objective
+        report, half_sq = minimize_on_interval(
+            fn, (search.lo, search.hi), tol=tol, fn_many=fn_many
+        )
+        if best is None or half_sq < best[2] - TIE_RTOL * max(1.0, best[2]):
+            best = search, report, half_sq
+    search, report, half_sq = best
+    v = search.v_at(report.value)
     return DistanceSolution(
         value=math.sqrt(2.0 * half_sq),
         half_squared=half_sq,
-        argmin=ManifoldPoint(beta + gamma * v_star, v_star),
-        theta_at_argmin=-t_star,
-        branch="left-slanted",
+        # a vertical line's abscissa is beta even where v overflows
+        argmin=ManifoldPoint(beta + gamma * v if gamma else beta, v),
+        theta_at_argmin=search.sign * report.value,
+        branch=search.branch,
         report=report,
     )
 
@@ -478,15 +430,9 @@ def _mirror(sol: DistanceSolution) -> DistanceSolution:
     )
 
 
-def dist_to_line(
-    beta: float,
-    gamma: float,
-    tol: float = 1e-9,
-    kp_variant: str = "kp",
-) -> DistanceSolution:
+def dist_to_line(beta: float, gamma: float, tol: float = 1e-9) -> DistanceSolution:
     """Distance from (0, 1) to the line x = beta + gamma*v, any real
-    parameters.  ``kp_variant`` selects the vertical-line interval variant
-    (equivalent results; exposed for cross-checking)."""
+    parameters."""
     if not (math.isfinite(beta) and math.isfinite(gamma)):
         raise DomainError("line parameters must be finite")
     if beta + gamma == 0.0:
@@ -529,12 +475,8 @@ def dist_to_line(
     if 0.0 < abs(beta) < 1e-300:
         beta = 0.0
     if beta < 0.0 or (beta == 0.0 and gamma < 0.0):
-        return _mirror(dist_to_line(-beta, -gamma, tol=tol, kp_variant=kp_variant))
-    if gamma == 0.0:
-        return _solve_vertical(beta, kp_variant, tol)
-    if gamma > 0.0:
-        return _solve_right_slanted(beta, gamma, tol)
-    return _solve_left_slanted(beta, gamma, tol)
+        return _mirror(dist_to_line(-beta, -gamma, tol=tol))
+    return _solve(beta, gamma, tol)
 
 
 def dist_to_tangent_line(theta: float) -> DistanceSolution:

@@ -29,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import corefuncs as cf
-from .errors import BoundaryPairError, ConvergenceError, DomainError
-from .solvers import solve_monotone
+from .errors import BoundaryPairError, DomainError
+from .solvers import grow_to_two_pi, solve_monotone
 
 DELTA_TOL = 1e-13
 _UPPER_STEP_CAP = 200
@@ -73,24 +73,6 @@ class CorrelationFrame:
         return (self.c * x - self.rho * v) / root, v
 
 
-def _upper_bracket(xa: float, v: float, lo: float) -> float:
-    """Grow an upper bracket for the arc-index solve by halving the gap to
-    2*pi until f_of exceeds the target abscissa.  Returns the largest double
-    below 2*pi if the target is unreachable at double resolution."""
-    cap = math.nextafter(cf.TWO_PI, 0.0)
-    hi = lo
-    for _ in range(_UPPER_STEP_CAP):
-        nxt = cf.TWO_PI - 0.5 * (cf.TWO_PI - hi)
-        if nxt >= cap or nxt <= hi:
-            return cap
-        hi = nxt
-        if cf.f_of(v, hi) >= xa:
-            return hi
-    raise ConvergenceError(
-        f"could not bracket the arc index for x={xa!r}, v={v!r}"
-    )
-
-
 def delta_of(x: float, v: float, tol: float = DELTA_TOL) -> float:
     """Arc index of the point (x, v) relative to the base point (0, 1):
     the unique delta in (-2*pi, 2*pi) with f_of(v, delta) = x.
@@ -109,7 +91,7 @@ def delta_of(x: float, v: float, tol: float = DELTA_TOL) -> float:
     if cf.f_of(v, lo) > xa:
         # the certified bound can only fail by rounding; back off
         lo *= 0.5
-    hi = _upper_bracket(xa, v, lo)
+    hi = grow_to_two_pi(lambda d: cf.f_of(v, d), xa, lo)
     if cf.f_of(v, hi) < xa:
         # the index saturates one ulp below 2*pi at double resolution
         return sign * hi

@@ -5,6 +5,8 @@ distance formulas funnels through these two routines.  The minimizer never
 assumes unimodality: a coarse uniform scan localizes the best cell before
 golden-section refinement, which keeps it robust on objectives whose
 interior critical-point structure is only known empirically.
+``grow_to_two_pi`` finds the upper end of a root bracket for an increasing
+function of an angle in (0, 2*pi).
 
 The root solve is a pure-Python port of SciPy's ``brentq.c``: it visits the
 same iterates and reports the same iteration count as
@@ -40,6 +42,7 @@ ROOT_TOL = 1e-12
 _RTOL = 4.0 * math.ulp(1.0)  # brentq's smallest admissible rtol
 MIN_TOL = 1e-9
 SCAN_CELLS = 256
+_GROW_STEPS = 200
 
 
 class Bracket(NamedTuple):
@@ -220,6 +223,26 @@ def _golden(
     if fc <= fd:
         return c, fc, it, b - a
     return d, fd, it, b - a
+
+
+def grow_to_two_pi(
+    fn: Callable[[float], float], target: float, lo: float
+) -> float:
+    """Upper end of a bracket for an increasing fn on (0, 2*pi): march from
+    lo toward 2*pi, halving the gap, until fn reaches target.  Returns the
+    largest double below 2*pi when the target is out of reach at double
+    resolution; the gap shrinks to one ulp of 2*pi within about 54
+    halvings, so the step budget is never exhausted."""
+    cap = math.nextafter(math.tau, 0.0)  # math.tau == corefuncs.TWO_PI
+    hi = lo
+    for _ in range(_GROW_STEPS):
+        nxt = math.tau - 0.5 * (math.tau - hi)
+        if nxt >= cap or nxt <= hi:
+            return cap
+        hi = nxt
+        if fn(hi) >= target:
+            return hi
+    raise ConvergenceError(f"target {target!r} not reached below 2*pi")
 
 
 def minimize_on_interval(

@@ -3,6 +3,9 @@ import math
 import pytest
 from hypothesis import strategies as st
 
+import hestondist as hd
+from hestondist import linedist as ld
+
 # angles safely inside (0, 2*pi): the formulas blow up toward both ends
 angles_open = st.floats(min_value=1e-3, max_value=2.0 * math.pi - 1e-3,
                         allow_nan=False, allow_infinity=False)
@@ -22,3 +25,51 @@ def rng():
     import random
 
     return random.Random(20260810)
+
+
+# ---------------------------------------------------------------------------
+# alternative vertical-line brackets
+# ---------------------------------------------------------------------------
+#
+# dist_to_line searches a vertical line x = beta over hd.vertical_bracket
+# (the parameter-free bounds).  These three other intervals provably contain
+# the same minimizer; the tests minimize the same objective over them and
+# require the same distance.
+
+VERTICAL_VARIANTS = ("reduction", "finnal", "record")
+
+
+def vertical_variant_bracket(beta: float, variant: str) -> tuple[float, float]:
+    """'reduction' uses the sharpest bounds, 'finnal' the simplified ones,
+    'record' the full admissible set (0, psi_inv(beta)], left end clipped."""
+    half_pi = 0.5 * math.pi
+    if variant == "reduction":
+        if beta < half_pi:
+            hi = hd.x_crit_inv(beta)
+            tau = (0.5 * hi + 1.0) ** 2
+            return hd.delta_of(beta, tau), hi
+        z = math.sqrt(
+            2.0 * math.pi * beta
+            + 8.0
+            - 4.0 * math.sqrt(2.0 * math.pi * beta + 4.0 - math.pi**2)
+        )
+        tau_hat = (0.5 * z + 1.0) ** 2
+        return hd.delta_of(beta, tau_hat), math.pi
+    if variant == "finnal":
+        if beta < half_pi:
+            return hd.delta_of(beta, (beta + 1.0) ** 2), 2.0 * beta
+        return hd.delta_of(beta, 5.0 * beta), math.pi
+    if variant == "record":
+        hi = hd.psi_inv(beta)
+        return min(ld.EDGE_CLIP, 0.5 * hi), hi
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def vertical_variant_distance(beta: float, variant: str, tol: float = 1e-9) -> float:
+    """The vertical-line distance minimized over a variant bracket, as
+    dist_to_line minimizes it over vertical_bracket."""
+    fn, fn_many = ld._plus_objective(beta, 0.0)
+    _, half_sq = hd.minimize_on_interval(
+        fn, vertical_variant_bracket(beta, variant), tol=tol, fn_many=fn_many
+    )
+    return math.sqrt(2.0 * half_sq)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import hestondist as hd
+from conftest import vertical_variant_distance
 from hestondist.pointmetric import _dist_base_grid
 
 PI = math.pi
@@ -82,9 +83,8 @@ def test_criterion_04_vertical_formula_vs_oracle():
         reference = hd.oracle_dist(b, 0.0)
         worst = max(worst, abs(formula.value - reference.value))
         assert abs(formula.value - reference.value) <= 1e-6
-        values = [
-            hd.dist_to_line(b, 0.0, kp_variant=v).value
-            for v in ("kp", "reduction", "finnal")
+        values = [formula.value] + [
+            vertical_variant_distance(b, v) for v in ("reduction", "finnal")
         ]
         for v1, v2 in itertools.combinations(values, 2):
             assert abs(v1 - v2) <= 1e-9

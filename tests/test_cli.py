@@ -103,6 +103,25 @@ class TestOutputContract:
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
+    def test_negative_exponent_value(self, capsys):
+        # argparse alone takes "-1e-3" for an option name before Python 3.13
+        spaced = run_cli(capsys, "dist", "line", "--beta", "-1e-3", "--gamma", "1")
+        joined = run_cli(capsys, "dist", "line", "--beta=-1e-3", "--gamma", "1")
+        assert spaced == joined
+        assert spaced[0] == 0
+
+    def test_negative_exponent_source_point(self, capsys):
+        code, out = run_cli(capsys, "dist", "line", "--beta", "1", "--gamma", "0.5",
+                            "--x0", "-2.5e-1")
+        assert code == 0
+        assert json.loads(out)["inputs"]["x0"] == -0.25
+
+    def test_negative_exponent_tolerance_keeps_its_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--tol", "-1e-9", "dist", "line", "--beta", "1", "--gamma", "0.5"])
+        assert exc.value.code == 2
+        assert "must be a finite number >= 0, got '-1e-9'" in capsys.readouterr().err
+
     def test_zero_tolerance_accepted(self, capsys):
         code, out = run_cli(capsys, "--tol", "0", "dist", "line", "--beta", "1",
                             "--gamma", "0.5")

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import hestondist as hd
+from conftest import VERTICAL_VARIANTS, vertical_variant_bracket, vertical_variant_distance
 from hestondist import DomainError
 
 PI = math.pi
@@ -126,28 +127,26 @@ class TestVerticalVariants:
     @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, PI / 2, 2.0, 5.0, 20.0])
     def test_variants_agree(self, beta):
         ref = hd.dist_to_line(beta, 0.0).value
-        for variant in ("reduction", "finnal", "record"):
-            alt = hd.dist_to_line(beta, 0.0, kp_variant=variant).value
+        for variant in VERTICAL_VARIANTS:
+            alt = vertical_variant_distance(beta, variant)
             assert abs(alt - ref) <= 1e-9
 
     def test_monotone_tail(self):
         # widening to the whole admissible set never lowers the minimum
         for beta in (2.0, 5.0, 11.0):
             kp = hd.dist_to_line(beta, 0.0).value
-            full = hd.dist_to_line(beta, 0.0, kp_variant="record").value
+            full = vertical_variant_distance(beta, "record")
             assert full >= kp - 1e-9
 
     def test_bracket_shapes(self):
-        lo, hi = hd.vertical_bracket(1.0, "kp")
+        lo, hi = hd.vertical_bracket(1.0)
         assert (lo, hi) == (1.0 / 11.0, 2.0)
-        lo, hi = hd.vertical_bracket(3.0, "kp")
+        lo, hi = hd.vertical_bracket(3.0)
         assert (lo, hi) == (1.0 / 7.0, PI)
-        lo, hi = hd.vertical_bracket(1.0, "reduction")
+        lo, hi = vertical_variant_bracket(1.0, "reduction")
         assert lo > 0 and hi == pytest.approx(hd.x_crit_inv(1.0))
         with pytest.raises(DomainError):
-            hd.vertical_bracket(1.0, "bogus")
-        with pytest.raises(DomainError):
-            hd.vertical_bracket(0.0, "kp")
+            hd.vertical_bracket(0.0)
 
 
 class TestTangentLines:

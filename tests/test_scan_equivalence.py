@@ -163,6 +163,71 @@ class TestObjectivesOnScanNodes:
             assert objective[1](np.array([0.0]))[0] == ld._axis_value(v_axis)
 
 
+def search_kind(beta, gamma, rows, row):
+    """Which row of the case split in linedist._searches this is."""
+    if gamma == 0.0:
+        return "vertical, beta < pi/2" if beta < 0.5 * math.pi else "vertical, beta >= pi/2"
+    if gamma < 0.0:
+        return "left-slanted" if row.sign > 0.0 else "left-slanted, mirrored"
+    if beta == 0.0:
+        return "corner"
+    if beta == gamma:
+        return "diagonal"
+    if gamma > beta:
+        return "gamma > beta, plus only" if len(rows) == 1 else f"gamma > beta, {row.branch}"
+    return f"beta > gamma, {row.branch}"
+
+
+SEARCH_KINDS = {
+    "vertical, beta < pi/2", "vertical, beta >= pi/2", "left-slanted",
+    "left-slanted, mirrored", "corner", "diagonal", "gamma > beta, plus only",
+    "gamma > beta, slanted-plus", "gamma > beta, slanted-minus",
+    "beta > gamma, slanted-plus", "beta > gamma, slanted-minus",
+}
+
+
+def table_lines():
+    """The seeded lines plus a log-uniform draw that reaches every row kind."""
+    rng = random.Random(20261019)
+    lines = seeded_lines()
+    for _ in range(300):
+        lines.append((10.0 ** rng.uniform(-4.0, 2.5),
+                      math.copysign(10.0 ** rng.uniform(-4.0, 2.5), rng.choice((-1, 1)))))
+    for _ in range(40):
+        x = 10.0 ** rng.uniform(-4.0, 2.5)
+        lines += [(x, 0.0), (0.0, x), (x, x), (x, x * (1.0 + rng.uniform(-1e-6, 1e-6)))]
+    return lines
+
+
+class TestSearchTable:
+    """Every minimization of dist_to_line searches inside the paper's
+    admissible index set for its root (all of it on a left-slanted line)."""
+
+    def test_rows_lie_in_the_admissible_sets(self):
+        kinds, outside, rows_seen = set(), [], 0
+        for beta, gamma in table_lines():
+            if beta < 0.0 or (beta == 0.0 and gamma < 0.0):
+                beta, gamma = -beta, -gamma  # dist_to_line reflects first
+            intervals = ld.admissible_intervals(beta, gamma)
+            rows = ld._searches(beta, gamma)
+            assert rows[0].branch != "slanted-minus" or len(rows) == 1
+            for row in rows:
+                rows_seen += 1
+                kinds.add(search_kind(beta, gamma, rows, row))
+                lo, hi = sorted((row.sign * row.lo, row.sign * row.hi))
+                minus = row.branch == "slanted-minus"
+                allowed = [
+                    iv for iv in intervals
+                    if gamma < 0.0 or (iv.branch_minus if minus else iv.branch_plus)
+                ]
+                if not (min(iv.lo for iv in allowed) <= lo <= hi
+                        <= max(iv.hi for iv in allowed)):
+                    outside.append((beta, gamma, row.branch, lo, hi, intervals))
+        assert outside == []
+        assert kinds == SEARCH_KINDS
+        assert rows_seen > 600
+
+
 # dist_to_line outputs recorded before the array scan existed, as float.hex():
 # (value, half_squared, theta_at_argmin, argmin.x, argmin.v) and the report's
 # (value, iterations, residual).  The lines stay clear of the near-diagonal

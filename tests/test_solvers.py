@@ -115,7 +115,7 @@ class TestMinimizeOnInterval:
         # dense-grid reference
         beta = 1.0
         _, half_sq = minimize_on_interval(
-            lambda t: hd.lambda_big(beta, t), hd.vertical_bracket(beta, "kp")
+            lambda t: hd.lambda_big(beta, t), hd.vertical_bracket(beta)
         )
         reference = hd.oracle_dist(beta, 0.0)
         assert math.sqrt(2 * half_sq) == pytest.approx(reference.value, abs=1e-7)
