@@ -8,7 +8,12 @@ that curve with abscissa x is lambda_big(x, theta).  Intersections of a
 straight line x = beta + gamma*v with a level curve are located by the
 quadratic in sqrt(v) whose coefficients involve coef_A and coef_B; s_plus /
 s_minus are its roots and lambda_plus / lambda_minus the corresponding
-half-squared distances.
+half-squared distances.  The roots are written once, here: the raw forms
+``_s_plus_raw``/``_s_minus_raw`` (discriminant clamped at zero) and their
+array forms are the line solvers' objectives, and the public
+``s_plus``/``s_minus`` check the line first and then evaluate the same raw
+root.  ``_radicand`` is the one radicand of the level curve, shared by
+``lambda_big`` and the curve functions in ``levelsets``.
 
 All functions here are pure, stateless and raise DomainError outside their
 stated domains rather than returning NaN.  The ``*_many`` functions are the
@@ -157,7 +162,7 @@ def f_of(v: float, delta: float) -> float:
 
     a sum of two nonnegative terms for d > 0.
     """
-    if v < 0.0:
+    if not v >= 0.0:
         raise DomainError(f"v must be nonnegative, got {v!r}")
     _check_angle_sym(delta, "delta")
     if delta == 0.0:
@@ -191,8 +196,6 @@ def lambda_big(x: float, theta: float) -> float:
     _check_angle_sym(theta)
     if theta == 0.0:
         raise DomainError("lambda_big is undefined at theta = 0")
-    if theta >= TWO_PI or theta <= -TWO_PI:
-        raise DomainError(f"theta must lie in (-2*pi, 2*pi), got {theta!r}")
     if theta < 0.0:
         return lambda_big(-x, -theta)
     if theta < SMALL_ANGLE:
@@ -201,7 +204,7 @@ def lambda_big(x: float, theta: float) -> float:
         p3, u3, w3 = _p_r3(t2), _u_r3(t2), _w_r3(t2)
         sr = _sin_half_r(t2)
         scaled_radicand = 2.0 * p3 * x + theta * w3 * (1.0 + 2.0 * sr)
-        if scaled_radicand < 0.0:
+        if not scaled_radicand >= 0.0:
             if scaled_radicand > -1e-12 * max(1.0, abs(x)):
                 scaled_radicand = 0.0
             else:
@@ -217,19 +220,26 @@ def lambda_big(x: float, theta: float) -> float:
         return bracket / (theta * p3 * p3)
     p = theta_minus_sin(theta)
     u = two_sin_half_minus_cos_weighted(theta)
-    w = two_sin_half_minus_theta(theta)
     sh = math.sin(0.5 * theta)
     c = 2.0 * sh * sh
-    radicand = 2.0 * p * x + w * (2.0 * sh + theta)
-    if radicand < 0.0:
-        if radicand > -1e-12 * max(1.0, abs(x)):
-            radicand = 0.0
-        else:
-            raise DomainError(
-                f"no point with abscissa {x!r} on the level curve theta={theta!r}"
-            )
-    bracket = p * x + 2.0 * sh * u - c * math.sqrt(radicand)
+    bracket = p * x + 2.0 * sh * u - c * math.sqrt(_radicand(theta, x))
     return (theta / p) ** 2 * bracket
+
+
+def _radicand(t: float, x: float) -> float:
+    """2*(t - sin t)*x + 2*(1 - cos t) - t^2 for 0 < t < 2*pi, clamped at
+    tiny negatives: the level curve t has a point with abscissa x where it
+    is nonnegative."""
+    p = theta_minus_sin(t)
+    w = two_sin_half_minus_theta(t)
+    r = 2.0 * p * x + w * (2.0 * math.sin(0.5 * t) + t)
+    if not r >= 0.0:
+        if r > -1e-12 * max(1.0, abs(x)):
+            return 0.0
+        raise DomainError(
+            f"x={x!r} lies left of the curve start psi({t!r})={psi(t)!r}"
+        )
+    return r
 
 
 def coef_A(theta: float) -> float:
@@ -313,7 +323,7 @@ def eta_alpha(alpha: float, theta: float) -> float:
     """Tangency index for lines with distinct parameters: equals
     psi^2*A^2/(alpha - psi) + psi, defined for 0 < theta < psi^{-1}(alpha)
     and strictly increasing there."""
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
     _check_angle_open(theta)
     ps = psi(theta)
@@ -335,6 +345,8 @@ def zeta(gamma: float, theta: float) -> float:
     """
     if not (0.0 <= theta <= math.pi):
         raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
+    if math.isnan(gamma):
+        raise DomainError(f"gamma must be a number, got {gamma!r}")
     ch = math.cos(0.5 * theta)
     return 0.5 * (theta + math.sin(theta)) - gamma * ch * ch
 
@@ -359,31 +371,102 @@ def xi(delta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _coefs_disc(beta: float, gamma: float, theta: float) -> tuple[float, float, float]:
+    """(A, B, raw discriminant) at theta; DomainError where the
+    discriminant is NaN (a NaN line parameter)."""
+    a = coef_A(theta)
+    b = coef_B(theta)
+    disc = a * a - (1.0 - gamma * b) * (1.0 - beta * b)
+    if math.isnan(disc):
+        raise DomainError(
+            f"line ({beta!r}, {gamma!r}) has no discriminant at theta={theta!r}"
+        )
+    return a, b, disc
+
+
 def discriminant(beta: float, gamma: float, theta: float) -> float:
     """Raw discriminant A^2 - (1 - gamma*B)*(1 - beta*B) of the quadratic
     locating the intersections of the line (beta, gamma) with the level
     curve of index theta.  Negative means no intersection; callers apply
     the tangency tolerance |disc| <= TANGENCY_RTOL*max(1, A^2)."""
-    _check_angle_open(theta)
-    a = coef_A(theta)
-    b = coef_B(theta)
-    return a * a - (1.0 - gamma * b) * (1.0 - beta * b)
+    return _coefs_disc(beta, gamma, theta)[2]
 
 
-def _clamped_root(beta: float, gamma: float, theta: float) -> tuple[float, float, float]:
-    """(A, 1 - gamma*B, sqrt(disc)) with the tangency clamp applied."""
+def _check_two_roots(beta: float, gamma: float, theta: float) -> None:
+    """DomainError unless the line meets the level curve within the tangency
+    tolerance, then DegenerateLineError where 1 - gamma*B = 0."""
+    a, b, disc = _coefs_disc(beta, gamma, theta)
+    if not disc >= -TANGENCY_RTOL * max(1.0, a * a):
+        raise DomainError(
+            f"line ({beta!r}, {gamma!r}) does not meet the level curve "
+            f"theta={theta!r} (discriminant {disc!r} < 0)"
+        )
+    if 1.0 - gamma * b == 0.0:
+        raise DegenerateLineError(
+            "1 - gamma*B(theta) = 0: the line is parallel to the curve's "
+            "boundary slope; use s_tangent"
+        )
+
+
+# The raw roots below are what the line solvers minimize over.  The interval
+# constructions guarantee a nonnegative discriminant on every node they
+# visit; a negative value can only be roundoff amplified through the
+# tangency-endpoint inverse solve, so the raw roots clamp it to zero.  At a
+# tangency minimizer the objective is first-order stationary in the root,
+# which bounds the induced value error by the square of the clamp.  They form
+# A, B and the discriminant inline: the golden-section refine calls them at
+# every step.
+
+
+def _s_plus_raw(beta: float, gamma: float, theta: float) -> float:
+    """Smaller-v root in the continuous conjugate form: no pole at
+    1 - gamma*B = 0 and no subtractive cancellation in the numerator."""
     a = coef_A(theta)
     b = coef_B(theta)
     disc = a * a - (1.0 - gamma * b) * (1.0 - beta * b)
     if disc < 0.0:
-        if disc >= -TANGENCY_RTOL * max(1.0, a * a):
-            disc = 0.0
-        else:
-            raise DomainError(
-                f"line ({beta!r}, {gamma!r}) does not meet the level curve "
-                f"theta={theta!r} (discriminant {disc!r} < 0)"
-            )
-    return a, 1.0 - gamma * b, math.sqrt(disc)
+        disc = 0.0
+    return (1.0 - beta * b) / (a - math.sqrt(disc))
+
+
+def _s_minus_raw(beta: float, gamma: float, theta: float) -> float:
+    """Larger-v root; +inf at the pole 1 - gamma*B = 0."""
+    a = coef_A(theta)
+    b = coef_B(theta)
+    disc = a * a - (1.0 - gamma * b) * (1.0 - beta * b)
+    if disc < 0.0:
+        disc = 0.0
+    den = 1.0 - gamma * b
+    if den == 0.0:
+        return math.inf  # the larger root diverges at the tangent index
+    return (a - math.sqrt(disc)) / den
+
+
+def _clamped_disc_root_many(
+    beta: float, gamma: float, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, sqrt of the clamped discriminant) at every node, formed as in
+    _s_plus_raw and _s_minus_raw."""
+    a, b = coefs_many(theta)
+    disc = a * a - (1.0 - gamma * b) * (1.0 - beta * b)
+    disc[disc < 0.0] = 0.0
+    return a, b, np.sqrt(disc)
+
+
+def _s_plus_many(beta: float, gamma: float, theta: np.ndarray) -> np.ndarray:
+    """_s_plus_raw at every node, bit-identical to it."""
+    a, b, root = _clamped_disc_root_many(beta, gamma, theta)
+    return (1.0 - beta * b) / (a - root)
+
+
+def _s_minus_many(beta: float, gamma: float, theta: np.ndarray) -> np.ndarray:
+    """_s_minus_raw at every node, bit-identical to it (+inf at the pole)."""
+    a, b, root = _clamped_disc_root_many(beta, gamma, theta)
+    den = 1.0 - gamma * b
+    with np.errstate(divide="ignore"):
+        s = (a - root) / den
+    s[den == 0.0] = math.inf
+    return s
 
 
 def s_plus(beta: float, gamma: float, theta: float) -> float:
@@ -394,26 +477,15 @@ def s_plus(beta: float, gamma: float, theta: float) -> float:
     the numerator.  May be negative: the intersection then lies off the
     physical branch and the caller must reject it.
     """
-    a, one_minus_gb, root = _clamped_root(beta, gamma, theta)
-    if one_minus_gb == 0.0:
-        raise DegenerateLineError(
-            "1 - gamma*B(theta) = 0: the line is parallel to the curve's "
-            "boundary slope; use s_tangent"
-        )
-    b = coef_B(theta)
-    return (1.0 - beta * b) / (a - root)
+    _check_two_roots(beta, gamma, theta)
+    return _s_plus_raw(beta, gamma, theta)
 
 
 def s_minus(beta: float, gamma: float, theta: float) -> float:
     """Larger-v intersection root sqrt(v); defined only when
     1 - gamma*B(theta) != 0."""
-    a, one_minus_gb, root = _clamped_root(beta, gamma, theta)
-    if one_minus_gb == 0.0:
-        raise DegenerateLineError(
-            "1 - gamma*B(theta) = 0: the line is parallel to the curve's "
-            "boundary slope; use s_tangent"
-        )
-    return (a - root) / one_minus_gb
+    _check_two_roots(beta, gamma, theta)
+    return _s_minus_raw(beta, gamma, theta)
 
 
 def s_tangent(beta: float, theta: float) -> float:
@@ -421,6 +493,8 @@ def s_tangent(beta: float, theta: float) -> float:
     gamma = psi(theta), where the quadratic collapses to a linear equation:
     (1 - beta*B)/(2*A)."""
     _check_angle_open(theta)
+    if math.isnan(beta):
+        raise DomainError(f"beta must be a number, got {beta!r}")
     a = coef_A(theta)
     if a == 0.0:
         raise DomainError("A(theta) = 0: tangent root undefined")
@@ -480,7 +554,7 @@ def g_major(v: float, delta: float) -> float:
     """Invertible majorant of f_of(v, .): piecewise (pi^2/12)*(v+sqrt(v)+1)
     times delta (below pi) or pi^6/(2*pi - delta)^5 (above), continuous at
     delta = pi."""
-    if v < 0.0:
+    if not v >= 0.0:
         raise DomainError(f"v must be nonnegative, got {v!r}")
     if not (0.0 < delta < TWO_PI):
         raise DomainError(f"delta must lie in (0, 2*pi), got {delta!r}")
@@ -493,9 +567,9 @@ def g_major(v: float, delta: float) -> float:
 def h_lower(x: float, v: float) -> float:
     """Exact inverse of g_major in delta: a certified lower bound for the
     arc index of the point (x, v) with x > 0."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"x must be positive, got {x!r}")
-    if v < 0.0:
+    if not v >= 0.0:
         raise DomainError(f"v must be nonnegative, got {v!r}")
     bulk = v + math.sqrt(v) + 1.0
     knee = (math.pi**3 / 12.0) * bulk
@@ -510,9 +584,11 @@ def t_bound(p0: tuple[float, float], p1: tuple[float, float]) -> float:
     between any two points of the half-plane."""
     x0, v0 = p0
     x1, v1 = p1
-    if v0 < 0.0 or v1 < 0.0:
+    if not (v0 >= 0.0 and v1 >= 0.0):
         raise DomainError("points must have v >= 0")
     rho2 = (x0 - x1) ** 2 + (v0 - v1) ** 2
+    if math.isnan(rho2):
+        raise DomainError(f"coordinates must be numbers, got {p0!r}, {p1!r}")
     if rho2 == 0.0:
         return 0.0
     return math.sqrt(rho2) / (math.sqrt(v0) + math.sqrt(v1) + rho2**0.25)

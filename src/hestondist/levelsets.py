@@ -25,7 +25,7 @@ from . import corefuncs as cf
 from .errors import DomainError
 from .pointmetric import ManifoldPoint
 from .solution import DistanceSolution
-from .solvers import grow_to_two_pi, report_closed_form, solve_monotone
+from .solvers import INDEX_TOL, invert_to_two_pi, solve_monotone
 
 _EPS_ANGLE = 1e-12
 _STEP_CAP = 200
@@ -47,20 +47,6 @@ class LevelCurveSample:
 # ---------------------------------------------------------------------------
 
 
-def _radicand(t: float, x: float) -> float:
-    """2*(t - sin t)*x + 2*(1 - cos t) - t^2, clamped at tiny negatives."""
-    p = cf.theta_minus_sin(t)
-    w = cf.two_sin_half_minus_theta(t)
-    r = 2.0 * p * x + w * (2.0 * math.sin(0.5 * t) + t)
-    if r < 0.0:
-        if r > -1e-12 * max(1.0, abs(x)):
-            return 0.0
-        raise DomainError(
-            f"x={x!r} lies left of the curve start psi({t!r})={cf.psi(t)!r}"
-        )
-    return r
-
-
 def curve_v(theta: float, x: float) -> float:
     """Ordinate of the level-curve point with abscissa x (x >= psi(|theta|)).
 
@@ -70,7 +56,7 @@ def curve_v(theta: float, x: float) -> float:
         raise DomainError("theta = 0 indexes the vertical axis, not a graph")
     t = abs(theta)
     cf._check_angle_open(t)
-    r = _radicand(t, x)
+    r = cf._radicand(t, x)
     p = cf.theta_minus_sin(t)
     u = cf.two_sin_half_minus_cos_weighted(t)
     sh = math.sin(0.5 * t)
@@ -84,7 +70,7 @@ def curve_slope(theta: float, x: float) -> float:
     """dv/dx of the level curve; 0 one-sidedly at the curve start and
     strictly positive beyond it."""
     cf._check_angle_open(theta)
-    r = _radicand(theta, x)
+    r = cf._radicand(theta, x)
     p = cf.theta_minus_sin(theta)
     u = cf.two_sin_half_minus_cos_weighted(theta)
     sh = math.sin(0.5 * theta)
@@ -102,7 +88,7 @@ def curve_curvature(theta: float, x: float) -> float:
     N = u(theta)^2 > 0.
     """
     cf._check_angle_open(theta)
-    r = _radicand(theta, x)
+    r = cf._radicand(theta, x)
     u = cf.two_sin_half_minus_cos_weighted(theta)
     sh = math.sin(0.5 * theta)
     n = sh * sh * r  # N
@@ -156,39 +142,22 @@ def dist_to_level_set(theta: float) -> DistanceSolution:
     cf._check_angle_sym(theta)
     t = abs(theta)
     if t == 0.0:
-        return DistanceSolution(
-            value=0.0,
-            half_squared=0.0,
-            argmin=ManifoldPoint(0.0, 1.0),
-            theta_at_argmin=0.0,
-            branch="level-set",
-            report=report_closed_form(0.0),
+        return DistanceSolution.closed_form(
+            0.0, ManifoldPoint(0.0, 1.0), 0.0, "level-set"
         )
     if t < math.pi:
         x = 0.5 * (theta + math.sin(theta))  # odd: mirrors automatically
         v = math.cos(0.5 * theta) ** 2
-        return DistanceSolution(
-            value=t,
-            half_squared=0.5 * t * t,
-            argmin=ManifoldPoint(x, v),
-            theta_at_argmin=theta,
-            branch="level-set",
-            report=report_closed_form(t),
-        )
+        return DistanceSolution.closed_form(t, ManifoldPoint(x, v), theta, "level-set")
     value = t / math.sin(0.5 * t)
-    return DistanceSolution(
-        value=value,
-        half_squared=0.5 * value * value,
-        argmin=ManifoldPoint(cf.psi(theta), 0.0),
-        theta_at_argmin=theta,
-        branch="level-set",
-        report=report_closed_form(value),
+    return DistanceSolution.closed_form(
+        value, ManifoldPoint(cf.psi(theta), 0.0), theta, "level-set"
     )
 
 
 def dist_to_horizontal(tau: float) -> float:
     """Distance from (0, 1) to the horizontal line v = tau: 2*|sqrt(tau)-1|."""
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise DomainError(f"tau must be nonnegative, got {tau!r}")
     return 2.0 * abs(math.sqrt(tau) - 1.0)
 
@@ -198,35 +167,27 @@ def dist_to_horizontal(tau: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def psi_inv(y: float, tol: float = 1e-13) -> float:
+def psi_inv(y: float) -> float:
     """Inverse of the boundary-abscissa map psi on (0, inf)."""
-    if y <= 0.0:
+    if not y > 0.0:
         raise DomainError(f"psi_inv needs a positive argument, got {y!r}")
-    lo = min(_EPS_ANGLE, y)
-    hi = grow_to_two_pi(cf.psi, y, lo)
-    if cf.psi(hi) < y:
-        return hi  # saturated one ulp below 2*pi
-    return solve_monotone(cf.psi, (lo, hi), target=y, tol=tol).value
+    return invert_to_two_pi(cf.psi, y, min(_EPS_ANGLE, y))
 
 
-def eta_inv(y: float, tol: float = 1e-13) -> float:
+def eta_inv(y: float) -> float:
     """Inverse of the equal-parameter tangency index eta on (0, inf)."""
-    if y <= 0.0:
+    if not y > 0.0:
         raise DomainError(f"eta_inv needs a positive argument, got {y!r}")
-    lo = min(_EPS_ANGLE, y)
-    hi = grow_to_two_pi(cf.eta, y, lo)
-    if cf.eta(hi) < y:
-        return hi
-    return solve_monotone(cf.eta, (lo, hi), target=y, tol=tol).value
+    return invert_to_two_pi(cf.eta, y, min(_EPS_ANGLE, y))
 
 
-def eta_alpha_inv(alpha: float, y: float, tol: float = 1e-13) -> float:
+def eta_alpha_inv(alpha: float, y: float) -> float:
     """Inverse of eta_alpha(alpha, .) on its domain (0, psi_inv(alpha)).
 
     Saturates at the largest resolvable argument below the domain ceiling
     when the target cannot be bracketed at double resolution.
     """
-    if y <= 0.0:
+    if not y > 0.0:
         raise DomainError(f"eta_alpha_inv needs a positive argument, got {y!r}")
     ceiling = psi_inv(alpha)
     lo = min(_EPS_ANGLE, y)
@@ -243,30 +204,30 @@ def eta_alpha_inv(alpha: float, y: float, tol: float = 1e-13) -> float:
             # rounding pushed hi past the ceiling; keep the previous point
             return ceiling - (ceiling - hi) * 2.0
         if reached:
-            return solve_monotone(fn, (lo, hi), target=y, tol=tol).value
+            return solve_monotone(fn, (lo, hi), target=y, tol=INDEX_TOL).value
     raise DomainError(f"target {y!r} not reached below the tangency ceiling")
 
 
-def x_crit_inv(y: float, tol: float = 1e-13) -> float:
+def x_crit_inv(y: float) -> float:
     """Inverse of the nearest-point abscissa map on [0, pi/2]."""
     if not (0.0 <= y <= 0.5 * math.pi):
         raise DomainError(f"argument must lie in [0, pi/2], got {y!r}")
     if y == 0.0:
         return 0.0
-    return solve_monotone(cf.x_crit, (0.0, math.pi), target=y, tol=tol).value
+    return solve_monotone(cf.x_crit, (0.0, math.pi), target=y, tol=INDEX_TOL).value
 
 
-def theta_crit(beta: float, gamma: float, tol: float = 1e-13) -> float:
+def theta_crit(beta: float, gamma: float) -> float:
     """Index of the unique nearest-point-curve crossing of the line
     (beta, gamma) with beta, gamma >= 0: the zeta root for beta <= pi/2 and
     psi_inv(beta) beyond."""
-    if beta < 0.0 or gamma < 0.0:
+    if not (beta >= 0.0 and gamma >= 0.0):
         raise DomainError("theta_crit requires beta >= 0 and gamma >= 0")
     if beta > 0.5 * math.pi:
-        return psi_inv(beta, tol=tol)
+        return psi_inv(beta)
     if cf.zeta(gamma, math.pi) <= beta:
         # enormous slopes push the crossing within one ulp of pi
         return math.pi
     return solve_monotone(
-        lambda t: cf.zeta(gamma, t), (0.0, math.pi), target=beta, tol=tol
+        lambda t: cf.zeta(gamma, t), (0.0, math.pi), target=beta, tol=INDEX_TOL
     ).value

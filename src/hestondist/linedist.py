@@ -5,7 +5,8 @@ finite intervals of the arc index theta.  Which level curves meet the line,
 and through which intersection root, depends on the ordering of beta and
 gamma (admissible_intervals gives those sets):
 
-* vertical lines (gamma = 0): minimize lambda_big(beta, .) over
+* vertical lines (gamma = 0): minimize the half-squared distance through
+  the plus intersection root (the root form of lambda_big(beta, .)) over
   [beta/11, 2*beta] when 0 < beta < pi/2 and over [1/7, pi] when
   beta >= pi/2.
 * right slanted lines (gamma > 0): minimize lambda_plus and lambda_minus
@@ -26,7 +27,9 @@ beat the incumbent by more than TIE_RTOL.
 Each objective comes in two forms: a scalar function of theta for the
 golden-section refine, and an array form that evaluates all scan nodes of
 minimize_on_interval in one call.  The two agree bit for bit on every node,
-so the answers are those of the scalar scan.
+so the answers are those of the scalar scan.  The intersection roots
+themselves live in corefuncs (_s_plus_raw, _s_minus_raw and their array
+forms).
 
 Every closed-form path is validated against oracle_dist, a deliberately
 slow reference that minimizes the point distance along the line over a
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -54,7 +57,7 @@ from .pointmetric import (
     dist,
 )
 from .solution import DistanceSolution
-from .solvers import SolveReport, minimize_on_interval, report_closed_form
+from .solvers import SolveReport, minimize_on_interval
 
 # Half-open interval ends (where lambda_minus blows up) are closed at this
 # offset; the objective diverges there, so no minimum is lost.
@@ -85,36 +88,6 @@ class AdmissibleInterval:
 # ---------------------------------------------------------------------------
 
 
-# The interval constructions guarantee a nonnegative discriminant on every
-# node they visit; a negative value can only be roundoff amplified through
-# the tangency-endpoint inverse solve, so the internal objectives clamp it.
-# At a tangency minimizer the objective is first-order stationary in the
-# root, which bounds the induced value error by the square of the clamp.
-
-
-def _s_plus_raw(beta: float, gamma: float, theta: float) -> float:
-    """Smaller-v root in the continuous conjugate form: no pole at
-    1 - gamma*B = 0 and no subtractive cancellation in the numerator."""
-    a = cf.coef_A(theta)
-    b = cf.coef_B(theta)
-    disc = a * a - (1.0 - gamma * b) * (1.0 - beta * b)
-    if disc < 0.0:
-        disc = 0.0
-    return (1.0 - beta * b) / (a - math.sqrt(disc))
-
-
-def _s_minus_raw(beta: float, gamma: float, theta: float) -> float:
-    a = cf.coef_A(theta)
-    b = cf.coef_B(theta)
-    disc = a * a - (1.0 - gamma * b) * (1.0 - beta * b)
-    if disc < 0.0:
-        disc = 0.0
-    den = 1.0 - gamma * b
-    if den == 0.0:
-        return math.inf  # the larger root diverges at the tangent index
-    return (a - math.sqrt(disc)) / den
-
-
 _HUGE = sys.float_info.max
 _ROOT_HUGE = _HUGE ** 0.5
 
@@ -134,33 +107,6 @@ def _lam(theta: float, s: float) -> float:
 
 # Array forms of the objectives above for the minimizer scan: the same
 # operations in the same order, so every node value equals the scalar one.
-
-
-def _clamped_disc_root_many(
-    beta: float, gamma: float, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, sqrt of the clamped discriminant) at every node, formed as in
-    _s_plus_raw and _s_minus_raw."""
-    a, b = cf.coefs_many(theta)
-    disc = a * a - (1.0 - gamma * b) * (1.0 - beta * b)
-    disc[disc < 0.0] = 0.0
-    return a, b, np.sqrt(disc)
-
-
-def _s_plus_many(beta: float, gamma: float, theta: np.ndarray) -> np.ndarray:
-    """_s_plus_raw at every node, bit-identical to it."""
-    a, b, root = _clamped_disc_root_many(beta, gamma, theta)
-    return (1.0 - beta * b) / (a - root)
-
-
-def _s_minus_many(beta: float, gamma: float, theta: np.ndarray) -> np.ndarray:
-    """_s_minus_raw at every node, bit-identical to it (+inf at the pole)."""
-    a, b, root = _clamped_disc_root_many(beta, gamma, theta)
-    den = 1.0 - gamma * b
-    with np.errstate(divide="ignore"):
-        s = (a - root) / den
-    s[den == 0.0] = math.inf
-    return s
 
 
 def _lam_many(theta: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -194,11 +140,11 @@ def _branch_objective(
 
 
 def _plus_objective(beta: float, gamma: float) -> _Objective:
-    return _branch_objective(_s_plus_raw, _s_plus_many, beta, gamma)
+    return _branch_objective(cf._s_plus_raw, cf._s_plus_many, beta, gamma)
 
 
 def _minus_objective(beta: float, gamma: float) -> _Objective:
-    return _branch_objective(_s_minus_raw, _s_minus_many, beta, gamma)
+    return _branch_objective(cf._s_minus_raw, cf._s_minus_many, beta, gamma)
 
 
 def _axis_value(v: float) -> float:
@@ -240,7 +186,7 @@ def _clip_below(x: float) -> float:
 def admissible_intervals(beta: float, gamma: float) -> list[AdmissibleInterval]:
     """The set of indices theta whose level curve meets the line, split
     into intervals with branch flags.  Requires beta >= 0 (reflect first)."""
-    if beta < 0.0:
+    if not beta >= 0.0:
         raise DomainError("admissible_intervals requires beta >= 0")
     if beta == 0.0 and gamma == 0.0:
         return [AdmissibleInterval(0.0, 0.0, False, True, False)]
@@ -285,7 +231,7 @@ def vertical_bracket(beta: float) -> tuple[float, float]:
     parameter-free bounds [beta/11, 2*beta] for beta < pi/2 and [1/7, pi]
     beyond.  It contains the minimizer and lies inside the admissible set
     (0, psi_inv(beta)]."""
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise DomainError(f"vertical_bracket needs beta > 0, got {beta!r}")
     if beta < 0.5 * math.pi:
         return beta / 11.0, 2.0 * beta
@@ -316,13 +262,13 @@ def _searches(beta: float, gamma: float) -> list[_Search]:
     def plus(lo: float, hi: float) -> _Search:
         return _Search(
             "slanted-plus", _plus_objective(beta, gamma), lo, hi,
-            lambda t: _sq(max(_s_plus_raw(beta, gamma, t), 0.0)),
+            lambda t: _sq(max(cf._s_plus_raw(beta, gamma, t), 0.0)),
         )
 
     def minus(lo: float, hi: float) -> _Search:
         return _Search(
             "slanted-minus", _minus_objective(beta, gamma), lo, hi,
-            lambda t: _sq(max(_s_minus_raw(beta, gamma, t), 0.0)),
+            lambda t: _sq(max(cf._s_minus_raw(beta, gamma, t), 0.0)),
         )
 
     if gamma == 0.0:
@@ -343,7 +289,7 @@ def _searches(beta: float, gamma: float) -> list[_Search]:
                 _Search(
                     "slanted-minus", _with_axis(0.0, _minus_objective(0.0, gamma)),
                     0.0, hi,
-                    lambda t: 0.0 if t == 0.0 else _sq(_s_minus_raw(0.0, gamma, t)),
+                    lambda t: 0.0 if t == 0.0 else _sq(cf._s_minus_raw(0.0, gamma, t)),
                 )
             ]
         if beta == gamma:
@@ -376,7 +322,7 @@ def _searches(beta: float, gamma: float) -> list[_Search]:
                 "left-slanted", _with_axis(v_axis, _plus_objective(beta, gamma)),
                 0.0, ls.psi_inv(beta),
                 lambda t: v_axis if t == 0.0
-                else _sq(max(_s_plus_raw(beta, gamma, t), 0.0)),
+                else _sq(max(cf._s_plus_raw(beta, gamma, t), 0.0)),
             )
         ]
     # beta < |gamma|: negative indices; search the mirrored line (-beta, -gamma)
@@ -384,7 +330,7 @@ def _searches(beta: float, gamma: float) -> list[_Search]:
         _Search(
             "left-slanted", _with_axis(v_axis, _minus_objective(-beta, a_g)),
             0.0, _clip_below(ls.psi_inv(a_g)),
-            lambda t: v_axis if t == 0.0 else _sq(_s_minus_raw(-beta, a_g, t)),
+            lambda t: v_axis if t == 0.0 else _sq(cf._s_minus_raw(-beta, a_g, t)),
             -1.0,
         )
     ]
@@ -419,30 +365,14 @@ def _solve(beta: float, gamma: float, tol: float) -> DistanceSolution:
 # ---------------------------------------------------------------------------
 
 
-def _mirror(sol: DistanceSolution) -> DistanceSolution:
-    return DistanceSolution(
-        value=sol.value,
-        half_squared=sol.half_squared,
-        argmin=ManifoldPoint(-sol.argmin.x, sol.argmin.v),
-        theta_at_argmin=-sol.theta_at_argmin,
-        branch=sol.branch,
-        report=sol.report,
-    )
-
-
 def dist_to_line(beta: float, gamma: float, tol: float = 1e-9) -> DistanceSolution:
     """Distance from (0, 1) to the line x = beta + gamma*v, any real
     parameters."""
     if not (math.isfinite(beta) and math.isfinite(gamma)):
         raise DomainError("line parameters must be finite")
     if beta + gamma == 0.0:
-        return DistanceSolution(
-            value=0.0,
-            half_squared=0.0,
-            argmin=ManifoldPoint(0.0, 1.0),
-            theta_at_argmin=0.0,
-            branch="on-line",
-            report=report_closed_form(0.0),
+        return DistanceSolution.closed_form(
+            0.0, ManifoldPoint(0.0, 1.0), 0.0, "on-line"
         )
     # Near-membership fast path: when the line passes within 1e-12 of the
     # base point (in the local metric, which is Euclidean at (0, 1)), the
@@ -458,14 +388,8 @@ def dist_to_line(beta: float, gamma: float, tol: float = 1e-9) -> DistanceSoluti
         x_star = beta + gamma * v_star
         if not (math.isfinite(x_star) and math.isfinite(v_star)):
             x_star, v_star = 0.0, 1.0
-        argmin = ManifoldPoint(x_star, v_star)
-        return DistanceSolution(
-            value=d_local,
-            half_squared=0.5 * d_local * d_local,
-            argmin=argmin,
-            theta_at_argmin=delta_of(argmin.x, argmin.v),
-            branch="on-line",
-            report=report_closed_form(d_local),
+        return DistanceSolution.closed_form(
+            d_local, ManifoldPoint(x_star, v_star), delta_of(x_star, v_star), "on-line"
         )
     # parameters beneath ~1e-300 displace the line by less than one ulp of
     # any answer digit; flush them so intermediate indices stay off the
@@ -475,7 +399,12 @@ def dist_to_line(beta: float, gamma: float, tol: float = 1e-9) -> DistanceSoluti
     if 0.0 < abs(beta) < 1e-300:
         beta = 0.0
     if beta < 0.0 or (beta == 0.0 and gamma < 0.0):
-        return _mirror(dist_to_line(-beta, -gamma, tol=tol))
+        sol = dist_to_line(-beta, -gamma, tol=tol)
+        return replace(
+            sol,
+            argmin=ManifoldPoint(-sol.argmin.x, sol.argmin.v),
+            theta_at_argmin=-sol.theta_at_argmin,
+        )
     return _solve(beta, gamma, tol)
 
 
@@ -485,13 +414,8 @@ def dist_to_tangent_line(theta: float) -> DistanceSolution:
     (beta, gamma) = (theta/2, tan(theta/2)), 0 < theta < pi."""
     if not (0.0 < theta < math.pi):
         raise DomainError(f"theta must lie in (0, pi), got {theta!r}")
-    return DistanceSolution(
-        value=theta,
-        half_squared=0.5 * theta * theta,
-        argmin=ls.critical_point(theta),
-        theta_at_argmin=theta,
-        branch="tangent-exact",
-        report=report_closed_form(theta),
+    return DistanceSolution.closed_form(
+        theta, ls.critical_point(theta), theta, "tangent-exact"
     )
 
 

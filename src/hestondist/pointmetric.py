@@ -30,9 +30,8 @@ import numpy as np
 
 from . import corefuncs as cf
 from .errors import BoundaryPairError, DomainError
-from .solvers import grow_to_two_pi, solve_monotone
+from .solvers import invert_to_two_pi
 
-DELTA_TOL = 1e-13
 _UPPER_STEP_CAP = 200
 
 
@@ -62,8 +61,10 @@ class CorrelationFrame:
     rho: float
 
     def __post_init__(self) -> None:
-        if not (self.c > 0.0):
-            raise DomainError(f"vol-of-vol c must be positive, got {self.c!r}")
+        if not (0.0 < self.c < math.inf):
+            raise DomainError(
+                f"vol-of-vol c must be positive and finite, got {self.c!r}"
+            )
         if not (-1.0 < self.rho < 1.0):
             raise DomainError(f"correlation must lie in (-1, 1), got {self.rho!r}")
 
@@ -73,15 +74,15 @@ class CorrelationFrame:
         return (self.c * x - self.rho * v) / root, v
 
 
-def delta_of(x: float, v: float, tol: float = DELTA_TOL) -> float:
+def delta_of(x: float, v: float) -> float:
     """Arc index of the point (x, v) relative to the base point (0, 1):
     the unique delta in (-2*pi, 2*pi) with f_of(v, delta) = x.
 
     sign(delta) = sign(x).  The root bracket starts at the certified lower
     bound h_lower and is tightened toward 2*pi from the right by geometric
-    halving.
+    halving (solvers.invert_to_two_pi).
     """
-    if v < 0.0:
+    if not v >= 0.0:
         raise DomainError(f"v must be nonnegative, got {v!r}")
     if x == 0.0:
         return 0.0
@@ -91,12 +92,7 @@ def delta_of(x: float, v: float, tol: float = DELTA_TOL) -> float:
     if cf.f_of(v, lo) > xa:
         # the certified bound can only fail by rounding; back off
         lo *= 0.5
-    hi = grow_to_two_pi(lambda d: cf.f_of(v, d), xa, lo)
-    if cf.f_of(v, hi) < xa:
-        # the index saturates one ulp below 2*pi at double resolution
-        return sign * hi
-    report = solve_monotone(lambda d: cf.f_of(v, d), (lo, hi), target=xa, tol=tol)
-    return sign * report.value
+    return sign * invert_to_two_pi(lambda d: cf.f_of(v, d), xa, lo)
 
 
 def _dist_base(x: float, v: float) -> float:
@@ -120,7 +116,7 @@ def dist(p0: tuple[float, float], p1: tuple[float, float]) -> float:
     """
     x0, v0 = p0
     x1, v1 = p1
-    if v0 < 0.0 or v1 < 0.0:
+    if not (v0 >= 0.0 and v1 >= 0.0):
         raise DomainError("points must have v >= 0")
     if v0 == 0.0 and v1 == 0.0:
         if x0 == x1:
@@ -159,7 +155,7 @@ def to_delta(p: tuple[float, float]) -> DeltaCoordinate:
 def from_delta(d: tuple[float, float]) -> ManifoldPoint:
     """Inverse chart map (theta, v) -> (f_of(v, theta), v)."""
     theta, v = d
-    if v < 0.0:
+    if not v >= 0.0:
         raise DomainError(f"v must be nonnegative, got {v!r}")
     return ManifoldPoint(cf.f_of(v, theta), v)
 

@@ -36,3 +36,17 @@ class DistanceSolution:
     theta_at_argmin: float
     branch: str
     report: SolveReport
+
+    @classmethod
+    def closed_form(
+        cls, value: float, argmin: ManifoldPoint, theta_at_argmin: float, branch: str
+    ) -> DistanceSolution:
+        """An answer given by an exact formula: no iteration, zero residual."""
+        return cls(
+            value=value,
+            half_squared=0.5 * value * value,
+            argmin=argmin,
+            theta_at_argmin=theta_at_argmin,
+            branch=branch,
+            report=SolveReport(value, 0, 0.0, "closed-form"),
+        )

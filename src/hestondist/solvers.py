@@ -5,8 +5,10 @@ distance formulas funnels through these two routines.  The minimizer never
 assumes unimodality: a coarse uniform scan localizes the best cell before
 golden-section refinement, which keeps it robust on objectives whose
 interior critical-point structure is only known empirically.
-``grow_to_two_pi`` finds the upper end of a root bracket for an increasing
-function of an angle in (0, 2*pi).
+``invert_to_two_pi`` inverts an increasing function of an angle in
+(0, 2*pi) (the arc index and the psi and eta maps): it grows the root
+bracket toward 2*pi, saturates one ulp below 2*pi when the target is out of
+reach, and otherwise solves to ``INDEX_TOL``.
 
 The root solve is a pure-Python port of SciPy's ``brentq.c``: it visits the
 same iterates and reports the same iteration count as
@@ -14,10 +16,10 @@ same iterates and reports the same iteration count as
 (n + 1 calls for n iterations, endpoints included), never re-evaluating the
 endpoints or the root.  The package has no SciPy dependency.
 
-The scan may be evaluated as one array call (``fn_many``) while the
-golden-section refine stays scalar; the two forms of the objective must
-agree bit for bit on every node, so the result does not depend on which
-one ran.
+The scan is one array call: ``fn_many`` where the caller has an array
+form of the objective, otherwise ``fn`` on each node.  The golden-section
+refine stays scalar; the two forms of the objective must agree bit for bit
+on every node, so the result does not depend on which one ran.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .errors import (
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 ROOT_TOL = 1e-12
+INDEX_TOL = 1e-13  # absolute tolerance of every angle-index inversion
 _RTOL = 4.0 * math.ulp(1.0)  # brentq's smallest admissible rtol
 MIN_TOL = 1e-9
 SCAN_CELLS = 256
@@ -59,11 +62,6 @@ class SolveReport:
     iterations: int
     residual: float
     method: str  # bisection-hybrid | golden-section | grid-refine | closed-form
-
-
-def report_closed_form(value: float) -> SolveReport:
-    """Report for results obtained from an exact formula, no iteration."""
-    return SolveReport(value=value, iterations=0, residual=0.0, method="closed-form")
 
 
 def solve_monotone(
@@ -225,24 +223,32 @@ def _golden(
     return d, fd, it, b - a
 
 
-def grow_to_two_pi(
+def invert_to_two_pi(
     fn: Callable[[float], float], target: float, lo: float
 ) -> float:
-    """Upper end of a bracket for an increasing fn on (0, 2*pi): march from
-    lo toward 2*pi, halving the gap, until fn reaches target.  Returns the
-    largest double below 2*pi when the target is out of reach at double
-    resolution; the gap shrinks to one ulp of 2*pi within about 54
-    halvings, so the step budget is never exhausted."""
+    """The angle in (lo, 2*pi) where an increasing fn reaches target, given
+    fn(lo) <= target.
+
+    Marches from lo toward 2*pi, halving the gap, until fn reaches target,
+    then solves on [lo, hi] to INDEX_TOL.  Returns the largest double below
+    2*pi when the target is out of reach at double resolution; the gap
+    shrinks to one ulp of 2*pi within about 54 halvings, so the step budget
+    is never exhausted."""
     cap = math.nextafter(math.tau, 0.0)  # math.tau == corefuncs.TWO_PI
     hi = lo
     for _ in range(_GROW_STEPS):
         nxt = math.tau - 0.5 * (math.tau - hi)
         if nxt >= cap or nxt <= hi:
-            return cap
+            hi = cap
+            break
         hi = nxt
         if fn(hi) >= target:
-            return hi
-    raise ConvergenceError(f"target {target!r} not reached below 2*pi")
+            break
+    else:
+        raise ConvergenceError(f"target {target!r} not reached below 2*pi")
+    if fn(hi) < target:
+        return hi  # saturated one ulp below 2*pi
+    return solve_monotone(fn, (lo, hi), target=target, tol=INDEX_TOL).value
 
 
 def minimize_on_interval(
@@ -259,15 +265,16 @@ def minimize_on_interval(
     Two stages: a uniform scan over ``scan_cells`` cells (the sample points
     include both endpoints and the midpoint) localizes the best cell, then
     golden-section refines within the bracketing cell pair.  Endpoint
-    minima are legitimate answers and are returned as-is.  A non-finite
-    sample aborts with the first offending node; ties go to the first
-    node attaining the minimum.
+    minima are legitimate answers and are returned as-is.  Every node is
+    evaluated before a non-finite sample aborts the scan with the first
+    offending node; ties go to the first node attaining the minimum.
 
     ``fn_many``, when given, is the array form of ``fn``: it maps the
     read-only array of scan nodes to the array of their values in one
     call, and must equal ``fn`` bit for bit on every node.  It replaces
-    only the scan; the refine always calls ``fn``.  A result whose shape
-    differs from the node array raises ScanShapeError.
+    only the scan; the refine always calls ``fn``.  Without it the scan
+    calls ``fn`` on each node.  A result whose shape differs from the node
+    array raises ScanShapeError.
 
     ``tol`` must be finite and nonnegative, otherwise DomainError; 0 asks
     the refine for the smallest width a double can hold, so it usually runs
@@ -289,17 +296,11 @@ def minimize_on_interval(
     n = scan_cells + 1
     h = (hi - lo) / scan_cells
     if fn_many is None:
-        best_i, best_x, best_f = -1, lo, math.inf
-        xs = [lo + i * h for i in range(n - 1)] + [hi]
-        for i, x in enumerate(xs):
-            fx = fn(x)
-            if not math.isfinite(fx):
-                raise NonFiniteSampleError(i, x, fx)
-            if fx < best_f:
-                best_i, best_x, best_f = i, x, fx
-    else:
-        best_i, xs, best_f = _scan_many(fn_many, lo, hi, h, n)
-        best_x = float(xs[best_i])
+        # Python floats, so that fn divides as it does in the refine: a
+        # numpy scalar would warn where a float raises ZeroDivisionError
+        fn_many = lambda nodes: [fn(x) for x in nodes.tolist()]
+    best_i, xs, best_f = _scan_many(fn_many, lo, hi, h, n)
+    best_x = float(xs[best_i])
 
     a = float(xs[max(best_i - 1, 0)])
     b = float(xs[min(best_i + 1, n - 1)])
@@ -319,7 +320,7 @@ def _scan_many(
 ) -> tuple[int, np.ndarray, float]:
     """The scan of minimize_on_interval as one array call; returns (index of
     the first minimum, the nodes, the minimum value).  The nodes are
-    lo + i*h and hi, the same doubles the scalar scan visits."""
+    lo + i*h and hi."""
     nodes = lo + np.arange(n) * h
     nodes[-1] = hi
     nodes.flags.writeable = False

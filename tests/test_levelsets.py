@@ -6,7 +6,6 @@ import pytest
 import hestondist as hd
 from hestondist import DomainError
 from hestondist import corefuncs as cf
-from hestondist import levelsets as ls
 from hestondist.pointmetric import _dist_base_grid
 
 PI = math.pi
@@ -17,7 +16,7 @@ def curve_v_split(theta, x):
     """curve_v by the equal-value decomposition v1 - v2 (affine minus
     root-of-affine), which subtracts two positive quantities."""
     t = abs(theta)
-    r = ls._radicand(t, x)
+    r = cf._radicand(t, x)
     p = cf.theta_minus_sin(t)
     u = cf.two_sin_half_minus_cos_weighted(t)
     sh = math.sin(0.5 * t)

@@ -1,0 +1,54 @@
+"""A NaN argument, or an infinite vol-of-vol, raises DomainError instead of
+returning NaN or a number."""
+
+import math
+
+import pytest
+
+import hestondist as hd
+
+NAN = math.nan
+
+# (function, argument position, arguments with the NaN in that position)
+CASES = [
+    (hd.dist, "p1.v", ((0.0, 1.0), (0.0, NAN))),
+    (hd.f_of, "v", (NAN, 1.0)),
+    (hd.from_delta, "d.v", ((1.0, NAN),)),
+    (hd.lambda_big, "x", (NAN, 1.0)),
+    (hd.curve_v, "x", (1.0, NAN)),
+    (hd.curve_slope, "x", (1.0, NAN)),
+    (hd.curve_curvature, "x", (1.0, NAN)),
+    (hd.sample_curve, "x_max", (1.0, NAN, 2)),
+    (hd.dist_to_horizontal, "tau", (NAN,)),
+    (hd.t_bound, "p0.x", ((NAN, 1.0), (0.5, 2.0))),
+    (hd.t_bound, "p0.v", ((0.0, NAN), (0.5, 2.0))),
+    (hd.t_bound, "p1.x", ((0.0, 1.0), (NAN, 2.0))),
+    (hd.t_bound, "p1.v", ((0.0, 1.0), (0.5, NAN))),
+    (hd.h_lower, "x", (NAN, 1.0)),
+    (hd.h_lower, "v", (1.0, NAN)),
+    (hd.g_major, "v", (NAN, 1.0)),
+    (hd.eta_alpha, "alpha", (NAN, 0.5)),
+    (hd.zeta, "gamma", (NAN, 1.0)),
+    (hd.s_tangent, "beta", (NAN, 1.0)),
+    *[
+        (fn, name, args)
+        for fn in (
+            hd.discriminant, hd.s_plus, hd.s_minus, hd.lambda_plus, hd.lambda_minus
+        )
+        for name, args in (("beta", (NAN, 1.0, 1.0)), ("gamma", (1.0, NAN, 1.0)))
+    ],
+    (hd.eta_alpha_inv, "y", (2.0, NAN)),
+    (hd.vertical_bracket, "beta", (NAN,)),
+    (hd.psi_inv, "y", (NAN,)),
+    (hd.eta_inv, "y", (NAN,)),
+    (hd.theta_crit, "beta", (NAN, 1.0)),
+    (hd.CorrelationFrame, "c=inf", (math.inf, 0.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, position, args", CASES, ids=[f"{fn.__name__}-{pos}" for fn, pos, _ in CASES]
+)
+def test_nan_argument_raises_domain_error(fn, position, args):
+    with pytest.raises(hd.DomainError):
+        fn(*args)

@@ -13,6 +13,7 @@ import pytest
 
 import hestondist.levelsets as ls
 import hestondist.pointmetric as pm
+import hestondist.solvers as solvers
 from hestondist.solvers import ROOT_TOL, solve_monotone
 
 # delta_of(x, v) with x = f_of(v, delta): for v in (1, 0.25, 4, 37) the
@@ -216,15 +217,19 @@ INVERSE_MAP_PINS = [
 
 
 def _recording(monkeypatch, module):
+    """Record every solve_monotone report, whether the module calls it
+    directly or through solvers.invert_to_two_pi."""
     reports = []
-    solve = module.solve_monotone
+    solve = solvers.solve_monotone
 
     def record(*args, **kwargs):
         report = solve(*args, **kwargs)
         reports.append((report.value.hex(), report.iterations, report.residual.hex()))
         return report
 
-    monkeypatch.setattr(module, "solve_monotone", record)
+    for m in (solvers, module):
+        if hasattr(m, "solve_monotone"):
+            monkeypatch.setattr(m, "solve_monotone", record)
     return reports
 
 

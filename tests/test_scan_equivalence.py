@@ -125,10 +125,10 @@ class TestObjectivesOnScanNodes:
         gamma = 1.0 / cf.coef_B(theta)
         beta = 0.5 * gamma
         nodes = scan_nodes(theta - 0.25, theta) + [theta + 1e-3]
-        assert ld._s_minus_raw(beta, gamma, theta) == math.inf
+        assert cf._s_minus_raw(beta, gamma, theta) == math.inf
         assert_same_bits(
-            [ld._s_minus_raw(beta, gamma, t) for t in nodes],
-            ld._s_minus_many(beta, gamma, np.array(nodes)),
+            [cf._s_minus_raw(beta, gamma, t) for t in nodes],
+            cf._s_minus_many(beta, gamma, np.array(nodes)),
         )
         check_objective(ld._minus_objective(beta, gamma), nodes)
 
