@@ -10,10 +10,12 @@ quadratic in sqrt(v) whose coefficients involve coef_A and coef_B; s_plus /
 s_minus are its roots and lambda_plus / lambda_minus the corresponding
 half-squared distances.  The roots are written once, here: the raw forms
 ``_s_plus_raw``/``_s_minus_raw`` (discriminant clamped at zero) and their
-array forms are the line solvers' objectives, and the public
+array form ``_roots_many`` are the line solvers' objectives, and the public
 ``s_plus``/``s_minus`` check the line first and then evaluate the same raw
-root.  ``_radicand`` is the one radicand of the level curve, shared by
-``lambda_big`` and the curve functions in ``levelsets``.
+root.  ``_coefs`` gives coef_A and coef_B together, for one domain check
+and one evaluation of each sine.  ``_radicand`` is the one radicand of the
+level curve, shared by ``lambda_big`` and the curve functions in
+``levelsets``.
 
 All functions here are pure, stateless and raise DomainError outside their
 stated domains rather than returning NaN.  The ``*_many`` functions are the
@@ -247,11 +249,7 @@ def coef_A(theta: float) -> float:
 
     Negative on (0, 2*pi); -A is strictly increasing from 1/2 to 1.
     """
-    _check_angle_open(theta)
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        return -_u_r3(t2) / _p_r3(t2)
-    return -two_sin_half_minus_cos_weighted(theta) / theta_minus_sin(theta)
+    return _coefs(theta)[0]
 
 
 def coef_B(theta: float) -> float:
@@ -259,12 +257,18 @@ def coef_B(theta: float) -> float:
 
     Positive and strictly decreasing on (0, 2*pi).
     """
+    return _coefs(theta)[1]
+
+
+def _coefs(theta: float) -> tuple[float, float]:
+    """(coef_A, coef_B) at one angle, with one domain check and sin(theta/2)
+    and sin(theta) each evaluated once."""
     _check_angle_open(theta)
     if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        sr = _sin_half_r(t2)
-        return 2.0 * sr * sr / (theta * _p_r3(t2))
-    return versine(theta) / theta_minus_sin(theta)
+        return _coefs_series(theta)
+    sh = math.sin(0.5 * theta)
+    p = theta - math.sin(theta)
+    return -(2.0 * sh - theta * math.cos(0.5 * theta)) / p, 2.0 * sh * sh / p
 
 
 # Array form of coef_A and coef_B for the minimizer scan.  numpy's float64
@@ -273,7 +277,8 @@ def coef_B(theta: float) -> float:
 # arithmetic.
 
 
-def _coefs_series(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _coefs_series(t):
+    """The series branch of _coefs, for a float or an array."""
     t2 = t * t
     p3 = _p_r3(t2)
     sr = _sin_half_r(t2)
@@ -281,24 +286,28 @@ def _coefs_series(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coefs_direct(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    sh = np.sin(0.5 * t)
+    half = 0.5 * t
+    sh = np.sin(half)
+    two_sh = 2.0 * sh
     p = t - np.sin(t)
-    return -(2.0 * sh - t * np.cos(0.5 * t)) / p, 2.0 * sh * sh / p
+    return -(two_sh - t * np.cos(half)) / p, two_sh * sh / p
 
 
 def coefs_many(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(coef_A, coef_B) at every element of a float64 array, each element
     bit-identical to the scalar function.  Each side of SMALL_ANGLE is
     evaluated on its own elements only (the direct forms are 0/0 at tiny
-    angles)."""
-    inside = (0.0 < theta) & (theta < TWO_PI)
-    if not inside.all():
-        _check_angle_open(float(theta[np.argmin(inside)]))
-    small = theta < SMALL_ANGLE
-    if not small.any():
+    angles).  An element outside (0, 2*pi) raises DomainError naming the
+    first such element in C order."""
+    least, most = theta.min(), theta.max()  # nan if any element is nan
+    if not (0.0 < least and most < TWO_PI):
+        inside = (0.0 < theta) & (theta < TWO_PI)
+        _check_angle_open(float(theta.flat[np.argmin(inside)]))
+    if least >= SMALL_ANGLE:
         return _coefs_direct(theta)
-    if small.all():
+    if most < SMALL_ANGLE:
         return _coefs_series(theta)
+    small = theta < SMALL_ANGLE
     a = np.empty_like(theta)
     b = np.empty_like(theta)
     a[small], b[small] = _coefs_series(theta[small])
@@ -374,8 +383,7 @@ def xi(delta: float) -> float:
 def _coefs_disc(beta: float, gamma: float, theta: float) -> tuple[float, float, float]:
     """(A, B, raw discriminant) at theta; DomainError where the
     discriminant is NaN (a NaN line parameter)."""
-    a = coef_A(theta)
-    b = coef_B(theta)
+    a, b = _coefs(theta)
     disc = a * a - (1.0 - gamma * b) * (1.0 - beta * b)
     if math.isnan(disc):
         raise DomainError(
@@ -413,60 +421,49 @@ def _check_two_roots(beta: float, gamma: float, theta: float) -> None:
 # visit; a negative value can only be roundoff amplified through the
 # tangency-endpoint inverse solve, so the raw roots clamp it to zero.  At a
 # tangency minimizer the objective is first-order stationary in the root,
-# which bounds the induced value error by the square of the clamp.  They form
-# A, B and the discriminant inline: the golden-section refine calls them at
-# every step.
+# which bounds the induced value error by the square of the clamp.  They take
+# A and B from _coefs and form the discriminant inline: the golden-section
+# refine calls them at every step.
 
 
 def _s_plus_raw(beta: float, gamma: float, theta: float) -> float:
     """Smaller-v root in the continuous conjugate form: no pole at
     1 - gamma*B = 0 and no subtractive cancellation in the numerator."""
-    a = coef_A(theta)
-    b = coef_B(theta)
-    disc = a * a - (1.0 - gamma * b) * (1.0 - beta * b)
+    a, b = _coefs(theta)
+    p = 1.0 - beta * b
+    disc = a * a - (1.0 - gamma * b) * p
     if disc < 0.0:
         disc = 0.0
-    return (1.0 - beta * b) / (a - math.sqrt(disc))
+    return p / (a - math.sqrt(disc))
 
 
 def _s_minus_raw(beta: float, gamma: float, theta: float) -> float:
     """Larger-v root; +inf at the pole 1 - gamma*B = 0."""
-    a = coef_A(theta)
-    b = coef_B(theta)
-    disc = a * a - (1.0 - gamma * b) * (1.0 - beta * b)
+    a, b = _coefs(theta)
+    den = 1.0 - gamma * b
+    disc = a * a - den * (1.0 - beta * b)
     if disc < 0.0:
         disc = 0.0
-    den = 1.0 - gamma * b
     if den == 0.0:
         return math.inf  # the larger root diverges at the tangent index
     return (a - math.sqrt(disc)) / den
 
 
-def _clamped_disc_root_many(
-    beta: float, gamma: float, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, sqrt of the clamped discriminant) at every node, formed as in
-    _s_plus_raw and _s_minus_raw."""
+def _roots_many(
+    beta: np.ndarray, gamma: np.ndarray, minus: np.ndarray, theta: np.ndarray
+) -> np.ndarray:
+    """_s_minus_raw where minus is true and _s_plus_raw elsewhere, at every
+    node and bit-identical to them (+inf at the minus pole); beta, gamma
+    and minus broadcast against theta."""
     a, b = coefs_many(theta)
-    disc = a * a - (1.0 - gamma * b) * (1.0 - beta * b)
-    disc[disc < 0.0] = 0.0
-    return a, b, np.sqrt(disc)
-
-
-def _s_plus_many(beta: float, gamma: float, theta: np.ndarray) -> np.ndarray:
-    """_s_plus_raw at every node, bit-identical to it."""
-    a, b, root = _clamped_disc_root_many(beta, gamma, theta)
-    return (1.0 - beta * b) / (a - root)
-
-
-def _s_minus_many(beta: float, gamma: float, theta: np.ndarray) -> np.ndarray:
-    """_s_minus_raw at every node, bit-identical to it (+inf at the pole)."""
-    a, b, root = _clamped_disc_root_many(beta, gamma, theta)
-    den = 1.0 - gamma * b
+    p = 1.0 - beta * b
+    q = 1.0 - gamma * b
+    disc = a * a - q * p
+    # np.maximum may keep -0.0 where the scalar clamp keeps 0.0 or the
+    # reverse; either square root leaves a - root unchanged
+    m = a - np.sqrt(np.maximum(disc, 0.0))
     with np.errstate(divide="ignore"):
-        s = (a - root) / den
-    s[den == 0.0] = math.inf
-    return s
+        return np.where(minus, np.where(q == 0.0, math.inf, m / q), p / m)
 
 
 def s_plus(beta: float, gamma: float, theta: float) -> float:
@@ -518,7 +515,8 @@ def _half_sq_from_root_many(theta: np.ndarray, s: np.ndarray) -> np.ndarray:
     """_half_sq_from_root elementwise, bit-identical to it."""
     ratio = np.sin(0.5 * theta) / theta
     q4 = np.sin(0.25 * theta)
-    inner = (s - 1.0) * (s - 1.0) + 4.0 * s * q4 * q4
+    s1 = s - 1.0
+    inner = s1 * s1 + 4.0 * s * q4 * q4
     return inner / (2.0 * ratio * ratio)
 
 
@@ -586,9 +584,17 @@ def t_bound(p0: tuple[float, float], p1: tuple[float, float]) -> float:
     x1, v1 = p1
     if not (v0 >= 0.0 and v1 >= 0.0):
         raise DomainError("points must have v >= 0")
-    rho2 = (x0 - x1) ** 2 + (v0 - v1) ** 2
+    try:
+        rho2 = (x0 - x1) ** 2 + (v0 - v1) ** 2
+    except OverflowError:
+        rho2 = math.inf
     if math.isnan(rho2):
         raise DomainError(f"coordinates must be numbers, got {p0!r}, {p1!r}")
     if rho2 == 0.0:
         return 0.0
+    if rho2 == math.inf:
+        # the squared separation overflows: with r half the separation,
+        # T = 2r/(sqrt(v0) + sqrt(v1) + sqrt(2r)), divided through by 2
+        r = math.hypot(0.5 * x0 - 0.5 * x1, 0.5 * v0 - 0.5 * v1)
+        return r / (0.5 * (math.sqrt(v0) + math.sqrt(v1)) + math.sqrt(0.5 * r))
     return math.sqrt(rho2) / (math.sqrt(v0) + math.sqrt(v1) + rho2**0.25)

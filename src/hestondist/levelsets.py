@@ -181,15 +181,19 @@ def eta_inv(y: float) -> float:
     return invert_to_two_pi(cf.eta, y, min(_EPS_ANGLE, y))
 
 
-def eta_alpha_inv(alpha: float, y: float) -> float:
+def eta_alpha_inv(
+    alpha: float, y: float, *, ceiling: float | None = None
+) -> float:
     """Inverse of eta_alpha(alpha, .) on its domain (0, psi_inv(alpha)).
 
     Saturates at the largest resolvable argument below the domain ceiling
-    when the target cannot be bracketed at double resolution.
+    when the target cannot be bracketed at double resolution.  ``ceiling``
+    is psi_inv(alpha) where the caller has already solved it.
     """
     if not y > 0.0:
         raise DomainError(f"eta_alpha_inv needs a positive argument, got {y!r}")
-    ceiling = psi_inv(alpha)
+    if ceiling is None:
+        ceiling = psi_inv(alpha)
     lo = min(_EPS_ANGLE, y)
     fn = lambda t: cf.eta_alpha(alpha, t)
     hi = lo
@@ -199,12 +203,14 @@ def eta_alpha_inv(alpha: float, y: float) -> float:
             return hi
         hi = nxt
         try:
-            reached = fn(hi) >= y
+            f_hi = fn(hi)
         except DomainError:
             # rounding pushed hi past the ceiling; keep the previous point
             return ceiling - (ceiling - hi) * 2.0
-        if reached:
-            return solve_monotone(fn, (lo, hi), target=y, tol=INDEX_TOL).value
+        if f_hi >= y:
+            return solve_monotone(
+                fn, (lo, hi), target=y, tol=INDEX_TOL, fn_hi=f_hi
+            ).value
     raise DomainError(f"target {y!r} not reached below the tangency ceiling")
 
 

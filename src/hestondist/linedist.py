@@ -19,17 +19,32 @@ gamma (admissible_intervals gives those sets):
   crossing of the line with the vertical axis, at v = beta/|gamma|.
 
 _searches holds this case split as a table, one row per minimization: the
-branch label, the objective, the interval, how to recover the argmin's
-ordinate and the sign of the line's own index.  One driver, _solve, runs
-minimize_on_interval on every row and keeps the lowest; a later row must
-beat the incumbent by more than TIE_RTOL.
+branch label, the objective's parameters (the line, which intersection
+root, the axis crossing where the interval starts at theta = 0), the
+interval and the sign of the line's own index.  A later row must beat the
+incumbent by more than TIE_RTOL (_answer).
 
-Each objective comes in two forms: a scalar function of theta for the
-golden-section refine, and an array form that evaluates all scan nodes of
-minimize_on_interval in one call.  The two agree bit for bit on every node,
-so the answers are those of the scalar scan.  The intersection roots
-themselves live in corefuncs (_s_plus_raw, _s_minus_raw and their array
-forms).
+One array kernel, _objective_many, evaluates every row's objective from
+per-node parameter arrays; _objective is its scalar form, and the two agree
+bit for bit on every node.
+
+_solve_many, behind both dist_to_line (one line) and smile_table (a
+ladder), builds the tables of its lines, solving each distinct psi_inv
+argument once, and picks how to minimize their rows by how many there are:
+
+* below BATCH_MIN_ROWS rows (a single line has one or two) each row runs
+  minimize_on_interval: the scan in one kernel call, the golden refine on
+  the scalar objective;
+* from BATCH_MIN_ROWS rows on (a ladder of about 18 strikes or more)
+  solvers._minimize_rows runs every row together: the scans as 2-D blocks
+  of 16 rows, the refines in lockstep, one kernel call per golden step.
+  A lockstep step costs about ten scalar objective calls, so it pays only
+  when many rows share it.
+
+Both give the same answer for a line, bit for bit, and the same error; an
+error fails only its own line.  The intersection roots
+themselves live in corefuncs (_s_plus_raw, _s_minus_raw and the array form
+_roots_many).
 
 Every closed-form path is validated against oracle_dist, a deliberately
 slow reference that minimizes the point distance along the line over a
@@ -41,14 +56,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from . import corefuncs as cf
 from . import levelsets as ls
 from .corefuncs import LineParams
-from .errors import DomainError
+from .errors import DomainError, HestonDistError
 from .pointmetric import (
     CorrelationFrame,
     ManifoldPoint,
@@ -57,7 +72,7 @@ from .pointmetric import (
     dist,
 )
 from .solution import DistanceSolution
-from .solvers import SolveReport, minimize_on_interval
+from .solvers import RowObjective, SolveReport, _minimize_rows, minimize_on_interval
 
 # Half-open interval ends (where lambda_minus blows up) are closed at this
 # offset; the objective diverges there, so no minimum is lost.
@@ -105,46 +120,12 @@ def _lam(theta: float, s: float) -> float:
     return val if math.isfinite(val) else _HUGE
 
 
-# Array forms of the objectives above for the minimizer scan: the same
-# operations in the same order, so every node value equals the scalar one.
-
-
 def _lam_many(theta: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """_lam at every node, bit-identical to it.  Clamps s in place."""
-    s[s < 0.0] = 0.0
-    s[~np.isfinite(s)] = _ROOT_HUGE
-    val = cf._half_sq_from_root_many(theta, s)
-    val[~np.isfinite(val)] = _HUGE
-    return val
-
-
-_Objective = tuple[Callable[[float], float], Callable[[np.ndarray], np.ndarray]]
-
-
-def _branch_objective(
-    s_raw: Callable[[float, float, float], float],
-    s_many: Callable[[float, float, np.ndarray], np.ndarray],
-    beta: float,
-    gamma: float,
-) -> _Objective:
-    """The half-squared distance through one intersection root, as a scalar
-    function of theta and as its array form for the scan."""
-
-    def many(ts: np.ndarray) -> np.ndarray:
-        # Python floats overflow to inf and turn inf - inf into nan without
-        # a word; _lam_many saturates both, so numpy may stay quiet as well
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _lam_many(ts, s_many(beta, gamma, ts))
-
-    return (lambda t: _lam(t, s_raw(beta, gamma, t))), many
-
-
-def _plus_objective(beta: float, gamma: float) -> _Objective:
-    return _branch_objective(cf._s_plus_raw, cf._s_plus_many, beta, gamma)
-
-
-def _minus_objective(beta: float, gamma: float) -> _Objective:
-    return _branch_objective(cf._s_minus_raw, cf._s_minus_many, beta, gamma)
+    """_lam at every node, bit-identical to it."""
+    s = np.where(s < 0.0, 0.0, s)
+    s = np.where(np.isfinite(s), s, _ROOT_HUGE)
+    # from a finite root >= 0 the value is finite or +inf, never nan
+    return np.minimum(cf._half_sq_from_root_many(theta, s), _HUGE)
 
 
 def _axis_value(v: float) -> float:
@@ -152,24 +133,6 @@ def _axis_value(v: float) -> float:
     d = math.sqrt(v) - 1.0
     val = 2.0 * d * d
     return val if math.isfinite(val) else _HUGE
-
-
-def _with_axis(v_axis: float, objective: _Objective) -> _Objective:
-    """The objective with the theta = 0 node replaced by the axis crossing
-    at v = v_axis."""
-    fn, fn_many = objective
-    axis = _axis_value(v_axis)
-
-    def many(ts: np.ndarray) -> np.ndarray:
-        at_axis = ts == 0.0
-        if not at_axis.any():
-            return fn_many(ts)
-        out = np.empty_like(ts)
-        out[at_axis] = axis
-        out[~at_axis] = fn_many(ts[~at_axis])
-        return out
-
-    return (lambda t: axis if t == 0.0 else fn(t)), many
 
 
 def _clip_below(x: float) -> float:
@@ -240,124 +203,265 @@ def vertical_bracket(beta: float) -> tuple[float, float]:
 
 class _Search(NamedTuple):
     """One minimization of the case split: the branch label of its answer,
-    the objective (scalar, array), the theta-interval, the ordinate of the
-    line point at a searched index, and the sign that maps a searched index
-    to the line's own (-1 where the mirrored line is searched)."""
+    the line whose intersection root it follows and which root (minus: the
+    larger-v one), the theta-interval, the ordinate of the line's crossing
+    with the vertical axis where the interval starts at that crossing
+    (theta = 0), and the sign that maps a searched index to the line's own
+    (-1 where the mirrored line is searched)."""
 
     branch: str
-    objective: _Objective
+    beta: float
+    gamma: float
+    minus: bool
     lo: float
     hi: float
-    v_at: Callable[[float], float]
+    axis: float | None = None
     sign: float = 1.0
 
 
-def _searches(beta: float, gamma: float) -> list[_Search]:
+def _objective(row: _Search, t: float) -> float:
+    """A row's objective at the index t: the half-squared distance through
+    its intersection root, or to the axis crossing at t = 0."""
+    if t == 0.0 and row.axis is not None:
+        return _axis_value(row.axis)
+    root = cf._s_minus_raw if row.minus else cf._s_plus_raw
+    return _lam(t, root(row.beta, row.gamma, t))
+
+
+def _objective_many(
+    theta: np.ndarray,
+    beta: np.ndarray | float,
+    gamma: np.ndarray | float,
+    minus: np.ndarray | bool,
+    axis: np.ndarray | float,
+) -> np.ndarray:
+    """_objective at every node, bit-identical to it.  Each node carries its
+    row's parameters, broadcast against theta: the line, the root and the
+    objective's value at the axis node theta = 0 (nan where the row has no
+    axis node)."""
+    at_axis = theta == 0.0
+    zeros = at_axis.any()
+    if zeros:
+        at_axis &= ~np.isnan(axis)
+        theta = np.where(at_axis, 1.0, theta)  # in-domain; replaced below
+    # Python floats overflow to inf and turn inf - inf into nan without a
+    # word; _lam_many saturates both, so numpy may stay quiet as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = _lam_many(theta, cf._roots_many(beta, gamma, minus, theta))
+    return np.where(at_axis, axis, val) if zeros else val
+
+
+def _axis_node_value(row: _Search) -> float:
+    """The objective at the theta = 0 node, nan where the row has none."""
+    return math.nan if row.axis is None else _axis_value(row.axis)
+
+
+def _forms(
+    row: _Search,
+) -> tuple[Callable[[float], float], Callable[[np.ndarray], np.ndarray]]:
+    """A row's objective as minimize_on_interval takes it: the scalar
+    function for the refine and its array form for the scan."""
+    axis = _axis_node_value(row)
+    return (
+        lambda t: _objective(row, t),
+        lambda ts: _objective_many(ts, row.beta, row.gamma, row.minus, axis),
+    )
+
+
+def _row_objective(rows: list[_Search]) -> RowObjective:
+    """The rows' objectives in the form solvers._minimize_rows takes: a
+    selection of rows binds their parameters as arrays, a column of them
+    for 2-D node blocks."""
+    params = (
+        np.array([r.beta for r in rows]),
+        np.array([r.gamma for r in rows]),
+        np.array([r.minus for r in rows]),
+        np.array([_axis_node_value(r) for r in rows]),
+    )
+
+    def bind(sel: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        flat = tuple(p[sel] for p in params)
+        cols = tuple(p[:, None] for p in flat)
+        return lambda x: _objective_many(x, *(cols if x.ndim == 2 else flat))
+
+    return bind
+
+
+def _v_at(row: _Search, t: float) -> float:
+    """Ordinate of the line point that a row's searched index t locates."""
+    if row.branch == "vertical-kp":
+        return ls.curve_v(t, row.beta)
+    if t == 0.0 and row.axis is not None:
+        return row.axis
+    root = cf._s_minus_raw if row.minus else cf._s_plus_raw
+    return _sq(max(root(row.beta, row.gamma, t), 0.0))
+
+
+def _searches(
+    beta: float, gamma: float, memo: dict[float, float]
+) -> list[_Search]:
     """The minimizations that locate the distance to a line with beta >= 0
     (gamma > 0 when beta = 0) that misses the base point, plus branch
     first.  Each row's interval lies inside admissible_intervals for its
-    root."""
+    root.  memo holds psi_inv by argument, so that the lines of one batch
+    and the ceiling of eta_alpha_inv solve each argument once."""
     half_pi = 0.5 * math.pi
 
+    def psi_inv(y: float) -> float:
+        if y not in memo:
+            memo[y] = ls.psi_inv(y)
+        return memo[y]
+
+    def eta_alpha_inv(alpha: float, y: float) -> float:
+        return ls.eta_alpha_inv(alpha, y, ceiling=psi_inv(alpha))
+
     def plus(lo: float, hi: float) -> _Search:
-        return _Search(
-            "slanted-plus", _plus_objective(beta, gamma), lo, hi,
-            lambda t: _sq(max(cf._s_plus_raw(beta, gamma, t), 0.0)),
-        )
+        return _Search("slanted-plus", beta, gamma, False, lo, hi)
 
     def minus(lo: float, hi: float) -> _Search:
-        return _Search(
-            "slanted-minus", _minus_objective(beta, gamma), lo, hi,
-            lambda t: _sq(max(cf._s_minus_raw(beta, gamma, t), 0.0)),
-        )
+        return _Search("slanted-minus", beta, gamma, True, lo, hi)
 
     if gamma == 0.0:
         # the root-based evaluation of the level-curve distance stays accurate
         # where the closed form loses digits to cancellation (tiny beta)
-        return [
-            _Search(
-                "vertical-kp", _plus_objective(beta, 0.0), *vertical_bracket(beta),
-                lambda t: ls.curve_v(t, beta),
-            )
-        ]
+        return [_Search("vertical-kp", beta, 0.0, False, *vertical_bracket(beta))]
     if gamma > 0.0:
         if beta == 0.0:
             # single minus branch from the corner (0, 0); the cap is min(2*gamma, pi)
             hi = min(2.0 * gamma, math.pi) if gamma < half_pi else math.pi
-            hi = min(hi, _clip_below(ls.psi_inv(gamma)))
-            return [
-                _Search(
-                    "slanted-minus", _with_axis(0.0, _minus_objective(0.0, gamma)),
-                    0.0, hi,
-                    lambda t: 0.0 if t == 0.0 else _sq(cf._s_minus_raw(0.0, gamma, t)),
-                )
-            ]
+            hi = min(hi, _clip_below(psi_inv(gamma)))
+            return [_Search("slanted-minus", 0.0, gamma, True, 0.0, hi, axis=0.0)]
         if beta == gamma:
             lo = ls.eta_inv(beta)
-            hi = ls.psi_inv(beta)
+            hi = psi_inv(beta)
             if beta < half_pi:
                 hi = min(hi, 2.0 * beta)
             return [plus(lo, max(hi, lo))]
         if gamma > beta:
-            lo = ls.eta_alpha_inv(gamma, beta)
+            lo = eta_alpha_inv(gamma, beta)
             if beta > half_pi and gamma > half_pi + 2.0 / (2.0 * beta - math.pi):
                 # the minus branch provably cannot win here
-                return [plus(lo, max(ls.psi_inv(beta), lo))]
+                return [plus(lo, max(psi_inv(beta), lo))]
             cap = ls.theta_crit(beta, gamma)
             return [
-                plus(lo, max(min(ls.psi_inv(beta), cap), lo)),
-                minus(lo, max(min(_clip_below(ls.psi_inv(gamma)), cap), lo)),
+                plus(lo, max(min(psi_inv(beta), cap), lo)),
+                minus(lo, max(min(_clip_below(psi_inv(gamma)), cap), lo)),
             ]
         # beta > gamma > 0: no nearest-point cap is available on this side
-        lo = ls.eta_alpha_inv(beta, gamma)
+        lo = eta_alpha_inv(beta, gamma)
         return [
-            plus(lo, max(ls.psi_inv(beta), lo)),
-            minus(lo, max(_clip_below(ls.psi_inv(gamma)), lo)),
+            plus(lo, max(psi_inv(beta), lo)),
+            minus(lo, max(_clip_below(psi_inv(gamma)), lo)),
         ]
     a_g = -gamma
     v_axis = beta / a_g  # crossing of the line with the vertical axis
     if beta > a_g:
         return [
-            _Search(
-                "left-slanted", _with_axis(v_axis, _plus_objective(beta, gamma)),
-                0.0, ls.psi_inv(beta),
-                lambda t: v_axis if t == 0.0
-                else _sq(max(cf._s_plus_raw(beta, gamma, t), 0.0)),
-            )
+            _Search("left-slanted", beta, gamma, False, 0.0, psi_inv(beta), v_axis)
         ]
     # beta < |gamma|: negative indices; search the mirrored line (-beta, -gamma)
     return [
         _Search(
-            "left-slanted", _with_axis(v_axis, _minus_objective(-beta, a_g)),
-            0.0, _clip_below(ls.psi_inv(a_g)),
-            lambda t: v_axis if t == 0.0 else _sq(cf._s_minus_raw(-beta, a_g, t)),
-            -1.0,
+            "left-slanted", -beta, a_g, True, 0.0, _clip_below(psi_inv(a_g)),
+            v_axis, -1.0,
         )
     ]
 
 
-def _solve(beta: float, gamma: float, tol: float) -> DistanceSolution:
-    """Run every search of the table; a later one wins only when it is lower
-    by more than TIE_RTOL, so near-ties keep the earlier (plus) argmin."""
+def _answer(
+    beta: float,
+    gamma: float,
+    rows: list[_Search],
+    results: Iterable[tuple[SolveReport, float] | HestonDistError],
+) -> DistanceSolution:
+    """The solution from every row's minimization, in row order: the first
+    error is raised, and a later row wins only when it is lower by more
+    than TIE_RTOL, so near-ties keep the earlier (plus) argmin."""
     best = None
-    for search in _searches(beta, gamma):
-        fn, fn_many = search.objective
-        report, half_sq = minimize_on_interval(
-            fn, (search.lo, search.hi), tol=tol, fn_many=fn_many
-        )
+    for row, result in zip(rows, results):
+        if isinstance(result, HestonDistError):
+            raise result
+        report, half_sq = result
         if best is None or half_sq < best[2] - TIE_RTOL * max(1.0, best[2]):
-            best = search, report, half_sq
-    search, report, half_sq = best
-    v = search.v_at(report.value)
+            best = row, report, half_sq
+    row, report, half_sq = best
+    v = _v_at(row, report.value)
     return DistanceSolution(
         value=math.sqrt(2.0 * half_sq),
         half_squared=half_sq,
         # a vertical line's abscissa is beta even where v overflows
         argmin=ManifoldPoint(beta + gamma * v if gamma else beta, v),
-        theta_at_argmin=search.sign * report.value,
-        branch=search.branch,
+        theta_at_argmin=row.sign * report.value,
+        branch=row.branch,
         report=report,
     )
+
+
+def _minimize(row: _Search, tol: float) -> tuple[SolveReport, float]:
+    """One row's minimization: the scan in one array call, the golden
+    refine on the scalar objective."""
+    fn, fn_many = _forms(row)
+    return minimize_on_interval(fn, (row.lo, row.hi), tol=tol, fn_many=fn_many)
+
+
+# Searches with fewer rows than this are minimized one row at a time.  The
+# lockstep refine costs about 1.9 ms whatever the number of rows, then
+# about 0.05 ms per row; one row at a time costs about 0.13 ms per row.
+# Timed on seeded smile ladders (2-core x86-64, Python 3.11, numpy 2.4),
+# the two cross between 22 rows (16 strikes), where one at a time was
+# about 10% faster, and 28 rows (20 strikes), where the batch was about 5%
+# faster.
+BATCH_MIN_ROWS = 24
+
+
+def _solve_many(
+    lines: list[tuple[float, float]], tol: float
+) -> list[DistanceSolution | HestonDistError]:
+    """The distance to every line, or the error that line raises; an error
+    fails only its own line.
+
+    The search tables of all lines are built first, sharing psi_inv by
+    argument.  From BATCH_MIN_ROWS rows on, solvers._minimize_rows runs
+    every row at once; below, each line minimizes its rows in turn and
+    stops at the first error.  Both give the same bits."""
+    memo: dict[float, float] = {}
+    rows: list[_Search] = []
+    pending: list = []
+    for beta, gamma in lines:
+        try:
+            line = _prelude(beta, gamma)
+            if not isinstance(line, DistanceSolution):
+                beta, gamma, mirrored = line
+                start = len(rows)
+                rows += _searches(beta, gamma, memo)
+                line = (beta, gamma, mirrored, start, len(rows))
+        except HestonDistError as exc:
+            line = exc
+        pending.append(line)
+    batch = None
+    if len(rows) >= BATCH_MIN_ROWS:
+        batch = _minimize_rows(
+            _row_objective(rows), [r.lo for r in rows], [r.hi for r in rows], tol
+        )
+    out: list[DistanceSolution | HestonDistError] = []
+    for line in pending:
+        if isinstance(line, tuple):
+            beta, gamma, mirrored, start, end = line
+            mine = rows[start:end]
+            if batch is None:
+                # lazy: _answer raises the first error before the next row runs
+                results = (_minimize(r, tol) for r in mine)
+            else:
+                results = batch[start:end]
+            try:
+                line = _answer(beta, gamma, mine, results)
+            except HestonDistError as exc:
+                line = exc
+            else:
+                if mirrored:
+                    line = _mirrored(line)
+        out.append(line)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +469,13 @@ def _solve(beta: float, gamma: float, tol: float) -> DistanceSolution:
 # ---------------------------------------------------------------------------
 
 
-def dist_to_line(beta: float, gamma: float, tol: float = 1e-9) -> DistanceSolution:
-    """Distance from (0, 1) to the line x = beta + gamma*v, any real
-    parameters."""
+def _prelude(
+    beta: float, gamma: float
+) -> DistanceSolution | tuple[float, float, bool]:
+    """The answer where the line passes through or next to the base point,
+    else the line to search, with parameters beneath ~1e-300 flushed to
+    zero: (beta, gamma, False) when beta > 0 or (beta = 0 and gamma >= 0),
+    else its mirror image (-beta, -gamma, True) across x = 0."""
     if not (math.isfinite(beta) and math.isfinite(gamma)):
         raise DomainError("line parameters must be finite")
     if beta + gamma == 0.0:
@@ -399,13 +507,26 @@ def dist_to_line(beta: float, gamma: float, tol: float = 1e-9) -> DistanceSoluti
     if 0.0 < abs(beta) < 1e-300:
         beta = 0.0
     if beta < 0.0 or (beta == 0.0 and gamma < 0.0):
-        sol = dist_to_line(-beta, -gamma, tol=tol)
-        return replace(
-            sol,
-            argmin=ManifoldPoint(-sol.argmin.x, sol.argmin.v),
-            theta_at_argmin=-sol.theta_at_argmin,
-        )
-    return _solve(beta, gamma, tol)
+        return -beta, -gamma, True
+    return beta, gamma, False
+
+
+def _mirrored(sol: DistanceSolution) -> DistanceSolution:
+    """The solution for the line reflected across x = 0."""
+    return replace(
+        sol,
+        argmin=ManifoldPoint(-sol.argmin.x, sol.argmin.v),
+        theta_at_argmin=-sol.theta_at_argmin,
+    )
+
+
+def dist_to_line(beta: float, gamma: float, tol: float = 1e-9) -> DistanceSolution:
+    """Distance from (0, 1) to the line x = beta + gamma*v, any real
+    parameters."""
+    (sol,) = _solve_many([(beta, gamma)], tol)
+    if isinstance(sol, HestonDistError):
+        raise sol
+    return sol
 
 
 def dist_to_tangent_line(theta: float) -> DistanceSolution:

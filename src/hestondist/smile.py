@@ -14,6 +14,11 @@ in the uncorrelated base geometry.  At-the-money queries are rejected: the
 limit is qualitatively different there and out of scope.  The validity
 conditions of the underlying asymptotic formula itself are a literature
 question; this module computes its right-hand side unconditionally.
+
+All strikes of a smile share gamma, so smile_table solves the reduced
+lines of a ladder as one batch (linedist._solve_many), which minimizes
+the rows of a long ladder together: each entry equals iv_limit for its
+strike bit for bit, or records the error iv_limit raises.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import AtTheMoneyError, DomainError, HestonDistError
-from .linedist import dist_to_line
+from .linedist import _solve_many, dist_to_line
 from .pointmetric import CorrelationFrame
+from .solution import DistanceSolution
 
 
 @dataclass(frozen=True)
@@ -79,10 +85,9 @@ def reduced_line(q: SmileQuery) -> tuple[float, float]:
     return beta, gamma
 
 
-def iv_limit(q: SmileQuery, tol: float = 1e-9) -> SmilePoint:
-    """Zero-maturity implied-volatility limit for one query."""
-    beta, gamma = reduced_line(q)
-    sol = dist_to_line(beta, gamma, tol=tol)
+def _smile_point(
+    q: SmileQuery, beta: float, gamma: float, sol: DistanceSolution
+) -> SmilePoint:
     m = math.log(q.strike / q.spot)
     if not sol.value > 0.0:
         # (0,1) on the reduced line is impossible for K != S0
@@ -99,6 +104,16 @@ def iv_limit(q: SmileQuery, tol: float = 1e-9) -> SmilePoint:
     )
 
 
+def iv_limit(q: SmileQuery, tol: float = 1e-9) -> SmilePoint:
+    """Zero-maturity implied-volatility limit for one query."""
+    beta, gamma = reduced_line(q)
+    return _smile_point(q, beta, gamma, dist_to_line(beta, gamma, tol=tol))
+
+
+def _failure(strike: float, exc: HestonDistError) -> SmileFailure:
+    return SmileFailure(strike=strike, error=f"{type(exc).__name__}: {exc}")
+
+
 def smile_table(
     spot: float,
     v0: float,
@@ -107,11 +122,28 @@ def smile_table(
     tol: float = 1e-9,
 ) -> list[SmilePoint | SmileFailure]:
     """Evaluate a ladder of strikes; entries for failing strikes record the
-    error instead of aborting the ladder.  Order is preserved."""
-    out: list[SmilePoint | SmileFailure] = []
+    error instead of aborting the ladder.  Order is preserved.
+
+    Every entry equals what iv_limit gives for its strike, bit for bit, or
+    records the error iv_limit raises; the reduced lines of the whole
+    ladder are solved as one batch."""
+    queries: list[SmileQuery | SmileFailure] = []
     for k in strikes:
         try:
-            out.append(iv_limit(SmileQuery(spot, k, v0, frame), tol=tol))
+            queries.append(SmileQuery(spot, k, v0, frame))
         except HestonDistError as exc:
-            out.append(SmileFailure(strike=k, error=f"{type(exc).__name__}: {exc}"))
+            queries.append(_failure(k, exc))
+    lines = [reduced_line(q) for q in queries if isinstance(q, SmileQuery)]
+    sols = iter(zip(lines, _solve_many(lines, tol)))
+    out: list[SmilePoint | SmileFailure] = []
+    for q in queries:
+        if isinstance(q, SmileQuery):
+            (beta, gamma), sol = next(sols)
+            try:
+                if isinstance(sol, HestonDistError):
+                    raise sol
+                q = _smile_point(q, beta, gamma, sol)
+            except HestonDistError as exc:
+                q = _failure(q.strike, exc)
+        out.append(q)
     return out

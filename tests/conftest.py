@@ -65,10 +65,17 @@ def vertical_variant_bracket(beta: float, variant: str) -> tuple[float, float]:
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def line_objective(beta: float, gamma: float, minus: bool = False, axis=None):
+    """(scalar, array form) of the line solvers' objective through one
+    intersection root of the line, with the axis crossing at v = axis as
+    its theta = 0 node when axis is given."""
+    return ld._forms(ld._Search("", beta, gamma, minus, 0.0, 0.0, axis))
+
+
 def vertical_variant_distance(beta: float, variant: str, tol: float = 1e-9) -> float:
     """The vertical-line distance minimized over a variant bracket, as
     dist_to_line minimizes it over vertical_bracket."""
-    fn, fn_many = ld._plus_objective(beta, 0.0)
+    fn, fn_many = line_objective(beta, 0.0)
     _, half_sq = hd.minimize_on_interval(
         fn, vertical_variant_bracket(beta, variant), tol=tol, fn_many=fn_many
     )

@@ -1,0 +1,171 @@
+"""The batched line solver behind smile_table answers every line exactly as
+dist_to_line does: the same bits in every field, or the same error.
+dist_to_line minimizes its one or two rows one at a time; the helpers
+below run every search of a batch together, whatever its size."""
+
+import math
+
+import pytest
+
+import hestondist as hd
+from hestondist import linedist as ld
+from hestondist.smile import reduced_line
+from test_scan_equivalence import SEARCH_KINDS, search_kind, table_lines
+
+# the near-diagonal line whose tangency window is narrower than the
+# minimizer's degenerate width (ROADMAP, near-field item)
+DEGENERATE = (1.1445945236416332e-4, 1.1446902545269265e-4)
+
+
+def outcome(call):
+    """Every field of a DistanceSolution as float.hex, or the error."""
+    try:
+        sol = call()
+    except hd.HestonDistError as exc:
+        return type(exc).__name__, str(exc)
+    rep = sol.report
+    floats = (sol.value, sol.half_squared, sol.theta_at_argmin, *sol.argmin,
+              rep.value, rep.residual)
+    return tuple(x.hex() for x in floats) + (sol.branch, rep.iterations, rep.method)
+
+
+def solve_batched(lines, tol=1e-9):
+    """_solve_many with its rows minimized together however few they are."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ld, "BATCH_MIN_ROWS", 0)
+        return ld._solve_many(lines, tol)
+
+
+def batched(lines, tol=1e-9):
+    def result(sol):
+        if isinstance(sol, hd.HestonDistError):
+            raise sol
+        return sol
+
+    return [outcome(lambda s=s: result(s)) for s in solve_batched(lines, tol)]
+
+
+def single(lines, tol=1e-9):
+    return [outcome(lambda b=b, g=g: hd.dist_to_line(b, g, tol=tol)) for b, g in lines]
+
+
+def special_lines():
+    lines = [
+        (0.0, 0.0), (1.0, -1.0), (-2.5, 2.5),                 # on the line
+        (0.3, -0.3 * (1.0 + 1e-13)), (1e3, -1e3 + 1e-10),     # near-membership
+        (1e-310, 2.0), (2.0, 1e-310), (-3e-320, -0.5),        # subnormal flush
+        (0.0, -1.5), (-0.4, 2.0), (-1.0, -0.3),               # mirrored
+        DEGENERATE, (-DEGENERATE[0], -DEGENERATE[1]),
+        (1e300, 2e300), (1e200, 1e200), (1e308, 0.0),         # saturation
+        (math.inf, 1.0), (1.0, math.nan),                     # rejected
+    ]
+    return lines + table_lines()
+
+
+def test_batch_matches_each_line():
+    lines = special_lines()
+    kinds = set()
+    for beta, gamma in table_lines():
+        if beta < 0.0 or (beta == 0.0 and gamma < 0.0):
+            beta, gamma = -beta, -gamma
+        rows = ld._searches(beta, gamma, {})
+        kinds |= {search_kind(beta, gamma, rows, row) for row in rows}
+    assert kinds == SEARCH_KINDS
+    assert batched(lines) == single(lines)
+
+
+def test_batch_takes_the_degenerate_path():
+    (sol,) = solve_batched([DEGENERATE])
+    assert sol.report.iterations == 0
+    assert outcome(lambda: sol) == outcome(lambda: hd.dist_to_line(*DEGENERATE))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-3, -1.0, math.nan])
+def test_batch_tolerances(tol):
+    lines = [(1.0, -1.0), (0.5, 2.0), (2.0, 0.5), (3.0, 0.0), (-1.0, 0.3)]
+    assert batched(lines, tol) == single(lines, tol)
+
+
+def test_empty_batch():
+    assert ld._solve_many([], 1e-9) == []
+    assert solve_batched([]) == []
+
+
+@pytest.mark.parametrize("n, batch", [(4, False), (50, True)])
+def test_batch_chosen_by_row_count(monkeypatch, n, batch):
+    calls = []
+    minimize_rows = ld._minimize_rows
+
+    def record(fn_rows, los, his, tol):
+        calls.append(len(los))
+        return minimize_rows(fn_rows, los, his, tol)
+
+    monkeypatch.setattr(ld, "_minimize_rows", record)
+    frame = hd.CorrelationFrame(0.8, -0.4)
+    strikes = [100.0 * math.exp(-1.0 + 2.0 * j / (n - 1)) for j in range(n)]
+    hd.smile_table(100.0, 0.05, frame, strikes)
+    assert bool(calls) == batch
+    assert all(rows >= ld.BATCH_MIN_ROWS for rows in calls)
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_ladder_shares_psi_inv_through_the_bindings(monkeypatch, batch):
+    # gamma > 0 and a ladder whose betas stay below pi/2 (theta_crit then
+    # needs no psi_inv of its own): the shared psi_inv(gamma) is solved once,
+    # and eta_alpha_inv still runs through its module binding
+    calls = {"psi_inv": [], "eta_alpha_inv": []}
+    for name in calls:
+        original = getattr(ld.ls, name)
+
+        def record(*args, _name=name, _fn=original, **kwargs):
+            calls[_name].append(args)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ld.ls, name, record)
+    frame = hd.CorrelationFrame(1.0, -0.6)
+    strikes = [100.0 * math.exp(0.13 + 0.008 * j) for j in range(30)]
+    lines = [reduced_line(hd.SmileQuery(100.0, k, 0.2, frame)) for k in strikes]
+    gamma = lines[0][1]
+    assert gamma > 0.0 and all(0.0 < b < 0.5 * math.pi for b, _ in lines)
+    if batch:
+        sols = solve_batched(lines)
+    else:
+        monkeypatch.setattr(ld, "BATCH_MIN_ROWS", math.inf)
+        sols = ld._solve_many(lines, 1e-9)
+    assert all(isinstance(s, hd.DistanceSolution) for s in sols)
+    assert calls["eta_alpha_inv"]
+    assert calls["psi_inv"].count((gamma,)) == 1
+    assert len(set(calls["psi_inv"])) == len(calls["psi_inv"])
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.6, 0.45, -0.95])
+def test_ladders_match_iv_limit(rho):
+    frame = hd.CorrelationFrame(1.3, rho)
+    strikes = [100.0 * math.exp(-1.5 + 3.0 * j / 40.0) for j in range(41)]
+    strikes[20] = 100.0  # at the money: rejected before the batch
+    entries = hd.smile_table(100.0, 0.07, frame, strikes)
+    assert [type(e) for e in entries].count(hd.SmileFailure) == 1
+    for k, entry in zip(strikes, entries):
+        try:
+            want = hd.iv_limit(hd.SmileQuery(100.0, k, 0.07, frame))
+        except hd.HestonDistError as exc:
+            assert entry.error == f"{type(exc).__name__}: {exc}"
+            continue
+        assert entry == want
+        assert (entry.iv_limit.hex(), entry.distance.hex()) == (
+            want.iv_limit.hex(), want.distance.hex()
+        )
+        assert (entry.line_beta, entry.line_gamma) == reduced_line(
+            hd.SmileQuery(100.0, k, 0.07, frame)
+        )
+
+
+def test_every_line_failing(monkeypatch):
+    def broken(theta, *params):
+        raise hd.DomainError("objective unavailable")
+
+    monkeypatch.setattr(ld, "_objective_many", broken)
+    monkeypatch.setattr(ld, "_objective", broken)
+    lines = [(0.5, 2.0), (1.0, -1.0), (3.0, 0.0), (-1.0, 0.3), DEGENERATE]
+    assert batched(lines) == single(lines)
+    assert batched(lines)[1][0] != "DomainError"  # the on-line answer

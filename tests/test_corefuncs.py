@@ -289,6 +289,20 @@ class TestBounds:
     def test_t_bound_coincident(self):
         assert hd.t_bound((0.0, 1.0), (0.0, 1.0)) == 0.0
 
+    def test_t_bound_where_the_squared_separation_overflows(self):
+        # T = r/(sqrt(v0) + sqrt(v1) + sqrt(r)) for the separation r
+        assert hd.t_bound((0.0, 1.0), (1e200, 1.0)) == pytest.approx(
+            1e200 / (2.0 + 1e100), rel=1e-15
+        )
+        # the difference of the abscissas itself overflows: T = r/(1 + sqrt(r/2))
+        # for half the separation r
+        r = hd.t_bound((1e308, 1.0), (-1e308, 1.0))
+        assert r == pytest.approx(1e308 / (1.0 + math.sqrt(0.5e308)), rel=1e-15)
+        # increasing across the switch to the scaled form near 1.34e154
+        xs = [1e154, 1.3e154, 1.34e154, 1.35e154, 1.4e154, 1e155]
+        ts = [hd.t_bound((0.0, 1.0), (x, 1.0)) for x in xs]
+        assert ts == sorted(ts) and len(set(ts)) == len(ts)
+
     def test_domains(self):
         with pytest.raises(DomainError):
             hd.g_major(1.0, 0.0)

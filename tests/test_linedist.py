@@ -228,6 +228,13 @@ class TestOracle:
         f = hd.dist_to_line(30.0, 1.0)
         assert abs(sol.value - f.value) <= 1e-6 * max(1.0, sol.value)
 
+    def test_horizon_bound_beyond_the_squared_range(self):
+        # the lower bound at the first horizon squares a separation above
+        # 1e154; the answer itself is the far-field saturation of delta_of
+        sol = hd.oracle_dist(1e160, 1.0)
+        assert sol.branch == "oracle"
+        assert math.isfinite(sol.value) and sol.value > 0.0
+
 
 class TestBranchLaw:
     def test_winning_branch_obeys_comparison(self, rng):

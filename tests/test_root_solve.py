@@ -289,3 +289,31 @@ def test_matches_scipy_brentq(xtol):
         assert got.value.hex() == root.hex(), (kind, i)
         assert got.iterations == res.iterations, (kind, i)
         assert got.residual == abs(fn(root)), (kind, i)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [1e-9, 0.3, 3.0, 1e6, 1e40],  # the last saturates one ulp below 2*pi
+)
+def test_inversion_evaluates_no_point_twice(target):
+    seen = []
+
+    def fn(d):
+        seen.append(d)
+        return pm.cf.f_of(0.7, d)
+
+    solvers.invert_to_two_pi(fn, target, 1e-12)
+    assert len(seen) == len(set(seen))
+
+
+def test_eta_alpha_inv_evaluates_no_point_twice(monkeypatch):
+    seen = []
+    eta_alpha = ls.cf.eta_alpha
+
+    def record(alpha, t):
+        seen.append(t)
+        return eta_alpha(alpha, t)
+
+    monkeypatch.setattr(ls.cf, "eta_alpha", record)
+    ls.eta_alpha_inv(2.0, 0.5)
+    assert seen and len(seen) == len(set(seen))

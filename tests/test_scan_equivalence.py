@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hestondist as hd
+from conftest import line_objective
 from hestondist import corefuncs as cf
 from hestondist import linedist as ld
 from hestondist.solvers import SCAN_CELLS, minimize_on_interval
@@ -102,8 +103,8 @@ class TestObjectivesOnScanNodes:
     def test_nodes_straddle_small_angle(self):
         nodes = scan_nodes(*hd.vertical_bracket(0.01))
         assert nodes[0] < cf.SMALL_ANGLE < nodes[-1]
-        check_objective(ld._plus_objective(0.01, 0.0), nodes)
-        check_objective(ld._minus_objective(0.004, 0.006), nodes)
+        check_objective(line_objective(0.01, 0.0), nodes)
+        check_objective(line_objective(0.004, 0.006, minus=True), nodes)
 
     def test_coefficients(self):
         nodes = scan_nodes(1e-300, 2.0 * math.pi - 1e-9) + scan_nodes(1e-4, 0.03)
@@ -128,25 +129,25 @@ class TestObjectivesOnScanNodes:
         assert cf._s_minus_raw(beta, gamma, theta) == math.inf
         assert_same_bits(
             [cf._s_minus_raw(beta, gamma, t) for t in nodes],
-            cf._s_minus_many(beta, gamma, np.array(nodes)),
+            cf._roots_many(beta, gamma, True, np.array(nodes)),
         )
-        check_objective(ld._minus_objective(beta, gamma), nodes)
+        check_objective(line_objective(beta, gamma, minus=True), nodes)
 
     def test_clamped_negative_discriminant(self):
         beta, gamma = 2.0, 0.5
         lo = hd.eta_alpha_inv(beta, gamma)
         nodes = scan_nodes(0.5 * lo, hd.psi_inv(gamma) - 1e-9)
         assert any(cf.discriminant(beta, gamma, t) < 0.0 for t in nodes)
-        check_objective(ld._plus_objective(beta, gamma), nodes)
-        check_objective(ld._minus_objective(beta, gamma), nodes)
+        check_objective(line_objective(beta, gamma), nodes)
+        check_objective(line_objective(beta, gamma, minus=True), nodes)
 
     def test_overflow_saturates(self):
         beta, gamma = 1e300, 2e300
         nodes = scan_nodes(0.1, 3.0)
-        fn, _ = ld._plus_objective(beta, gamma)
+        fn, _ = line_objective(beta, gamma)
         assert any(fn(t) == ld._HUGE for t in nodes)
-        check_objective(ld._plus_objective(beta, gamma), nodes)
-        check_objective(ld._minus_objective(beta, gamma), nodes)
+        check_objective(line_objective(beta, gamma), nodes)
+        check_objective(line_objective(beta, gamma, minus=True), nodes)
 
     def test_root_clamps(self):
         roots = [-math.inf, -1.0, -0.0, 0.0, 0.5, 1e150, 1e160, 1e200, math.inf, math.nan]
@@ -158,7 +159,7 @@ class TestObjectivesOnScanNodes:
 
     def test_axis_node(self):
         for v_axis, beta, gamma in ((2.0, 1.0, -0.5), (0.0, 0.0, 1.5)):
-            objective = ld._with_axis(v_axis, ld._plus_objective(beta, gamma))
+            objective = line_objective(beta, gamma, axis=v_axis)
             check_objective(objective, scan_nodes(0.0, 1.5))
             assert objective[1](np.array([0.0]))[0] == ld._axis_value(v_axis)
 
@@ -209,7 +210,7 @@ class TestSearchTable:
             if beta < 0.0 or (beta == 0.0 and gamma < 0.0):
                 beta, gamma = -beta, -gamma  # dist_to_line reflects first
             intervals = ld.admissible_intervals(beta, gamma)
-            rows = ld._searches(beta, gamma)
+            rows = ld._searches(beta, gamma, {})
             assert rows[0].branch != "slanted-minus" or len(rows) == 1
             for row in rows:
                 rows_seen += 1

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 import hestondist as hd
 from hestondist import AtTheMoneyError, DomainError
+from hestondist import linedist as ld
 from hestondist.smile import SmileFailure, reduced_line
 
 # frozen vertical-line reference (see test_linedist)
@@ -95,3 +97,34 @@ class TestSmileTable:
         assert isinstance(entries[1], SmileFailure)
         assert "AtTheMoney" in entries[1].error
         assert isinstance(entries[2], hd.SmilePoint)
+
+    @pytest.mark.parametrize("failure", ["non-finite", "domain"])
+    def test_one_failing_strike(self, monkeypatch, failure):
+        # force the objective of one strike's line to fail in the scan; the
+        # batch must fail that strike alone, as iv_limit does
+        frame = hd.CorrelationFrame(1.4, -0.5)
+        strikes = [100.0 * math.exp(-0.775 + 0.05 * j) for j in range(32)]
+        broken = 21
+        target, _ = reduced_line(hd.SmileQuery(100.0, strikes[broken], 0.06, frame))
+        objective = ld._objective_many
+
+        def forced(theta, beta, gamma, minus, axis):
+            hit = np.broadcast_to(np.asarray(beta) == target, theta.shape)
+            if failure == "domain" and hit.any():
+                raise DomainError(f"forced failure at beta={target!r}")
+            return np.where(hit, math.inf, objective(theta, beta, gamma, minus, axis))
+
+        monkeypatch.setattr(ld, "_objective_many", forced)
+        entries = hd.smile_table(100.0, 0.06, frame, strikes)
+        for j, (k, entry) in enumerate(zip(strikes, entries)):
+            q = hd.SmileQuery(100.0, k, 0.06, frame)
+            if j != broken:
+                assert entry == hd.iv_limit(q)
+                continue
+            assert isinstance(entry, SmileFailure)
+            with pytest.raises(hd.HestonDistError) as exc:
+                hd.iv_limit(q)
+            assert entry.error == f"{type(exc.value).__name__}: {exc.value}"
+            assert entry.error.startswith(
+                "NonFiniteSampleError" if failure == "non-finite" else "DomainError"
+            )

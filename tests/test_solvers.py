@@ -12,6 +12,7 @@ from hestondist import (
     NonFiniteSampleError,
 )
 from hestondist.errors import ScanShapeError
+from hestondist import solvers
 from hestondist.solvers import minimize_on_interval, solve_monotone
 
 PI = math.pi
@@ -72,6 +73,18 @@ class TestSolveMonotone:
     def test_iteration_budget(self):
         with pytest.raises(ConvergenceError):
             solve_monotone(math.atan, (-1.0, 3.0), max_iter=2)
+
+    def test_known_upper_value_is_not_evaluated_again(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return math.expm1(x) - 0.7
+
+        want = solve_monotone(fn, (0.0, 2.0))
+        calls.clear()
+        assert solve_monotone(fn, (0.0, 2.0), fn_hi=fn(2.0)) == want
+        assert calls.count(2.0) == 1
 
     def test_one_evaluation_per_iteration(self):
         calls = []
@@ -215,3 +228,107 @@ class TestArrayScan:
         with pytest.raises(ScanShapeError) as exc:
             minimize_on_interval(lambda t: t, (0.0, 1.0), fn_many=fn_many)
         assert isinstance(exc.value, HestonDistError)
+
+
+def _objective_rows():
+    """Rows of (scalar objective, array form, bracket) for _minimize_rows:
+    interior, endpoint and tied minima, degenerate intervals, rejected
+    brackets, a non-finite node and an objective that raises."""
+    rows = []
+    for k in range(12):
+        c = -1.0 + 0.37 * k
+        rows.append((lambda t, c=c: (t - c) ** 2 + 0.1 * math.cos(7.0 * t),
+                     lambda ts, c=c: (ts - c) ** 2 + 0.1 * np.cos(7.0 * ts),
+                     (-2.0 + 0.1 * k, 3.0 - 0.05 * k)))
+    rows += [
+        (lambda t: t * t, lambda ts: ts * ts, (0.5, 4.0)),            # endpoint
+        (lambda t: abs(abs(t - 0.5) - 0.25),                          # tie
+         lambda ts: np.abs(np.abs(ts - 0.5) - 0.25), (0.0, 1.0)),
+        (lambda t: (t - 3.0) ** 2, lambda ts: (ts - 3.0) ** 2, (1.0, 1.0)),
+        (lambda t: t, lambda ts: ts, (2.0, 2.0 + 1e-14)),             # flat
+        (lambda t: t, lambda ts: ts, (1.0, 0.0)),                     # reversed
+        (lambda t: math.inf if t > 0.5 else t,                        # inf node
+         lambda ts: np.where(ts > 0.5, math.inf, ts), (0.0, 1.0)),
+        (lambda t: math.nan, lambda ts: np.full_like(ts, math.nan), (3.0, 3.0)),
+    ]
+
+    def raising(t):
+        raise DomainError(f"no value at {t!r}")
+
+    rows.append((raising, lambda ts: raising(float(ts.flat[0])), (0.0, 1.0)))
+    rows.append((raising, lambda ts: raising(float(ts.flat[0])), (0.25, 0.25)))
+    rows += [(lambda t: (t - 0.3) ** 4, lambda ts: (ts - 0.3) ** 4, (0.0, 2.0 ** k))
+             for k in range(-3, 9)]
+    return rows
+
+
+def _fn_rows(rows):
+    def bind(sel):
+        fns = [rows[i][1] for i in sel.tolist()]
+
+        def fn(x):
+            parts = [f(xi) for f, xi in zip(fns, x)]
+            return np.array(parts, dtype=float)
+
+        return fn
+
+    return bind
+
+
+def _result(call):
+    try:
+        rep, val = call()
+    except HestonDistError as exc:
+        return type(exc).__name__, exc.args, getattr(exc, "node_index", None)
+    return rep.value.hex(), rep.iterations, rep.residual.hex(), rep.method, val.hex()
+
+
+class TestMinimizeRows:
+    """_minimize_rows returns what minimize_on_interval returns, row by row."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.0, -1.0])
+    def test_matches_minimize_on_interval(self, tol):
+        rows = _objective_rows()
+        assert len(rows) > 2 * solvers.SCAN_BLOCK_ROWS
+        got = solvers._minimize_rows(
+            _fn_rows(rows), [r[2][0] for r in rows], [r[2][1] for r in rows], tol
+        )
+        want = [
+            _result(lambda r=r: minimize_on_interval(r[0], r[2], tol=tol, fn_many=r[1]))
+            for r in rows
+        ]
+        assert [_result(lambda g=g: _raise_or(g)) for g in got] == want
+
+    def test_non_finite_node(self):
+        rows = _objective_rows()
+        got = solvers._minimize_rows(
+            _fn_rows(rows), [r[2][0] for r in rows], [r[2][1] for r in rows]
+        )
+        err = got[17]
+        assert isinstance(err, NonFiniteSampleError)
+        assert (err.node_index, err.x, err.value) == (129, 0.50390625, math.inf)
+        assert type(err.x) is float
+
+    def test_every_scanned_row_fails(self):
+        rows = [_objective_rows()[i] for i in (17, 19)]  # inf node, raises
+        got = solvers._minimize_rows(
+            _fn_rows(rows), [r[2][0] for r in rows], [r[2][1] for r in rows]
+        )
+        assert [type(g) for g in got] == [NonFiniteSampleError, DomainError]
+
+    def test_lockstep_golden_matches_golden(self):
+        fn = lambda t: math.cos(3.0 * t) + 0.01 * t
+        fn_many = lambda ts: np.cos(3.0 * ts) + 0.01 * ts
+        a = np.array([0.0, 0.5, 1.0, 2.0, -1.0, 1e-20, 1.0])
+        b = np.array([1.0, 2.5, 1.0 + 1e-12, 3.0, 1.0, 1e-19, 1.0])
+        for max_iter in (0, 3, 200):
+            got = solvers._golden_rows(fn_many, a, b, 1e-9, max_iter)
+            for k in range(len(a)):
+                want = solvers._golden(fn, float(a[k]), float(b[k]), 1e-9, max_iter)
+                assert tuple(float(g[k]) for g in got) == tuple(map(float, want))
+
+
+def _raise_or(result):
+    if isinstance(result, Exception):
+        raise result
+    return result
