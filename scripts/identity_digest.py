@@ -185,6 +185,23 @@ def smile_and_oracle(seed: int, ladders: int, oracles: int) -> list[Section]:
     return [smile, oracle]
 
 
+def correlated(seed: int, n: int, oracles: int) -> Section:
+    """The correlated model: point distances, line distances through the
+    shared reduction and the brute-force oracle on the first lines."""
+    rng = random.Random(f"{seed}-correlated")
+    sec = Section("correlated")
+    for i in range(n):
+        frame = hd.CorrelationFrame(_mag(rng, -1, 0.5), rng.uniform(-0.95, 0.95))
+        p0 = (_sign(rng) * _mag(rng, -2, 1), _mag(rng, -2, 1))
+        p1 = (_sign(rng) * _mag(rng, -2, 1), rng.choice((0.0, _mag(rng, -2, 1))))
+        sec.record(hd.dist_correlated, frame, p0, p1)
+        beta, gamma = _sign(rng) * _mag(rng, -2, 1), _sign(rng) * _mag(rng, -2, 1)
+        sec.record(hd.dist_to_line_correlated, frame, p0, beta, gamma)
+        if i < oracles:
+            sec.record(hd.oracle_dist_correlated, frame, p0, beta, gamma)
+    return sec
+
+
 def cli() -> Section:
     sec = Section("cli")
 
@@ -209,6 +226,7 @@ def main() -> int:
         inverse_maps(args.seed, 300),
         intersections(args.seed, 1500),
         *smile_and_oracle(args.seed, 8, 40),
+        correlated(args.seed, 500, 10),
         cli(),
     ]
     for sec in sections:

@@ -584,12 +584,12 @@ def t_bound(p0: tuple[float, float], p1: tuple[float, float]) -> float:
     x1, v1 = p1
     if not (v0 >= 0.0 and v1 >= 0.0):
         raise DomainError("points must have v >= 0")
+    if not all(map(math.isfinite, (x0, v0, x1, v1))):
+        raise DomainError(f"coordinates must be finite, got {p0!r}, {p1!r}")
     try:
         rho2 = (x0 - x1) ** 2 + (v0 - v1) ** 2
     except OverflowError:
         rho2 = math.inf
-    if math.isnan(rho2):
-        raise DomainError(f"coordinates must be numbers, got {p0!r}, {p1!r}")
     if rho2 == 0.0:
         return 0.0
     if rho2 == math.inf:

@@ -63,13 +63,13 @@ import numpy as np
 from . import corefuncs as cf
 from . import levelsets as ls
 from .corefuncs import LineParams
-from .errors import DomainError, HestonDistError
+from .errors import ConvergenceError, DomainError, HestonDistError
 from .pointmetric import (
     CorrelationFrame,
     ManifoldPoint,
     _dist_base_grid,
     delta_of,
-    dist,
+    dist_correlated,
 )
 from .solution import DistanceSolution
 from .solvers import RowObjective, SolveReport, _minimize_rows, minimize_on_interval
@@ -342,7 +342,8 @@ def _searches(
             if beta > half_pi and gamma > half_pi + 2.0 / (2.0 * beta - math.pi):
                 # the minus branch provably cannot win here
                 return [plus(lo, max(psi_inv(beta), lo))]
-            cap = ls.theta_crit(beta, gamma)
+            # theta_crit is psi_inv(beta) beyond pi/2: take it from the memo
+            cap = psi_inv(beta) if beta > half_pi else ls.theta_crit(beta, gamma)
             return [
                 plus(lo, max(min(psi_inv(beta), cap), lo)),
                 minus(lo, max(min(_clip_below(psi_inv(gamma)), cap), lo)),
@@ -558,67 +559,70 @@ def dist_to_line_correlated(
     """Distance from an arbitrary point p0 (with v0 > 0) to the line under
     the correlated-model metric, by reduction to the uncorrelated base
     problem."""
-    x0, v0 = p0
-    if not v0 > 0.0:
-        raise DomainError("the source point must have v0 > 0")
-    root = math.sqrt(1.0 - frame.rho**2)
-    xi_ = (frame.c * beta - frame.c * x0 + frame.rho * v0) / (v0 * root)
-    eta_ = (frame.c * gamma - frame.rho) / root
-    return math.sqrt(v0) / frame.c * dist_to_line(xi_, eta_, tol=tol).value
+    xi, eta, scale = frame._reduce_line(p0, beta, gamma)
+    return scale * dist_to_line(xi, eta, tol=tol).value
 
 
 # ---------------------------------------------------------------------------
 # brute-force references
 # ---------------------------------------------------------------------------
 
+# The oracle scans _ORACLE_CELLS + 1 nodes of v in [0, horizon], from
+# _ORACLE_HORIZON on, doubling the horizon at most _ORACLE_DOUBLINGS times
+# until t_bound there rules out everything beyond it.
+_ORACLE_CELLS = 4096
+_ORACLE_HORIZON = 16.0
+_ORACLE_DOUBLINGS = 20
 
-def _grid_scan(
-    point_dist: Callable[[np.ndarray], np.ndarray],
-    lower_bound_at: Callable[[float], float],
-    cells: int,
-    v_max: float,
-    doublings: int,
-) -> tuple[float, float, float]:
-    """Scan v in [0, v_max] (growing v_max until the certified lower bound
-    at the far end dominates the incumbent); returns (v_best, d_best, step)."""
-    for _ in range(doublings + 1):
-        vs = np.linspace(0.0, v_max, cells + 1)
-        ds = point_dist(vs)
+
+def _oracle(
+    frame: CorrelationFrame, p0: tuple[float, float], beta: float, gamma: float
+) -> tuple[SolveReport, float]:
+    """Formula-free distance from p0 (v0 > 0) to the line x = beta + gamma*v
+    under the frame's metric, and the report whose value is the v of the
+    argmin: point distances on a v-grid, the horizon doubled until the
+    two-sided lower bound certifies it, then golden refinement around the
+    best node.  Every point is sheared on its own; the line reduction of
+    dist_to_line_correlated, which this referees, is not used."""
+    x0, v0 = p0
+    if not v0 > 0.0:
+        raise DomainError("the source point must have v0 > 0")
+    sx0, _ = frame.shear(x0, v0)
+    scale = math.sqrt(v0) / frame.c
+    horizon = _ORACLE_HORIZON
+    for _ in range(_ORACLE_DOUBLINGS + 1):
+        vs = np.linspace(0.0, horizon, _ORACLE_CELLS + 1)
+        sxs, _ = frame.shear(beta + gamma * vs, vs)
+        # base-point reduction of the sheared pairs
+        ds = scale * _dist_base_grid((sxs - sx0) / v0, vs / v0)
         i = int(np.argmin(ds))
-        if lower_bound_at(v_max) > ds[i]:
-            return float(vs[i]), float(ds[i]), v_max / cells
-        v_max *= 2.0
-    return float(vs[i]), float(ds[i]), v_max / (2.0 * cells)
-
-
-def oracle_dist(
-    beta: float,
-    gamma: float,
-    cells: int = 4096,
-    v_max: float = 16.0,
-    doublings: int = 20,
-    tol: float = 1e-9,
-) -> DistanceSolution:
-    """Formula-free reference distance to the line: dense v-grid of point
-    distances, horizon grown until the two-sided lower bound rules out
-    anything beyond it, then golden refinement around the best node."""
-
-    def point_dist(vs: np.ndarray) -> np.ndarray:
-        return _dist_base_grid(beta + gamma * vs, vs)
-
-    def lower_bound_at(v: float) -> float:
-        return cf.t_bound((0.0, 1.0), (beta + gamma * v, v))
-
-    v_best, d_best, step = _grid_scan(point_dist, lower_bound_at, cells, v_max, doublings)
-    lo = max(0.0, v_best - step)
-    hi = v_best + step
+        v_best, d_best = float(vs[i]), float(ds[i])
+        sx, _ = frame.shear(beta + gamma * horizon, horizon)
+        if cf.t_bound((sx0, v0), (sx, horizon)) / frame.c > d_best:
+            break
+        horizon *= 2.0
+    else:
+        raise ConvergenceError(
+            f"oracle horizon not certified by v = {0.5 * horizon!r} for the "
+            f"line ({beta!r}, {gamma!r})"
+        )
+    step = horizon / _ORACLE_CELLS
     report, value = minimize_on_interval(
-        lambda v: dist((0.0, 1.0), (beta + gamma * v, v)), (lo, hi), tol=tol,
+        lambda v: dist_correlated(frame, p0, (beta + gamma * v, v)),
+        (max(0.0, v_best - step), v_best + step),
+        tol=1e-9,
         scan_cells=32,
     )
     if d_best < value:
         report = SolveReport(v_best, report.iterations, report.residual, "grid-refine")
         value = d_best
+    return report, value
+
+
+def oracle_dist(beta: float, gamma: float) -> DistanceSolution:
+    """Formula-free reference distance from (0, 1) to the line; raises
+    ConvergenceError where the grid horizon cannot be certified."""
+    report, value = _oracle(CorrelationFrame(1.0, 0.0), (0.0, 1.0), beta, gamma)
     v_star = report.value
     return DistanceSolution(
         value=value,
@@ -635,41 +639,8 @@ def oracle_dist_correlated(
     p0: tuple[float, float],
     beta: float,
     gamma: float,
-    cells: int = 4096,
-    v_max: float = 16.0,
-    doublings: int = 20,
-    tol: float = 1e-9,
 ) -> float:
     """Brute-force distance from p0 to the line under the correlated
-    metric: grid-and-refine over v of the correlated point distance."""
-    x0, v0 = p0
-    if not v0 > 0.0:
-        raise DomainError("the source point must have v0 > 0")
-    root = math.sqrt(1.0 - frame.rho**2)
-    sx0 = (frame.c * x0 - frame.rho * v0) / root
-
-    def point_dist(vs: np.ndarray) -> np.ndarray:
-        xs = beta + gamma * vs
-        sxs = (frame.c * xs - frame.rho * vs) / root
-        # base-point reduction of the sheared pair, vectorized
-        return (
-            math.sqrt(v0) / frame.c * _dist_base_grid((sxs - sx0) / v0, vs / v0)
-        )
-
-    def lower_bound_at(v: float) -> float:
-        x = beta + gamma * v
-        sx = (frame.c * x - frame.rho * v) / root
-        return cf.t_bound((sx0, v0), (sx, v)) / frame.c
-
-    from .pointmetric import dist_correlated
-
-    v_best, d_best, step = _grid_scan(point_dist, lower_bound_at, cells, v_max, doublings)
-    lo = max(0.0, v_best - step)
-    hi = v_best + step
-    _, value = minimize_on_interval(
-        lambda v: dist_correlated(frame, p0, (beta + gamma * v, v)),
-        (lo, hi),
-        tol=tol,
-        scan_cells=32,
-    )
-    return min(value, d_best)
+    metric; raises ConvergenceError where the grid horizon cannot be
+    certified."""
+    return _oracle(frame, p0, beta, gamma)[1]

@@ -13,7 +13,8 @@ scaling identities
 swapping the points first if only v1 is off the boundary.  The correlated
 model with vol-of-vol c and correlation rho reduces to the uncorrelated one
 through the shear (x, v) -> ((c*x - rho*v)/sqrt(1-rho^2), v) and division
-by c.
+by c; CorrelationFrame holds this reduction, for points and for lines,
+and no other module computes sqrt(1-rho^2).
 
 The inner form (sqrt(v)-1)^2 + 4 sqrt(v) sin(delta/4)^2 is a sum of two
 nonnegative terms and avoids the subtractive cancellation of the raw
@@ -68,10 +69,30 @@ class CorrelationFrame:
         if not (-1.0 < self.rho < 1.0):
             raise DomainError(f"correlation must lie in (-1, 1), got {self.rho!r}")
 
-    def shear(self, x: float, v: float) -> tuple[float, float]:
-        """Map a point of the correlated model into the uncorrelated one."""
-        root = math.sqrt(1.0 - self.rho * self.rho)
-        return (self.c * x - self.rho * v) / root, v
+    def shear(
+        self, x: float | np.ndarray, v: float | np.ndarray
+    ) -> tuple[float | np.ndarray, float | np.ndarray]:
+        """Map a point of the correlated model into the uncorrelated one;
+        x and v may be floats or numpy arrays."""
+        return (self.c * x - self.rho * v) / self._root(), v
+
+    def _root(self) -> float:
+        return math.sqrt(1.0 - self.rho * self.rho)
+
+    def _reduce_line(
+        self, p0: tuple[float, float], beta: float, gamma: float
+    ) -> tuple[float, float, float]:
+        """(xi, eta, scale) with the correlated distance from p0 (v0 > 0)
+        to the line x = beta + gamma*v equal to scale times the base
+        distance from (0, 1) to the line x = xi + eta*v: shear, translate
+        p0 to the axis and divide by v0, so scale = sqrt(v0)/c."""
+        x0, v0 = p0
+        if not v0 > 0.0:
+            raise DomainError("the source point must have v0 > 0")
+        root = self._root()
+        xi = (self.c * beta - self.c * x0 + self.rho * v0) / (v0 * root)
+        eta = (self.c * gamma - self.rho) / root
+        return xi, eta, math.sqrt(v0) / self.c
 
 
 def delta_of(x: float, v: float) -> float:

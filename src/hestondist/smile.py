@@ -7,13 +7,15 @@ volatility equals
 
 where Dhat is the distance from (0, 1) to the line with
 
-    beta  = c*log(K/S0)/(v0*sqrt(1-rho^2)) + rho/sqrt(1-rho^2),
+    beta  = (c*log(K/S0) + rho*v0)/(v0*sqrt(1-rho^2)),
     gamma = -rho/sqrt(1-rho^2)
 
-in the uncorrelated base geometry.  At-the-money queries are rejected: the
-limit is qualitatively different there and out of scope.  The validity
-conditions of the underlying asymptotic formula itself are a literature
-question; this module computes its right-hand side unconditionally.
+in the uncorrelated base geometry: CorrelationFrame's reduction of the
+vertical line x = log(K/S0) seen from (0, v0).  At-the-money queries are
+rejected: the limit is qualitatively different there and out of scope.
+The validity conditions of the underlying asymptotic formula itself are a
+literature question; this module computes its right-hand side
+unconditionally.
 
 All strikes of a smile share gamma, so smile_table solves the reduced
 lines of a ladder as one batch (linedist._solve_many), which minimizes
@@ -76,12 +78,10 @@ class SmileFailure:
 
 
 def reduced_line(q: SmileQuery) -> tuple[float, float]:
-    """(beta, gamma) of the base-geometry line encoding the query."""
-    rho = q.frame.rho
-    root = math.sqrt(1.0 - rho * rho)
+    """(beta, gamma) of the base-geometry line encoding the query: the
+    correlated model's line x = log(K/S0) seen from (0, v0)."""
     m = math.log(q.strike / q.spot)
-    beta = q.frame.c * m / (q.v0 * root) + rho / root
-    gamma = -rho / root + 0.0  # normalizes -0.0 when rho == 0
+    beta, gamma, _ = q.frame._reduce_line((0.0, q.v0), m, 0.0)
     return beta, gamma
 
 

@@ -138,6 +138,22 @@ def test_ladder_shares_psi_inv_through_the_bindings(monkeypatch, batch):
     assert len(set(calls["psi_inv"])) == len(calls["psi_inv"])
 
 
+def test_theta_crit_cap_comes_from_the_memo(monkeypatch):
+    # gamma > beta > pi/2 below the plus-only cutoff: theta_crit equals
+    # psi_inv(beta) there, so each psi_inv argument is solved once
+    calls = []
+    original = ld.ls.psi_inv
+
+    def record(y):
+        calls.append(y)
+        return original(y)
+
+    monkeypatch.setattr(ld.ls, "psi_inv", record)
+    plus, minus = ld._searches(2.0, 3.0, {})
+    assert sorted(calls) == [2.0, 3.0]
+    assert plus.hi == minus.hi == original(2.0)
+
+
 @pytest.mark.parametrize("rho", [0.0, -0.6, 0.45, -0.95])
 def test_ladders_match_iv_limit(rho):
     frame = hd.CorrelationFrame(1.3, rho)

@@ -311,6 +311,11 @@ class TestBounds:
         with pytest.raises(DomainError):
             hd.t_bound((0.0, -1.0), (0.0, 1.0))
 
+    @pytest.mark.parametrize("p1", [(math.inf, 1.0), (0.0, math.inf)])
+    def test_t_bound_rejects_infinite_coordinates(self, p1):
+        with pytest.raises(DomainError):
+            hd.t_bound((0.0, 1.0), p1)
+
 
 def below(t):
     """The largest double below t: the last angle of the series form."""

@@ -4,12 +4,13 @@ import pytest
 
 import hestondist as hd
 from conftest import VERTICAL_VARIANTS, vertical_variant_bracket, vertical_variant_distance
-from hestondist import DomainError
+from hestondist import ConvergenceError, DomainError
 
 PI = math.pi
 BASE = (0.0, 1.0)
 
-# reference values computed once with oracle_dist (cells=8192, tol=1e-12)
+# reference values computed once with oracle_dist as of commit 133a571,
+# called with cells=8192 and tol=1e-12 (tuning arguments it had then)
 DHAT_1_0 = 0.965128520259887
 DHAT_2_3 = 3.236616925604146
 
@@ -176,7 +177,10 @@ class TestCorrelatedLine:
         frame = hd.CorrelationFrame(1.0, 0.0)
         for beta, gamma in ((1.0, 0.0), (0.5, 2.0), (2.0, -0.5)):
             assert hd.dist_to_line_correlated(frame, BASE, beta, gamma) == (
-                pytest.approx(hd.dist_to_line(beta, gamma).value, rel=1e-12)
+                hd.dist_to_line(beta, gamma).value
+            )
+            assert hd.oracle_dist_correlated(frame, BASE, beta, gamma) == (
+                hd.oracle_dist(beta, gamma).value
             )
 
     def test_membership_preserved(self, rng):
@@ -223,10 +227,18 @@ class TestOracle:
         assert hd.dist(BASE, sol.argmin) == pytest.approx(sol.value, abs=1e-9)
 
     def test_far_minimizer_horizon_growth(self):
-        # the minimizer for a steep far line sits beyond the initial horizon
-        sol = hd.oracle_dist(30.0, 1.0, v_max=4.0)
-        f = hd.dist_to_line(30.0, 1.0)
+        # the minimizer (v = 21.2) sits beyond the initial horizon v = 16
+        sol = hd.oracle_dist(100.0, 1.0)
+        f = hd.dist_to_line(100.0, 1.0)
+        assert sol.argmin.v > 16.0
         assert abs(sol.value - f.value) <= 1e-6 * max(1.0, sol.value)
+
+    @pytest.mark.parametrize("beta", [1e7, 1e9])
+    def test_uncertified_horizon_raises(self, beta):
+        # t_bound certifies no horizon up to the last one, v = 16*2^20; for
+        # 1e9 the argmin itself (v ~ 0.64*beta) lies beyond it
+        with pytest.raises(ConvergenceError):
+            hd.oracle_dist(beta, 0.0)
 
     def test_horizon_bound_beyond_the_squared_range(self):
         # the lower bound at the first horizon squares a separation above
