@@ -570,11 +570,36 @@ def h_lower(x: float, v: float) -> float:
     if not v >= 0.0:
         raise DomainError(f"v must be nonnegative, got {v!r}")
     bulk = v + math.sqrt(v) + 1.0
-    knee = (math.pi**3 / 12.0) * bulk
-    if x <= knee:
-        return 12.0 * x / (math.pi**2 * bulk)
+    if x <= _KNEE * bulk:
+        return _h_lower_below_knee(x, bulk)
+    return _h_lower_above_knee(x, bulk)
+
+
+# g_major's knee delta = pi, as an abscissa over v + sqrt(v) + 1
+_KNEE = math.pi**3 / 12.0
+
+
+def _h_lower_below_knee(x, bulk):
+    return 12.0 * x / (math.pi**2 * bulk)
+
+
+def _h_lower_above_knee(x, bulk):
     # factored so the inner ratio cannot overflow for representable inputs
     return TWO_PI - math.pi**1.6 * (bulk / (12.0 * x)) ** 0.2
+
+
+def _h_lower_many(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """h_lower on arrays with x > 0 and v >= 0, unchecked: each branch on
+    its own lanes, so neither overflows on the other's.  numpy's ** may
+    differ from libm's pow by an ulp, so a lane above the knee may differ
+    from the scalar bound by that much."""
+    bulk = v + np.sqrt(v) + 1.0
+    below = x <= _KNEE * bulk
+    out = np.empty_like(x)
+    out[below] = _h_lower_below_knee(x[below], bulk[below])
+    above = ~below
+    out[above] = _h_lower_above_knee(x[above], bulk[above])
+    return out
 
 
 def t_bound(p0: tuple[float, float], p1: tuple[float, float]) -> float:

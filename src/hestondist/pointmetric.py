@@ -31,9 +31,11 @@ import numpy as np
 
 from . import corefuncs as cf
 from .errors import BoundaryPairError, DomainError
-from .solvers import invert_to_two_pi
+from .solvers import _invert_to_two_pi_rows, arc_index_tol, invert_to_two_pi
 
-_UPPER_STEP_CAP = 200
+# the lower end of the arc-index bracket is h_lower clipped to these
+_LO_MIN = 5e-324
+_LO_MAX = cf.TWO_PI * (1.0 - 1e-16)
 
 
 class ManifoldPoint(NamedTuple):
@@ -101,7 +103,9 @@ def delta_of(x: float, v: float) -> float:
 
     sign(delta) = sign(x).  The root bracket starts at the certified lower
     bound h_lower and is tightened toward 2*pi from the right by geometric
-    halving (solvers.invert_to_two_pi).
+    halving (solvers.invert_to_two_pi); the solve stops at
+    solvers.arc_index_tol of that lower end, so small indices are solved to
+    relative precision.
     """
     if not v >= 0.0:
         raise DomainError(f"v must be nonnegative, got {v!r}")
@@ -109,11 +113,15 @@ def delta_of(x: float, v: float) -> float:
         return 0.0
     sign = 1.0 if x > 0.0 else -1.0
     xa = abs(x)
-    lo = min(max(cf.h_lower(xa, v), 5e-324), cf.TWO_PI * (1.0 - 1e-16))
-    if cf.f_of(v, lo) > xa:
+    lo = min(max(cf.h_lower(xa, v), _LO_MIN), _LO_MAX)
+    f_lo = cf.f_of(v, lo)
+    if f_lo > xa:
         # the certified bound can only fail by rounding; back off
         lo *= 0.5
-    return sign * invert_to_two_pi(lambda d: cf.f_of(v, d), xa, lo)
+        f_lo = cf.f_of(v, lo)
+    return sign * invert_to_two_pi(
+        lambda d: cf.f_of(v, d), xa, lo, tol=arc_index_tol(lo), fn_lo=f_lo
+    )
 
 
 def _dist_base(x: float, v: float) -> float:
@@ -186,58 +194,54 @@ def from_delta(d: tuple[float, float]) -> ManifoldPoint:
 # ---------------------------------------------------------------------------
 #
 # The brute-force references evaluate the base distance on thousands of
-# points; a fixed-count vector bisection on numpy arrays keeps them cheap.
+# points.  _delta_grid is delta_of on arrays: the same bracket, back-off,
+# march toward 2*pi and Brent solve, run on every point in lockstep
+# (solvers._invert_to_two_pi_rows), with _f_arr for f_of.
 
 
 def _f_arr(v: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Vectorized f_of for d > 0, with the same underflow-free small-angle
-    branch as the scalar version."""
+    branch as the scalar version, evaluated on the small lanes only.
+    numpy squares by multiplying where Python's ** calls libm's pow, so a
+    value may differ from f_of by an ulp."""
     s = np.sqrt(v)
-    t2 = d * d
-    sr = cf._sin_half_r(t2)
-    qr = cf._sin_quarter_r(t2)
-    p3 = cf._p_r3(t2)
-    series = d * ((s - 1.0) ** 2 * p3 + 4.0 * s * qr * qr * (1.0 + 2.0 * sr)) / (
-        2.0 * sr * sr
-    )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sh = np.sin(0.5 * d)
         q4 = np.sin(0.25 * d)
         num = (s - 1.0) ** 2 * (d - np.sin(d)) + 4.0 * s * q4 * q4 * (d + 2.0 * sh)
-        direct = num / (2.0 * sh * sh)
-    return np.where(np.abs(d) < cf.SMALL_ANGLE, series, direct)
+        out = num / (2.0 * sh * sh)
+    small = np.flatnonzero(d < cf.SMALL_ANGLE)
+    if small.size:
+        s, d = s[small], d[small]
+        t2 = d * d
+        sr = cf._sin_half_r(t2)
+        qr = cf._sin_quarter_r(t2)
+        p3 = cf._p_r3(t2)
+        out[small] = d * (
+            (s - 1.0) ** 2 * p3 + 4.0 * s * qr * qr * (1.0 + 2.0 * sr)
+        ) / (2.0 * sr * sr)
+    return out
 
 
-def _delta_grid(x: np.ndarray, v: np.ndarray, iters: int = 90) -> np.ndarray:
-    """Vectorized arc-index solve for x >= 0 (elementwise bisection)."""
+def _delta_grid(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """delta_of on arrays with x >= 0, v >= 0 (unchecked)."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    pos = x > 0.0
-    out = np.zeros_like(x)
-    if not np.any(pos):
-        return out
-    xp, vp = x[pos], v[pos]
-    bulk = vp + np.sqrt(vp) + 1.0
-    knee = (math.pi**3 / 12.0) * bulk
-    lo = np.where(
-        xp <= knee,
-        12.0 * xp / (math.pi**2 * bulk),
-        cf.TWO_PI - (math.pi**8 * bulk / (12.0 * xp)) ** 0.2,
+    axis = x == 0.0
+    if axis.any():
+        # the index is 0 on the axis; those lanes solve a stand-in target
+        x = np.where(axis, 1.0, x)
+    lo = np.clip(cf._h_lower_many(x, v), _LO_MIN, _LO_MAX)
+    f_lo = _f_arr(v, lo)
+    back = np.flatnonzero(f_lo > x)
+    if back.size:
+        lo[back] *= 0.5
+        f_lo[back] = _f_arr(v[back], lo[back])
+    d = _invert_to_two_pi_rows(
+        lambda rows: lambda t: _f_arr(v[rows], t), x, lo, arc_index_tol(lo), f_lo
     )
-    lo = lo * 0.5  # certified bound stays a bound after halving; adds margin
-    hi = cf.TWO_PI - 0.5 * (cf.TWO_PI - lo)
-    for _ in range(_UPPER_STEP_CAP):
-        need = _f_arr(vp, hi) < xp
-        if not np.any(need):
-            break
-        hi = np.where(need, cf.TWO_PI - 0.5 * (cf.TWO_PI - hi), hi)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = _f_arr(vp, mid) < xp
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out[pos] = 0.5 * (lo + hi)
-    return out
+    d[axis] = 0.0
+    return d
 
 
 def _dist_base_grid(x: np.ndarray, v: np.ndarray) -> np.ndarray:

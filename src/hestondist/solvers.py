@@ -8,7 +8,9 @@ interior critical-point structure is only known empirically.
 ``invert_to_two_pi`` inverts an increasing function of an angle in
 (0, 2*pi) (the arc index and the psi and eta maps): it grows the root
 bracket toward 2*pi, saturates one ulp below 2*pi when the target is out of
-reach, and otherwise solves to ``INDEX_TOL``.
+reach, and otherwise solves to ``INDEX_TOL`` (the psi and eta maps) or to
+``arc_index_tol`` of the bracket's lower end (the arc index, whose small
+values need a relative stop).
 
 The root solve is a pure-Python port of SciPy's ``brentq.c``: it visits the
 same iterates and reports the same iteration count as
@@ -29,6 +31,14 @@ array call per golden-section step, with per-lane masks and the
 arithmetic of ``_golden``.  Errors stay per row.  The lockstep step costs
 numpy call overhead whatever the number of rows, so it pays only for many
 rows; the line solver uses it from ``linedist.BATCH_MIN_ROWS`` rows on.
+
+Beside the lockstep golden section, ``_brent_rows`` runs ``_brent`` on
+many lanes at once and ``_invert_to_two_pi_rows`` runs
+``invert_to_two_pi`` on them; each returns, lane for lane, what its scalar
+form returns, bit for bit, given array objectives that agree with the
+scalar ones.  A lane leaves as soon as it meets its stop test, and the live
+lanes are compacted, so a finished lane costs nothing.  The oracles' array
+arc index (``pointmetric._delta_grid``) is built on them.
 """
 
 from __future__ import annotations
@@ -51,7 +61,11 @@ from .errors import (
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 ROOT_TOL = 1e-12
-INDEX_TOL = 1e-13  # absolute tolerance of every angle-index inversion
+INDEX_TOL = 1e-13  # absolute tolerance of the line-map inversions
+# Smallest stop width of the arc-index solve: about 20 subnormal ulps.  At
+# 5e-324 Brent's half-width (xtol + rtol*|x|)/2 rounds to 0 on a subnormal
+# root, and the solve could never stop.
+_TOL_FLOOR = 1e-322
 _RTOL = 4.0 * math.ulp(1.0)  # brentq's smallest admissible rtol
 MIN_TOL = 1e-9
 SCAN_CELLS = 256
@@ -82,6 +96,7 @@ def solve_monotone(
     max_iter: int = 200,
     *,
     fn_hi: float | None = None,
+    fn_lo: float | None = None,
 ) -> SolveReport:
     """Find the argument where a monotone function attains ``target``.
 
@@ -94,15 +109,15 @@ def solve_monotone(
     value of fn inside the bracket or an exhausted iteration budget raises
     ConvergenceError.  Deterministic for identical inputs.
 
-    ``fn_hi``, when given, is fn(hi) as the caller already has it; fn is
-    then not evaluated at hi again.
+    ``fn_hi`` and ``fn_lo``, when given, are fn(hi) and fn(lo) as the
+    caller already has them; fn is then not evaluated at that end again.
     """
     lo, hi = bracket
     if not (lo < hi):
         raise BracketError(f"bracket must have lo < hi, got [{lo!r}, {hi!r}]")
     if not tol > 0.0:
         raise DomainError(f"root tolerance must be positive, got {tol!r}")
-    flo = fn(lo) - target
+    flo = (fn(lo) if fn_lo is None else fn_lo) - target
     fhi = (fn(hi) if fn_hi is None else fn_hi) - target
     if not (math.isfinite(flo) and math.isfinite(fhi)):
         raise BracketError("function is not finite at the bracket endpoints")
@@ -239,17 +254,22 @@ def _golden(
 
 
 def invert_to_two_pi(
-    fn: Callable[[float], float], target: float, lo: float
+    fn: Callable[[float], float],
+    target: float,
+    lo: float,
+    *,
+    tol: float = INDEX_TOL,
+    fn_lo: float | None = None,
 ) -> float:
     """The angle in (lo, 2*pi) where an increasing fn reaches target, given
     fn(lo) <= target.
 
     Marches from lo toward 2*pi, halving the gap, until fn reaches target,
-    then solves on [lo, hi] to INDEX_TOL, handing the march's last value
-    fn(hi) to the solve.  Returns the largest double below 2*pi when the
-    target is out of reach at double resolution; the gap shrinks to one ulp
-    of 2*pi within about 54 halvings, so the step budget is never
-    exhausted."""
+    then solves on [lo, hi] to ``tol``, handing the march's last value
+    fn(hi), and ``fn_lo`` = fn(lo) where the caller has it, to the solve.
+    Returns the largest double below 2*pi when the target is out of reach
+    at double resolution; the gap shrinks to one ulp of 2*pi within about
+    54 halvings, so the step budget is never exhausted."""
     cap = math.nextafter(math.tau, 0.0)  # math.tau == corefuncs.TWO_PI
     hi = lo
     for _ in range(_GROW_STEPS):
@@ -267,8 +287,18 @@ def invert_to_two_pi(
     if f_hi < target:
         return hi  # saturated one ulp below 2*pi
     return solve_monotone(
-        fn, (lo, hi), target=target, tol=INDEX_TOL, fn_hi=f_hi
+        fn, (lo, hi), target=target, tol=tol, fn_hi=f_hi, fn_lo=fn_lo
     ).value
+
+
+def arc_index_tol(lo: float | np.ndarray) -> float | np.ndarray:
+    """Stop width of the arc-index solve whose certified lower end is lo,
+    a float or an array of them: INDEX_TOL scaled down by lo below 1, so
+    that a small index is solved to relative rather than absolute
+    precision, and floored at _TOL_FLOOR."""
+    if isinstance(lo, np.ndarray):
+        return np.maximum(INDEX_TOL * np.minimum(lo, 1.0), _TOL_FLOOR)
+    return max(INDEX_TOL * min(lo, 1.0), _TOL_FLOOR)
 
 
 def _is_degenerate(lo: float, hi: float, tol: float) -> bool:
@@ -382,7 +412,11 @@ def _scan_nodes(lo, hi, h, n: int) -> np.ndarray:
 # 4-row blocks ran a third slower.
 SCAN_BLOCK_ROWS = 16
 
-RowObjective = Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
+# Binds the objective of a selection of rows: an index array, or slice(None)
+# (_EVERY) for every row, so that the lockstep root solves can index the
+# rows' parameters as views while no lane has left.
+RowObjective = Callable[[np.ndarray | slice], Callable[[np.ndarray], np.ndarray]]
+_EVERY = slice(None)
 
 
 def _minimize_rows(
@@ -536,3 +570,224 @@ def _golden_rows(
         c, d = np.where(left, x, kept), np.where(left, kept, x)
         fc, fd = np.where(left, fx, f_kept), np.where(left, f_kept, fx)
         it += 1
+
+
+# ---------------------------------------------------------------------------
+# many root solves at once
+# ---------------------------------------------------------------------------
+
+
+def _brent_rows(
+    fn_rows: RowObjective,
+    x: np.ndarray,
+    f: np.ndarray,
+    xtol: np.ndarray,
+    rtol: float,
+    maxiter: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_brent on every lane at once, bit for bit; returns the arrays (root,
+    f(root), iterations).
+
+    ``x`` and ``f`` have one column per lane and three rows: the points
+    pre, cur, blk and their function values.  Rows 0 and 1 hold _brent's
+    xpre, xcur and fpre, fcur; row 2 is work space.  _brent_rows takes
+    both arrays over and overwrites them.  ``fn_rows(lanes)`` maps one
+    point per selected lane to those lanes' function values, and ``xtol``
+    holds every lane's own absolute tolerance.
+
+    Every step moves every live lane as _brent would, with one array call
+    of the function.  A lane leaves at the step where _brent returns, and
+    the live lanes are compacted in place, so a finished lane costs
+    nothing more; its result is kept from the step it leaves on.  A NaN
+    value on any lane, or a lane still live after maxiter steps, raises
+    the ConvergenceError that _brent raises for that lane."""
+    n = x.shape[1]
+    left = []  # (lanes, root, f(root), iterations) of every lane that left
+    lanes = _EVERY  # the live lanes; an index array once one has left
+    x[2] = f[2] = 0.0
+    s = np.zeros((2, n))  # the steps spre, scur
+    tol = np.asarray(xtol, dtype=float)
+    for it in range(1, maxiter + 1):
+        # a sign change between pre and cur makes pre the new blk; then
+        # pre, cur, blk = cur, blk, cur where blk has the smaller value
+        flip = (f[0] != 0.0) & (f[1] != 0.0) & (np.signbit(f[0]) != np.signbit(f[1]))
+        np.copyto(x[2], x[0], where=flip)
+        np.copyto(f[2], f[0], where=flip)
+        np.copyto(s, x[1] - x[0], where=flip)
+        swap = np.abs(f[2]) < np.abs(f[1])
+        _rotate(x, swap)
+        _rotate(f, swap)
+
+        delta = (tol + rtol * np.abs(x[1])) / 2
+        sbis = (x[2] - x[1]) / 2
+        done = (f[1] == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            gone, live = np.flatnonzero(done), np.flatnonzero(~done)
+            if lanes is not _EVERY:
+                gone = lanes[gone]
+            left.append((gone, x[1, done], f[1, done], it))
+            if not live.size:
+                return _scatter(left, n)
+            lanes = live if lanes is _EVERY else lanes[live]
+            tol, delta, sbis = tol[live], delta[live], sbis[live]
+            x, f, s = (_compact(a, live) for a in (x, f, s))
+
+        _brent_step(x, f, s, delta, sbis)
+        f[1] = fn_rows(lanes)(x[1])
+        nan = np.isnan(f[1])
+        if nan.any():
+            raise ConvergenceError(
+                "root solve met a NaN function value at "
+                f"x={float(x[1, nan.argmax()])!r}"
+            )
+    raise ConvergenceError(
+        f"root solve did not converge in {maxiter} iterations; "
+        f"best bracket around {float(x[1, 0])!r}"
+    )
+
+
+def _compact(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The columns keep of rows, moved to its front in place, one row at a
+    time so that no copy of the whole state is made; returns the view."""
+    for row in rows:
+        row[:keep.size] = row[keep]
+    return rows[:, :keep.size]
+
+
+def _rotate(rows: np.ndarray, where: np.ndarray) -> None:
+    """pre, cur, blk = cur, blk, cur on the lanes where ``where`` holds,
+    in place: rows are pre, cur, blk."""
+    cur = rows[1].copy()
+    np.copyto(rows[0], cur, where=where)
+    np.copyto(rows[1], rows[2], where=where)
+    np.copyto(rows[2], cur, where=where)
+
+
+def _scatter(
+    left: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_brent_rows' results in lane order."""
+    root, froot = np.empty(n), np.empty(n)
+    iters = np.empty(n, dtype=np.int64)
+    for lanes, x, fx, it in left:
+        root[lanes], froot[lanes], iters[lanes] = x, fx, it
+    return root, froot, iters
+
+
+def _brent_step(
+    x: np.ndarray, f: np.ndarray, s: np.ndarray, delta: np.ndarray, sbis: np.ndarray
+) -> None:
+    """One step of _brent on every lane, in place: choose the step scur
+    (interpolated where it is short enough, otherwise bisection), make cur
+    the new pre and move cur by scur, or by delta toward blk where scur is
+    shorter than delta."""
+    spre = np.abs(s[0])
+    good = (spre > delta) & (np.abs(f[1]) < np.abs(f[0]))
+    if good.any():
+        stry = _brent_try(x, f)
+        b = 3 * np.abs(sbis) - delta
+        good &= 2 * np.abs(stry) < np.where(spre < b, spre, b)
+        # a good short step: spre, scur = scur, stry
+        s[0] = np.where(good, s[1], sbis)
+        s[1] = np.where(good, stry, sbis)
+    else:
+        s[:] = sbis
+    x[0], f[0] = x[1], f[1]
+    x[1] += np.where(np.abs(s[1]) > delta, s[1], np.where(sbis > 0, delta, -delta))
+
+
+def _brent_try(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """_brent's trial step on every lane: the secant step where pre is blk,
+    otherwise inverse quadratic extrapolation, inf where that divides by
+    zero.  The same operations as _brent, some of them in place."""
+    (xpre, xcur, xblk), (fpre, fcur, fblk) = x, f
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dpre = (fpre - fcur) / (xpre - xcur)
+        dblk = (fblk - fcur) / (xblk - xcur)
+        # -fcur * (fblk*dblk - fpre*dpre) / (dblk*dpre*(fblk - fpre))
+        stry = fblk * dblk
+        stry -= fpre * dpre
+        stry *= -fcur
+        dblk *= dpre
+        dblk *= fblk - fpre
+        stry /= dblk
+        stry[(xpre == xcur) | (xblk == xcur) | (dblk == 0.0)] = math.inf
+        del dpre, dblk
+        secant = xpre == xblk
+        np.copyto(stry, -fcur * (xcur - xpre) / (fcur - fpre), where=secant)
+    return stry
+
+
+def _invert_to_two_pi_rows(
+    fn_rows: RowObjective,
+    target: np.ndarray,
+    lo: np.ndarray,
+    tol: np.ndarray,
+    fn_lo: np.ndarray,
+) -> np.ndarray:
+    """invert_to_two_pi on every lane at once, bit for bit: entry k is
+    invert_to_two_pi(fn_k, target[k], lo[k], tol=tol[k], fn_lo=fn_lo[k]),
+    where ``fn_rows(lanes)`` maps one point per selected lane to those
+    lanes' fn and agrees with each scalar fn_k bit for bit.
+
+    The march moves every lane still below its target in lockstep, one
+    array call per halving, and the solve is _brent_rows on the lanes that
+    reached it.  An error that the scalar form raises on any lane is
+    raised for all of them."""
+    n = lo.size
+    # the march's hi and fn(hi) become Brent's cur; lo and fn(lo) its pre
+    x, f = np.empty((3, n)), np.empty((3, n))
+    x[0] = lo
+    x[1], f[1] = _march_rows(fn_rows, target, lo)
+    out = x[1].copy()  # lanes that do not reach their target saturate at hi
+    reached = f[1] >= target
+    # solve_monotone on the lanes that reached their target
+    fhi, flo = np.subtract(f[1], target, out=f[1]), np.subtract(fn_lo, target, out=f[0])
+    if not (lo < out)[reached].all():
+        raise BracketError("bracket must have lo < hi")
+    if not (np.isfinite(flo) & np.isfinite(fhi))[reached].all():
+        raise BracketError("function is not finite at the bracket endpoints")
+    at_lo = reached & (flo == 0.0)
+    out[at_lo] = lo[at_lo]
+    solve = reached & ~at_lo & (fhi != 0.0)
+    if (np.signbit(flo) == np.signbit(fhi))[solve].any():
+        raise BracketError("no sign change at the bracket endpoints")
+    if not solve.any():
+        return out
+    # the whole state, not a copy, in the usual case that every lane solves
+    sel = _EVERY if solve.all() else np.flatnonzero(solve)
+    if sel is not _EVERY:
+        x, f = _compact(x, sel), _compact(f, sel)
+
+    def shifted(rows: np.ndarray | slice) -> Callable[[np.ndarray], np.ndarray]:
+        rows = rows if sel is _EVERY else sel[rows]
+        fn, shift = fn_rows(rows), target[rows]
+        return lambda t: fn(t) - shift
+
+    out[sel] = _brent_rows(shifted, x, f, tol[sel], _RTOL, 200)[0]
+    return out
+
+
+def _march_rows(
+    fn_rows: RowObjective, target: np.ndarray, lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The march of invert_to_two_pi on every lane at once; returns the
+    arrays (hi, fn(hi)) where each lane stops."""
+    cap = math.nextafter(math.tau, 0.0)
+    hi, f_hi = lo.copy(), np.empty_like(lo)
+    march = np.arange(lo.size)
+    for _ in range(_GROW_STEPS):
+        if not march.size:
+            return hi, f_hi
+        prev = hi[march]
+        nxt = math.tau - 0.5 * (math.tau - prev)
+        saturated = (nxt >= cap) | (nxt <= prev)
+        nxt[saturated] = cap
+        f_nxt = fn_rows(march if march.size < lo.size else _EVERY)(nxt)
+        hi[march], f_hi[march] = nxt, f_nxt
+        march = march[~saturated & (f_nxt < target[march])]
+    if march.size:
+        raise ConvergenceError(
+            f"target {float(target[march[0]])!r} not reached below 2*pi"
+        )
+    return hi, f_hi

@@ -33,6 +33,39 @@ class TestDeltaOf:
         assert hd.f_of(v, d) == pytest.approx(x, rel=1e-10, abs=1e-10)
         assert hd.delta_of(-x, v) == -d
 
+    @pytest.mark.parametrize("v0", [1.0, 4.0])
+    @pytest.mark.parametrize("ratio", [1e-300, 1e-100, 1e-20, 1e-14, 1e-13, 1e-12])
+    def test_small_index_is_solved_to_relative_precision(self, v0, ratio):
+        # an index below the absolute INDEX_TOL once stopped on the
+        # certified lower bound, 59.5% low; the horizontal step h has
+        # f_of(v0, delta) = h/v0 and distance h/sqrt(v0) to first order
+        h = ratio * v0
+        d = hd.delta_of(ratio, 1.0)
+        assert hd.f_of(1.0, d) == pytest.approx(ratio, rel=1e-13, abs=0.0)
+        if ratio > 1e-150:  # below, sin(delta/4)^2 underflows in dist
+            assert hd.dist((0.0, v0), (h, v0)) == pytest.approx(
+                h / math.sqrt(v0), rel=1e-13, abs=0.0
+            )
+
+    def test_subnormal_index(self):
+        # a stop width of 5e-324 would halve to 0 and never stop
+        assert hd.delta_of(5e-324, 0.0) > 0.0
+        assert hd.dist(BASE, (5e-324, 0.0)) == 2.0
+
+    def test_no_angle_is_evaluated_twice(self, monkeypatch):
+        seen = []
+        f_of = hd.corefuncs.f_of
+
+        def record(v, d):
+            seen.append(d)
+            return f_of(v, d)
+
+        monkeypatch.setattr(hd.corefuncs, "f_of", record)
+        for x, v in ((3.0, 0.5), (1e-3, 2.0), (1e12, 1.0), (1e-20, 0.0)):
+            seen.clear()
+            hd.delta_of(x, v)
+            assert seen and len(seen) == len(set(seen)), (x, v)
+
     @given(st.floats(min_value=0.01, max_value=50.0), variances)
     @settings(max_examples=100)
     def test_certified_lower_bound(self, x, v):

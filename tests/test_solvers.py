@@ -86,6 +86,18 @@ class TestSolveMonotone:
         assert solve_monotone(fn, (0.0, 2.0), fn_hi=fn(2.0)) == want
         assert calls.count(2.0) == 1
 
+    def test_known_lower_value_is_not_evaluated_again(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return math.expm1(x) - 0.7
+
+        want = solve_monotone(fn, (0.0, 2.0))
+        calls.clear()
+        assert solve_monotone(fn, (0.0, 2.0), fn_lo=fn(0.0)) == want
+        assert calls.count(0.0) == 1
+
     def test_one_evaluation_per_iteration(self):
         calls = []
 
