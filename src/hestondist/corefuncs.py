@@ -123,12 +123,6 @@ def two_sin_half_minus_theta(t: float) -> float:
     return 2.0 * math.sin(0.5 * t) - t
 
 
-def versine(t: float) -> float:
-    """1 - cos(t) computed without cancellation as 2*sin(t/2)^2."""
-    s = math.sin(0.5 * t)
-    return 2.0 * s * s
-
-
 # ---------------------------------------------------------------------------
 # level-curve index functions
 # ---------------------------------------------------------------------------
@@ -140,16 +134,19 @@ def psi(theta: float) -> float:
     psi(theta) = (theta - sin theta)/(1 - cos theta); odd, strictly
     increasing on (0, 2*pi) with range (0, inf).
     """
-    _check_angle_sym(theta)
-    if theta == 0.0:
-        raise DomainError("psi is undefined at theta = 0")
-    if theta < 0.0:
+    if not 0.0 < theta < TWO_PI:
+        _check_angle_sym(theta)
+        if theta == 0.0:
+            raise DomainError("psi is undefined at theta = 0")
         return -psi(-theta)
     if theta < SMALL_ANGLE:
         t2 = theta * theta
         sr = _sin_half_r(t2)
         return theta * _p_r3(t2) / (2.0 * sr * sr)
-    return theta_minus_sin(theta) / versine(theta)
+    # (theta - sin theta)/(1 - cos theta) with 1 - cos theta formed as
+    # 2*sin(theta/2)^2, in one frame: psi is the objective of psi_inv
+    sh = math.sin(0.5 * theta)
+    return (theta - math.sin(theta)) / (2.0 * sh * sh)
 
 
 def f_of(v: float, delta: float) -> float:
@@ -285,34 +282,36 @@ def _coefs_series(t):
     return -_u_r3(t2) / p3, 2.0 * sr * sr / (t * p3)
 
 
-def _coefs_direct(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    half = 0.5 * t
-    sh = np.sin(half)
-    two_sh = 2.0 * sh
-    p = t - np.sin(t)
-    return -(two_sh - t * np.cos(half)) / p, two_sh * sh / p
-
-
-def coefs_many(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(coef_A, coef_B) at every element of a float64 array, each element
-    bit-identical to the scalar function.  Each side of SMALL_ANGLE is
-    evaluated on its own elements only (the direct forms are 0/0 at tiny
+def coefs_many(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coef_A, coef_B, sin(theta/2)) at every element of a float64 array,
+    each element bit-identical to _coefs and math.sin.  Where the elements
+    straddle SMALL_ANGLE both forms are evaluated on every element and
+    np.where picks each element's own (the direct forms are 0/0 at tiny
     angles).  An element outside (0, 2*pi) raises DomainError naming the
     first such element in C order."""
     least, most = theta.min(), theta.max()  # nan if any element is nan
     if not (0.0 < least and most < TWO_PI):
         inside = (0.0 < theta) & (theta < TWO_PI)
         _check_angle_open(float(theta.flat[np.argmin(inside)]))
-    if least >= SMALL_ANGLE:
-        return _coefs_direct(theta)
+    half = 0.5 * theta
+    sh = np.sin(half)
     if most < SMALL_ANGLE:
-        return _coefs_series(theta)
+        return (*_coefs_series(theta), sh)
+    if least >= SMALL_ANGLE:
+        return (*_coefs_direct(theta, half, sh), sh)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = _coefs_direct(theta, half, sh)
+    a_s, b_s = _coefs_series(theta)
     small = theta < SMALL_ANGLE
-    a = np.empty_like(theta)
-    b = np.empty_like(theta)
-    a[small], b[small] = _coefs_series(theta[small])
-    a[~small], b[~small] = _coefs_direct(theta[~small])
-    return a, b
+    return np.where(small, a_s, a), np.where(small, b_s, b), sh
+
+
+def _coefs_direct(t, half, sh):
+    """The direct branch of _coefs on arrays, given half = t/2 and sh =
+    sin(half)."""
+    two_sh = 2.0 * sh
+    p = t - np.sin(t)
+    return -(two_sh - t * np.cos(half)) / p, two_sh * sh / p
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +334,22 @@ def eta_alpha(alpha: float, theta: float) -> float:
     if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
     _check_angle_open(theta)
-    ps = psi(theta)
+    # psi and coef_A inlined, from one sin(theta/2) and one theta - sin theta
+    if theta < SMALL_ANGLE:
+        t2 = theta * theta
+        p3 = _p_r3(t2)
+        sr = _sin_half_r(t2)
+        ps = theta * p3 / (2.0 * sr * sr)
+        a = -_u_r3(t2) / p3
+    else:
+        sh = math.sin(0.5 * theta)
+        p = theta - math.sin(theta)
+        ps = p / (2.0 * sh * sh)
+        a = -(2.0 * sh - theta * math.cos(0.5 * theta)) / p
     if ps >= alpha:
         raise DomainError(
             f"theta={theta!r} is not below the tangency ceiling psi^-1({alpha!r})"
         )
-    a = coef_A(theta)
     return ps * ps * a * a / (alpha - ps) + ps
 
 
@@ -450,19 +459,27 @@ def _s_minus_raw(beta: float, gamma: float, theta: float) -> float:
 
 
 def _roots_many(
-    beta: np.ndarray, gamma: np.ndarray, minus: np.ndarray, theta: np.ndarray
+    beta: np.ndarray | float,
+    gamma: np.ndarray | float,
+    minus: np.ndarray | bool,
+    a: np.ndarray,
+    b: np.ndarray,
 ) -> np.ndarray:
-    """_s_minus_raw where minus is true and _s_plus_raw elsewhere, at every
-    node and bit-identical to them (+inf at the minus pole); beta, gamma
-    and minus broadcast against theta."""
-    a, b = coefs_many(theta)
+    """_s_minus_raw where minus is true and _s_plus_raw elsewhere, from the
+    coefficients A and B at every node (coefs_many) and bit-identical to
+    them (+inf at the minus pole); beta, gamma and minus broadcast against
+    a.  A scalar minus evaluates only its own root."""
     p = 1.0 - beta * b
     q = 1.0 - gamma * b
     disc = a * a - q * p
     # np.maximum may keep -0.0 where the scalar clamp keeps 0.0 or the
     # reverse; either square root leaves a - root unchanged
     m = a - np.sqrt(np.maximum(disc, 0.0))
+    if minus is False:
+        return p / m
     with np.errstate(divide="ignore"):
+        if minus is True:
+            return np.where(q == 0.0, math.inf, m / q)
         return np.where(minus, np.where(q == 0.0, math.inf, m / q), p / m)
 
 
@@ -511,9 +528,12 @@ def _half_sq_from_root(theta: float, s: float) -> float:
     return inner / (2.0 * ratio * ratio)
 
 
-def _half_sq_from_root_many(theta: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """_half_sq_from_root elementwise, bit-identical to it."""
-    ratio = np.sin(0.5 * theta) / theta
+def _half_sq_from_root_many(
+    theta: np.ndarray, s: np.ndarray, sh: np.ndarray
+) -> np.ndarray:
+    """_half_sq_from_root elementwise, bit-identical to it, given
+    sh = sin(theta/2) (coefs_many has it)."""
+    ratio = sh / theta
     q4 = np.sin(0.25 * theta)
     s1 = s - 1.0
     inner = s1 * s1 + 4.0 * s * q4 * q4

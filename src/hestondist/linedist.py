@@ -25,26 +25,17 @@ interval and the sign of the line's own index.  A later row must beat the
 incumbent by more than TIE_RTOL (_answer).
 
 One array kernel, _objective_many, evaluates every row's objective from
-per-node parameter arrays; _objective is its scalar form, and the two agree
-bit for bit on every node.
+per-node parameter arrays; _row_fn is a row's scalar form, one closure
+frame per evaluation, and the two agree bit for bit on every node.
 
-_solve_many, behind both dist_to_line (one line) and smile_table (a
-ladder), builds the tables of its lines, solving each distinct psi_inv
-argument once, and picks how to minimize their rows by how many there are:
-
-* below BATCH_MIN_ROWS rows (a single line has one or two) each row runs
-  minimize_on_interval: the scan in one kernel call, the golden refine on
-  the scalar objective;
-* from BATCH_MIN_ROWS rows on (a ladder of about 18 strikes or more)
-  solvers._minimize_rows runs every row together: the scans as 2-D blocks
-  of 16 rows, the refines in lockstep, one kernel call per golden step.
-  A lockstep step costs about ten scalar objective calls, so it pays only
-  when many rows share it.
-
-Both give the same answer for a line, bit for bit, and the same error; an
-error fails only its own line.  The intersection roots
-themselves live in corefuncs (_s_plus_raw, _s_minus_raw and the array form
-_roots_many).
+_solve_many, behind both dist_to_line (a batch of one line) and
+smile_table (a ladder), builds the tables of its lines, solving each
+distinct psi_inv argument once, and minimizes every row the same way
+(solvers._minimize_rows): the scans as 2-D blocks of up to 16 rows, one
+kernel call per block, so a single line's one or two rows take one call;
+then each row's golden refine on its _row_fn.  An error fails only its own
+line.  The intersection roots themselves live in corefuncs (_s_plus_raw,
+_s_minus_raw and the array form _roots_many).
 
 Every closed-form path is validated against oracle_dist, a deliberately
 slow reference that minimizes the point distance along the line over a
@@ -72,7 +63,7 @@ from .pointmetric import (
     dist_correlated,
 )
 from .solution import DistanceSolution
-from .solvers import RowObjective, SolveReport, _minimize_rows, minimize_on_interval
+from .solvers import SolveReport, _minimize_rows, minimize_on_interval
 
 # Half-open interval ends (where lambda_minus blows up) are closed at this
 # offset; the objective diverges there, so no minimum is lost.
@@ -111,21 +102,18 @@ def _sq(x: float) -> float:
     return x * x  # float**2 raises on overflow; multiplication saturates
 
 
-def _lam(theta: float, s: float) -> float:
-    if s < 0.0 or not math.isfinite(s):
-        # reachable only through rounding right at an interval endpoint
-        s = 0.0 if s < 0.0 else _ROOT_HUGE
-    val = cf._half_sq_from_root(theta, s)
-    # astronomically distant candidates can overflow; keep the scan sound
-    return val if math.isfinite(val) else _HUGE
-
-
-def _lam_many(theta: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """_lam at every node, bit-identical to it."""
-    s = np.where(s < 0.0, 0.0, s)
+def _lam_many(theta: np.ndarray, sh: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The half-squared distance from the roots s at every node, given
+    sh = sin(theta/2): a negative root (reachable only through rounding
+    right at an interval endpoint) counts as 0 and a non-finite one as
+    _ROOT_HUGE, and an astronomically distant candidate saturates at _HUGE
+    instead of overflowing, which keeps the scan sound."""
+    # np.maximum keeps nan, and may keep -0.0 where the scalar clamp keeps
+    # 0.0: either zero gives the same value
+    s = np.maximum(s, 0.0)
     s = np.where(np.isfinite(s), s, _ROOT_HUGE)
     # from a finite root >= 0 the value is finite or +inf, never nan
-    return np.minimum(cf._half_sq_from_root_many(theta, s), _HUGE)
+    return np.minimum(cf._half_sq_from_root_many(theta, s, sh), _HUGE)
 
 
 def _axis_value(v: float) -> float:
@@ -219,15 +207,6 @@ class _Search(NamedTuple):
     sign: float = 1.0
 
 
-def _objective(row: _Search, t: float) -> float:
-    """A row's objective at the index t: the half-squared distance through
-    its intersection root, or to the axis crossing at t = 0."""
-    if t == 0.0 and row.axis is not None:
-        return _axis_value(row.axis)
-    root = cf._s_minus_raw if row.minus else cf._s_plus_raw
-    return _lam(t, root(row.beta, row.gamma, t))
-
-
 def _objective_many(
     theta: np.ndarray,
     beta: np.ndarray | float,
@@ -235,19 +214,21 @@ def _objective_many(
     minus: np.ndarray | bool,
     axis: np.ndarray | float,
 ) -> np.ndarray:
-    """_objective at every node, bit-identical to it.  Each node carries its
-    row's parameters, broadcast against theta: the line, the root and the
+    """Every row's objective at its nodes: the half-squared distance
+    through its intersection root, or to the axis crossing at theta = 0.
+    Each node carries its row's parameters, broadcast against theta: the
+    line, the root (a scalar minus evaluates only that root) and the
     objective's value at the axis node theta = 0 (nan where the row has no
-    axis node)."""
-    at_axis = theta == 0.0
-    zeros = at_axis.any()
+    axis node).  _row_fn is the scalar form; the two agree bit for bit."""
+    zeros = not theta.all()
     if zeros:
-        at_axis &= ~np.isnan(axis)
+        at_axis = (theta == 0.0) & ~np.isnan(axis)
         theta = np.where(at_axis, 1.0, theta)  # in-domain; replaced below
     # Python floats overflow to inf and turn inf - inf into nan without a
     # word; _lam_many saturates both, so numpy may stay quiet as well
     with np.errstate(over="ignore", invalid="ignore"):
-        val = _lam_many(theta, cf._roots_many(beta, gamma, minus, theta))
+        a, b, sh = cf.coefs_many(theta)
+        val = _lam_many(theta, sh, cf._roots_many(beta, gamma, minus, a, b))
     return np.where(at_axis, axis, val) if zeros else val
 
 
@@ -256,35 +237,61 @@ def _axis_node_value(row: _Search) -> float:
     return math.nan if row.axis is None else _axis_value(row.axis)
 
 
-def _forms(
-    row: _Search,
-) -> tuple[Callable[[float], float], Callable[[np.ndarray], np.ndarray]]:
-    """A row's objective as minimize_on_interval takes it: the scalar
-    function for the refine and its array form for the scan."""
+def _row_fn(row: _Search) -> Callable[[float], float]:
+    """A row's objective at one index t, as the golden refine calls it: the
+    arithmetic of cf._coefs, cf._s_plus_raw or cf._s_minus_raw and
+    cf._half_sq_from_root inlined into one frame, with one sin(t/2), and
+    the clamps of _lam_many.  Outside (0, 2*pi) it is the axis value at
+    t = 0 or the DomainError of cf._coefs."""
+    beta, gamma, minus = row.beta, row.gamma, row.minus
     axis = _axis_node_value(row)
-    return (
-        lambda t: _objective(row, t),
-        lambda ts: _objective_many(ts, row.beta, row.gamma, row.minus, axis),
-    )
+    has_axis = row.axis is not None
+
+    def fn(t: float) -> float:
+        if not 0.0 < t < cf.TWO_PI:
+            if t == 0.0 and has_axis:
+                return axis
+            cf._check_angle_open(t)
+        sh = math.sin(0.5 * t)
+        if t < cf.SMALL_ANGLE:
+            a, b = cf._coefs_series(t)
+        else:
+            p = t - math.sin(t)
+            a = -(2.0 * sh - t * math.cos(0.5 * t)) / p
+            b = 2.0 * sh * sh / p
+        q = 1.0 - gamma * b
+        p = 1.0 - beta * b
+        disc = a * a - q * p
+        if disc < 0.0:
+            disc = 0.0
+        if not minus:
+            s = p / (a - math.sqrt(disc))
+        elif q == 0.0:
+            s = math.inf  # the larger root diverges at the tangent index
+        else:
+            s = (a - math.sqrt(disc)) / q
+        if s < 0.0:
+            s = 0.0
+        elif not math.isfinite(s):
+            s = _ROOT_HUGE
+        ratio = sh / t
+        q4 = math.sin(0.25 * t)
+        val = ((s - 1.0) * (s - 1.0) + 4.0 * s * q4 * q4) / (2.0 * ratio * ratio)
+        return val if math.isfinite(val) else _HUGE
+
+    return fn
 
 
-def _row_objective(rows: list[_Search]) -> RowObjective:
-    """The rows' objectives in the form solvers._minimize_rows takes: a
-    selection of rows binds their parameters as arrays, a column of them
-    for 2-D node blocks."""
-    params = (
-        np.array([r.beta for r in rows]),
-        np.array([r.gamma for r in rows]),
-        np.array([r.minus for r in rows]),
-        np.array([_axis_node_value(r) for r in rows]),
-    )
-
-    def bind(sel: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        flat = tuple(p[sel] for p in params)
-        cols = tuple(p[:, None] for p in flat)
-        return lambda x: _objective_many(x, *(cols if x.ndim == 2 else flat))
-
-    return bind
+def _scan_block(rows: list[_Search], nodes: np.ndarray) -> np.ndarray:
+    """The rows' objectives on a 2-D block of nodes, one row of nodes per
+    row, in one kernel call; the parameters are columns built from the
+    rows, and minus a scalar where every row follows the same root."""
+    beta, gamma, axis = np.array(
+        [(r.beta, r.gamma, _axis_node_value(r)) for r in rows]
+    ).T[:, :, None]
+    minus = {r.minus for r in rows}
+    minus = minus.pop() if len(minus) == 1 else np.array([[r.minus] for r in rows])
+    return _objective_many(nodes, beta, gamma, minus, axis)
 
 
 def _v_at(row: _Search, t: float) -> float:
@@ -398,23 +405,6 @@ def _answer(
     )
 
 
-def _minimize(row: _Search, tol: float) -> tuple[SolveReport, float]:
-    """One row's minimization: the scan in one array call, the golden
-    refine on the scalar objective."""
-    fn, fn_many = _forms(row)
-    return minimize_on_interval(fn, (row.lo, row.hi), tol=tol, fn_many=fn_many)
-
-
-# Searches with fewer rows than this are minimized one row at a time.  The
-# lockstep refine costs about 1.9 ms whatever the number of rows, then
-# about 0.05 ms per row; one row at a time costs about 0.13 ms per row.
-# Timed on seeded smile ladders (2-core x86-64, Python 3.11, numpy 2.4),
-# the two cross between 22 rows (16 strikes), where one at a time was
-# about 10% faster, and 28 rows (20 strikes), where the batch was about 5%
-# faster.
-BATCH_MIN_ROWS = 24
-
-
 def _solve_many(
     lines: list[tuple[float, float]], tol: float
 ) -> list[DistanceSolution | HestonDistError]:
@@ -422,9 +412,9 @@ def _solve_many(
     fails only its own line.
 
     The search tables of all lines are built first, sharing psi_inv by
-    argument.  From BATCH_MIN_ROWS rows on, solvers._minimize_rows runs
-    every row at once; below, each line minimizes its rows in turn and
-    stops at the first error.  Both give the same bits."""
+    argument; solvers._minimize_rows then scans their rows in 2-D blocks
+    (all of a single line's rows in one kernel call) and refines each row
+    with the golden section on its one-frame objective (_row_fn)."""
     memo: dict[float, float] = {}
     rows: list[_Search] = []
     pending: list = []
@@ -439,23 +429,19 @@ def _solve_many(
         except HestonDistError as exc:
             line = exc
         pending.append(line)
-    batch = None
-    if len(rows) >= BATCH_MIN_ROWS:
-        batch = _minimize_rows(
-            _row_objective(rows), [r.lo for r in rows], [r.hi for r in rows], tol
-        )
+    results = _minimize_rows(
+        [_row_fn(r) for r in rows],
+        lambda sel, nodes: _scan_block([rows[i] for i in sel], nodes),
+        [r.lo for r in rows],
+        [r.hi for r in rows],
+        tol,
+    )
     out: list[DistanceSolution | HestonDistError] = []
     for line in pending:
         if isinstance(line, tuple):
             beta, gamma, mirrored, start, end = line
-            mine = rows[start:end]
-            if batch is None:
-                # lazy: _answer raises the first error before the next row runs
-                results = (_minimize(r, tol) for r in mine)
-            else:
-                results = batch[start:end]
             try:
-                line = _answer(beta, gamma, mine, results)
+                line = _answer(beta, gamma, rows[start:end], results[start:end])
             except HestonDistError as exc:
                 line = exc
             else:

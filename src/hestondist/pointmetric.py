@@ -134,7 +134,15 @@ def _dist_base(x: float, v: float) -> float:
     inner = (s - 1.0) ** 2 + 4.0 * s * q4 * q4
     # d/sin(d/2) = 2 + d^2/12 + ...: below 1e-8 the correction is sub-ulp
     ratio = 2.0 if d < 1e-8 else d / math.sin(0.5 * d)
+    if inner < _INNER_FLOOR:
+        return ratio * math.hypot(s - 1.0, 2.0 * math.sqrt(s) * q4)
     return ratio * math.sqrt(inner)
+
+
+# Below this the inner form of _dist_base may have lost bits: q4*q4
+# underflows for indices below about 1e-154.  There the distance is taken
+# as hypot(s - 1, 2*sqrt(s)*q4), the square root of the same sum.
+_INNER_FLOOR = 2.0**-1000
 
 
 def dist(p0: tuple[float, float], p1: tuple[float, float]) -> float:
@@ -255,4 +263,8 @@ def _dist_base_grid(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     ratio = np.full_like(d, 2.0)
     pos = d >= 1e-8
     ratio[pos] = d[pos] / np.sin(0.5 * d[pos])
-    return ratio * np.sqrt(inner)
+    root = np.sqrt(inner)
+    tiny = inner < _INNER_FLOOR
+    if tiny.any():
+        root[tiny] = np.hypot(s[tiny] - 1.0, 2.0 * np.sqrt(s[tiny]) * q4[tiny])
+    return ratio * root

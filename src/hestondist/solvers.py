@@ -23,22 +23,20 @@ form of the objective, otherwise ``fn`` on each node.  The golden-section
 refine stays scalar; the two forms of the objective must agree bit for bit
 on every node, so the result does not depend on which one ran.
 
-``_minimize_rows`` runs many minimizations at once and returns, row for
-row, exactly what ``minimize_on_interval`` would.  It scans the rows as 2-D
+``_minimize_rows`` runs many minimizations and returns, row for row,
+exactly what ``minimize_on_interval`` would.  It scans the rows as 2-D
 blocks of ``SCAN_BLOCK_ROWS`` rows (16 rows of 257 nodes, about 4096
-nodes), which bounds its memory, and refines every row in lockstep: one
-array call per golden-section step, with per-lane masks and the
-arithmetic of ``_golden``.  Errors stay per row.  The lockstep step costs
-numpy call overhead whatever the number of rows, so it pays only for many
-rows; the line solver uses it from ``linedist.BATCH_MIN_ROWS`` rows on.
+nodes), one array call per block, which bounds its memory, and refines
+each row with ``_golden`` on that row's scalar objective.  Errors stay per
+row.  The line solver minimizes every line's rows through it.
 
-Beside the lockstep golden section, ``_brent_rows`` runs ``_brent`` on
-many lanes at once and ``_invert_to_two_pi_rows`` runs
-``invert_to_two_pi`` on them; each returns, lane for lane, what its scalar
-form returns, bit for bit, given array objectives that agree with the
-scalar ones.  A lane leaves as soon as it meets its stop test, and the live
-lanes are compacted, so a finished lane costs nothing.  The oracles' array
-arc index (``pointmetric._delta_grid``) is built on them.
+``_brent_rows`` runs ``_brent`` on many lanes at once and
+``_invert_to_two_pi_rows`` runs ``invert_to_two_pi`` on them; each returns,
+lane for lane, what its scalar form returns, bit for bit, given array
+objectives that agree with the scalar ones.  A lane leaves as soon as it
+meets its stop test, and the live lanes are compacted, so a finished lane
+costs nothing.  The oracles' array arc index (``pointmetric._delta_grid``)
+is built on them.
 """
 
 from __future__ import annotations
@@ -344,22 +342,47 @@ def minimize_on_interval(
     """
     lo, hi = bracket
     if _is_degenerate(lo, hi, tol):
-        val = fn(lo)
-        if not math.isfinite(val):
-            raise NonFiniteSampleError(0, lo, val)
-        return SolveReport(lo, 0, 0.0, "grid-refine"), val
-
-    n = scan_cells + 1
-    h = (hi - lo) / scan_cells
+        return _at_lo(fn, lo)
     if fn_many is None:
         # Python floats, so that fn divides as it does in the refine: a
         # numpy scalar would warn where a float raises ZeroDivisionError
         fn_many = lambda nodes: [fn(x) for x in nodes.tolist()]
-    best_i, xs, best_f = _scan_many(fn_many, lo, hi, h, n)
-    best_x = float(xs[best_i])
+    nodes = _scan_nodes(lo, hi, (hi - lo) / scan_cells, scan_cells + 1)
+    nodes.flags.writeable = False
+    fs = np.asarray(fn_many(nodes), dtype=float)
+    if fs.shape != nodes.shape:
+        raise ScanShapeError(
+            f"array objective returned shape {fs.shape}, expected {nodes.shape}"
+        )
+    return _refine(fn, nodes, fs, tol, max_iter)
 
-    a = float(xs[max(best_i - 1, 0)])
-    b = float(xs[min(best_i + 1, n - 1)])
+
+def _at_lo(fn: Callable[[float], float], lo: float) -> tuple[SolveReport, float]:
+    """minimize_on_interval on a degenerate interval: fn(lo) alone."""
+    val = fn(lo)
+    if not math.isfinite(val):
+        raise NonFiniteSampleError(0, lo, val)
+    return SolveReport(lo, 0, 0.0, "grid-refine"), val
+
+
+def _refine(
+    fn: Callable[[float], float],
+    nodes: np.ndarray,
+    fs: np.ndarray,
+    tol: float,
+    max_iter: int,
+) -> tuple[SolveReport, float]:
+    """minimize_on_interval after its scan, given the nodes and their
+    values: NonFiniteSampleError at the first non-finite node, otherwise
+    the golden refine in the cell pair around the first minimum."""
+    finite = np.isfinite(fs)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise NonFiniteSampleError(i, float(nodes[i]), float(fs[i]))
+    i = int(fs.argmin())
+    best_x, best_f = float(nodes[i]), float(fs[i])
+    a = float(nodes[max(i - 1, 0)])
+    b = float(nodes[min(i + 1, nodes.size - 1)])
     gx, gf, iters, width = _golden(fn, a, b, tol, max_iter)
     if gf < best_f:
         best_x, best_f = gx, gf
@@ -367,35 +390,9 @@ def minimize_on_interval(
     return SolveReport(best_x, iters, width, "grid-refine"), best_f
 
 
-def _scan_many(
-    fn_many: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    h: float,
-    n: int,
-) -> tuple[int, np.ndarray, float]:
-    """The scan of minimize_on_interval as one array call; returns (index of
-    the first minimum, the nodes, the minimum value).  The nodes are
-    lo + i*h and hi."""
-    nodes = _scan_nodes(lo, hi, h, n)
-    nodes.flags.writeable = False
-    fs = np.asarray(fn_many(nodes), dtype=float)
-    if fs.shape != nodes.shape:
-        raise ScanShapeError(
-            f"array objective returned shape {fs.shape}, expected {nodes.shape}"
-        )
-    finite = np.isfinite(fs)
-    if not finite.all():
-        i = int(finite.argmin())
-        raise NonFiniteSampleError(i, float(nodes[i]), float(fs[i]))
-    i = int(fs.argmin())
-    return i, nodes, float(fs[i])
-
-
 def _scan_nodes(lo, hi, h, n: int) -> np.ndarray:
     """The n scan nodes lo + i*h, the last one replaced by hi; a row of
-    nodes for each entry when lo, hi and h are arrays."""
-    lo, hi, h = (np.asarray(x, dtype=float)[..., None] for x in (lo, hi, h))
+    nodes for each entry when lo, hi and h are columns."""
     nodes = lo + np.arange(n) * h
     nodes[..., -1:] = hi
     return nodes
@@ -412,164 +409,76 @@ def _scan_nodes(lo, hi, h, n: int) -> np.ndarray:
 # 4-row blocks ran a third slower.
 SCAN_BLOCK_ROWS = 16
 
-# Binds the objective of a selection of rows: an index array, or slice(None)
-# (_EVERY) for every row, so that the lockstep root solves can index the
-# rows' parameters as views while no lane has left.
+# Binds the objective of a selection of lanes: an index array, or
+# slice(None) (_EVERY) for every lane, so that the lockstep root solves can
+# index the lanes' parameters as views while no lane has left.
 RowObjective = Callable[[np.ndarray | slice], Callable[[np.ndarray], np.ndarray]]
 _EVERY = slice(None)
 
 
 def _minimize_rows(
-    fn_rows: RowObjective,
+    fns: list[Callable[[float], float]],
+    scan: Callable[[list[int], np.ndarray], np.ndarray],
     los: list[float],
     his: list[float],
     tol: float = MIN_TOL,
 ) -> list[tuple[SolveReport, float] | HestonDistError]:
-    """minimize_on_interval on every interval [los[i], his[i]] at once.
+    """minimize_on_interval(fns[i], (los[i], his[i]), tol) for every row i,
+    with the default scan and iteration budget, bit for bit, or the error
+    it raises.
 
-    ``fn_rows(rows)`` takes an index array of rows and returns their array
-    objective: given x with one leading entry per selected row (a row of
-    nodes each, or one point each) it returns every row's objective at its
-    own entries, bit-identical to that row's scalar objective.  Entry i of
-    the result is what minimize_on_interval returns for row i with the
-    default scan and iteration budget, bit for bit, or the error it raises.
-
-    The scan evaluates SCAN_BLOCK_ROWS rows per call, as one 2-D block.
-    A block that raises a HestonDistError is evaluated again row by row,
-    so the error fails only the rows that raise it on their own.  The
-    refine is the golden section of ``_golden`` run on every row in
-    lockstep (``_golden_rows``); its points lie inside cells whose nodes
-    were all evaluated, so it has no per-row error path.
-    """
-    out: list = [None] * len(los)
-    degenerate, scan = [], []
-    for i, (lo, hi) in enumerate(zip(los, his)):
+    ``scan(rows, nodes)`` evaluates the rows (a list of indices) at a 2-D
+    block of nodes, one row of nodes each, and must equal their scalar
+    objectives bit for bit.  The scan evaluates SCAN_BLOCK_ROWS rows per
+    call; a block that raises a HestonDistError is evaluated again row by
+    row, so the error fails only the rows that raise it on their own.
+    Each row is then refined on its own with ``_golden`` on ``fns[i]``."""
+    out: list = [None] * len(fns)
+    live = []
+    for i, (fn, lo, hi) in enumerate(zip(fns, los, his)):
         try:
-            (degenerate if _is_degenerate(lo, hi, tol) else scan).append(i)
+            if _is_degenerate(lo, hi, tol):
+                out[i] = _at_lo(fn, lo)
+            else:
+                live.append(i)
         except HestonDistError as exc:
             out[i] = exc
-
-    if degenerate:
-        rows = np.array(degenerate)
-        vals, errors = _evaluate_rows(fn_rows, rows, np.array(los)[rows])
-        for k, i in enumerate(degenerate):
-            val = float(vals[k])
+    for start in range(0, len(live), SCAN_BLOCK_ROWS):
+        rows = live[start:start + SCAN_BLOCK_ROWS]
+        lo = np.array([[los[i]] for i in rows])
+        hi = np.array([[his[i]] for i in rows])
+        nodes = _scan_nodes(lo, hi, (hi - lo) / SCAN_CELLS, SCAN_CELLS + 1)
+        fs, errors = _scan_rows(scan, rows, nodes)
+        for k, i in enumerate(rows):
             if k in errors:
                 out[i] = errors[k]
-            elif not math.isfinite(val):
-                out[i] = NonFiniteSampleError(0, los[i], val)
-            else:
-                out[i] = SolveReport(los[i], 0, 0.0, "grid-refine"), val
-
-    n = SCAN_CELLS + 1
-    los_a, his_a = np.array(los, dtype=float), np.array(his, dtype=float)
-    scan = np.array(scan, dtype=np.intp)
-    picks = []
-    for start in range(0, len(scan), SCAN_BLOCK_ROWS):
-        rows = scan[start:start + SCAN_BLOCK_ROWS]
-        lo, hi = los_a[rows], his_a[rows]
-        nodes = _scan_nodes(lo, hi, (hi - lo) / SCAN_CELLS, n)
-        fs, errors = _evaluate_rows(fn_rows, rows, nodes)
-        finite = np.isfinite(fs)
-        ok = finite.all(axis=1)
-        for k in np.flatnonzero(~ok).tolist():
-            if k in errors:
-                out[rows[k]] = errors[k]
-            else:
-                j = int(finite[k].argmin())
-                out[rows[k]] = NonFiniteSampleError(
-                    j, float(nodes[k, j]), float(fs[k, j])
-                )
-        k = np.flatnonzero(ok)
-        if not k.size:
-            continue
-        j = fs[k].argmin(axis=1)
-        picks.append((
-            rows[k], nodes[k, j], fs[k, j],
-            nodes[k, np.maximum(j - 1, 0)], nodes[k, np.minimum(j + 1, n - 1)],
-        ))
-    if not picks:
-        return out
-    lanes, best_x, best_f, a, b = (np.concatenate(z) for z in zip(*picks))
-    gx, gf, iters, width = _golden_rows(fn_rows(lanes), a, b, tol, 200)
-    better = gf < best_f
-    best_x = np.where(better, gx, best_x).tolist()
-    best_f = np.where(better, gf, best_f).tolist()
-    for i, x, f, it, w in zip(
-        lanes.tolist(), best_x, best_f, iters.tolist(), width.tolist()
-    ):
-        out[i] = SolveReport(x, it, w, "grid-refine"), f
+                continue
+            try:
+                out[i] = _refine(fns[i], nodes[k], fs[k], tol, 200)
+            except HestonDistError as exc:
+                out[i] = exc
     return out
 
 
-def _evaluate_rows(
-    fn_rows: RowObjective, rows: np.ndarray, x: np.ndarray
+def _scan_rows(
+    scan: Callable[[list[int], np.ndarray], np.ndarray],
+    rows: list[int],
+    nodes: np.ndarray,
 ) -> tuple[np.ndarray, dict[int, HestonDistError]]:
-    """The selected rows' objectives at x, and the error of every row
-    (by position in rows) that raises one on its own."""
+    """The rows' objectives at their nodes, and the error of every row (by
+    position in rows) that raises one on its own."""
     try:
-        return np.asarray(fn_rows(rows)(x), dtype=float), {}
+        return np.asarray(scan(rows, nodes), dtype=float), {}
     except HestonDistError:
         pass
-    vals = np.full(x.shape, math.nan)
+    vals = np.full(nodes.shape, math.nan)
     errors = {}
-    for k in range(len(rows)):
+    for k, i in enumerate(rows):
         try:
-            vals[k] = fn_rows(rows[k:k + 1])(x[k:k + 1])[0]
+            vals[k] = scan([i], nodes[k:k + 1])[0]
         except HestonDistError as exc:
             errors[k] = exc
     return vals, errors
-
-
-def _golden_rows(
-    fn: Callable[[np.ndarray], np.ndarray],
-    a: np.ndarray,
-    b: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """_golden on every lane [a[k], b[k]] at once, bit for bit; returns
-    the arrays (argmin, value, iters, width).  fn maps one point per lane
-    to the lanes' objective values.
-
-    Every step moves every lane as _golden would, with one array call of
-    fn.  A lane's result is taken at the step where _golden would stop;
-    the lane keeps moving after that, inside its bracket, and its later
-    values are discarded."""
-    tol = np.maximum(tol * np.minimum(1.0, np.maximum(np.abs(a), np.abs(b))), 5e-324)
-    w = b - a
-    c = b - _INVPHI * w
-    d = a + _INVPHI * w
-    fc, fd = fn(c), fn(d)
-    x_out, f_out, width = np.empty_like(a), np.empty_like(a), np.empty_like(a)
-    iters = np.zeros(a.shape, dtype=np.int64)
-    live = np.ones(a.shape, dtype=bool)
-    it = 0
-    while True:
-        stop = live & ~(w > tol) if it < max_iter else live
-        if stop.any():
-            take_c = fc <= fd
-            np.copyto(x_out, np.where(take_c, c, d), where=stop)
-            np.copyto(f_out, np.where(take_c, fc, fd), where=stop)
-            np.copyto(width, w, where=stop)
-            iters[stop] = it
-            live &= ~stop
-        if not live.any():
-            return x_out, f_out, iters, width
-        # fc < fd: b, d, fd = d, c, fc and a new c; else a, c, fc = c, d, fd
-        # and a new d
-        left = fc < fd
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        kept = np.where(left, c, d)
-        f_kept = np.where(left, fc, fd)
-        w = b - a
-        step = _INVPHI * w
-        x = np.where(left, b - step, a + step)
-        fx = fn(x)
-        c, d = np.where(left, x, kept), np.where(left, kept, x)
-        fc, fd = np.where(left, fx, f_kept), np.where(left, f_kept, fx)
-        it += 1
 
 
 # ---------------------------------------------------------------------------

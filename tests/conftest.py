@@ -69,7 +69,12 @@ def line_objective(beta: float, gamma: float, minus: bool = False, axis=None):
     """(scalar, array form) of the line solvers' objective through one
     intersection root of the line, with the axis crossing at v = axis as
     its theta = 0 node when axis is given."""
-    return ld._forms(ld._Search("", beta, gamma, minus, 0.0, 0.0, axis))
+    row = ld._Search("", beta, gamma, minus, 0.0, 0.0, axis)
+    axis_value = ld._axis_node_value(row)
+    return (
+        ld._row_fn(row),
+        lambda ts: ld._objective_many(ts, beta, gamma, minus, axis_value),
+    )
 
 
 def vertical_variant_distance(beta: float, variant: str, tol: float = 1e-9) -> float:

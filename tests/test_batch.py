@@ -1,7 +1,7 @@
 """The batched line solver behind smile_table answers every line exactly as
 dist_to_line does: the same bits in every field, or the same error.
-dist_to_line minimizes its one or two rows one at a time; the helpers
-below run every search of a batch together, whatever its size."""
+dist_to_line is a batch of one line; the helpers below solve each line
+inside a batch of 50 lines, whose rows fill several scan blocks."""
 
 import math
 
@@ -9,6 +9,8 @@ import pytest
 
 import hestondist as hd
 from hestondist import linedist as ld
+from hestondist import solvers
+from hestondist.solvers import minimize_on_interval
 from hestondist.smile import reduced_line
 from test_scan_equivalence import SEARCH_KINDS, search_kind, table_lines
 
@@ -29,11 +31,18 @@ def outcome(call):
     return tuple(x.hex() for x in floats) + (sol.branch, rep.iterations, rep.method)
 
 
+BATCH = 50
+
+
 def solve_batched(lines, tol=1e-9):
-    """_solve_many with its rows minimized together however few they are."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ld, "BATCH_MIN_ROWS", 0)
-        return ld._solve_many(lines, tol)
+    """_solve_many on the lines in groups of BATCH, each group padded to
+    BATCH lines with other lines."""
+    filler = table_lines()[::5][:BATCH]
+    out = []
+    for start in range(0, len(lines), BATCH):
+        group = lines[start:start + BATCH]
+        out += ld._solve_many(group + filler[:BATCH - len(group)], tol)[:len(group)]
+    return out
 
 
 def batched(lines, tol=1e-9):
@@ -91,21 +100,25 @@ def test_empty_batch():
     assert solve_batched([]) == []
 
 
-@pytest.mark.parametrize("n, batch", [(4, False), (50, True)])
-def test_batch_chosen_by_row_count(monkeypatch, n, batch):
+@pytest.mark.parametrize("n", [4, 50])
+def test_no_line_calls_minimize_on_interval(monkeypatch, n):
+    # every row is scanned by _minimize_rows and refined by _golden, for a
+    # single line as for a ladder
     calls = []
-    minimize_rows = ld._minimize_rows
 
-    def record(fn_rows, los, his, tol):
-        calls.append(len(los))
-        return minimize_rows(fn_rows, los, his, tol)
+    def record(*args, **kwargs):
+        calls.append(args)
+        return minimize_on_interval(*args, **kwargs)
 
-    monkeypatch.setattr(ld, "_minimize_rows", record)
+    for module in (ld, solvers):
+        monkeypatch.setattr(module, "minimize_on_interval", record)
     frame = hd.CorrelationFrame(0.8, -0.4)
     strikes = [100.0 * math.exp(-1.0 + 2.0 * j / (n - 1)) for j in range(n)]
-    hd.smile_table(100.0, 0.05, frame, strikes)
-    assert bool(calls) == batch
-    assert all(rows >= ld.BATCH_MIN_ROWS for rows in calls)
+    entries = hd.smile_table(100.0, 0.05, frame, strikes)
+    assert all(isinstance(e, hd.SmilePoint) for e in entries)
+    for beta, gamma in special_lines()[: 4 * n]:
+        outcome(lambda: hd.dist_to_line(beta, gamma))
+    assert calls == []
 
 
 @pytest.mark.parametrize("batch", [False, True])
@@ -127,11 +140,8 @@ def test_ladder_shares_psi_inv_through_the_bindings(monkeypatch, batch):
     lines = [reduced_line(hd.SmileQuery(100.0, k, 0.2, frame)) for k in strikes]
     gamma = lines[0][1]
     assert gamma > 0.0 and all(0.0 < b < 0.5 * math.pi for b, _ in lines)
-    if batch:
-        sols = solve_batched(lines)
-    else:
-        monkeypatch.setattr(ld, "BATCH_MIN_ROWS", math.inf)
-        sols = ld._solve_many(lines, 1e-9)
+    # the ladder alone, or inside a batch padded with other lines
+    sols = solve_batched(lines) if batch else ld._solve_many(lines, 1e-9)
     assert all(isinstance(s, hd.DistanceSolution) for s in sols)
     assert calls["eta_alpha_inv"]
     assert calls["psi_inv"].count((gamma,)) == 1
@@ -181,7 +191,7 @@ def test_every_line_failing(monkeypatch):
         raise hd.DomainError("objective unavailable")
 
     monkeypatch.setattr(ld, "_objective_many", broken)
-    monkeypatch.setattr(ld, "_objective", broken)
+    monkeypatch.setattr(ld, "_row_fn", lambda row: broken)
     lines = [(0.5, 2.0), (1.0, -1.0), (3.0, 0.0), (-1.0, 0.3), DEGENERATE]
     assert batched(lines) == single(lines)
     assert batched(lines)[1][0] != "DomainError"  # the on-line answer

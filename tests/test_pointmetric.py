@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hestondist as hd
 from hestondist import BoundaryPairError, DomainError
+from hestondist.pointmetric import _dist_base_grid
 
 from conftest import abscissas, positive_variances, variances
 
@@ -134,6 +136,23 @@ class TestDist:
             xs = [0.1 * k for k in range(30)]
             ds = [hd.dist(BASE, (x, v)) for x in xs]
             assert all(a <= b + 1e-12 for a, b in zip(ds, ds[1:]))
+
+    TINY = [1e-140, 1e-150, 1e-154, 1.5e-154, 1e-155, 1e-160, 1e-165, 1e-200,
+            1e-250, 1e-300]
+
+    @pytest.mark.parametrize("h", TINY)
+    def test_tiny_separation(self, h):
+        # the metric is Euclidean at (0, 1), and the distance's correction
+        # is O(h^3); sin(delta/4)**2 underflows below an index of ~1e-154
+        for x, v, scale in ((h, 1.0, 1.0), (-h, 1.0, 1.0), (4.0 * h, 4.0, 2.0)):
+            want = scale * h
+            assert abs(hd.dist((0.0, v), (x, v)) - want) <= 1e-15 * want
+        assert abs(hd.dist(BASE, (h, 1.0)) - h) <= 1e-15 * h
+
+    def test_tiny_separation_on_the_grid(self):
+        hs = np.array(self.TINY)
+        got = _dist_base_grid(np.concatenate([hs, -hs]), np.ones(2 * hs.size))
+        assert np.all(np.abs(got - np.concatenate([hs, hs])) <= 1e-15 * got)
 
     def test_growth_limit(self):
         for beta in (0.0, 1.0, 10.0):

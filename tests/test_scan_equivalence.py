@@ -1,17 +1,21 @@
-"""The array form of every line-solver objective equals its scalar form bit
-for bit on the scan nodes, so passing ``fn_many`` changes no answer."""
+"""The block kernel of every line-solver objective equals the row's
+one-frame scalar objective bit for bit on the scan nodes and at the golden
+points, so the 2-D scan changes no answer."""
 
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hestondist as hd
 from conftest import line_objective
 from hestondist import corefuncs as cf
 from hestondist import linedist as ld
-from hestondist.solvers import SCAN_CELLS, minimize_on_interval
+from hestondist import solvers
+from hestondist.solvers import SCAN_BLOCK_ROWS, SCAN_CELLS, minimize_on_interval
 
 
 def scan_nodes(lo, hi, cells=SCAN_CELLS):
@@ -57,48 +61,77 @@ def seeded_lines():
 
 @pytest.fixture(scope="module")
 def captured():
-    """Every minimize_on_interval call dist_to_line makes on the seeded
-    lines: (branch of the answer, fn, bracket, fn_many)."""
-    calls = []
-    orig = ld.minimize_on_interval
+    """Every row _solve_many minimizes for dist_to_line on the seeded lines,
+    as a dict: the row, its one-frame objective fn, the block scan and the
+    row's index in it, the row's result and every row of its batch."""
+    found, tables = [], []
+    minimize_rows, searches = ld._minimize_rows, ld._searches
 
-    def record(fn, bracket, *args, **kwargs):
-        calls.append([None, fn, bracket, kwargs.get("fn_many")])
-        return orig(fn, bracket, *args, **kwargs)
+    def record_rows(beta, gamma, memo):
+        rows = searches(beta, gamma, memo)
+        tables.append(rows)
+        return rows
 
-    ld.minimize_on_interval = record
-    try:
+    def record(fns, scan, los, his, tol):
+        results = minimize_rows(fns, scan, los, his, tol)
+        rows = [r for table in tables for r in table]
+        tables.clear()
+        assert [(r.lo, r.hi) for r in rows] == list(zip(los, his))
+        for i, row in enumerate(rows):
+            found.append(dict(row=row, fn=fns[i], scan=scan, index=i,
+                              result=results[i], batch=(fns, los, his)))
+        return results
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ld, "_searches", record_rows)
+        mp.setattr(ld, "_minimize_rows", record)
         for beta, gamma in seeded_lines():
-            start = len(calls)
-            branch = ld.dist_to_line(beta, gamma).branch
-            for call in calls[start:]:
-                call[0] = branch
-    finally:
-        ld.minimize_on_interval = orig
-    return calls
+            ld.dist_to_line(beta, gamma)
+    return found
+
+
+def row_block(call):
+    """The 2-D scan block of _minimize_rows that holds a captured row: the
+    indices of its rows and their nodes."""
+    fns, los, his = call["batch"]
+    live = [i for i in range(len(fns)) if his[i] > los[i]]
+    start = live.index(call["index"]) // SCAN_BLOCK_ROWS * SCAN_BLOCK_ROWS
+    rows = live[start:start + SCAN_BLOCK_ROWS]
+    lo, hi = np.array([[los[i]] for i in rows]), np.array([[his[i]] for i in rows])
+    return rows, solvers._scan_nodes(lo, hi, (hi - lo) / SCAN_CELLS, SCAN_CELLS + 1)
 
 
 class TestObjectivesOnScanNodes:
     def test_every_call_site_passes_an_array_form(self, captured):
-        assert {c[0] for c in captured} == {
+        # every branch is minimized through the block scan
+        assert {c["row"].branch for c in captured} == {
             "vertical-kp", "slanted-plus", "slanted-minus", "left-slanted"
         }
-        assert all(fn_many is not None for _, _, _, fn_many in captured)
+        assert all(c["row"].hi > c["row"].lo for c in captured)
         # the theta = 0 axis node is scanned on every axis-bounded branch
-        assert {c[0] for c in captured if c[2][0] == 0.0} == {
+        assert {c["row"].branch for c in captured if c["row"].lo == 0.0} == {
             "slanted-minus", "left-slanted"
         }
 
     def test_array_form_matches_scalar_form(self, captured):
-        for _, fn, (lo, hi), fn_many in captured:
-            if hi > lo:
-                check_objective((fn, fn_many), scan_nodes(lo, hi))
+        axis_nodes = 0
+        for call in captured:
+            rows, nodes = row_block(call)
+            values = call["scan"](rows, nodes)
+            k = rows.index(call["index"])
+            assert nodes[k].tolist() == scan_nodes(call["row"].lo, call["row"].hi)
+            assert_same_bits([call["fn"](x) for x in nodes[k].tolist()], values[k])
+            axis_nodes += nodes[k, 0] == 0.0
+        assert axis_nodes > 0
 
     def test_minimizer_result_is_unchanged(self, captured):
-        for _, fn, bracket, fn_many in captured:
-            assert minimize_on_interval(fn, bracket) == minimize_on_interval(
-                fn, bracket, fn_many=fn_many
-            )
+        for call in captured:
+            fn, scan, i, row = call["fn"], call["scan"], call["index"], call["row"]
+            want = minimize_on_interval(fn, (row.lo, row.hi))
+            assert minimize_on_interval(
+                fn, (row.lo, row.hi), fn_many=lambda ts: scan([i], ts[None])[0]
+            ) == want
+            assert call["result"] == want
 
     def test_nodes_straddle_small_angle(self):
         nodes = scan_nodes(*hd.vertical_bracket(0.01))
@@ -108,9 +141,10 @@ class TestObjectivesOnScanNodes:
 
     def test_coefficients(self):
         nodes = scan_nodes(1e-300, 2.0 * math.pi - 1e-9) + scan_nodes(1e-4, 0.03)
-        a, b = cf.coefs_many(np.array(nodes))
+        a, b, sh = cf.coefs_many(np.array(nodes))
         assert_same_bits([cf.coef_A(t) for t in nodes], a)
         assert_same_bits([cf.coef_B(t) for t in nodes], b)
+        assert_same_bits([math.sin(0.5 * t) for t in nodes], sh)
 
     def test_coefficients_reject_the_first_node_outside_the_domain(self):
         with pytest.raises(hd.DomainError, match="got 0.0"):
@@ -129,7 +163,7 @@ class TestObjectivesOnScanNodes:
         assert cf._s_minus_raw(beta, gamma, theta) == math.inf
         assert_same_bits(
             [cf._s_minus_raw(beta, gamma, t) for t in nodes],
-            cf._roots_many(beta, gamma, True, np.array(nodes)),
+            cf._roots_many(beta, gamma, True, *cf.coefs_many(np.array(nodes))[:2]),
         )
         check_objective(line_objective(beta, gamma, minus=True), nodes)
 
@@ -153,8 +187,9 @@ class TestObjectivesOnScanNodes:
         roots = [-math.inf, -1.0, -0.0, 0.0, 0.5, 1e150, 1e160, 1e200, math.inf, math.nan]
         thetas = [1.0, 2.5, 6.0, 1e-3, 3.0, 1.0, 6.2, 2.0, 1.0, 1.0]
         with np.errstate(over="ignore"):
-            got = ld._lam_many(np.array(thetas), np.array(roots))
-        assert_same_bits([ld._lam(t, s) for t, s in zip(thetas, roots)], got)
+            thetas_a = np.array(thetas)
+            got = ld._lam_many(thetas_a, np.sin(0.5 * thetas_a), np.array(roots))
+        assert_same_bits([lam(t, s) for t, s in zip(thetas, roots)], got)
         assert got[-3] == ld._HUGE
 
     def test_axis_node(self):
@@ -162,6 +197,49 @@ class TestObjectivesOnScanNodes:
             objective = line_objective(beta, gamma, axis=v_axis)
             check_objective(objective, scan_nodes(0.0, 1.5))
             assert objective[1](np.array([0.0]))[0] == ld._axis_value(v_axis)
+
+
+def lam(theta, s):
+    """The clamps of linedist._row_fn on a root s: a negative root counts as
+    0, a non-finite one as _ROOT_HUGE, an overflowing value as _HUGE."""
+    if s < 0.0:
+        s = 0.0
+    elif not math.isfinite(s):
+        s = ld._ROOT_HUGE
+    val = cf._half_sq_from_root(theta, s)
+    return val if math.isfinite(val) else ld._HUGE
+
+
+signed_magnitudes = st.tuples(
+    st.floats(min_value=-4.0, max_value=2.0), st.sampled_from((-1.0, 1.0))
+).map(lambda m: m[1] * 10.0 ** m[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_magnitudes, signed_magnitudes)
+def test_row_objective_matches_the_kernel(beta, gamma):
+    """On log-uniform lines of both signs the one-frame objective of every
+    row equals the kernel at the scan nodes of the line's 2-D block and at
+    every point the golden refine visits."""
+    line = ld._prelude(beta, gamma)
+    assume(not isinstance(line, hd.DistanceSolution))
+    rows = ld._searches(line[0], line[1], {})
+    lo, hi = np.array([[r.lo] for r in rows]), np.array([[r.hi] for r in rows])
+    assume((hi > lo).all())
+    nodes = solvers._scan_nodes(lo, hi, (hi - lo) / SCAN_CELLS, SCAN_CELLS + 1)
+    block = ld._scan_block(rows, nodes)
+    for k, row in enumerate(rows):
+        fn = ld._row_fn(row)
+        assert_same_bits([fn(x) for x in nodes[k].tolist()], block[k])
+        visited = []
+        i = int(block[k].argmin())
+        a = float(nodes[k, max(i - 1, 0)])
+        b = float(nodes[k, min(i + 1, SCAN_CELLS)])
+        solvers._golden(lambda t: visited.append(t) or fn(t), a, b, 1e-9, 200)
+        assert len(visited) >= 2
+        assert_same_bits(
+            [fn(t) for t in visited], ld._scan_block([row], np.array([visited]))[0]
+        )
 
 
 def search_kind(beta, gamma, rows, row):

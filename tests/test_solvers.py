@@ -274,17 +274,19 @@ def _objective_rows():
     return rows
 
 
-def _fn_rows(rows):
-    def bind(sel):
-        fns = [rows[i][1] for i in sel.tolist()]
+def _scan(rows):
+    """The block scan of the rows for _minimize_rows, from their array forms."""
+    def scan(sel, nodes):
+        return np.array([rows[i][1](x) for i, x in zip(sel, nodes)], dtype=float)
 
-        def fn(x):
-            parts = [f(xi) for f, xi in zip(fns, x)]
-            return np.array(parts, dtype=float)
+    return scan
 
-        return fn
 
-    return bind
+def _minimize_rows(rows, tol=solvers.MIN_TOL):
+    return solvers._minimize_rows(
+        [r[0] for r in rows], _scan(rows), [r[2][0] for r in rows],
+        [r[2][1] for r in rows], tol,
+    )
 
 
 def _result(call):
@@ -302,42 +304,40 @@ class TestMinimizeRows:
     def test_matches_minimize_on_interval(self, tol):
         rows = _objective_rows()
         assert len(rows) > 2 * solvers.SCAN_BLOCK_ROWS
-        got = solvers._minimize_rows(
-            _fn_rows(rows), [r[2][0] for r in rows], [r[2][1] for r in rows], tol
-        )
+        got = _minimize_rows(rows, tol)
         want = [
-            _result(lambda r=r: minimize_on_interval(r[0], r[2], tol=tol, fn_many=r[1]))
+            _result(lambda r=r: minimize_on_interval(r[0], r[2], tol=tol))
             for r in rows
         ]
         assert [_result(lambda g=g: _raise_or(g)) for g in got] == want
 
     def test_non_finite_node(self):
-        rows = _objective_rows()
-        got = solvers._minimize_rows(
-            _fn_rows(rows), [r[2][0] for r in rows], [r[2][1] for r in rows]
-        )
-        err = got[17]
+        err = _minimize_rows(_objective_rows())[17]
         assert isinstance(err, NonFiniteSampleError)
         assert (err.node_index, err.x, err.value) == (129, 0.50390625, math.inf)
         assert type(err.x) is float
 
     def test_every_scanned_row_fails(self):
         rows = [_objective_rows()[i] for i in (17, 19)]  # inf node, raises
-        got = solvers._minimize_rows(
-            _fn_rows(rows), [r[2][0] for r in rows], [r[2][1] for r in rows]
-        )
+        got = _minimize_rows(rows)
         assert [type(g) for g in got] == [NonFiniteSampleError, DomainError]
 
-    def test_lockstep_golden_matches_golden(self):
+    def test_refine_is_golden_on_the_scalar_objective(self):
+        # after the block scan, the scalar objective is called exactly at the
+        # points _golden visits in the cell pair around the scan's minimum
         fn = lambda t: math.cos(3.0 * t) + 0.01 * t
-        fn_many = lambda ts: np.cos(3.0 * ts) + 0.01 * ts
-        a = np.array([0.0, 0.5, 1.0, 2.0, -1.0, 1e-20, 1.0])
-        b = np.array([1.0, 2.5, 1.0 + 1e-12, 3.0, 1.0, 1e-19, 1.0])
-        for max_iter in (0, 3, 200):
-            got = solvers._golden_rows(fn_many, a, b, 1e-9, max_iter)
-            for k in range(len(a)):
-                want = solvers._golden(fn, float(a[k]), float(b[k]), 1e-9, max_iter)
-                assert tuple(float(g[k]) for g in got) == tuple(map(float, want))
+        seen, visited = [], []
+        scan = lambda sel, nodes: np.cos(3.0 * nodes) + 0.01 * nodes
+        (got,) = solvers._minimize_rows(
+            [lambda t: seen.append(t) or fn(t)], scan, [0.0], [2.5]
+        )
+        nodes = solvers._scan_nodes(0.0, 2.5, 2.5 / solvers.SCAN_CELLS,
+                                    solvers.SCAN_CELLS + 1)
+        i = int(scan(None, nodes).argmin())
+        solvers._golden(lambda t: visited.append(t) or fn(t),
+                        float(nodes[i - 1]), float(nodes[i + 1]), solvers.MIN_TOL, 200)
+        assert seen == visited
+        assert got == minimize_on_interval(fn, (0.0, 2.5))
 
 
 def _raise_or(result):
