@@ -126,6 +126,25 @@ def points(seed: int, n: int) -> Section:
     return sec
 
 
+def extremes(seed: int, n: int) -> Section:
+    """The arc index and the inversions across the whole finite range:
+    |x| log-uniform in [5e-324, 1e306], both signs, and v in {0, 5e-324}
+    or log-uniform in [1e-300, 1e306].  The source point of dist keeps v0
+    in [1, 100], so that the reduced coordinates stay finite too."""
+    rng = random.Random(f"{seed}-extremes")
+    sec = Section("delta_of.extremes")
+    for _ in range(n):
+        x = _sign(rng) * _mag(rng, -323.3, 306)
+        v = rng.choice((0.0, 5e-324, _mag(rng, -300, 306), _mag(rng, -300, 306)))
+        sec.record(hd.delta_of, x, v)
+        p0 = (_sign(rng) * _mag(rng, -3, 2), _mag(rng, 0, 2))
+        sec.record(hd.dist, p0, (x, v))
+        y = abs(x)
+        sec.record(hd.psi_inv, y)
+        sec.record(hd.eta_alpha_inv, y, y * rng.uniform(1e-6, 1.0))
+    return sec
+
+
 def inverse_maps(seed: int, n: int) -> Section:
     rng = random.Random(f"{seed}-inverse")
     sec = Section("inverse-maps")
@@ -252,6 +271,7 @@ def main() -> int:
     sections = [
         *lines(args.seed, 400),
         points(args.seed, 3000),
+        extremes(args.seed, 1500),
         inverse_maps(args.seed, 300),
         intersections(args.seed, 1500),
         *smile_and_oracle(args.seed, 8, 40),

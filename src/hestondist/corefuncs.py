@@ -15,7 +15,10 @@ array form ``_roots_many`` are the line solvers' objectives, and the public
 root.  ``_coefs`` gives coef_A and coef_B together, for one domain check
 and one evaluation of each sine.  ``_radicand`` is the one radicand of the
 level curve, shared by ``lambda_big`` and the curve functions in
-``levelsets``.
+``levelsets``.  ``f_of``, ``eta_alpha`` and ``zeta`` are written once, as
+closures over their first argument (``_f_of_fn``, ``_eta_alpha_fn``,
+``_zeta_fn``) that the root solves evaluate in one frame per call; the
+two-argument forms call them.
 
 All functions here are pure, stateless and raise DomainError outside their
 stated domains rather than returning NaN.  The ``*_many`` functions are the
@@ -32,7 +35,7 @@ switch point.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -161,26 +164,36 @@ def f_of(v: float, delta: float) -> float:
 
     a sum of two nonnegative terms for d > 0.
     """
+    return _f_of_fn(v)(delta)
+
+
+def _f_of_fn(v: float) -> Callable[[float], float]:
+    """f_of(v, .) as a one-frame function of delta, the arc-index objective:
+    v is checked, and (sqrt(v) - 1)^2 and 4*sqrt(v) computed, once."""
     if not v >= 0.0:
         raise DomainError(f"v must be nonnegative, got {v!r}")
-    _check_angle_sym(delta, "delta")
-    if delta == 0.0:
-        return 0.0
-    if delta < 0.0:
-        return -f_of(v, -delta)
     s = math.sqrt(v)
-    if delta < SMALL_ANGLE:
-        t2 = delta * delta
-        sr = _sin_half_r(t2)
-        qr = _sin_quarter_r(t2)
-        num = (s - 1.0) ** 2 * _p_r3(t2) + 4.0 * s * qr * qr * (1.0 + 2.0 * sr)
-        return delta * num / (2.0 * sr * sr)
-    sh = math.sin(0.5 * delta)
-    q4 = math.sin(0.25 * delta)
-    num = (s - 1.0) ** 2 * theta_minus_sin(delta) + 4.0 * s * q4 * q4 * (
-        delta + 2.0 * sh
-    )
-    return num / (2.0 * sh * sh)
+    s1, s4 = (s - 1.0) ** 2, 4.0 * s
+
+    def f_v(delta: float) -> float:
+        if SMALL_ANGLE <= delta < TWO_PI:
+            sh = math.sin(0.5 * delta)
+            q4 = math.sin(0.25 * delta)
+            num = s1 * (delta - math.sin(delta)) + s4 * q4 * q4 * (delta + 2.0 * sh)
+            return num / (2.0 * sh * sh)
+        if 0.0 < delta < SMALL_ANGLE:
+            t2 = delta * delta
+            sr = _sin_half_r(t2)
+            qr = _sin_quarter_r(t2)
+            num = s1 * _p_r3(t2) + s4 * qr * qr * (1.0 + 2.0 * sr)
+            return delta * num / (2.0 * sr * sr)
+        _check_angle_sym(delta, "delta")
+        if delta == 0.0:
+            return 0.0
+        # via the factory: a self-calling closure is a cycle for the collector
+        return -_f_of_fn(v)(-delta)
+
+    return f_v
 
 
 def lambda_big(x: float, theta: float) -> float:
@@ -331,26 +344,38 @@ def eta_alpha(alpha: float, theta: float) -> float:
     """Tangency index for lines with distinct parameters: equals
     psi^2*A^2/(alpha - psi) + psi, defined for 0 < theta < psi^{-1}(alpha)
     and strictly increasing there."""
+    return _eta_alpha_fn(alpha)(theta)
+
+
+def _eta_alpha_fn(alpha: float) -> Callable[[float], float]:
+    """eta_alpha(alpha, .) as a function of theta alone, with alpha checked
+    once: the objective of eta_alpha_inv, one frame per evaluation.  Like
+    eta_alpha it raises DomainError at and beyond the tangency ceiling."""
     if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
-    _check_angle_open(theta)
-    # psi and coef_A inlined, from one sin(theta/2) and one theta - sin theta
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        p3 = _p_r3(t2)
-        sr = _sin_half_r(t2)
-        ps = theta * p3 / (2.0 * sr * sr)
-        a = -_u_r3(t2) / p3
-    else:
-        sh = math.sin(0.5 * theta)
-        p = theta - math.sin(theta)
-        ps = p / (2.0 * sh * sh)
-        a = -(2.0 * sh - theta * math.cos(0.5 * theta)) / p
-    if ps >= alpha:
-        raise DomainError(
-            f"theta={theta!r} is not below the tangency ceiling psi^-1({alpha!r})"
-        )
-    return ps * ps * a * a / (alpha - ps) + ps
+
+    def eta_alpha_at(theta: float) -> float:
+        # psi and coef_A inlined, from one sin(theta/2) and one theta - sin theta
+        if SMALL_ANGLE <= theta < TWO_PI:
+            sh = math.sin(0.5 * theta)
+            p = theta - math.sin(theta)
+            ps = p / (2.0 * sh * sh)
+            a = -(2.0 * sh - theta * math.cos(0.5 * theta)) / p
+        elif 0.0 < theta < SMALL_ANGLE:
+            t2 = theta * theta
+            p3 = _p_r3(t2)
+            sr = _sin_half_r(t2)
+            ps = theta * p3 / (2.0 * sr * sr)
+            a = -_u_r3(t2) / p3
+        else:
+            _check_angle_open(theta)
+        if ps >= alpha:
+            raise DomainError(
+                f"theta={theta!r} is not below the tangency ceiling psi^-1({alpha!r})"
+            )
+        return ps * ps * a * a / (alpha - ps) + ps
+
+    return eta_alpha_at
 
 
 def zeta(gamma: float, theta: float) -> float:
@@ -361,12 +386,24 @@ def zeta(gamma: float, theta: float) -> float:
     Evaluated as x_crit(theta) - gamma*cos(theta/2)^2, which neither
     overflows for huge slopes nor cancels near theta = pi.
     """
-    if not (0.0 <= theta <= math.pi):
-        raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
-    if math.isnan(gamma):
+    return _zeta_fn(gamma)(theta)
+
+
+def _zeta_fn(gamma: float) -> Callable[[float], float]:
+    """zeta(gamma, .) as a function of theta alone, with gamma checked once:
+    the objective of theta_crit, one frame per evaluation.  An angle
+    outside [0, pi] is reported before a NaN gamma, as zeta reports them."""
+    number = not math.isnan(gamma)
+
+    def zeta_gamma(theta: float) -> float:
+        if 0.0 <= theta <= math.pi and number:
+            ch = math.cos(0.5 * theta)
+            return 0.5 * (theta + math.sin(theta)) - gamma * ch * ch
+        if not (0.0 <= theta <= math.pi):
+            raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
         raise DomainError(f"gamma must be a number, got {gamma!r}")
-    ch = math.cos(0.5 * theta)
-    return 0.5 * (theta + math.sin(theta)) - gamma * ch * ch
+
+    return zeta_gamma
 
 
 def x_crit(theta: float) -> float:
@@ -590,6 +627,8 @@ def h_lower(x: float, v: float) -> float:
     if not v >= 0.0:
         raise DomainError(f"v must be nonnegative, got {v!r}")
     bulk = v + math.sqrt(v) + 1.0
+    if x > _HUGE or bulk > _HUGE:
+        x, bulk = x * _SCALE, bulk * _SCALE
     if x <= _KNEE * bulk:
         return _h_lower_below_knee(x, bulk)
     return _h_lower_above_knee(x, bulk)
@@ -597,6 +636,12 @@ def h_lower(x: float, v: float) -> float:
 
 # g_major's knee delta = pi, as an abscissa over v + sqrt(v) + 1
 _KNEE = math.pi**3 / 12.0
+
+# Above _HUGE, 12*x, pi^2*bulk or _KNEE*bulk may overflow, so x and bulk
+# are scaled by _SCALE first: a power of two, which leaves every ratio and
+# so every bound whose products stay finite bit for bit as it was.
+_HUGE = 2.0**1019
+_SCALE = 2.0**-4
 
 
 def _h_lower_below_knee(x, bulk):
@@ -610,10 +655,15 @@ def _h_lower_above_knee(x, bulk):
 
 def _h_lower_many(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """h_lower on arrays with x > 0 and v >= 0, unchecked: each branch on
-    its own lanes, so neither overflows on the other's.  numpy's ** may
-    differ from libm's pow by an ulp, so a lane above the knee may differ
-    from the scalar bound by that much."""
+    its own lanes, so neither overflows on the other's, and the lanes
+    above _HUGE scaled as h_lower scales them.  numpy's ** may differ from
+    libm's pow by an ulp, so a lane above the knee may differ from the
+    scalar bound by that much."""
     bulk = v + np.sqrt(v) + 1.0
+    huge = (x > _HUGE) | (bulk > _HUGE)
+    if huge.any():
+        x = np.where(huge, x * _SCALE, x)
+        bulk = np.where(huge, bulk * _SCALE, bulk)
     below = x <= _KNEE * bulk
     out = np.empty_like(x)
     out[below] = _h_lower_below_knee(x[below], bulk[below])

@@ -25,7 +25,7 @@ from . import corefuncs as cf
 from .errors import DomainError
 from .pointmetric import ManifoldPoint
 from .solution import DistanceSolution
-from .solvers import INDEX_TOL, invert_to_two_pi, solve_monotone
+from .solvers import INDEX_TOL, _solve, invert_to_two_pi
 
 _EPS_ANGLE = 1e-12
 _STEP_CAP = 200
@@ -195,7 +195,7 @@ def eta_alpha_inv(
     if ceiling is None:
         ceiling = psi_inv(alpha)
     lo = min(_EPS_ANGLE, y)
-    fn = lambda t: cf.eta_alpha(alpha, t)
+    fn = cf._eta_alpha_fn(alpha)
     hi = lo
     for _ in range(_STEP_CAP):
         nxt = ceiling - 0.5 * (ceiling - hi)
@@ -208,9 +208,7 @@ def eta_alpha_inv(
             # rounding pushed hi past the ceiling; keep the previous point
             return ceiling - (ceiling - hi) * 2.0
         if f_hi >= y:
-            return solve_monotone(
-                fn, (lo, hi), target=y, tol=INDEX_TOL, fn_hi=f_hi
-            ).value
+            return _solve(fn, lo, hi, y, INDEX_TOL, 200, None, f_hi)[0]
     raise DomainError(f"target {y!r} not reached below the tangency ceiling")
 
 
@@ -220,7 +218,7 @@ def x_crit_inv(y: float) -> float:
         raise DomainError(f"argument must lie in [0, pi/2], got {y!r}")
     if y == 0.0:
         return 0.0
-    return solve_monotone(cf.x_crit, (0.0, math.pi), target=y, tol=INDEX_TOL).value
+    return _solve(cf.x_crit, 0.0, math.pi, y, INDEX_TOL, 200, None, None)[0]
 
 
 def theta_crit(beta: float, gamma: float) -> float:
@@ -231,9 +229,9 @@ def theta_crit(beta: float, gamma: float) -> float:
         raise DomainError("theta_crit requires beta >= 0 and gamma >= 0")
     if beta > 0.5 * math.pi:
         return psi_inv(beta)
-    if cf.zeta(gamma, math.pi) <= beta:
+    zeta = cf._zeta_fn(gamma)
+    z_pi = zeta(math.pi)
+    if z_pi <= beta:
         # enormous slopes push the crossing within one ulp of pi
         return math.pi
-    return solve_monotone(
-        lambda t: cf.zeta(gamma, t), (0.0, math.pi), target=beta, tol=INDEX_TOL
-    ).value
+    return _solve(zeta, 0.0, math.pi, beta, INDEX_TOL, 200, None, z_pi)[0]

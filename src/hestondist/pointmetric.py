@@ -105,23 +105,26 @@ def delta_of(x: float, v: float) -> float:
     bound h_lower and is tightened toward 2*pi from the right by geometric
     halving (solvers.invert_to_two_pi); the solve stops at
     solvers.arc_index_tol of that lower end, so small indices are solved to
-    relative precision.
+    relative precision.  One closure, corefuncs._f_of_fn(v), is f_of(v, .)
+    for the lower end, the back-off, the march and the solve.  A
+    non-finite coordinate raises DomainError.
     """
     if not v >= 0.0:
         raise DomainError(f"v must be nonnegative, got {v!r}")
+    if not (math.isfinite(x) and v < math.inf):
+        raise DomainError(f"coordinates must be finite, got x={x!r}, v={v!r}")
     if x == 0.0:
         return 0.0
     sign = 1.0 if x > 0.0 else -1.0
     xa = abs(x)
     lo = min(max(cf.h_lower(xa, v), _LO_MIN), _LO_MAX)
-    f_lo = cf.f_of(v, lo)
+    f = cf._f_of_fn(v)
+    f_lo = f(lo)
     if f_lo > xa:
         # the certified bound can only fail by rounding; back off
         lo *= 0.5
-        f_lo = cf.f_of(v, lo)
-    return sign * invert_to_two_pi(
-        lambda d: cf.f_of(v, d), xa, lo, tol=arc_index_tol(lo), fn_lo=f_lo
-    )
+        f_lo = f(lo)
+    return sign * invert_to_two_pi(f, xa, lo, tol=arc_index_tol(lo), fn_lo=f_lo)
 
 
 def _dist_base(x: float, v: float) -> float:
@@ -149,12 +152,15 @@ def dist(p0: tuple[float, float], p1: tuple[float, float]) -> float:
     """Distance between two points of the half-plane.
 
     Defined whenever at least one point is off the boundary v = 0;
-    boundary-to-boundary pairs with distinct abscissas are rejected.
+    boundary-to-boundary pairs with distinct abscissas are rejected, and
+    so is a non-finite coordinate (DomainError).
     """
     x0, v0 = p0
     x1, v1 = p1
     if not (v0 >= 0.0 and v1 >= 0.0):
         raise DomainError("points must have v >= 0")
+    if not (math.isfinite(x0) and math.isfinite(x1) and v0 < math.inf and v1 < math.inf):
+        raise DomainError(f"coordinates must be finite, got {p0!r}, {p1!r}")
     if v0 == 0.0 and v1 == 0.0:
         if x0 == x1:
             return 0.0

@@ -16,7 +16,9 @@ The root solve is a pure-Python port of SciPy's ``brentq.c``: it visits the
 same iterates and reports the same iteration count as
 ``scipy.optimize.brentq``, but evaluates the function once per iteration
 (n + 1 calls for n iterations, endpoints included), never re-evaluating the
-endpoints or the root.  The package has no SciPy dependency.
+endpoints or the root.  The package has no SciPy dependency.  The
+library's root solves run ``_solve``, ``solve_monotone`` without its
+report, on the caller's one-frame objective; ``_brent`` subtracts the target.
 
 The scan is one array call: ``fn_many`` where the caller has an array
 form of the objective, otherwise ``fn`` on each node.  The golden-section
@@ -111,6 +113,17 @@ def solve_monotone(
     caller already has them; fn is then not evaluated at that end again.
     """
     lo, hi = bracket
+    root, froot, iterations = _solve(fn, lo, hi, target, tol, max_iter, fn_lo, fn_hi)
+    return SolveReport(root, iterations, abs(froot), "bisection-hybrid")
+
+
+def _solve(
+    fn: Callable[[float], float], lo: float, hi: float, target: float,
+    tol: float, max_iter: int, fn_lo: float | None, fn_hi: float | None,
+) -> tuple[float, float, int]:
+    """solve_monotone without its report: returns (root, fn(root) - target,
+    iterations), with the same checks and errors.  The library's own root
+    solves call this, so that none builds a report it does not keep."""
     if not (lo < hi):
         raise BracketError(f"bracket must have lo < hi, got [{lo!r}, {hi!r}]")
     if not tol > 0.0:
@@ -120,64 +133,59 @@ def solve_monotone(
     if not (math.isfinite(flo) and math.isfinite(fhi)):
         raise BracketError("function is not finite at the bracket endpoints")
     if flo == 0.0:
-        return SolveReport(lo, 0, 0.0, "bisection-hybrid")
+        return lo, 0.0, 0
     if fhi == 0.0:
-        return SolveReport(hi, 0, 0.0, "bisection-hybrid")
+        return hi, 0.0, 0
     if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
         raise BracketError(
             f"no sign change: fn(lo)-target={flo!r}, fn(hi)-target={fhi!r}"
         )
-    root, froot, iterations = _brent(
-        lambda x: fn(x) - target, lo, hi, flo, fhi, tol, _RTOL, max_iter
-    )
-    return SolveReport(root, iterations, abs(froot), "bisection-hybrid")
+    return _brent(fn, lo, hi, flo, fhi, tol, _RTOL, max_iter, target)
 
 
 def _brent(
-    f: Callable[[float], float],
-    xpre: float,
-    xcur: float,
-    fpre: float,
-    fcur: float,
-    xtol: float,
-    rtol: float,
-    maxiter: int,
+    f: Callable[[float], float], xpre: float, xcur: float, fpre: float,
+    fcur: float, xtol: float, rtol: float, maxiter: int, target: float = 0.0,
 ) -> tuple[float, float, int]:
-    """Brent's root solve on [xpre, xcur]; returns (root, f(root), iterations).
+    """Brent's root solve of f(x) = target on [xpre, xcur]; returns (root,
+    f(root) - target, iterations).
 
     A line-for-line port of ``brentq.c`` from SciPy (BSD-3-Clause,
     Copyright (c) 2001-2002 Enthought, Inc. and 2003 onward the SciPy
     Developers), so it visits the same iterates as ``scipy.optimize.brentq``
     and reports the same iteration count.  Unlike SciPy it takes the
-    endpoint values the caller has already computed and returns the value
-    at the root, so it calls ``f`` once in every iteration but the last,
-    which stops at the convergence test.  The caller guarantees finite,
-    nonzero endpoint values of opposite sign.
+    endpoint values fpre and fcur the caller has already computed, target
+    subtracted, and returns the value at the root, so it calls ``f`` once
+    in every iteration but the last.  It subtracts the target in its own
+    frame, so ``f`` is the caller's one-frame objective.  The caller
+    guarantees finite, nonzero endpoint values of opposite sign.
 
-    C semantics are kept where Python differs: ``signbit`` is compared via
-    ``math.copysign``, the ``MIN`` macro is ``a if a < b else b``, and an
-    extrapolation that divides by zero (inf or NaN in C) takes the
-    bisection step that C's comparison would.
+    C semantics are kept where Python differs: ``signbit`` is compared as
+    ``x < 0.0``, which agrees with it on the nonzero, non-NaN values it
+    is asked about (fpre is never zero: the caller's value first, then a
+    value that passed the convergence test), the ``MIN`` macro is
+    ``a if a < b else b``, and an extrapolation that divides by zero (inf
+    or NaN in C) takes the bisection step that C's comparison would.
     """
     xblk = fblk = spre = scur = 0.0
     for iterations in range(1, maxiter + 1):
-        if (
-            fpre != 0.0
-            and fcur != 0.0
-            and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
-        ):
+        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+        afcur, afblk = abs(fcur), abs(fblk)
+        if afblk < afcur:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
+            afcur = afblk
 
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+        asbis = abs(sbis)
+        if fcur == 0.0 or asbis < delta:
             return xcur, fcur, iterations
 
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        aspre = abs(spre)
+        if aspre > delta and afcur < abs(fpre):
             if xpre == xblk:
                 # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -192,8 +200,8 @@ def _brent(
                     )
                 except ZeroDivisionError:
                     stry = math.inf
-            a, b = abs(spre), 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (a if a < b else b):
+            b = 3 * asbis - delta
+            if 2 * abs(stry) < (aspre if aspre < b else b):
                 # good short step
                 spre, scur = scur, stry
             else:
@@ -206,8 +214,8 @@ def _brent(
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-        if math.isnan(fcur):
+        fcur = f(xcur) - target
+        if fcur != fcur:  # NaN
             raise ConvergenceError(
                 f"root solve met a NaN function value at x={xcur!r}"
             )
@@ -284,9 +292,7 @@ def invert_to_two_pi(
         raise ConvergenceError(f"target {target!r} not reached below 2*pi")
     if f_hi < target:
         return hi  # saturated one ulp below 2*pi
-    return solve_monotone(
-        fn, (lo, hi), target=target, tol=tol, fn_hi=f_hi, fn_lo=fn_lo
-    ).value
+    return _solve(fn, lo, hi, target, tol, 200, fn_lo, f_hi)[0]
 
 
 def arc_index_tol(lo: float | np.ndarray) -> float | np.ndarray:

@@ -1,11 +1,16 @@
 import math
+import random
+import sys
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hestondist as hd
 from hestondist import DegenerateLineError, DomainError
+from hestondist import corefuncs as cf
 
 from conftest import angles_open, variances
 
@@ -267,6 +272,9 @@ class TestLambdaBranches:
             checked += 1
 
 
+TOP_OF_RANGE = (1e307, 1e308, sys.float_info.max)
+
+
 class TestBounds:
     def test_majorant_continuous_at_pi(self):
         for v in (0.0, 1.0, 7.3):
@@ -302,6 +310,38 @@ class TestBounds:
         xs = [1e154, 1.3e154, 1.34e154, 1.35e154, 1.4e154, 1e155]
         ts = [hd.t_bound((0.0, 1.0), (x, 1.0)) for x in xs]
         assert ts == sorted(ts) and len(set(ts)) == len(ts)
+
+    @pytest.mark.parametrize("v", TOP_OF_RANGE)
+    @pytest.mark.parametrize("x", TOP_OF_RANGE)
+    def test_lower_bound_at_the_top_of_the_range(self, x, v):
+        # 12*x and pi^2*(v + sqrt(v) + 1) overflow here; the bound was NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = hd.h_lower(x, v)
+            many = cf._h_lower_many(np.array([x, 1.0]), np.array([v, 1.0]))
+        for d in (scalar, float(many[0])):
+            assert 0.0 <= d <= 2 * PI, (x, v, d)
+        assert many[0] == pytest.approx(scalar, rel=1e-15)
+        assert many[1] == hd.h_lower(1.0, 1.0)
+
+    @given(
+        st.floats(min_value=1e306, max_value=1.4e307),
+        st.floats(min_value=0.0, max_value=1.7e307),
+    )
+    @settings(max_examples=300)
+    def test_lower_bound_keeps_its_bits_below_overflow(self, x, v):
+        # at the top of the range, where the products still fit, the bound
+        # is the plain formula's to the bit, scalar and array
+        bulk = v + math.sqrt(v) + 1.0
+        if x <= (PI**3 / 12.0) * bulk:
+            plain = 12.0 * x / (PI**2 * bulk)
+        else:
+            plain = 2 * PI - PI**1.6 * (bulk / (12.0 * x)) ** 0.2
+        assert hd.h_lower(x, v) == plain
+        many = float(cf._h_lower_many(np.array([x]), np.array([v]))[0])
+        assert many == pytest.approx(plain, rel=1e-15)
+        if x <= (PI**3 / 12.0) * bulk:
+            assert many == plain
 
     def test_domains(self):
         with pytest.raises(DomainError):
@@ -346,3 +386,166 @@ class TestSeriesSwitchContinuity:
         assert hd.lambda_big(x, below(t)) == pytest.approx(
             hd.lambda_big(x, t), rel=1e-9
         )
+
+
+# ---------------------------------------------------------------------------
+# f_of, eta_alpha and zeta have one body each: the closure their factory
+# returns.  These are the two-argument bodies they replaced, kept here as the
+# reference the closures must match bit for bit, error type and message
+# included.
+# ---------------------------------------------------------------------------
+
+
+def two_argument_f_of(v, delta):
+    if not v >= 0.0:
+        raise DomainError(f"v must be nonnegative, got {v!r}")
+    cf._check_angle_sym(delta, "delta")
+    if delta == 0.0:
+        return 0.0
+    if delta < 0.0:
+        return -two_argument_f_of(v, -delta)
+    s = math.sqrt(v)
+    if delta < cf.SMALL_ANGLE:
+        t2 = delta * delta
+        sr = cf._sin_half_r(t2)
+        qr = cf._sin_quarter_r(t2)
+        num = (s - 1.0) ** 2 * cf._p_r3(t2) + 4.0 * s * qr * qr * (1.0 + 2.0 * sr)
+        return delta * num / (2.0 * sr * sr)
+    sh = math.sin(0.5 * delta)
+    q4 = math.sin(0.25 * delta)
+    num = (s - 1.0) ** 2 * cf.theta_minus_sin(delta) + 4.0 * s * q4 * q4 * (
+        delta + 2.0 * sh
+    )
+    return num / (2.0 * sh * sh)
+
+
+def two_argument_eta_alpha(alpha, theta):
+    if not alpha > 0.0:
+        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    cf._check_angle_open(theta)
+    if theta < cf.SMALL_ANGLE:
+        t2 = theta * theta
+        p3 = cf._p_r3(t2)
+        sr = cf._sin_half_r(t2)
+        ps = theta * p3 / (2.0 * sr * sr)
+        a = -cf._u_r3(t2) / p3
+    else:
+        sh = math.sin(0.5 * theta)
+        p = theta - math.sin(theta)
+        ps = p / (2.0 * sh * sh)
+        a = -(2.0 * sh - theta * math.cos(0.5 * theta)) / p
+    if ps >= alpha:
+        raise DomainError(
+            f"theta={theta!r} is not below the tangency ceiling psi^-1({alpha!r})"
+        )
+    return ps * ps * a * a / (alpha - ps) + ps
+
+
+def two_argument_zeta(gamma, theta):
+    if not (0.0 <= theta <= math.pi):
+        raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
+    if math.isnan(gamma):
+        raise DomainError(f"gamma must be a number, got {gamma!r}")
+    ch = math.cos(0.5 * theta)
+    return 0.5 * (theta + math.sin(theta)) - gamma * ch * ch
+
+
+def outcome(fn, *args):
+    """fn(*args) as float.hex, or the type and message of its error."""
+    try:
+        return fn(*args).hex()
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc).__name__, str(exc)
+
+
+def signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
+
+
+EDGE_ANGLES = (
+    0.0, 5e-324, cf.SMALL_ANGLE, math.nextafter(cf.SMALL_ANGLE, 0.0), PI,
+    math.nextafter(2 * PI, 0.0), 2 * PI, 7.0, math.inf, math.nan,
+)
+# the series branch down to subnormals, near 2*pi, anywhere, the edges
+ANGLE_MAGNITUDES = st.one_of(
+    st.floats(min_value=0.0, max_value=cf.SMALL_ANGLE),
+    st.floats(min_value=2 * PI - 1e-6, max_value=2 * PI),
+    st.floats(min_value=0.0, max_value=2 * PI),
+    st.sampled_from(EDGE_ANGLES),
+)
+ARC_ANGLES = signed(ANGLE_MAGNITUDES)
+# v in {0, 5e-324}, log-uniform in [1e-300, 1e300], and a few invalid ones
+ARC_VARIANCES = st.one_of(
+    st.sampled_from((0.0, 5e-324, -0.0, -1.0, math.inf, math.nan)),
+    log_uniform(-300.0, 300.0),
+)
+SLOPES = st.one_of(
+    signed(log_uniform(-300.0, 300.0)),
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan)),
+)
+
+
+class TestOneFrameObjectives:
+    @given(ARC_VARIANCES, ARC_ANGLES)
+    @settings(max_examples=500)
+    def test_f_of(self, v, delta):
+        want = outcome(two_argument_f_of, v, delta)
+        assert outcome(hd.f_of, v, delta) == want
+        assert outcome(lambda: cf._f_of_fn(v)(delta)) == want
+
+    @given(
+        st.one_of(
+            log_uniform(-300.0, 300.0),
+            log_uniform(-2.0, 3.0),
+            st.sampled_from((0.0, -1.0, math.inf, math.nan)),
+        ),
+        st.one_of(ANGLE_MAGNITUDES, ARC_ANGLES),
+    )
+    @settings(max_examples=500)
+    def test_eta_alpha(self, alpha, theta):
+        # the ceiling psi^-1(alpha) lies inside (0, 2*pi), so both values
+        # and the ceiling error are drawn
+        want = outcome(two_argument_eta_alpha, alpha, theta)
+        assert outcome(hd.eta_alpha, alpha, theta) == want
+        assert outcome(lambda: cf._eta_alpha_fn(alpha)(theta)) == want
+
+    @given(
+        SLOPES,
+        signed(st.one_of(
+            st.floats(min_value=0.0, max_value=PI + 1e-9),
+            st.sampled_from(EDGE_ANGLES),
+        )),
+    )
+    @settings(max_examples=500)
+    def test_zeta(self, gamma, theta):
+        want = outcome(two_argument_zeta, gamma, theta)
+        assert outcome(hd.zeta, gamma, theta) == want
+        assert outcome(lambda: cf._zeta_fn(gamma)(theta)) == want
+
+    def test_seeded_sweep(self):
+        # a reassociated product moves about 3% of the values by an ulp;
+        # 20000 seeded points per function find it where the edge-seeking
+        # draws above may not
+        rng = random.Random(20261018)
+        for _ in range(20000):
+            v = rng.choice((0.0, 10.0 ** rng.uniform(-300, 300), rng.uniform(0, 10)))
+            d = rng.choice((rng.uniform(-2 * PI, 2 * PI), 10.0 ** rng.uniform(-320, -2)))
+            assert outcome(hd.f_of, v, d) == outcome(two_argument_f_of, v, d)
+            alpha = 10.0 ** rng.uniform(-2, 3)
+            t = rng.choice((rng.uniform(0, 2 * PI), 10.0 ** rng.uniform(-320, -2)))
+            assert outcome(hd.eta_alpha, alpha, t) == outcome(
+                two_argument_eta_alpha, alpha, t
+            )
+            gamma = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300)
+            t = rng.uniform(0, PI)
+            assert outcome(hd.zeta, gamma, t) == outcome(two_argument_zeta, gamma, t)
+
+    def test_the_ceiling_error_is_raised_by_the_closure(self):
+        # eta_alpha_inv takes this error for "past the ceiling"
+        eta_alpha = cf._eta_alpha_fn(1.0)
+        with pytest.raises(DomainError, match="tangency ceiling"):
+            eta_alpha(hd.psi_inv(1.0) + 0.1)

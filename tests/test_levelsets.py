@@ -222,6 +222,14 @@ class TestInverses:
             g = rng.uniform(0.01, 20.0)
             assert 2.0 * math.atan(g) < min(hd.eta_inv(g), PI)
 
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, math.nan])
+    def test_eta_alpha_inv_checks_alpha_given_a_ceiling(self, alpha):
+        # psi_inv(alpha) checks alpha when it sets the ceiling; a given
+        # ceiling once let eta_alpha's alpha error pass for "past the
+        # ceiling", and the inversion returned about 1e-12
+        with pytest.raises(DomainError, match="alpha must be positive"):
+            hd.eta_alpha_inv(alpha, 0.5, ceiling=2.0)
+
 
 class TestSampling:
     def test_shape_and_columns(self):

@@ -1,5 +1,5 @@
-"""A NaN argument, or an infinite vol-of-vol, raises DomainError instead of
-returning NaN or a number."""
+"""A NaN argument, an infinite vol-of-vol, or a non-finite coordinate of a
+point raises DomainError instead of returning NaN or a number."""
 
 import math
 
@@ -51,4 +51,40 @@ CASES = [
 )
 def test_nan_argument_raises_domain_error(fn, position, args):
     with pytest.raises(hd.DomainError):
+        fn(*args)
+
+
+INF = math.inf
+FRAME = hd.CorrelationFrame(c=1.5, rho=-0.4)
+
+# (function, coordinate, arguments with the non-finite value there)
+NON_FINITE = [
+    *[
+        case
+        for bad in (INF, -INF, NAN)
+        for case in (
+            (hd.dist, f"p0.x={bad}", ((bad, 1.0), (0.5, 2.0))),
+            (hd.dist, f"p1.x={bad}", ((0.0, 1.0), (bad, 2.0))),
+            (hd.dist, f"p1.x={bad}, v1=0", ((0.0, 1.0), (bad, 0.0))),
+            (hd.delta_of, f"x={bad}", (bad, 1.0)),
+            (hd.dist_correlated, f"p1.x={bad}", (FRAME, (0.0, 1.0), (bad, 2.0))),
+            (hd.to_delta, f"p.x={bad}", ((bad, 1.0),)),
+        )
+    ],
+    (hd.dist, "p0.v=inf", ((0.0, INF), (0.5, 2.0))),
+    (hd.dist, "p1.v=inf", ((0.0, 1.0), (0.5, INF))),
+    (hd.dist, "both on the boundary at x=inf", ((INF, 0.0), (INF, 0.0))),
+    (hd.delta_of, "v=inf", (1.0, INF)),
+    (hd.dist_correlated, "p1.v=inf", (FRAME, (0.0, 1.0), (0.5, INF))),
+    (hd.to_delta, "p.v=inf", ((1.0, INF),)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, coordinate, args",
+    NON_FINITE,
+    ids=[f"{fn.__name__}-{coordinate}" for fn, coordinate, _ in NON_FINITE],
+)
+def test_non_finite_coordinate_raises_domain_error(fn, coordinate, args):
+    with pytest.raises(hd.DomainError, match="coordinates must be finite"):
         fn(*args)

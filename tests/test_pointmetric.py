@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -56,17 +57,39 @@ class TestDeltaOf:
 
     def test_no_angle_is_evaluated_twice(self, monkeypatch):
         seen = []
-        f_of = hd.corefuncs.f_of
+        factory = hd.corefuncs._f_of_fn
 
-        def record(v, d):
-            seen.append(d)
-            return f_of(v, d)
+        def record_factory(v):
+            f_v = factory(v)
 
-        monkeypatch.setattr(hd.corefuncs, "f_of", record)
+            def record(d):
+                seen.append(d)
+                return f_v(d)
+
+            return record
+
+        monkeypatch.setattr(hd.corefuncs, "_f_of_fn", record_factory)
         for x, v in ((3.0, 0.5), (1e-3, 2.0), (1e12, 1.0), (1e-20, 0.0)):
             seen.clear()
             hd.delta_of(x, v)
             assert seen and len(seen) == len(set(seen)), (x, v)
+
+    def test_solves_leave_no_reference_cycle(self):
+        # a cycle per solve (a closure that calls itself) is freed only by
+        # the garbage collector, whose pauses then set the tail latency
+        gc.collect()
+        gc.disable()
+        try:
+            for x, v in ((3.0, 0.5), (-1e-3, 2.0), (1e12, 1.0), (1e-20, 0.0)):
+                hd.delta_of(x, v)
+                hd.dist((0.1, 1.0), (x, v))
+            hd.f_of(0.5, -1.0)
+            hd.eta_alpha_inv(2.0, 0.5)
+            hd.theta_crit(0.5, 2.0)
+            hd.x_crit_inv(0.8)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @given(st.floats(min_value=0.01, max_value=50.0), variances)
     @settings(max_examples=100)

@@ -95,6 +95,25 @@ class TestBrentRows:
         assert len(set(iters)) > 5  # lanes leave at many different steps
         assert want[-1] == (0.5, 0.0, 2)  # an exact zero stops the lane
 
+    @pytest.mark.parametrize("u", [0.03, 0.25, 0.5, 0.8, 0.999])
+    def test_target_is_subtracted_in_the_solve(self, u):
+        # _brent(f, ..., target=t) solves f = t exactly as _brent solves
+        # f - t = 0: the same root, f(root) - t and iteration count, for a
+        # target a fraction u of the way from f(lo) to f(hi)
+        fns, xtols = self.lanes()
+        lo, hi = -6.0, 7.0
+        for fn, tol in zip(fns, xtols):
+            t = fn(lo) + u * (fn(hi) - fn(lo))
+            flo, fhi = fn(lo) - t, fn(hi) - t
+            assert flo < 0.0 < fhi
+            shifted = solvers._brent(
+                lambda x, fn=fn, t=t: fn(x) - t, lo, hi, flo, fhi, tol, RTOL, 200
+            )
+            got = solvers._brent(fn, lo, hi, flo, fhi, tol, RTOL, 200, t)
+            assert [got[0].hex(), got[1].hex(), got[2]] == [
+                shifted[0].hex(), shifted[1].hex(), shifted[2]
+            ], t
+
     def test_extrapolation_dividing_by_zero(self):
         # f-values near 1e-160 make the extrapolation's denominator
         # underflow to zero: _brent catches the ZeroDivisionError and

@@ -219,19 +219,20 @@ INVERSE_MAP_PINS = [
 
 
 def _recording(monkeypatch, module):
-    """Record every solve_monotone report, whether the module calls it
-    directly or through solvers.invert_to_two_pi."""
+    """Record (value, iterations, residual) of every private solve, as the
+    SolveReport of solve_monotone would hold them, whether the module calls
+    it directly or through solvers.invert_to_two_pi."""
     reports = []
-    solve = solvers.solve_monotone
+    solve = solvers._solve
 
     def record(*args, **kwargs):
-        report = solve(*args, **kwargs)
-        reports.append((report.value.hex(), report.iterations, report.residual.hex()))
-        return report
+        root, froot, iterations = out = solve(*args, **kwargs)
+        reports.append((root.hex(), iterations, abs(froot).hex()))
+        return out
 
     for m in (solvers, module):
-        if hasattr(m, "solve_monotone"):
-            monkeypatch.setattr(m, "solve_monotone", record)
+        if hasattr(m, "_solve"):
+            monkeypatch.setattr(m, "_solve", record)
     return reports
 
 
@@ -310,12 +311,17 @@ def test_inversion_evaluates_no_point_twice(target):
 
 def test_eta_alpha_inv_evaluates_no_point_twice(monkeypatch):
     seen = []
-    eta_alpha = ls.cf.eta_alpha
+    factory = ls.cf._eta_alpha_fn
 
-    def record(alpha, t):
-        seen.append(t)
-        return eta_alpha(alpha, t)
+    def record_factory(alpha):
+        eta_alpha = factory(alpha)
 
-    monkeypatch.setattr(ls.cf, "eta_alpha", record)
+        def record(t):
+            seen.append(t)
+            return eta_alpha(t)
+
+        return record
+
+    monkeypatch.setattr(ls.cf, "_eta_alpha_fn", record_factory)
     ls.eta_alpha_inv(2.0, 0.5)
     assert seen and len(seen) == len(set(seen))
