@@ -204,6 +204,9 @@ def smile_and_oracle(seed: int, ladders: int, oracles: int) -> list[Section]:
     for _ in range(oracles):
         beta, gamma = _sign(rng) * _mag(rng, -2, 1), _sign(rng) * _mag(rng, -2, 1)
         oracle.record(hd.oracle_dist, beta, gamma)
+    # far lines whose horizon the first grid does not certify
+    for beta, gamma in ((1e7, 0.0), (1e9, 0.0), (1e12, 0.0), (1e12, 1e12)):
+        oracle.record(hd.oracle_dist, beta, gamma)
     return [smile, oracle]
 
 

@@ -63,7 +63,7 @@ from .pointmetric import (
     dist_correlated,
 )
 from .solution import DistanceSolution
-from .solvers import SolveReport, _minimize_rows, minimize_on_interval
+from .solvers import SolveReport, _minimize_rows, _refine
 
 # Half-open interval ends (where lambda_minus blows up) are closed at this
 # offset; the objective diverges there, so no minimum is lost.
@@ -553,12 +553,9 @@ def dist_to_line_correlated(
 # brute-force references
 # ---------------------------------------------------------------------------
 
-# The oracle scans _ORACLE_CELLS + 1 nodes of v in [0, horizon], from
-# _ORACLE_HORIZON on, doubling the horizon at most _ORACLE_DOUBLINGS times
-# until t_bound there rules out everything beyond it.
+# The oracle's grids: _ORACLE_CELLS + 1 nodes of v, first in [0, _ORACLE_HORIZON].
 _ORACLE_CELLS = 4096
 _ORACLE_HORIZON = 16.0
-_ORACLE_DOUBLINGS = 20
 
 
 def _oracle(
@@ -566,48 +563,46 @@ def _oracle(
 ) -> tuple[SolveReport, float]:
     """Formula-free distance from p0 (v0 > 0) to the line x = beta + gamma*v
     under the frame's metric, and the report whose value is the v of the
-    argmin: point distances on a v-grid, the horizon doubled until the
-    two-sided lower bound certifies it, then golden refinement around the
+    argmin: point distances on a v-grid, then golden refinement around the
     best node.  Every point is sheared on its own; the line reduction of
-    dist_to_line_correlated, which this referees, is not used."""
+    dist_to_line_correlated, which this referees, is not used.
+
+    A path to a point with v >= H crosses the horizontal line v = H, and
+    the shear keeps v, so every such line point is at least
+    scale * dist_to_horizontal(H/v0) = (2/c)(sqrt(H) - sqrt(v0)) from p0.
+    The best node d1 of the grid on [0, _ORACLE_HORIZON] thus certifies the
+    horizon H* = (sqrt(v0) + c*d1/2)^2: the argmin lies in [0, H*], which
+    is scanned again when it reaches beyond the first grid.  A non-finite
+    H* raises ConvergenceError."""
     x0, v0 = p0
     if not v0 > 0.0:
         raise DomainError("the source point must have v0 > 0")
     sx0, _ = frame.shear(x0, v0)
     scale = math.sqrt(v0) / frame.c
-    horizon = _ORACLE_HORIZON
-    for _ in range(_ORACLE_DOUBLINGS + 1):
+
+    def grid(horizon: float) -> tuple[np.ndarray, np.ndarray]:
         vs = np.linspace(0.0, horizon, _ORACLE_CELLS + 1)
         sxs, _ = frame.shear(beta + gamma * vs, vs)
         # base-point reduction of the sheared pairs
-        ds = scale * _dist_base_grid((sxs - sx0) / v0, vs / v0)
-        i = int(np.argmin(ds))
-        v_best, d_best = float(vs[i]), float(ds[i])
-        sx, _ = frame.shear(beta + gamma * horizon, horizon)
-        if cf.t_bound((sx0, v0), (sx, horizon)) / frame.c > d_best:
-            break
-        horizon *= 2.0
-    else:
+        return vs, scale * _dist_base_grid((sxs - sx0) / v0, vs / v0)
+
+    vs, ds = grid(_ORACLE_HORIZON)
+    root = math.sqrt(v0) + 0.5 * frame.c * float(ds.min())
+    horizon = root * root * (1.0 + 1e-9)  # a margin for the rounding of d1
+    if not math.isfinite(horizon):
         raise ConvergenceError(
-            f"oracle horizon not certified by v = {0.5 * horizon!r} for the "
-            f"line ({beta!r}, {gamma!r})"
+            f"oracle horizon is not finite for the line ({beta!r}, {gamma!r})"
         )
-    step = horizon / _ORACLE_CELLS
-    report, value = minimize_on_interval(
-        lambda v: dist_correlated(frame, p0, (beta + gamma * v, v)),
-        (max(0.0, v_best - step), v_best + step),
-        tol=1e-9,
-        scan_cells=32,
+    if horizon > _ORACLE_HORIZON:
+        vs, ds = grid(horizon)
+    return _refine(
+        lambda v: dist_correlated(frame, p0, (beta + gamma * v, v)), vs, ds, 1e-9
     )
-    if d_best < value:
-        report = SolveReport(v_best, report.iterations, report.residual, "grid-refine")
-        value = d_best
-    return report, value
 
 
 def oracle_dist(beta: float, gamma: float) -> DistanceSolution:
     """Formula-free reference distance from (0, 1) to the line; raises
-    ConvergenceError where the grid horizon cannot be certified."""
+    ConvergenceError where the certified grid horizon is not finite."""
     report, value = _oracle(CorrelationFrame(1.0, 0.0), (0.0, 1.0), beta, gamma)
     v_star = report.value
     return DistanceSolution(
@@ -627,6 +622,6 @@ def oracle_dist_correlated(
     gamma: float,
 ) -> float:
     """Brute-force distance from p0 to the line under the correlated
-    metric; raises ConvergenceError where the grid horizon cannot be
-    certified."""
+    metric; raises ConvergenceError where the certified grid horizon is not
+    finite."""
     return _oracle(frame, p0, beta, gamma)[1]

@@ -20,10 +20,9 @@ endpoints or the root.  The package has no SciPy dependency.  The
 library's root solves run ``_solve``, ``solve_monotone`` without its
 report, on the caller's one-frame objective; ``_brent`` subtracts the target.
 
-The scan is one array call: ``fn_many`` where the caller has an array
-form of the objective, otherwise ``fn`` on each node.  The golden-section
-refine stays scalar; the two forms of the objective must agree bit for bit
-on every node, so the result does not depend on which one ran.
+``minimize_on_interval`` scans by calling ``fn`` on each node; its
+golden-section refine (``_refine``) is shared with ``_minimize_rows`` and
+with the oracle, which hand it nodes and values they scanned themselves.
 
 ``_minimize_rows`` runs many minimizations and returns, row for row,
 exactly what ``minimize_on_interval`` would.  It scans the rows as 2-D
@@ -55,7 +54,6 @@ from .errors import (
     DomainError,
     HestonDistError,
     NonFiniteSampleError,
-    ScanShapeError,
 )
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -94,9 +92,6 @@ def solve_monotone(
     target: float = 0.0,
     tol: float = ROOT_TOL,
     max_iter: int = 200,
-    *,
-    fn_hi: float | None = None,
-    fn_lo: float | None = None,
 ) -> SolveReport:
     """Find the argument where a monotone function attains ``target``.
 
@@ -108,12 +103,9 @@ def solve_monotone(
     with absolute tolerance ``tol`` and relative tolerance 4 ulp; a NaN
     value of fn inside the bracket or an exhausted iteration budget raises
     ConvergenceError.  Deterministic for identical inputs.
-
-    ``fn_hi`` and ``fn_lo``, when given, are fn(hi) and fn(lo) as the
-    caller already has them; fn is then not evaluated at that end again.
     """
     lo, hi = bracket
-    root, froot, iterations = _solve(fn, lo, hi, target, tol, max_iter, fn_lo, fn_hi)
+    root, froot, iterations = _solve(fn, lo, hi, target, tol, max_iter, None, None)
     return SolveReport(root, iterations, abs(froot), "bisection-hybrid")
 
 
@@ -321,46 +313,28 @@ def minimize_on_interval(
     fn: Callable[[float], float],
     bracket: Bracket | tuple[float, float],
     tol: float = MIN_TOL,
-    scan_cells: int = SCAN_CELLS,
-    max_iter: int = 200,
-    *,
-    fn_many: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[SolveReport, float]:
     """Minimize fn over a closed interval; returns (argmin report, value).
 
-    Two stages: a uniform scan over ``scan_cells`` cells (the sample points
+    Two stages: a uniform scan over ``SCAN_CELLS`` cells (the sample points
     include both endpoints and the midpoint) localizes the best cell, then
     golden-section refines within the bracketing cell pair.  Endpoint
     minima are legitimate answers and are returned as-is.  Every node is
     evaluated before a non-finite sample aborts the scan with the first
     offending node; ties go to the first node attaining the minimum.
 
-    ``fn_many``, when given, is the array form of ``fn``: it maps the
-    read-only array of scan nodes to the array of their values in one
-    call, and must equal ``fn`` bit for bit on every node.  It replaces
-    only the scan; the refine always calls ``fn``.  Without it the scan
-    calls ``fn`` on each node.  A result whose shape differs from the node
-    array raises ScanShapeError.
-
     ``tol`` must be finite and nonnegative, otherwise DomainError; 0 asks
     the refine for the smallest width a double can hold, so it usually runs
-    ``max_iter`` steps.
+    its whole budget of 200 steps.
     """
     lo, hi = bracket
     if _is_degenerate(lo, hi, tol):
         return _at_lo(fn, lo)
-    if fn_many is None:
-        # Python floats, so that fn divides as it does in the refine: a
-        # numpy scalar would warn where a float raises ZeroDivisionError
-        fn_many = lambda nodes: [fn(x) for x in nodes.tolist()]
-    nodes = _scan_nodes(lo, hi, (hi - lo) / scan_cells, scan_cells + 1)
-    nodes.flags.writeable = False
-    fs = np.asarray(fn_many(nodes), dtype=float)
-    if fs.shape != nodes.shape:
-        raise ScanShapeError(
-            f"array objective returned shape {fs.shape}, expected {nodes.shape}"
-        )
-    return _refine(fn, nodes, fs, tol, max_iter)
+    nodes = _scan_nodes(lo, hi, (hi - lo) / SCAN_CELLS, SCAN_CELLS + 1)
+    # Python floats, so that fn divides as it does in the refine: a numpy
+    # scalar would warn where a float raises ZeroDivisionError
+    fs = np.array([fn(x) for x in nodes.tolist()], dtype=float)
+    return _refine(fn, nodes, fs, tol)
 
 
 def _at_lo(fn: Callable[[float], float], lo: float) -> tuple[SolveReport, float]:
@@ -372,15 +346,12 @@ def _at_lo(fn: Callable[[float], float], lo: float) -> tuple[SolveReport, float]
 
 
 def _refine(
-    fn: Callable[[float], float],
-    nodes: np.ndarray,
-    fs: np.ndarray,
-    tol: float,
-    max_iter: int,
+    fn: Callable[[float], float], nodes: np.ndarray, fs: np.ndarray, tol: float
 ) -> tuple[SolveReport, float]:
     """minimize_on_interval after its scan, given the nodes and their
     values: NonFiniteSampleError at the first non-finite node, otherwise
-    the golden refine in the cell pair around the first minimum."""
+    the golden refine, 200 steps at most, in the cell pair around the
+    first minimum."""
     finite = np.isfinite(fs)
     if not finite.all():
         i = int(finite.argmin())
@@ -389,7 +360,7 @@ def _refine(
     best_x, best_f = float(nodes[i]), float(fs[i])
     a = float(nodes[max(i - 1, 0)])
     b = float(nodes[min(i + 1, nodes.size - 1)])
-    gx, gf, iters, width = _golden(fn, a, b, tol, max_iter)
+    gx, gf, iters, width = _golden(fn, a, b, tol, 200)
     if gf < best_f:
         best_x, best_f = gx, gf
     # residual reports the final bracket width reached by the refinement
@@ -460,7 +431,7 @@ def _minimize_rows(
                 out[i] = errors[k]
                 continue
             try:
-                out[i] = _refine(fns[i], nodes[k], fs[k], tol, 200)
+                out[i] = _refine(fns[i], nodes[k], fs[k], tol)
             except HestonDistError as exc:
                 out[i] = exc
     return out

@@ -80,8 +80,8 @@ def line_objective(beta: float, gamma: float, minus: bool = False, axis=None):
 def vertical_variant_distance(beta: float, variant: str, tol: float = 1e-9) -> float:
     """The vertical-line distance minimized over a variant bracket, as
     dist_to_line minimizes it over vertical_bracket."""
-    fn, fn_many = line_objective(beta, 0.0)
+    fn, _ = line_objective(beta, 0.0)
     _, half_sq = hd.minimize_on_interval(
-        fn, vertical_variant_bracket(beta, variant), tol=tol, fn_many=fn_many
+        fn, vertical_variant_bracket(beta, variant), tol=tol
     )
     return math.sqrt(2.0 * half_sq)

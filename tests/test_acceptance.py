@@ -56,7 +56,6 @@ def test_criterion_02_level_set_distances():
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
         _, sampled = hd.minimize_on_interval(
             lambda x: hd.dist(BASE, (x, hd.curve_v(t, x))), (lo, hi),
-            scan_cells=32,
         )
         sampled = min(sampled, float(ds[i]))
         assert abs(hd.dist_to_level_set(t).value - sampled) <= 1e-6

@@ -148,7 +148,6 @@ class TestDistToLevelSet:
         _, refined = hd.minimize_on_interval(
             lambda x: hd.dist(BASE, (x, hd.curve_v(t, x))),
             (xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]),
-            scan_cells=32,
         )
         dmin = min(refined, float(ds[i]))
         assert hd.dist_to_level_set(t).value == pytest.approx(dmin, abs=1e-6)

@@ -4,7 +4,7 @@ import pytest
 
 import hestondist as hd
 from conftest import VERTICAL_VARIANTS, vertical_variant_bracket, vertical_variant_distance
-from hestondist import ConvergenceError, DomainError
+from hestondist import DomainError
 
 PI = math.pi
 BASE = (0.0, 1.0)
@@ -233,12 +233,26 @@ class TestOracle:
         assert sol.argmin.v > 16.0
         assert abs(sol.value - f.value) <= 1e-6 * max(1.0, sol.value)
 
-    @pytest.mark.parametrize("beta", [1e7, 1e9])
-    def test_uncertified_horizon_raises(self, beta):
-        # t_bound certifies no horizon up to the last one, v = 16*2^20; for
-        # 1e9 the argmin itself (v ~ 0.64*beta) lies beyond it
-        with pytest.raises(ConvergenceError):
-            hd.oracle_dist(beta, 0.0)
+    @pytest.mark.parametrize("beta", [1e7, 1e9, 1e12])
+    def test_far_vertical_line(self, beta):
+        # the argmin (v ~ 0.64*beta) lies far beyond the first grid's v = 16;
+        # the horizontal-line bound certifies the horizon of the second grid
+        sol = hd.oracle_dist(beta, 0.0)
+        want = hd.dist_to_line(beta, 0.0).value
+        assert abs(sol.value - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("beta", [1e3, 1e6, 1e9, 1e12])
+    def test_far_diagonal_line(self, beta):
+        sol = hd.oracle_dist(beta, beta)
+        want = hd.dist_to_line(beta, beta).value
+        assert abs(sol.value - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("x", [1e7, 1e9])
+    def test_far_correlated_line(self, x):
+        frame, p0 = hd.CorrelationFrame(0.5, -0.7), (0.0, 0.04)
+        got = hd.oracle_dist_correlated(frame, p0, x, 0.0)
+        want = hd.dist_to_line_correlated(frame, p0, x, 0.0)
+        assert abs(got - want) <= 1e-12 * want
 
     def test_horizon_bound_beyond_the_squared_range(self):
         # the lower bound at the first horizon squares a separation above

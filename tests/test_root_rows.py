@@ -245,7 +245,13 @@ def test_grid_pass_count(monkeypatch):
 
     monkeypatch.setattr(pm, "_f_arr", counted)
     monkeypatch.setattr(ld, "_dist_base_grid", counting)
-    for beta, gamma in oracle_sweep_lines():
+    lines = oracle_sweep_lines() + [(1e12, 0.0)]
+    grids = []
+    for beta, gamma in lines:
+        before = len(per_grid)
         hd.oracle_dist(beta, gamma)
-    assert len(per_grid) > len(oracle_sweep_lines())  # the far lines double
+        grids.append(len(per_grid) - before)
+    # the far lines scan a second grid out to their certified horizon
+    assert len(per_grid) > len(lines)
+    assert max(grids) <= 2
     assert max(per_grid) <= 30

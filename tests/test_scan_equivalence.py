@@ -126,12 +126,8 @@ class TestObjectivesOnScanNodes:
 
     def test_minimizer_result_is_unchanged(self, captured):
         for call in captured:
-            fn, scan, i, row = call["fn"], call["scan"], call["index"], call["row"]
-            want = minimize_on_interval(fn, (row.lo, row.hi))
-            assert minimize_on_interval(
-                fn, (row.lo, row.hi), fn_many=lambda ts: scan([i], ts[None])[0]
-            ) == want
-            assert call["result"] == want
+            fn, row = call["fn"], call["row"]
+            assert call["result"] == minimize_on_interval(fn, (row.lo, row.hi))
 
     def test_nodes_straddle_small_angle(self):
         nodes = scan_nodes(*hd.vertical_bracket(0.01))

@@ -11,7 +11,6 @@ from hestondist import (
     HestonDistError,
     NonFiniteSampleError,
 )
-from hestondist.errors import ScanShapeError
 from hestondist import solvers
 from hestondist.solvers import minimize_on_interval, solve_monotone
 
@@ -74,30 +73,6 @@ class TestSolveMonotone:
         with pytest.raises(ConvergenceError):
             solve_monotone(math.atan, (-1.0, 3.0), max_iter=2)
 
-    def test_known_upper_value_is_not_evaluated_again(self):
-        calls = []
-
-        def fn(x):
-            calls.append(x)
-            return math.expm1(x) - 0.7
-
-        want = solve_monotone(fn, (0.0, 2.0))
-        calls.clear()
-        assert solve_monotone(fn, (0.0, 2.0), fn_hi=fn(2.0)) == want
-        assert calls.count(2.0) == 1
-
-    def test_known_lower_value_is_not_evaluated_again(self):
-        calls = []
-
-        def fn(x):
-            calls.append(x)
-            return math.expm1(x) - 0.7
-
-        want = solve_monotone(fn, (0.0, 2.0))
-        calls.clear()
-        assert solve_monotone(fn, (0.0, 2.0), fn_lo=fn(0.0)) == want
-        assert calls.count(0.0) == 1
-
     def test_one_evaluation_per_iteration(self):
         calls = []
 
@@ -145,16 +120,6 @@ class TestMinimizeOnInterval:
         reference = hd.oracle_dist(beta, 0.0)
         assert math.sqrt(2 * half_sq) == pytest.approx(reference.value, abs=1e-7)
 
-    def test_scan_density_stability(self):
-        # doubling the scan never materially changes the result
-        beta, gamma = 0.8, 1.9
-        lo = hd.eta_alpha_inv(gamma, beta) + 1e-9
-        hi = hd.psi_inv(beta) - 1e-9
-        fn = lambda t: hd.lambda_plus(beta, gamma, t)
-        _, v1 = minimize_on_interval(fn, (lo, hi), scan_cells=256)
-        _, v2 = minimize_on_interval(fn, (lo, hi), scan_cells=512)
-        assert abs(v1 - v2) <= 1e-9 * max(1.0, abs(v1))
-
     def test_non_finite_sample(self):
         with pytest.raises(NonFiniteSampleError) as exc:
             minimize_on_interval(lambda t: math.inf if t > 0.5 else t, (0.0, 1.0))
@@ -171,75 +136,49 @@ class TestMinimizeOnInterval:
             minimize_on_interval(lambda t: (t - 1.0) ** 2, (0.0, 2.0), tol=tol)
 
     def test_zero_tolerance_refines_to_the_budget(self):
-        rep, val = minimize_on_interval(
-            lambda t: (t - 1.0) ** 2, (0.0, 2.0), tol=0.0, max_iter=60
-        )
-        assert rep.iterations == 60
+        rep, val = minimize_on_interval(lambda t: (t - 1.0) ** 2, (0.0, 2.0), tol=0.0)
+        assert rep.iterations == 200
         assert rep.value == pytest.approx(1.0, abs=1e-8)
 
 
 class TestArrayScan:
-    """The fn_many contract: the array scan behaves exactly like the scalar one."""
+    """The array scan of _minimize_rows behaves exactly like the scalar scan
+    of minimize_on_interval."""
 
     def test_non_finite_node_matches_scalar_scan(self):
         fn = lambda t: math.inf if t > 0.5 else t
-        fn_many = lambda ts: np.where(ts > 0.5, math.inf, ts)
+        fn_rows = lambda sel, ts: np.where(ts > 0.5, math.inf, ts)
         with pytest.raises(NonFiniteSampleError) as scalar:
             minimize_on_interval(fn, (0.0, 1.0))
-        with pytest.raises(NonFiniteSampleError) as array:
-            minimize_on_interval(fn, (0.0, 1.0), fn_many=fn_many)
-        assert array.value.node_index == scalar.value.node_index == 129
-        assert array.value.x == scalar.value.x
-        assert type(array.value.x) is float
+        (array,) = solvers._minimize_rows([fn], fn_rows, [0.0], [1.0])
+        assert array.node_index == scalar.value.node_index == 129
+        assert array.x == scalar.value.x
+        assert type(scalar.value.x) is float
 
     def test_nan_node_is_rejected(self):
-        fn_many = lambda ts: np.where(ts == 0.25, math.nan, ts)
         with pytest.raises(NonFiniteSampleError) as exc:
-            minimize_on_interval(lambda t: t, (0.0, 1.0), fn_many=fn_many)
+            minimize_on_interval(lambda t: math.nan if t == 0.25 else t, (0.0, 1.0))
         assert exc.value.node_index == 64
 
     def test_tie_goes_to_lowest_index(self):
         # equal minima at the nodes 0.25 and 0.75 (indices 64 and 192)
         fn = lambda t: abs(abs(t - 0.5) - 0.25)
-        fn_many = lambda ts: np.abs(np.abs(ts - 0.5) - 0.25)
-        rep, val = minimize_on_interval(fn, (0.0, 1.0), fn_many=fn_many)
-        assert (rep, val) == minimize_on_interval(fn, (0.0, 1.0))
+        fn_rows = lambda sel, ts: np.abs(np.abs(ts - 0.5) - 0.25)
+        rep, val = minimize_on_interval(fn, (0.0, 1.0))
+        assert solvers._minimize_rows([fn], fn_rows, [0.0], [1.0]) == [(rep, val)]
         assert rep.value == 0.25 and val == 0.0
         assert type(rep.value) is float and type(val) is float
 
-    def test_degenerate_interval_never_calls_fn_many(self):
-        def fn_many(ts):
-            raise AssertionError("fn_many called on a degenerate interval")
+    def test_degenerate_interval_evaluates_only_lo(self):
+        calls = []
 
-        rep, val = minimize_on_interval(
-            lambda t: (t - 3.0) ** 2, (1.0, 1.0), fn_many=fn_many
-        )
+        def fn(t):
+            calls.append(t)
+            return (t - 3.0) ** 2
+
+        rep, val = minimize_on_interval(fn, (1.0, 1.0))
         assert rep.value == 1.0 and val == 4.0
-
-    def test_nodes_are_read_only(self):
-        def fn_many(ts):
-            with pytest.raises(ValueError):
-                ts[0] = 5.0
-            return ts * ts
-
-        fn = lambda t: t * t
-        got = minimize_on_interval(fn, (-1.0, 2.0), fn_many=fn_many)
-        assert got == minimize_on_interval(fn, (-1.0, 2.0))
-
-    @pytest.mark.parametrize(
-        "fn_many",
-        [
-            lambda ts: ts[:-1],
-            lambda ts: 0.0,
-            lambda ts: ts[:, None],
-            lambda ts: np.concatenate([ts, ts]),
-        ],
-        ids=["short", "scalar", "column", "long"],
-    )
-    def test_wrong_shape_raises(self, fn_many):
-        with pytest.raises(ScanShapeError) as exc:
-            minimize_on_interval(lambda t: t, (0.0, 1.0), fn_many=fn_many)
-        assert isinstance(exc.value, HestonDistError)
+        assert calls == [1.0]
 
 
 def _objective_rows():
