@@ -27,14 +27,16 @@ incumbent by more than TIE_RTOL (_answer).
 One array kernel, _objective_many, evaluates every row's objective from
 per-node parameter arrays; _row_fn is a row's scalar form, one closure
 frame per evaluation, and the two agree bit for bit on every node.
+_row_dfn is the derivative of _row_fn, also in one frame.
 
 _solve_many, behind both dist_to_line (a batch of one line) and
 smile_table (a ladder), builds the tables of its lines, solving each
 distinct psi_inv argument once, and minimizes every row the same way
 (solvers._minimize_rows): the scans as 2-D blocks of up to 16 rows, one
 kernel call per block, so a single line's one or two rows take one call;
-then each row's golden refine on its _row_fn.  An error fails only its own
-line.  The intersection roots themselves live in corefuncs (_s_plus_raw,
+then each row's refine, a root solve of _row_dfn where it changes sign
+around the best node, otherwise the golden section on _row_fn.  An error
+fails only its own line, and so does a distance beyond double range.  The intersection roots themselves live in corefuncs (_s_plus_raw,
 _s_minus_raw and the array form _roots_many).
 
 Every closed-form path is validated against oracle_dist, a deliberately
@@ -282,6 +284,83 @@ def _row_fn(row: _Search) -> Callable[[float], float]:
     return fn
 
 
+def _row_dfn(row: _Search) -> Callable[[float], float]:
+    """The derivative d(lambda)/dt of _row_fn(row) at one index t, in one
+    closure frame, for the refine's root solve.
+
+    The chain rule runs through A and B (below SMALL_ANGLE the derivatives
+    of their series; above it P' = 2 sin(t/2)^2 for P = t - sin(t) and
+    U' = (t/2) sin(t/2) for U = 2 sin(t/2) - t cos(t/2)), through the root
+    of F(s) = q s^2 - 2 a s + p implicitly, ds/dt = -F_t/F_s with
+    F_s = +2 sqrt(disc) on the plus root and -2 sqrt(disc) on the minus
+    root, and through lambda = N t^2/(2 sin(t/2)^2), whose
+    N = s^2 - 2 s cos(t/2) + 1 is _row_fn's (s - 1)^2 + 4 s sin(t/4)^2.
+    Where the discriminant is clamped (the tangency end) it is +-inf with
+    the sign of the one-sided limit; it is nan outside (0, 2*pi), at the
+    axis node t = 0 and where _row_fn clamps the root."""
+    beta, gamma, minus = row.beta, row.gamma, row.minus
+
+    def dfn(t: float) -> float:
+        if not 0.0 < t < cf.TWO_PI:
+            return math.nan
+        sh = math.sin(0.5 * t)
+        if t < cf.SMALL_ANGLE:
+            t2 = t * t
+            p3, u3 = cf._p_r3(t2), cf._u_r3(t2)
+            # sin(t/2)/t by its series, which stays 1/2 where sin(t/2)
+            # underflows
+            ratio = cf._sin_half_r(t2)
+            if t * p3 == 0.0:
+                return math.nan  # where _row_fn itself divides by zero
+            dp3 = t * (-1.0 / 60.0 + t2 / 1260.0)
+            du3 = t * (-1.0 / 240.0 + t2 / 13440.0)
+            dsr = t * (-1.0 / 24.0 + t2 / 960.0)
+            a = -u3 / p3
+            # B's arithmetic exactly: near the tangency end the discriminant
+            # is a difference of nearly equal terms, and one ulp of B moves it
+            b = 2.0 * ratio * ratio / (t * p3)
+            da = (-du3 - a * dp3) / p3
+            db = b * (2.0 * dsr / ratio - 1.0 / t - dp3 / p3)
+            u_ts = t * u3 / ratio  # U/(t sin(t/2))
+        else:
+            ratio = sh / t
+            ch = math.cos(0.5 * t)
+            p = t - math.sin(t)
+            u = 2.0 * sh - t * ch
+            a = -u / p
+            b = 2.0 * sh * sh / p
+            dp = 2.0 * sh * sh
+            da = (-0.5 * t * sh - a * dp) / p
+            db = (2.0 * sh * ch - b * dp) / p
+            u_ts = u / (t * sh)
+        q = 1.0 - gamma * b
+        p = 1.0 - beta * b
+        disc = a * a - q * p
+        root = math.sqrt(disc) if disc > 0.0 else 0.0
+        if not minus:
+            s, sign = p / (a - root), 1.0
+        elif q == 0.0:
+            return math.nan  # the larger root diverges at the tangent index
+        else:
+            s, sign = (a - root) / q, -1.0
+        if not 0.0 <= s < math.inf:
+            return math.nan
+        f_t = -gamma * db * s * s - 2.0 * da * s - beta * db
+        q4 = math.sin(0.25 * t)
+        s_c = (s - 1.0) + 2.0 * q4 * q4  # s - cos(t/2)
+        if root == 0.0:
+            # lambda' ~ (t/sin(t/2))^2 * ds/dt * (s - cos(t/2)), and ds/dt
+            # has the sign of -F_t/F_s as sqrt(disc) falls to +0
+            if f_t == 0.0 or s_c == 0.0 or f_t != f_t:
+                return math.nan
+            return math.copysign(math.inf, f_t) * -sign * math.copysign(1.0, s_c)
+        ds = -f_t / (sign * 2.0 * root)
+        n = (s - 1.0) * (s - 1.0) + 4.0 * s * q4 * q4
+        return (2.0 * ds * s_c + s * sh + n * u_ts) / (2.0 * ratio * ratio)
+
+    return dfn
+
+
 def _scan_block(rows: list[_Search], nodes: np.ndarray) -> np.ndarray:
     """The rows' objectives on a 2-D block of nodes, one row of nodes per
     row, in one kernel call; the parameters are columns built from the
@@ -377,14 +456,18 @@ def _searches(
 
 
 def _answer(
+    line: tuple[float, float],
     beta: float,
     gamma: float,
     rows: list[_Search],
     results: Iterable[tuple[SolveReport, float] | HestonDistError],
 ) -> DistanceSolution:
-    """The solution from every row's minimization, in row order: the first
-    error is raised, and a later row wins only when it is lower by more
-    than TIE_RTOL, so near-ties keep the earlier (plus) argmin."""
+    """The solution for the searched line (beta, gamma) from every row's
+    minimization, in row order: the first error is raised, and a later row
+    wins only when it is lower by more than TIE_RTOL, so near-ties keep the
+    earlier (plus) argmin.  Where the distance overflows (the winning
+    half-squared distance saturated at _HUGE, or lies above half of it) a
+    ConvergenceError names the given line."""
     best = None
     for row, result in zip(rows, results):
         if isinstance(result, HestonDistError):
@@ -393,9 +476,14 @@ def _answer(
         if best is None or half_sq < best[2] - TIE_RTOL * max(1.0, best[2]):
             best = row, report, half_sq
     row, report, half_sq = best
+    value = math.sqrt(2.0 * half_sq)
+    if value == math.inf:
+        raise ConvergenceError(
+            f"the distance to the line {line!r} overflows the double range"
+        )
     v = _v_at(row, report.value)
     return DistanceSolution(
-        value=math.sqrt(2.0 * half_sq),
+        value=value,
         half_squared=half_sq,
         # a vertical line's abscissa is beta even where v overflows
         argmin=ManifoldPoint(beta + gamma * v if gamma else beta, v),
@@ -414,7 +502,7 @@ def _solve_many(
     The search tables of all lines are built first, sharing psi_inv by
     argument; solvers._minimize_rows then scans their rows in 2-D blocks
     (all of a single line's rows in one kernel call) and refines each row
-    with the golden section on its one-frame objective (_row_fn)."""
+    on its one-frame objective (_row_fn) and derivative (_row_dfn)."""
     memo: dict[float, float] = {}
     rows: list[_Search] = []
     pending: list = []
@@ -431,17 +519,18 @@ def _solve_many(
         pending.append(line)
     results = _minimize_rows(
         [_row_fn(r) for r in rows],
+        [_row_dfn(r) for r in rows],
         lambda sel, nodes: _scan_block([rows[i] for i in sel], nodes),
         [r.lo for r in rows],
         [r.hi for r in rows],
         tol,
     )
     out: list[DistanceSolution | HestonDistError] = []
-    for line in pending:
+    for given, line in zip(lines, pending):
         if isinstance(line, tuple):
             beta, gamma, mirrored, start, end = line
             try:
-                line = _answer(beta, gamma, rows[start:end], results[start:end])
+                line = _answer(given, beta, gamma, rows[start:end], results[start:end])
             except HestonDistError as exc:
                 line = exc
             else:

@@ -21,15 +21,21 @@ library's root solves run ``_solve``, ``solve_monotone`` without its
 report, on the caller's one-frame objective; ``_brent`` subtracts the target.
 
 ``minimize_on_interval`` scans by calling ``fn`` on each node; its
-golden-section refine (``_refine``) is shared with ``_minimize_rows`` and
-with the oracle, which hand it nodes and values they scanned themselves.
+golden-section refine (``_refine``) is shared with the oracle, which hands
+it nodes and values it scanned itself.
 
-``_minimize_rows`` runs many minimizations and returns, row for row,
-exactly what ``minimize_on_interval`` would.  It scans the rows as 2-D
-blocks of ``SCAN_BLOCK_ROWS`` rows (16 rows of 257 nodes, about 4096
-nodes), one array call per block, which bounds its memory, and refines
-each row with ``_golden`` on that row's scalar objective.  Errors stay per
-row.  The line solver minimizes every line's rows through it.
+``_minimize_rows`` runs many minimizations with the scan, the degenerate
+intervals and the errors of ``minimize_on_interval``.  It scans the rows
+as 2-D blocks of ``SCAN_BLOCK_ROWS`` rows (16 rows of 257 nodes, about
+4096 nodes), one array call per block, which bounds its memory, and
+refines each row on its own scalar objective and that objective's
+derivative (``_refine_root``): an end node whose derivative points out of
+the interval is the answer ("endpoint"); where the derivative changes sign
+across the cell pair around the best node, Brent's root solve of the
+derivative finds the minimizer in a few steps ("derivative-root"); any
+other row takes the golden refine and returns exactly what
+``minimize_on_interval`` returns ("grid-refine").  Errors stay per row.
+The line solver minimizes every line's rows through it.
 
 ``_brent_rows`` runs ``_brent`` on many lanes at once and
 ``_invert_to_two_pi_rows`` runs ``invert_to_two_pi`` on them; each returns,
@@ -67,6 +73,15 @@ _TOL_FLOOR = 1e-322
 _RTOL = 4.0 * math.ulp(1.0)  # brentq's smallest admissible rtol
 MIN_TOL = 1e-9
 SCAN_CELLS = 256
+# The derivative-root refine stops at this fraction of the golden stop
+# width.  Near the tangency end of small, nearly diagonal lines the line
+# objective is so sharply curved that golden's own width is too coarse:
+# on the line (1.494e-4, 1.218e-4) the derivative runs from -11 to +12 (in
+# units of lambda/theta) across 6e-13 in theta, and a root solved to the
+# golden width came out 9.8e-10 above golden's minimum (a real gap: mpmath
+# agrees).  The factor costs about 0.5 more derivative evaluations per
+# line.
+_ROOT_XTOL_SCALE = 1e-3
 _GROW_STEPS = 200
 
 
@@ -78,12 +93,19 @@ class Bracket(NamedTuple):
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of a scalar solve: the located argument, the iteration count,
-    the residual achieved and which method produced it."""
+    the residual achieved and which method produced it.
+
+    ``method`` is "bisection-hybrid" for a root solve and "closed-form" for
+    an exact formula.  A minimization reports the refine that settled it:
+    "derivative-root" (Brent on the objective's derivative; iterations are
+    Brent's and residual is its stop width), "endpoint" (an interval end
+    whose derivative points outward; no iterations) or "grid-refine" (the
+    golden section; residual is its final bracket width)."""
 
     value: float
     iterations: int
     residual: float
-    method: str  # bisection-hybrid | golden-section | grid-refine | closed-form
+    method: str
 
 
 def solve_monotone(
@@ -217,6 +239,13 @@ def _brent(
     )
 
 
+def _golden_width(tol: float, a: float, b: float) -> float:
+    """The golden refine's stop width on [a, b]: tol, scaled down by the
+    argument magnitude when the whole bracket lies within (-1, 1), and at
+    least the smallest subnormal."""
+    return max(tol * min(1.0, max(abs(a), abs(b))), 5e-324)
+
+
 def _golden(
     fn: Callable[[float], float],
     a: float,
@@ -230,8 +259,7 @@ def _golden(
     whole bracket is small, so sub-unit intervals are refined to relative
     rather than absolute precision.
     """
-    tol = tol * min(1.0, max(abs(a), abs(b)))
-    tol = max(tol, 5e-324)
+    tol = _golden_width(tol, a, b)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
@@ -352,19 +380,74 @@ def _refine(
     values: NonFiniteSampleError at the first non-finite node, otherwise
     the golden refine, 200 steps at most, in the cell pair around the
     first minimum."""
+    i, a, b = _best_cell(nodes, fs)
+    return _golden_refine(fn, a, b, float(nodes[i]), float(fs[i]), tol)
+
+
+def _best_cell(nodes: np.ndarray, fs: np.ndarray) -> tuple[int, float, float]:
+    """The first minimum's node index i and the ends of the cell pair
+    around it, [nodes[i - 1], nodes[i + 1]] clipped to the scan;
+    NonFiniteSampleError at the first non-finite node."""
     finite = np.isfinite(fs)
     if not finite.all():
         i = int(finite.argmin())
         raise NonFiniteSampleError(i, float(nodes[i]), float(fs[i]))
     i = int(fs.argmin())
-    best_x, best_f = float(nodes[i]), float(fs[i])
-    a = float(nodes[max(i - 1, 0)])
-    b = float(nodes[min(i + 1, nodes.size - 1)])
+    return i, float(nodes[max(i - 1, 0)]), float(nodes[min(i + 1, nodes.size - 1)])
+
+
+def _golden_refine(
+    fn: Callable[[float], float], a: float, b: float, best_x: float,
+    best_f: float, tol: float,
+) -> tuple[SolveReport, float]:
+    """The golden refine on [a, b], keeping the node (best_x, best_f)
+    where the refine finds nothing lower."""
     gx, gf, iters, width = _golden(fn, a, b, tol, 200)
     if gf < best_f:
         best_x, best_f = gx, gf
     # residual reports the final bracket width reached by the refinement
     return SolveReport(best_x, iters, width, "grid-refine"), best_f
+
+
+def _refine_root(
+    fn: Callable[[float], float], dfn: Callable[[float], float],
+    nodes: np.ndarray, fs: np.ndarray, tol: float,
+) -> tuple[SolveReport, float]:
+    """_refine's answer through the root of the derivative dfn of fn, with
+    the same node check and the same cell pair [a, b] around the first
+    minimum node i.
+
+    An end node i whose derivative points out of the interval is the
+    answer ("endpoint", 0 iterations).  Otherwise, where dfn(a) < 0 <
+    dfn(b), both finite, Brent solves dfn = 0 on [a, b] to
+    _ROOT_XTOL_SCALE times the golden stop width and fn is evaluated once
+    at the root; the node is kept where it is lower ("derivative-root",
+    Brent's iterations, the stop width as residual).  Every other row, and
+    a root solve that meets a nan, takes the golden refine of _refine."""
+    i, a, b = _best_cell(nodes, fs)
+    best_x, best_f = float(nodes[i]), float(fs[i])
+    db = None
+    if i == nodes.size - 1:
+        db = dfn(b)
+        if db < 0.0:
+            return SolveReport(best_x, 0, 0.0, "endpoint"), best_f
+    da = dfn(a)
+    if i == 0 and da > 0.0:
+        return SolveReport(best_x, 0, 0.0, "endpoint"), best_f
+    if -math.inf < da < 0.0:
+        db = dfn(b) if db is None else db
+        if 0.0 < db < math.inf:
+            xtol = max(_ROOT_XTOL_SCALE * _golden_width(tol, a, b), 5e-324)
+            try:
+                root, _, iters = _solve(dfn, a, b, 0.0, xtol, 200, da, db)
+            except ConvergenceError:
+                pass
+            else:
+                froot = fn(root)
+                if froot < best_f:
+                    best_x, best_f = root, froot
+                return SolveReport(best_x, iters, xtol, "derivative-root"), best_f
+    return _golden_refine(fn, a, b, best_x, best_f, tol)
 
 
 def _scan_nodes(lo, hi, h, n: int) -> np.ndarray:
@@ -395,21 +478,24 @@ _EVERY = slice(None)
 
 def _minimize_rows(
     fns: list[Callable[[float], float]],
+    dfns: list[Callable[[float], float]],
     scan: Callable[[list[int], np.ndarray], np.ndarray],
     los: list[float],
     his: list[float],
     tol: float = MIN_TOL,
 ) -> list[tuple[SolveReport, float] | HestonDistError]:
-    """minimize_on_interval(fns[i], (los[i], his[i]), tol) for every row i,
-    with the default scan and iteration budget, bit for bit, or the error
-    it raises.
+    """The minimum of fns[i] on [los[i], his[i]] for every row i, or the
+    error minimize_on_interval(fns[i], (los[i], his[i]), tol) raises: the
+    same scan, the same degenerate intervals and the same errors.
 
     ``scan(rows, nodes)`` evaluates the rows (a list of indices) at a 2-D
     block of nodes, one row of nodes each, and must equal their scalar
     objectives bit for bit.  The scan evaluates SCAN_BLOCK_ROWS rows per
     call; a block that raises a HestonDistError is evaluated again row by
     row, so the error fails only the rows that raise it on their own.
-    Each row is then refined on its own with ``_golden`` on ``fns[i]``."""
+    Each row is then refined on its own by ``_refine_root`` on ``fns[i]``
+    and its derivative ``dfns[i]``; a row that falls back to the golden
+    refine returns what minimize_on_interval returns."""
     out: list = [None] * len(fns)
     live = []
     for i, (fn, lo, hi) in enumerate(zip(fns, los, his)):
@@ -431,7 +517,7 @@ def _minimize_rows(
                 out[i] = errors[k]
                 continue
             try:
-                out[i] = _refine(fns[i], nodes[k], fs[k], tol)
+                out[i] = _refine_root(fns[i], dfns[i], nodes[k], fs[k], tol)
             except HestonDistError as exc:
                 out[i] = exc
     return out

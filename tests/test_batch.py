@@ -102,8 +102,8 @@ def test_empty_batch():
 
 @pytest.mark.parametrize("n", [4, 50])
 def test_no_line_calls_minimize_on_interval(monkeypatch, n):
-    # every row is scanned by _minimize_rows and refined by _golden, for a
-    # single line as for a ladder; linedist does not bind the minimizer
+    # every row is scanned and refined by _minimize_rows, for a single line
+    # as for a ladder; linedist does not bind the minimizer
     calls = []
 
     def record(*args, **kwargs):

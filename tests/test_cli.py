@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import hestondist as hd
 from hestondist.cli import main
 
 PI = math.pi
@@ -59,6 +60,35 @@ class TestDistCommands:
         code, out = run_cli(capsys, "dist", "horizontal", "--tau", "4")
         assert code == 0
         assert json.loads(out)["outputs"]["value"] == pytest.approx(2.0)
+
+
+class TestRefineMethod:
+    """The JSON diagnostics name the refine that settled a line's answer."""
+
+    def candidate_lines(self):
+        yield 1.0, 0.0
+        yield 17.0, -49.0  # best scan node next to the axis node
+        for beta in (1e-3, 2e-3, 5e-3):  # near-diagonal: tangency-end minima
+            for offset in (1e-2, 1e-3, 1e-4):
+                yield beta, beta * (1.0 + offset)
+
+    def test_each_method_through_the_cli(self, capsys):
+        found = {}
+        for beta, gamma in self.candidate_lines():
+            sol = hd.dist_to_line(beta, gamma)
+            found.setdefault(sol.report.method, (beta, gamma, sol))
+        assert set(found) == {"derivative-root", "endpoint", "grid-refine"}
+        for method, (beta, gamma, sol) in found.items():
+            code, out = run_cli(capsys, "dist", "line", f"--beta={beta!r}",
+                                f"--gamma={gamma!r}")
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["diagnostics"]["method"] == method
+            assert doc["diagnostics"]["iterations"] == sol.report.iterations
+            assert doc["diagnostics"]["residual"] == sol.report.residual
+            assert doc["outputs"]["value"] == sol.value
+        assert found["endpoint"][2].report.iterations == 0
+        assert found["grid-refine"][2].report.iterations > 0
 
 
 class TestOutputContract:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -122,6 +123,25 @@ class TestDistToLine:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             hd.dist_to_line(math.nan, 0.0)
+
+    @pytest.mark.parametrize(
+        "line", [(1e300, 2e300), (1e200, 1e200), (1e308, 0.0), (-1e308, 0.0)]
+    )
+    def test_saturated_distance_raises(self, line):
+        # the half-squared distance saturates at the largest double: a typed
+        # error that names the line, never an infinite distance
+        with pytest.raises(hd.ConvergenceError, match=re.escape(repr(line))):
+            hd.dist_to_line(*line)
+
+    def test_saturated_strike_is_a_smile_failure(self):
+        # v0 = 1e-308 reduces the strikes 50 and 200 to vertical lines near
+        # +-6.9e307, beyond the range of the half-squared distance
+        entries = hd.smile_table(100.0, 1e-308, hd.CorrelationFrame(1.0, 0.0),
+                                 [50.0, 101.0, 200.0])
+        assert [type(e) for e in entries] == [hd.SmileFailure, hd.SmilePoint,
+                                              hd.SmileFailure]
+        assert entries[0].error.startswith("ConvergenceError: the distance to the line")
+        assert math.isfinite(entries[1].distance)
 
 
 class TestVerticalVariants:

@@ -1,6 +1,6 @@
 """The block kernel of every line-solver objective equals the row's
-one-frame scalar objective bit for bit on the scan nodes and at the golden
-points, so the 2-D scan changes no answer."""
+one-frame scalar objective bit for bit on the scan nodes and at the points
+either refine visits, so the 2-D scan changes no answer."""
 
 import math
 import random
@@ -51,6 +51,7 @@ def seeded_lines():
         (0.0, 1.5), (0.0, 4e-3),                # axis node, minus branch
         (1.0, -0.5), (0.5, -2.0),               # left-slanted, both sides
         (2e-3, -1e-3), (1e-3, -4e-3),           # left-slanted, small angles
+        (17.0, -49.0),                          # best node next to the axis node
     ]
     for _ in range(40):
         beta = math.copysign(10.0 ** rng.uniform(-4.0, 2.0), rng.choice((-1, 1)))
@@ -62,8 +63,9 @@ def seeded_lines():
 @pytest.fixture(scope="module")
 def captured():
     """Every row _solve_many minimizes for dist_to_line on the seeded lines,
-    as a dict: the row, its one-frame objective fn, the block scan and the
-    row's index in it, the row's result and every row of its batch."""
+    as a dict: the row, its one-frame objective fn and derivative dfn, the
+    block scan and the row's index in it, the row's result and every row of
+    its batch."""
     found, tables = [], []
     minimize_rows, searches = ld._minimize_rows, ld._searches
 
@@ -72,13 +74,13 @@ def captured():
         tables.append(rows)
         return rows
 
-    def record(fns, scan, los, his, tol):
-        results = minimize_rows(fns, scan, los, his, tol)
+    def record(fns, dfns, scan, los, his, tol):
+        results = minimize_rows(fns, dfns, scan, los, his, tol)
         rows = [r for table in tables for r in table]
         tables.clear()
         assert [(r.lo, r.hi) for r in rows] == list(zip(los, his))
         for i, row in enumerate(rows):
-            found.append(dict(row=row, fn=fns[i], scan=scan, index=i,
+            found.append(dict(row=row, fn=fns[i], dfn=dfns[i], scan=scan, index=i,
                               result=results[i], batch=(fns, los, his)))
         return results
 
@@ -125,9 +127,19 @@ class TestObjectivesOnScanNodes:
         assert axis_nodes > 0
 
     def test_minimizer_result_is_unchanged(self, captured):
+        # a row that falls back to the golden refine is minimize_on_interval's
+        # answer; a row its derivative settles lies within the row gate of it
+        methods = set()
         for call in captured:
             fn, row = call["fn"], call["row"]
-            assert call["result"] == minimize_on_interval(fn, (row.lo, row.hi))
+            want = minimize_on_interval(fn, (row.lo, row.hi))
+            report, value = call["result"]
+            methods.add(report.method)
+            if report.method == "grid-refine":
+                assert call["result"] == want
+            else:
+                assert within_row_gate(value, report.value, want[1]), (row, report)
+        assert methods == {"derivative-root", "endpoint", "grid-refine"}
 
     def test_nodes_straddle_small_angle(self):
         nodes = scan_nodes(*hd.vertical_bracket(0.01))
@@ -195,6 +207,17 @@ class TestObjectivesOnScanNodes:
             assert objective[1](np.array([0.0]))[0] == ld._axis_value(v_axis)
 
 
+def within_row_gate(value, theta, golden):
+    """The row gate of the derivative-root refine against the golden refine
+    on the same scan: at most 8 ulp above golden's minimum where
+    |theta| >= 1, at most 5e-11 relative above it elsewhere (the band
+    where the objective's cancellation puts up to ~1e-11 relative noise on
+    a single value)."""
+    if abs(theta) >= 1.0:
+        return value <= golden + 8 * math.ulp(golden)
+    return value <= golden * (1.0 + 5e-11)
+
+
 def lam(theta, s):
     """The clamps of linedist._row_fn on a root s: a negative root counts as
     0, a non-finite one as _ROOT_HUGE, an overflowing value as _HUGE."""
@@ -215,8 +238,8 @@ signed_magnitudes = st.tuples(
 @given(signed_magnitudes, signed_magnitudes)
 def test_row_objective_matches_the_kernel(beta, gamma):
     """On log-uniform lines of both signs the one-frame objective of every
-    row equals the kernel at the scan nodes of the line's 2-D block and at
-    every point the golden refine visits."""
+    row equals the kernel at the scan nodes of the line's 2-D block, at
+    every point the golden refine visits and at the derivative root."""
     line = ld._prelude(beta, gamma)
     assume(not isinstance(line, hd.DistanceSolution))
     rows = ld._searches(line[0], line[1], {})
@@ -233,6 +256,8 @@ def test_row_objective_matches_the_kernel(beta, gamma):
         b = float(nodes[k, min(i + 1, SCAN_CELLS)])
         solvers._golden(lambda t: visited.append(t) or fn(t), a, b, 1e-9, 200)
         assert len(visited) >= 2
+        solvers._refine_root(lambda t: visited.append(t) or fn(t), ld._row_dfn(row),
+                             nodes[k], block[k], 1e-9)
         assert_same_bits(
             [fn(t) for t in visited], ld._scan_block([row], np.array([visited]))[0]
         )
@@ -303,37 +328,39 @@ class TestSearchTable:
         assert rows_seen > 600
 
 
-# dist_to_line outputs recorded before the array scan existed, as float.hex():
-# (value, half_squared, theta_at_argmin, argmin.x, argmin.v) and the report's
-# (value, iterations, residual).  The lines stay clear of the near-diagonal
-# band beta ~ gamma <~ 1e-3.
+# dist_to_line outputs, as float.hex(): (value, half_squared,
+# theta_at_argmin, argmin.x, argmin.v) and the report's (value, iterations,
+# residual, method).  Recorded when the derivative-root refine replaced the
+# golden refine: the values moved by at most 1.6e-15 relative and theta* by
+# at most 1.9e-8, and the iterations fell from 29-38 to 4-6.  The lines stay
+# clear of the near-diagonal band beta ~ gamma <~ 1e-3.
 PINNED = [
-    ((0.01, 0.0), "vertical-kp", ("0x1.47adbb00dfdf7p-7", "0x1.a36d49a283b5bp-15", "0x1.47acae940af3ep-7",
-        "0x1.47ae147ae147bp-7", "0x1.0001a36c82955p+0"), ("0x1.47acae940af3ep-7", 35, "0x1.fca9600000000p-38")),
-    ((1.0, 0.0), "vertical-kp", ("0x1.ee25534de7fd1p-1", "0x1.dcea0978ed7aap-2", "0x1.bfabd58f42761p-1",
-        "0x1.0000000000000p+0", "0x1.37e96c806726ap+0"), ("0x1.bfabd58f42761p-1", 35, "0x1.8d64540000000p-31")),
-    ((3.0, 0.0), "vertical-kp", ("0x1.42143ac4aa584p+1", "0x1.9536e56ff8be5p+1", "0x1.ae03807405913p+0",
-        "0x1.8000000000000p+1", "0x1.1f3af6deac803p+1"), ("0x1.ae03807405913p+0", 36, "0x1.81c8680000000p-31")),
-    ((0.9, 0.9), "slanted-plus", ("0x1.a1f4079353c82p+0", "0x1.552e74a634018p+0", "0x1.a096a774e75ebp+0",
-        "0x1.668738885eb9ap+0", "0x1.1cbab68460b8fp-1"), ("0x1.a096a774e75ebp+0", 30, "0x1.ba9e700000000p-31")),
-    ((2.0, 5.0), "slanted-plus", ("0x1.aed5c4eda149fp+1", "0x1.6a896a07ca5fcp+2", "0x1.a0e4bd9b49b99p+1",
-        "0x1.1a4a0d09463e9p+1", "0x1.5080a6dd1cba2p-5"), ("0x1.a0e4bd9b49b99p+1", 31, "0x1.92f2400000000p-31")),
-    ((0.5, 2.0), "slanted-minus", ("0x1.9e5cdd2a686e8p+0", "0x1.4f583e826fa95p+0", "0x1.85d7e85c1695cp+0",
-        "0x1.e75f43959ec02p-1", "0x1.cebe872b3d805p-3"), ("0x1.85d7e85c1695cp+0", 32, "0x1.6a02c80000000p-31")),
-    ((2.0, 0.5), "slanted-plus", ("0x1.2f88831aa8905p+1", "0x1.67e46f24aa7d0p+1", "0x1.030be1419cd1fp+1",
-        "0x1.464ba4202f600p+1", "0x1.192e9080bd800p+0"), ("0x1.030be1419cd1fp+1", 35, "0x1.ca2d600000000p-31")),
-    ((0.0, 1.5), "slanted-minus", ("0x1.07c78d1c30f81p+0", "0x1.0fcb9f7c9c39fp-1", "0x1.c4282251fa21cp-1",
-        "0x1.41b172e891ac0p-1", "0x1.acec993617900p-2"), ("0x1.c4282251fa21cp-1", 36, "0x1.81f2100000000p-31")),
-    ((1.0, -0.5), "left-slanted", ("0x1.b2edca27b2b49p-2", "0x1.71758f274387fp-4", "0x1.5e3c7b7b3a2ebp-2",
-        "0x1.885a73c9f4244p-2", "0x1.3bd2c61b05edep+0"), ("0x1.5e3c7b7b3a2ebp-2", 38, "0x1.da19500000000p-33")),
-    ((0.5, -2.0), "left-slanted", ("0x1.9f53e98b09bffp-1", "0x1.50e8955907698p-2", "-0x1.16cadf4eb61c7p-1",
-        "-0x1.8d088eff50258p-2", "0x1.c684477fa812cp-2"), ("0x1.16cadf4eb61c7p-1", 37, "0x1.16f28c0000000p-31")),
-    ((-1.0, 0.3), "left-slanted", ("0x1.441becbbac425p-1", "0x1.9a56b246d688bp-3", "-0x1.12a8934c0a06ap-1",
-        "-0x1.3bc5a02a220ecp-1", "0x1.470bf50f1c922p+0"), ("0x1.12a8934c0a06ap-1", 37, "0x1.7f8dd00000000p-32")),
-    ((0.001, 0.005), "slanted-minus", ("0x1.8936a4464f62dp-8", "0x1.2dfc6804cb689p-16", "0x1.893670bbf2004p-8",
-        "0x1.893588cf33df2p-8", "0x1.fffd3f5d5aa64p-1"), ("0x1.893670bbf2004p-8", 31, "0x1.2102bc0000000p-38")),
-    ((50.0, 80.0), "slanted-plus", ("0x1.7099292ed8aabp+4", "0x1.095c590477c4ep+8", "0x1.7037186625f6cp+2",
-        "0x1.919a6378c0ce4p+5", "0x1.484f93cd71c7dp-9"), ("0x1.7037186625f6cp+2", 29, "0x1.fb21a00000000p-31")),
+    ((0.01, 0.0), "vertical-kp", ("0x1.47adbb00dfdf7p-7", "0x1.a36d49a283b5ap-15", "0x1.47acae941e275p-7",
+        "0x1.47ae147ae147bp-7", "0x1.0001a36c64947p+0"), ("0x1.47acae941e275p-7", 6, "0x1.6b3b0cbd1f0f7p-47", "derivative-root")),
+    ((1.0, 0.0), "vertical-kp", ("0x1.ee25534de7fd7p-1", "0x1.dcea0978ed7b7p-2", "0x1.bfabd562c1b96p-1",
+        "0x1.0000000000000p+0", "0x1.37e96cbe6ac60p+0"), ("0x1.bfabd562c1b96p-1", 6, "0x1.f02dfafb71e6fp-41", "derivative-root")),
+    ((3.0, 0.0), "vertical-kp", ("0x1.42143ac4aa586p+1", "0x1.9536e56ff8beap+1", "0x1.ae038068af1b5p+0",
+        "0x1.8000000000000p+1", "0x1.1f3af6edd1ef4p+1"), ("0x1.ae038068af1b5p+0", 5, "0x1.19799812dea12p-40", "derivative-root")),
+    ((0.9, 0.9), "slanted-plus", ("0x1.a1f4079353c84p+0", "0x1.552e74a63401bp+0", "0x1.a096a76f4b9e5p+0",
+        "0x1.668738b4ac61bp+0", "0x1.1cbab6e6d4675p-1"), ("0x1.a096a76f4b9e5p+0", 6, "0x1.19799812dea12p-40", "derivative-root")),
+    ((2.0, 5.0), "slanted-plus", ("0x1.aed5c4eda14a0p+1", "0x1.6a896a07ca5fdp+2", "0x1.a0e4bda074c9fp+1",
+        "0x1.1a4a0cf6d13d7p+1", "0x1.5080a5f0dcabbp-5"), ("0x1.a0e4bda074c9fp+1", 6, "0x1.19799812dea12p-40", "derivative-root")),
+    ((0.5, 2.0), "slanted-minus", ("0x1.9e5cdd2a686e8p+0", "0x1.4f583e826fa96p+0", "0x1.85d7e83990a21p+0",
+        "0x1.e75f431978634p-1", "0x1.cebe8632f0c67p-3"), ("0x1.85d7e83990a21p+0", 5, "0x1.19799812dea12p-40", "derivative-root")),
+    ((2.0, 0.5), "slanted-plus", ("0x1.2f88831aa8905p+1", "0x1.67e46f24aa7d1p+1", "0x1.030be12adcf74p+1",
+        "0x1.464ba43ce31abp+1", "0x1.192e90f38c6adp+0"), ("0x1.030be12adcf74p+1", 6, "0x1.19799812dea12p-40", "derivative-root")),
+    ((0.0, 1.5), "slanted-minus", ("0x1.07c78d1c30f84p+0", "0x1.0fcb9f7c9c3a4p-1", "0x1.c428228e93ff0p-1",
+        "0x1.41b173306753dp-1", "0x1.acec9995df1a7p-2"), ("0x1.c428228e93ff0p-1", 5, "0x1.f56096e19c8efp-41", "derivative-root")),
+    ((1.0, -0.5), "left-slanted", ("0x1.b2edca27b2b55p-2", "0x1.71758f2743893p-4", "0x1.5e3c7b2449e98p-2",
+        "0x1.885a7380228ecp-2", "0x1.3bd2c63feeb8ap+0"), ("0x1.5e3c7b2449e98p-2", 6, "0x1.88804688a8252p-42", "derivative-root")),
+    ((0.5, -2.0), "left-slanted", ("0x1.9f53e98b09c09p-1", "0x1.50e89559076a8p-2", "-0x1.16cadef826408p-1",
+        "-0x1.8d088e68c3070p-2", "0x1.c684473461838p-2"), ("0x1.16cadef826408p-1", 5, "0x1.3c507a3732f33p-41", "derivative-root")),
+    ((-1.0, 0.3), "left-slanted", ("0x1.441becbbac42dp-1", "0x1.9a56b246d68a1p-3", "-0x1.12a89372a76b4p-1",
+        "-0x1.3bc5a04272c34p-1", "0x1.470bf4e6960fep+0"), ("0x1.12a89372a76b4p-1", 6, "0x1.33a2cf7fddbc4p-41", "derivative-root")),
+    ((0.001, 0.005), "slanted-minus", ("0x1.8936a4464f627p-8", "0x1.2dfc6804cb67fp-16", "0x1.893670bc79479p-8",
+        "0x1.893588d08610bp-8", "0x1.fffd3f5f6b13ap-1"), ("0x1.893670bc79479p-8", 4, "0x1.b057f7650a05ep-48", "derivative-root")),
+    ((50.0, 80.0), "slanted-plus", ("0x1.7099292ed8aacp+4", "0x1.095c590477c4fp+8", "0x1.7037186604199p+2",
+        "0x1.919a63790b0afp+5", "0x1.484f9408d5910p-9"), ("0x1.7037186604199p+2", 5, "0x1.19799812dea12p-40", "derivative-root")),
 ]
 
 
@@ -344,4 +371,4 @@ def test_pinned_outputs(line, branch, fields, report):
     got = (sol.value, sol.half_squared, sol.theta_at_argmin, sol.argmin.x, sol.argmin.v)
     assert tuple(x.hex() for x in got) == fields
     rep = sol.report
-    assert (rep.value.hex(), rep.iterations, rep.residual.hex()) == report
+    assert (rep.value.hex(), rep.iterations, rep.residual.hex(), rep.method) == report

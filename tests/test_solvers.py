@@ -150,7 +150,7 @@ class TestArrayScan:
         fn_rows = lambda sel, ts: np.where(ts > 0.5, math.inf, ts)
         with pytest.raises(NonFiniteSampleError) as scalar:
             minimize_on_interval(fn, (0.0, 1.0))
-        (array,) = solvers._minimize_rows([fn], fn_rows, [0.0], [1.0])
+        (array,) = solvers._minimize_rows([fn], [_no_derivative], fn_rows, [0.0], [1.0])
         assert array.node_index == scalar.value.node_index == 129
         assert array.x == scalar.value.x
         assert type(scalar.value.x) is float
@@ -165,7 +165,9 @@ class TestArrayScan:
         fn = lambda t: abs(abs(t - 0.5) - 0.25)
         fn_rows = lambda sel, ts: np.abs(np.abs(ts - 0.5) - 0.25)
         rep, val = minimize_on_interval(fn, (0.0, 1.0))
-        assert solvers._minimize_rows([fn], fn_rows, [0.0], [1.0]) == [(rep, val)]
+        assert solvers._minimize_rows(
+            [fn], [_no_derivative], fn_rows, [0.0], [1.0]
+        ) == [(rep, val)]
         assert rep.value == 0.25 and val == 0.0
         assert type(rep.value) is float and type(val) is float
 
@@ -181,34 +183,46 @@ class TestArrayScan:
         assert calls == [1.0]
 
 
+def _no_derivative(t):
+    """A derivative that is nan everywhere: every row falls back to the
+    golden refine."""
+    return math.nan
+
+
 def _objective_rows():
-    """Rows of (scalar objective, array form, bracket) for _minimize_rows:
-    interior, endpoint and tied minima, degenerate intervals, rejected
-    brackets, a non-finite node and an objective that raises."""
+    """Rows of (scalar objective, array form, bracket, derivative) for
+    _minimize_rows: interior, endpoint and tied minima, degenerate
+    intervals, rejected brackets, a non-finite node and an objective that
+    raises."""
     rows = []
     for k in range(12):
         c = -1.0 + 0.37 * k
         rows.append((lambda t, c=c: (t - c) ** 2 + 0.1 * math.cos(7.0 * t),
                      lambda ts, c=c: (ts - c) ** 2 + 0.1 * np.cos(7.0 * ts),
-                     (-2.0 + 0.1 * k, 3.0 - 0.05 * k)))
+                     (-2.0 + 0.1 * k, 3.0 - 0.05 * k),
+                     lambda t, c=c: 2.0 * (t - c) - 0.7 * math.sin(7.0 * t)))
     rows += [
-        (lambda t: t * t, lambda ts: ts * ts, (0.5, 4.0)),            # endpoint
+        (lambda t: t * t, lambda ts: ts * ts, (0.5, 4.0),             # endpoint
+         lambda t: 2.0 * t),
         (lambda t: abs(abs(t - 0.5) - 0.25),                          # tie
-         lambda ts: np.abs(np.abs(ts - 0.5) - 0.25), (0.0, 1.0)),
-        (lambda t: (t - 3.0) ** 2, lambda ts: (ts - 3.0) ** 2, (1.0, 1.0)),
-        (lambda t: t, lambda ts: ts, (2.0, 2.0 + 1e-14)),             # flat
-        (lambda t: t, lambda ts: ts, (1.0, 0.0)),                     # reversed
+         lambda ts: np.abs(np.abs(ts - 0.5) - 0.25), (0.0, 1.0), _no_derivative),
+        (lambda t: (t - 3.0) ** 2, lambda ts: (ts - 3.0) ** 2, (1.0, 1.0),
+         lambda t: 2.0 * (t - 3.0)),
+        (lambda t: t, lambda ts: ts, (2.0, 2.0 + 1e-14), lambda t: 1.0),  # flat
+        (lambda t: t, lambda ts: ts, (1.0, 0.0), lambda t: 1.0),      # reversed
         (lambda t: math.inf if t > 0.5 else t,                        # inf node
-         lambda ts: np.where(ts > 0.5, math.inf, ts), (0.0, 1.0)),
-        (lambda t: math.nan, lambda ts: np.full_like(ts, math.nan), (3.0, 3.0)),
+         lambda ts: np.where(ts > 0.5, math.inf, ts), (0.0, 1.0), lambda t: 1.0),
+        (lambda t: math.nan, lambda ts: np.full_like(ts, math.nan), (3.0, 3.0),
+         _no_derivative),
     ]
 
     def raising(t):
         raise DomainError(f"no value at {t!r}")
 
-    rows.append((raising, lambda ts: raising(float(ts.flat[0])), (0.0, 1.0)))
-    rows.append((raising, lambda ts: raising(float(ts.flat[0])), (0.25, 0.25)))
-    rows += [(lambda t: (t - 0.3) ** 4, lambda ts: (ts - 0.3) ** 4, (0.0, 2.0 ** k))
+    rows.append((raising, lambda ts: raising(float(ts.flat[0])), (0.0, 1.0), raising))
+    rows.append((raising, lambda ts: raising(float(ts.flat[0])), (0.25, 0.25), raising))
+    rows += [(lambda t: (t - 0.3) ** 4, lambda ts: (ts - 0.3) ** 4, (0.0, 2.0 ** k),
+              lambda t: 4.0 * (t - 0.3) ** 3)
              for k in range(-3, 9)]
     return rows
 
@@ -221,10 +235,13 @@ def _scan(rows):
     return scan
 
 
-def _minimize_rows(rows, tol=solvers.MIN_TOL):
+def _minimize_rows(rows, tol=solvers.MIN_TOL, derivatives=False):
+    """_minimize_rows on the rows, with their derivatives, or with none, so
+    that every row takes the golden refine."""
     return solvers._minimize_rows(
-        [r[0] for r in rows], _scan(rows), [r[2][0] for r in rows],
-        [r[2][1] for r in rows], tol,
+        [r[0] for r in rows],
+        [r[3] if derivatives else _no_derivative for r in rows],
+        _scan(rows), [r[2][0] for r in rows], [r[2][1] for r in rows], tol,
     )
 
 
@@ -237,46 +254,123 @@ def _result(call):
 
 
 class TestMinimizeRows:
-    """_minimize_rows returns what minimize_on_interval returns, row by row."""
+    """_minimize_rows returns what minimize_on_interval returns on every row
+    that takes the golden refine, and a minimum within the row gate of it
+    on every row that its derivative settles."""
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.0, -1.0])
     def test_matches_minimize_on_interval(self, tol):
         rows = _objective_rows()
         assert len(rows) > 2 * solvers.SCAN_BLOCK_ROWS
-        got = _minimize_rows(rows, tol)
         want = [
             _result(lambda r=r: minimize_on_interval(r[0], r[2], tol=tol))
             for r in rows
         ]
+        got = _minimize_rows(rows, tol)
         assert [_result(lambda g=g: _raise_or(g)) for g in got] == want
+        methods = set()
+        for g, w in zip(_minimize_rows(rows, tol, derivatives=True), want):
+            if isinstance(g, HestonDistError) or g[0].method == "grid-refine":
+                assert _result(lambda g=g: _raise_or(g)) == w
+                continue
+            rep, val = g
+            methods.add(rep.method)
+            assert _within_gate(val, float.fromhex(w[4])), (rep, w)
+        if tol >= 0.0:
+            assert methods == {"derivative-root", "endpoint"}
 
     def test_non_finite_node(self):
-        err = _minimize_rows(_objective_rows())[17]
+        err = _minimize_rows(_objective_rows(), derivatives=True)[17]
         assert isinstance(err, NonFiniteSampleError)
         assert (err.node_index, err.x, err.value) == (129, 0.50390625, math.inf)
         assert type(err.x) is float
 
     def test_every_scanned_row_fails(self):
         rows = [_objective_rows()[i] for i in (17, 19)]  # inf node, raises
-        got = _minimize_rows(rows)
+        got = _minimize_rows(rows, derivatives=True)
         assert [type(g) for g in got] == [NonFiniteSampleError, DomainError]
 
     def test_refine_is_golden_on_the_scalar_objective(self):
-        # after the block scan, the scalar objective is called exactly at the
-        # points _golden visits in the cell pair around the scan's minimum
+        # where the derivative gives no sign change, the scalar objective is
+        # called after the block scan exactly at the points _golden visits
+        # in the cell pair around the scan's minimum
         fn = lambda t: math.cos(3.0 * t) + 0.01 * t
         seen, visited = [], []
         scan = lambda sel, nodes: np.cos(3.0 * nodes) + 0.01 * nodes
         (got,) = solvers._minimize_rows(
-            [lambda t: seen.append(t) or fn(t)], scan, [0.0], [2.5]
+            [lambda t: seen.append(t) or fn(t)], [_no_derivative], scan, [0.0], [2.5]
         )
-        nodes = solvers._scan_nodes(0.0, 2.5, 2.5 / solvers.SCAN_CELLS,
-                                    solvers.SCAN_CELLS + 1)
-        i = int(scan(None, nodes).argmin())
-        solvers._golden(lambda t: visited.append(t) or fn(t),
-                        float(nodes[i - 1]), float(nodes[i + 1]), solvers.MIN_TOL, 200)
+        i, a, b = _scan_minimum(scan, 0.0, 2.5)
+        solvers._golden(lambda t: visited.append(t) or fn(t), a, b, solvers.MIN_TOL, 200)
         assert seen == visited
         assert got == minimize_on_interval(fn, (0.0, 2.5))
+
+    def test_refine_solves_the_derivative_root(self):
+        # a sign change of the derivative across the cell pair: Brent on the
+        # derivative, then one evaluation of the objective at the root
+        fn = lambda t: math.cos(3.0 * t) + 0.01 * t
+        dfn = lambda t: -3.0 * math.sin(3.0 * t) + 0.01
+        seen, slopes = [], []
+        scan = lambda sel, nodes: np.cos(3.0 * nodes) + 0.01 * nodes
+        ((rep, val),) = solvers._minimize_rows(
+            [lambda t: seen.append(t) or fn(t)],
+            [lambda t: slopes.append(t) or dfn(t)], scan, [0.0], [2.5],
+        )
+        _, a, b = _scan_minimum(scan, 0.0, 2.5)
+        root, _, iters = solvers._solve(
+            dfn, a, b, 0.0, solvers._ROOT_XTOL_SCALE * solvers.MIN_TOL, 200, None, None
+        )
+        assert rep.method == "derivative-root"
+        assert (rep.value, rep.iterations) == (root, iters)
+        assert rep.residual == solvers._ROOT_XTOL_SCALE * solvers.MIN_TOL
+        assert seen == [root] and val == fn(root)
+        assert slopes[:2] == [a, b] and len(slopes) == iters + 1
+        assert rep.value == pytest.approx((PI - math.asin(0.01 / 3.0)) / 3.0, abs=1e-12)
+        _, golden = minimize_on_interval(fn, (0.0, 2.5))
+        assert _within_gate(val, golden)
+
+    def test_endpoint_with_an_outward_derivative(self):
+        # the first node is lowest and the derivative rises into the interval:
+        # the node is the answer, and neither function is called again
+        fn, dfn = (lambda t: t * t), (lambda t: 2.0 * t)
+        seen, slopes = [], []
+        ((rep, val),) = solvers._minimize_rows(
+            [lambda t: seen.append(t) or fn(t)],
+            [lambda t: slopes.append(t) or dfn(t)],
+            lambda sel, nodes: nodes * nodes, [0.5], [4.0],
+        )
+        assert (rep.value, rep.iterations, rep.residual, rep.method) == (0.5, 0, 0.0, "endpoint")
+        assert val == 0.25 and seen == [] and slopes == [0.5]
+        # the last node, falling toward it
+        ((rep, val),) = solvers._minimize_rows(
+            [fn], [dfn], lambda sel, nodes: nodes * nodes, [-4.0], [-0.5]
+        )
+        assert (rep.value, rep.method, val) == (-0.5, "endpoint", 0.25)
+
+    def test_an_inward_endpoint_derivative_is_solved(self):
+        # the first node is lowest but the derivative points into the
+        # interval: the root lies in the first cell
+        fn = lambda t: (t - 1e-3) ** 2
+        dfn = lambda t: 2.0 * (t - 1e-3)
+        ((rep, val),) = solvers._minimize_rows(
+            [fn], [dfn], lambda sel, nodes: (nodes - 1e-3) ** 2, [0.0], [1.0]
+        )
+        assert rep.method == "derivative-root"
+        assert rep.value == pytest.approx(1e-3, abs=1e-15)
+
+
+def _scan_minimum(scan, lo, hi):
+    """The scan's minimum node and its cell pair, as _refine finds them."""
+    nodes = solvers._scan_nodes(lo, hi, (hi - lo) / solvers.SCAN_CELLS,
+                                solvers.SCAN_CELLS + 1)
+    return solvers._best_cell(nodes, scan(None, nodes))
+
+
+def _within_gate(value, golden):
+    """At most 8 ulp of 1 above the golden refine's minimum: the terms of
+    these objectives are of order 1, so a minimum near 0 carries their
+    rounding, not its own."""
+    return value <= golden + 8 * math.ulp(1.0)
 
 
 def _raise_or(result):
