@@ -645,6 +645,8 @@ def dist_to_line_correlated(
 # The oracle's grids: _ORACLE_CELLS + 1 nodes of v, first in [0, _ORACLE_HORIZON].
 _ORACLE_CELLS = 4096
 _ORACLE_HORIZON = 16.0
+# Every this many nodes, a grid's probes bound its minimum from above.
+_ORACLE_PROBE_STRIDE = 256
 
 
 def _oracle(
@@ -662,18 +664,44 @@ def _oracle(
     The best node d1 of the grid on [0, _ORACLE_HORIZON] thus certifies the
     horizon H* = (sqrt(v0) + c*d1/2)^2: the argmin lies in [0, H*], which
     is scanned again when it reaches beyond the first grid.  A non-finite
-    H* raises ConvergenceError."""
+    H* raises ConvergenceError, and a non-finite beta, gamma, x0 or v0
+    raises DomainError.
+
+    The same bound prunes each grid.  The scalar distances at every
+    _ORACLE_PROBE_STRIDE-th node (0, 256, ..., 4096) bound the grid's
+    minimum from above by ub, and only the nodes with
+    (2/c)|sqrt(v) - sqrt(v0)| <= ub*(1 + 1e-9) are solved, in one
+    _dist_base_grid call; every other node keeps that bound as its value.
+    The bound is finite and above d1, so the minimum, its node, H* and the
+    refined cell are those of the full grid, bit for bit.  A probe that
+    raises HestonDistError, or a nan or infinite one, solves every node."""
     x0, v0 = p0
+    if not all(map(math.isfinite, (beta, gamma, x0, v0))):
+        raise DomainError("line parameters must be finite")
     if not v0 > 0.0:
         raise DomainError("the source point must have v0 > 0")
     sx0, _ = frame.shear(x0, v0)
     scale = math.sqrt(v0) / frame.c
 
+    def along(v: float) -> float:
+        return dist_correlated(frame, p0, (beta + gamma * v, v))
+
     def grid(horizon: float) -> tuple[np.ndarray, np.ndarray]:
         vs = np.linspace(0.0, horizon, _ORACLE_CELLS + 1)
-        sxs, _ = frame.shear(beta + gamma * vs, vs)
+        # every node's horizontal-line bound, kept where the node is pruned
+        ds = (2.0 / frame.c) * np.abs(np.sqrt(vs) - math.sqrt(v0))
+        try:
+            probes = np.array([along(v) for v in vs[::_ORACLE_PROBE_STRIDE].tolist()])
+        except HestonDistError:
+            probes = np.array([math.inf])
+        # a nan or infinite ub solves every node
+        solve = ~(ds > probes.min() * (1.0 + 1e-9))
+        v = vs[solve]
         # base-point reduction of the sheared pairs
-        return vs, scale * _dist_base_grid((sxs - sx0) / v0, vs / v0)
+        x = (frame.shear(beta + gamma * v, v)[0] - sx0) / v0
+        v /= v0
+        ds[solve] = scale * _dist_base_grid(x, v)
+        return vs, ds
 
     vs, ds = grid(_ORACLE_HORIZON)
     root = math.sqrt(v0) + 0.5 * frame.c * float(ds.min())
@@ -684,9 +712,7 @@ def _oracle(
         )
     if horizon > _ORACLE_HORIZON:
         vs, ds = grid(horizon)
-    return _refine(
-        lambda v: dist_correlated(frame, p0, (beta + gamma * v, v)), vs, ds, 1e-9
-    )
+    return _refine(along, vs, ds, 1e-9)
 
 
 def oracle_dist(beta: float, gamma: float) -> DistanceSolution:

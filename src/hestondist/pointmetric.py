@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -213,17 +213,25 @@ def from_delta(d: tuple[float, float]) -> ManifoldPoint:
 # (solvers._invert_to_two_pi_rows), with _f_arr for f_of.
 
 
-def _f_arr(v: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Vectorized f_of for d > 0, with the same underflow-free small-angle
-    branch as the scalar version, evaluated on the small lanes only.
-    numpy squares by multiplying where Python's ** calls libm's pow, so a
-    value may differ from f_of by an ulp."""
-    s = np.sqrt(v)
+def _f_arr(s: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Vectorized f_of for d > 0, given s = sqrt(v) of each lane's v, with
+    the same underflow-free small-angle branch as the scalar version,
+    evaluated on the small lanes only.  numpy squares by multiplying where
+    Python's ** calls libm's pow, so a value may differ from f_of by an
+    ulp."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sh = np.sin(0.5 * d)
         q4 = np.sin(0.25 * d)
-        num = (s - 1.0) ** 2 * (d - np.sin(d)) + 4.0 * s * q4 * q4 * (d + 2.0 * sh)
-        out = num / (2.0 * sh * sh)
+        # ((s - 1)**2 * (d - sin d) + 4*s*q4*q4*(d + 2*sh)) / (2*sh*sh), in
+        # place where the operations commute, which keeps every rounding
+        out = d - np.sin(d)
+        out *= (s - 1.0) ** 2
+        q4 *= 4.0 * s * q4
+        q4 *= d + 2.0 * sh
+        out += q4
+        den = 2.0 * sh
+        den *= sh
+        out /= den
     small = np.flatnonzero(d < cf.SMALL_ANGLE)
     if small.size:
         s, d = s[small], d[small]
@@ -238,22 +246,27 @@ def _f_arr(v: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _delta_grid(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """delta_of on arrays with x >= 0, v >= 0 (unchecked)."""
+    """delta_of on arrays with x >= 0, v >= 0 (unchecked).  sqrt(v) is
+    taken once, and each lockstep call of _f_arr is handed its lanes'."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     axis = x == 0.0
     if axis.any():
         # the index is 0 on the axis; those lanes solve a stand-in target
         x = np.where(axis, 1.0, x)
+    s = np.sqrt(v)
     lo = np.clip(cf._h_lower_many(x, v), _LO_MIN, _LO_MAX)
-    f_lo = _f_arr(v, lo)
+    f_lo = _f_arr(s, lo)
     back = np.flatnonzero(f_lo > x)
     if back.size:
         lo[back] *= 0.5
-        f_lo[back] = _f_arr(v[back], lo[back])
-    d = _invert_to_two_pi_rows(
-        lambda rows: lambda t: _f_arr(v[rows], t), x, lo, arc_index_tol(lo), f_lo
-    )
+        f_lo[back] = _f_arr(s[back], lo[back])
+
+    def f_rows(rows: np.ndarray | slice) -> Callable[[np.ndarray], np.ndarray]:
+        sr = s[rows]
+        return lambda t: _f_arr(sr, t)
+
+    d = _invert_to_two_pi_rows(f_rows, x, lo, arc_index_tol(lo), f_lo)
     d[axis] = 0.0
     return d
 

@@ -88,3 +88,35 @@ NON_FINITE = [
 def test_non_finite_coordinate_raises_domain_error(fn, coordinate, args):
     with pytest.raises(hd.DomainError, match="coordinates must be finite"):
         fn(*args)
+
+
+# The oracles reject a non-finite line parameter or source coordinate up
+# front, as dist_to_line does, instead of failing in the grid (a
+# ConvergenceError on the horizon, a DomainError naming a sheared point, or
+# a numpy RuntimeWarning).
+ORACLE = [
+    *[
+        case
+        for bad in (INF, -INF, NAN)
+        for case in (
+            (hd.oracle_dist, f"beta={bad}", (bad, 1.0)),
+            (hd.oracle_dist, f"gamma={bad}", (1.0, bad)),
+            (hd.oracle_dist, f"beta={bad}, gamma=0", (bad, 0.0)),
+            (hd.oracle_dist_correlated, f"beta={bad}", (FRAME, (0.0, 0.04), bad, 0.5)),
+            (hd.oracle_dist_correlated, f"gamma={bad}", (FRAME, (0.0, 0.04), 1.0, bad)),
+            (hd.oracle_dist_correlated, f"p0.x={bad}", (FRAME, (bad, 0.04), 1.0, 0.5)),
+        )
+    ],
+    (hd.oracle_dist_correlated, "p0.v=inf", (FRAME, (0.0, INF), 1.0, 0.5)),
+    (hd.oracle_dist_correlated, "p0.v=nan", (FRAME, (0.0, NAN), 1.0, 0.5)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, argument, args",
+    ORACLE,
+    ids=[f"{fn.__name__}-{argument}" for fn, argument, _ in ORACLE],
+)
+def test_oracle_rejects_non_finite_parameters(fn, argument, args):
+    with pytest.raises(hd.DomainError, match="line parameters must be finite"):
+        fn(*args)

@@ -227,15 +227,16 @@ def oracle_sweep_lines():
 
 
 def test_grid_pass_count(monkeypatch):
-    # A pass is one evaluation of every node of the grid: the lockstep solve
-    # evaluates only its live lanes, so a call on a few lanes is a fraction
-    # of a pass.  The bisection this replaced made 92 passes per grid.
+    # A pass is one evaluation of every node the grid solves: the lockstep
+    # solve evaluates only its live lanes, so a call on a few lanes is a
+    # fraction of a pass.  The bisection this replaced made 92 passes per
+    # grid.
     nodes, per_grid = [0], []
     f_arr, grid = pm._f_arr, ld._dist_base_grid
 
-    def counted(v, d):
+    def counted(s, d):
         nodes[0] += d.size
-        return f_arr(v, d)
+        return f_arr(s, d)
 
     def counting(x, v):
         before = nodes[0]
@@ -245,13 +246,20 @@ def test_grid_pass_count(monkeypatch):
 
     monkeypatch.setattr(pm, "_f_arr", counted)
     monkeypatch.setattr(ld, "_dist_base_grid", counting)
-    lines = oracle_sweep_lines() + [(1e12, 0.0)]
-    grids = []
+    sweep = oracle_sweep_lines()
+    lines = sweep + [(1e12, 0.0)]
+    grids, evals = [], []
     for beta, gamma in lines:
-        before = len(per_grid)
+        before, evaluated = len(per_grid), nodes[0]
         hd.oracle_dist(beta, gamma)
         grids.append(len(per_grid) - before)
+        evals.append(nodes[0] - evaluated)
     # the far lines scan a second grid out to their certified horizon
     assert len(per_grid) > len(lines)
     assert max(grids) <= 2
     assert max(per_grid) <= 30
+    # one pass of the sweep lines takes 47 grids, as before the oracle
+    # pruned its grids, and at most 45% of the 1,716,770 _f_arr lane
+    # evaluations its full grids made (659,814 when pruning came in)
+    assert sum(grids[:len(sweep)]) == 47
+    assert sum(evals[:len(sweep)]) <= 0.45 * 1_716_770
