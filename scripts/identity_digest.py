@@ -22,11 +22,8 @@ import io
 import math
 import random
 
-import numpy as np
-
 import hestondist as hd
 from hestondist.cli import main as cli_main
-from hestondist.pointmetric import _dist_base_grid
 
 
 def _canon(obj) -> str:
@@ -227,32 +224,6 @@ def correlated(seed: int, n: int, oracles: int) -> Section:
     return sec
 
 
-def _grid_values(xs: tuple, vs: tuple) -> list[float]:
-    return _dist_base_grid(np.array(xs), np.array(vs)).tolist()
-
-
-def grid(seed: int, per_stratum: int) -> Section:
-    """The array base distance of the oracles, which no other section sees:
-    the oracle's scalar refine decides its answer.  One block per stratum
-    of |x|: the axis and the smallest subnormal, tiny, small, moderate and
-    far abscissas, both signs; v is 0 in a tenth of the nodes, otherwise
-    log-uniform in [1e-8, 1e8]."""
-    rng = random.Random(f"{seed}-grid")
-    sec = Section("grid")
-    strata = ((-300, -8), (-8, -2), (-2, 2), (2, 12))
-    for lo, hi in ((None, None), *strata):
-        xs, vs = [], []
-        for _ in range(per_stratum):
-            if lo is None:
-                x = rng.choice((0.0, 5e-324))
-            else:
-                x = _mag(rng, lo, hi)
-            xs.append(_sign(rng) * x)
-            vs.append(0.0 if rng.random() < 0.1 else _mag(rng, -8, 8))
-        sec.record(_grid_values, tuple(xs), tuple(vs))
-    return sec
-
-
 def cli() -> Section:
     sec = Section("cli")
 
@@ -279,7 +250,6 @@ def main() -> int:
         intersections(args.seed, 1500),
         *smile_and_oracle(args.seed, 8, 40),
         correlated(args.seed, 500, 10),
-        grid(args.seed, 600),
         cli(),
     ]
     for sec in sections:

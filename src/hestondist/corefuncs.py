@@ -206,6 +206,8 @@ def lambda_big(x: float, theta: float) -> float:
     theta is handled by mirror symmetry in x.
     """
     _check_angle_sym(theta)
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
     if theta == 0.0:
         raise DomainError("lambda_big is undefined at theta = 0")
     if theta < 0.0:
@@ -427,8 +429,12 @@ def xi(delta: float) -> float:
 
 
 def _coefs_disc(beta: float, gamma: float, theta: float) -> tuple[float, float, float]:
-    """(A, B, raw discriminant) at theta; DomainError where the
-    discriminant is NaN (a NaN line parameter)."""
+    """(A, B, raw discriminant) at theta; DomainError where a line
+    parameter is not finite or the discriminant is NaN."""
+    if not (math.isfinite(beta) and math.isfinite(gamma)):
+        raise DomainError(
+            f"line parameters must be finite, got ({beta!r}, {gamma!r})"
+        )
     a, b = _coefs(theta)
     disc = a * a - (1.0 - gamma * b) * (1.0 - beta * b)
     if math.isnan(disc):
@@ -630,8 +636,9 @@ def h_lower(x: float, v: float) -> float:
     if x > _HUGE or bulk > _HUGE:
         x, bulk = x * _SCALE, bulk * _SCALE
     if x <= _KNEE * bulk:
-        return _h_lower_below_knee(x, bulk)
-    return _h_lower_above_knee(x, bulk)
+        return 12.0 * x / (math.pi**2 * bulk)
+    # factored so the inner ratio cannot overflow for representable inputs
+    return TWO_PI - math.pi**1.6 * (bulk / (12.0 * x)) ** 0.2
 
 
 # g_major's knee delta = pi, as an abscissa over v + sqrt(v) + 1
@@ -642,34 +649,6 @@ _KNEE = math.pi**3 / 12.0
 # so every bound whose products stay finite bit for bit as it was.
 _HUGE = 2.0**1019
 _SCALE = 2.0**-4
-
-
-def _h_lower_below_knee(x, bulk):
-    return 12.0 * x / (math.pi**2 * bulk)
-
-
-def _h_lower_above_knee(x, bulk):
-    # factored so the inner ratio cannot overflow for representable inputs
-    return TWO_PI - math.pi**1.6 * (bulk / (12.0 * x)) ** 0.2
-
-
-def _h_lower_many(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """h_lower on arrays with x > 0 and v >= 0, unchecked: each branch on
-    its own lanes, so neither overflows on the other's, and the lanes
-    above _HUGE scaled as h_lower scales them.  numpy's ** may differ from
-    libm's pow by an ulp, so a lane above the knee may differ from the
-    scalar bound by that much."""
-    bulk = v + np.sqrt(v) + 1.0
-    huge = (x > _HUGE) | (bulk > _HUGE)
-    if huge.any():
-        x = np.where(huge, x * _SCALE, x)
-        bulk = np.where(huge, bulk * _SCALE, bulk)
-    below = x <= _KNEE * bulk
-    out = np.empty_like(x)
-    out[below] = _h_lower_below_knee(x[below], bulk[below])
-    above = ~below
-    out[above] = _h_lower_above_knee(x[above], bulk[above])
-    return out
 
 
 def t_bound(p0: tuple[float, float], p1: tuple[float, float]) -> float:

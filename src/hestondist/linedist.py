@@ -36,12 +36,16 @@ distinct psi_inv argument once, and minimizes every row the same way
 kernel call per block, so a single line's one or two rows take one call;
 then each row's refine, a root solve of _row_dfn where it changes sign
 around the best node, otherwise the golden section on _row_fn.  An error
-fails only its own line, and so does a distance beyond double range.  The intersection roots themselves live in corefuncs (_s_plus_raw,
+fails only its own line, and so does a distance beyond double range.
+The intersection roots themselves live in corefuncs (_s_plus_raw,
 _s_minus_raw and the array form _roots_many).
 
 Every closed-form path is validated against oracle_dist, a deliberately
-slow reference that minimizes the point distance along the line over a
-dense v-grid with local refinement.
+slow reference that minimizes the scalar point distance along the line
+over a dense v-grid with local refinement.  It finds each grid's first
+minimum by branch and bound (_oracle): the paper's horizontal-line
+distance, a bound from the sheared abscissas and the triangle inequality
+along the line rule out all but a few nodes.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ from .errors import ConvergenceError, DomainError, HestonDistError
 from .pointmetric import (
     CorrelationFrame,
     ManifoldPoint,
-    _dist_base_grid,
     delta_of,
     dist_correlated,
 )
@@ -645,8 +648,68 @@ def dist_to_line_correlated(
 # The oracle's grids: _ORACLE_CELLS + 1 nodes of v, first in [0, _ORACLE_HORIZON].
 _ORACLE_CELLS = 4096
 _ORACLE_HORIZON = 16.0
-# Every this many nodes, a grid's probes bound its minimum from above.
-_ORACLE_PROBE_STRIDE = 256
+
+
+def _line_slope(frame: CorrelationFrame, gamma: float) -> float:
+    """The metric length of the line x = beta + gamma*v per unit of sqrt(v)
+    under the frame's metric: the sheared line has slope eta in dx/dv, and
+    ds = hypot(1, eta) dv/(c*sqrt(v)) = (2/c) hypot(1, eta) d(sqrt(v)).  It
+    bounds how fast the distance from any point can change along the
+    line (the triangle inequality)."""
+    return (2.0 / frame.c) * math.hypot(1.0, frame.shear(gamma, 1.0)[0])
+
+
+def _lower_bounds(
+    frame: CorrelationFrame, p0: tuple[float, float], xs: np.ndarray, vs: np.ndarray
+) -> np.ndarray:
+    """Lower bounds on the distance from p0 to the points (xs, vs), in
+    the base metric ds^2 = (dx^2 + dv^2)/v of the sheared points, over c.
+    A path between ordinates v0 and v crosses every horizontal line
+    between them: d >= (2/c)|sqrt(v) - sqrt(v0)|, the paper's
+    horizontal-line distance.  A path across the sheared separation a
+    that rises to sqrt(v) = M spends at least a/M on |dx|/sqrt(v) and
+    4M - 2 sqrt(v0) - 2 sqrt(v) on |dv|/sqrt(v); as ds >= (|dx| +
+    |dv|)/sqrt(2v) and a/M + 4M >= 4 sqrt(a), also d >= (sqrt(2)/c) *
+    (2 sqrt(a) - sqrt(v0) - sqrt(v)), within a factor 1.26 of d far
+    from p0, where the first bound is not."""
+    x0, v0 = p0
+    s0, roots = math.sqrt(v0), np.sqrt(vs)
+    horizontal = (2.0 / frame.c) * np.abs(roots - s0)
+    a = np.abs(frame.shear(xs, vs)[0] - frame.shear(x0, v0)[0])
+    far = (math.sqrt(2.0) / frame.c) * (2.0 * np.sqrt(a) - roots - s0)
+    # an overflowed abscissa bounds nothing; its node's distance raises
+    return np.fmax(horizontal, np.nan_to_num(far, posinf=0.0))
+
+
+def _branch_and_bound(
+    along: Callable[[float], float], vs: np.ndarray, bound: np.ndarray, slope: float
+) -> np.ndarray:
+    """The values of the nodes vs for _refine: the distance along(v) at
+    every node the search evaluated, and its lower bound, which this
+    raises in place, at every other.
+
+    Each step evaluates the unevaluated node with the least bound and
+    raises every bound to its cone d_k - slope*|sqrt(v) - sqrt(v_k)|
+    (the triangle inequality along the line, Shubert's Lipschitz
+    search); the search stops once the least remaining bound exceeds the
+    best distance by 1e-9 relative, a margin for rounding.  Every
+    unevaluated node then lies above the first minimum, so the minimum
+    and its node are those of the full grid of distances."""
+    roots = np.sqrt(vs)
+    ds = np.empty_like(vs)
+    done = np.zeros(vs.size, dtype=bool)
+    best = math.inf
+    for _ in range(vs.size):
+        k = int(bound.argmin())
+        if bound[k] > best * (1.0 + 1e-9):
+            break
+        d = ds[k] = along(float(vs[k]))
+        done[k], bound[k] = True, math.inf
+        best = min(best, d)
+        # a nan or infinite distance bounds nothing
+        if math.isfinite(d):
+            np.fmax(bound, d - slope * np.abs(roots - roots[k]), out=bound)
+    return np.where(done, ds, bound)
 
 
 def _oracle(
@@ -654,54 +717,34 @@ def _oracle(
 ) -> tuple[SolveReport, float]:
     """Formula-free distance from p0 (v0 > 0) to the line x = beta + gamma*v
     under the frame's metric, and the report whose value is the v of the
-    argmin: point distances on a v-grid, then golden refinement around the
-    best node.  Every point is sheared on its own; the line reduction of
-    dist_to_line_correlated, which this referees, is not used.
+    argmin: the first minimum of the point distance over a v-grid, then
+    golden refinement around it (solvers._refine).  Every point is sheared
+    on its own; the line reduction of dist_to_line_correlated, which this
+    referees, is not used.
 
-    A path to a point with v >= H crosses the horizontal line v = H, and
-    the shear keeps v, so every such line point is at least
-    scale * dist_to_horizontal(H/v0) = (2/c)(sqrt(H) - sqrt(v0)) from p0.
-    The best node d1 of the grid on [0, _ORACLE_HORIZON] thus certifies the
-    horizon H* = (sqrt(v0) + c*d1/2)^2: the argmin lies in [0, H*], which
-    is scanned again when it reaches beyond the first grid.  A non-finite
-    H* raises ConvergenceError, and a non-finite beta, gamma, x0 or v0
-    raises DomainError.
+    Each grid's first minimum is found by _branch_and_bound from the node
+    bounds of _lower_bounds and cones of slope _line_slope(frame, gamma);
+    the search and the refine evaluate one function, dist_correlated.
 
-    The same bound prunes each grid.  The scalar distances at every
-    _ORACLE_PROBE_STRIDE-th node (0, 256, ..., 4096) bound the grid's
-    minimum from above by ub, and only the nodes with
-    (2/c)|sqrt(v) - sqrt(v0)| <= ub*(1 + 1e-9) are solved, in one
-    _dist_base_grid call; every other node keeps that bound as its value.
-    The bound is finite and above d1, so the minimum, its node, H* and the
-    refined cell are those of the full grid, bit for bit.  A probe that
-    raises HestonDistError, or a nan or infinite one, solves every node."""
+    The best node d1 of the grid on [0, _ORACLE_HORIZON] certifies the
+    horizon H* = (sqrt(v0) + c*d1/2)^2 by the horizontal bound: the argmin
+    lies in [0, H*], which is searched again when it reaches beyond the
+    first grid.  A non-finite H* raises ConvergenceError, and a non-finite
+    beta, gamma, x0 or v0 raises DomainError."""
     x0, v0 = p0
     if not all(map(math.isfinite, (beta, gamma, x0, v0))):
         raise DomainError("line parameters must be finite")
     if not v0 > 0.0:
         raise DomainError("the source point must have v0 > 0")
-    sx0, _ = frame.shear(x0, v0)
-    scale = math.sqrt(v0) / frame.c
+    slope = _line_slope(frame, gamma)
 
     def along(v: float) -> float:
         return dist_correlated(frame, p0, (beta + gamma * v, v))
 
     def grid(horizon: float) -> tuple[np.ndarray, np.ndarray]:
         vs = np.linspace(0.0, horizon, _ORACLE_CELLS + 1)
-        # every node's horizontal-line bound, kept where the node is pruned
-        ds = (2.0 / frame.c) * np.abs(np.sqrt(vs) - math.sqrt(v0))
-        try:
-            probes = np.array([along(v) for v in vs[::_ORACLE_PROBE_STRIDE].tolist()])
-        except HestonDistError:
-            probes = np.array([math.inf])
-        # a nan or infinite ub solves every node
-        solve = ~(ds > probes.min() * (1.0 + 1e-9))
-        v = vs[solve]
-        # base-point reduction of the sheared pairs
-        x = (frame.shear(beta + gamma * v, v)[0] - sx0) / v0
-        v /= v0
-        ds[solve] = scale * _dist_base_grid(x, v)
-        return vs, ds
+        bound = _lower_bounds(frame, p0, beta + gamma * vs, vs)
+        return vs, _branch_and_bound(along, vs, bound, slope)
 
     vs, ds = grid(_ORACLE_HORIZON)
     root = math.sqrt(v0) + 0.5 * frame.c * float(ds.min())

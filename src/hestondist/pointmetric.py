@@ -19,19 +19,22 @@ and no other module computes sqrt(1-rho^2).
 The inner form (sqrt(v)-1)^2 + 4 sqrt(v) sin(delta/4)^2 is a sum of two
 nonnegative terms and avoids the subtractive cancellation of the raw
 v + 1 - 2 sqrt(v) cos(delta/2) near v ~ 1, delta ~ 0.
+
+The distance has one evaluation, the scalar one: the brute-force oracles
+of linedist call dist_correlated node by node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import corefuncs as cf
 from .errors import BoundaryPairError, DomainError
-from .solvers import _invert_to_two_pi_rows, arc_index_tol, invert_to_two_pi
+from .solvers import arc_index_tol, invert_to_two_pi
 
 # the lower end of the arc-index bracket is h_lower clipped to these
 _LO_MIN = 5e-324
@@ -201,89 +204,3 @@ def from_delta(d: tuple[float, float]) -> ManifoldPoint:
     if not v >= 0.0:
         raise DomainError(f"v must be nonnegative, got {v!r}")
     return ManifoldPoint(cf.f_of(v, theta), v)
-
-
-# ---------------------------------------------------------------------------
-# vectorized internals (grid oracles)
-# ---------------------------------------------------------------------------
-#
-# The brute-force references evaluate the base distance on thousands of
-# points.  _delta_grid is delta_of on arrays: the same bracket, back-off,
-# march toward 2*pi and Brent solve, run on every point in lockstep
-# (solvers._invert_to_two_pi_rows), with _f_arr for f_of.
-
-
-def _f_arr(s: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Vectorized f_of for d > 0, given s = sqrt(v) of each lane's v, with
-    the same underflow-free small-angle branch as the scalar version,
-    evaluated on the small lanes only.  numpy squares by multiplying where
-    Python's ** calls libm's pow, so a value may differ from f_of by an
-    ulp."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sh = np.sin(0.5 * d)
-        q4 = np.sin(0.25 * d)
-        # ((s - 1)**2 * (d - sin d) + 4*s*q4*q4*(d + 2*sh)) / (2*sh*sh), in
-        # place where the operations commute, which keeps every rounding
-        out = d - np.sin(d)
-        out *= (s - 1.0) ** 2
-        q4 *= 4.0 * s * q4
-        q4 *= d + 2.0 * sh
-        out += q4
-        den = 2.0 * sh
-        den *= sh
-        out /= den
-    small = np.flatnonzero(d < cf.SMALL_ANGLE)
-    if small.size:
-        s, d = s[small], d[small]
-        t2 = d * d
-        sr = cf._sin_half_r(t2)
-        qr = cf._sin_quarter_r(t2)
-        p3 = cf._p_r3(t2)
-        out[small] = d * (
-            (s - 1.0) ** 2 * p3 + 4.0 * s * qr * qr * (1.0 + 2.0 * sr)
-        ) / (2.0 * sr * sr)
-    return out
-
-
-def _delta_grid(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """delta_of on arrays with x >= 0, v >= 0 (unchecked).  sqrt(v) is
-    taken once, and each lockstep call of _f_arr is handed its lanes'."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    axis = x == 0.0
-    if axis.any():
-        # the index is 0 on the axis; those lanes solve a stand-in target
-        x = np.where(axis, 1.0, x)
-    s = np.sqrt(v)
-    lo = np.clip(cf._h_lower_many(x, v), _LO_MIN, _LO_MAX)
-    f_lo = _f_arr(s, lo)
-    back = np.flatnonzero(f_lo > x)
-    if back.size:
-        lo[back] *= 0.5
-        f_lo[back] = _f_arr(s[back], lo[back])
-
-    def f_rows(rows: np.ndarray | slice) -> Callable[[np.ndarray], np.ndarray]:
-        sr = s[rows]
-        return lambda t: _f_arr(sr, t)
-
-    d = _invert_to_two_pi_rows(f_rows, x, lo, arc_index_tol(lo), f_lo)
-    d[axis] = 0.0
-    return d
-
-
-def _dist_base_grid(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectorized distance from (0, 1); uses mirror symmetry for x < 0."""
-    x = np.abs(np.asarray(x, dtype=float))
-    v = np.asarray(v, dtype=float)
-    d = _delta_grid(x, v)
-    s = np.sqrt(v)
-    q4 = np.sin(0.25 * d)
-    inner = (s - 1.0) ** 2 + 4.0 * s * q4 * q4
-    ratio = np.full_like(d, 2.0)
-    pos = d >= 1e-8
-    ratio[pos] = d[pos] / np.sin(0.5 * d[pos])
-    root = np.sqrt(inner)
-    tiny = inner < _INNER_FLOOR
-    if tiny.any():
-        root[tiny] = np.hypot(s[tiny] - 1.0, 2.0 * np.sqrt(s[tiny]) * q4[tiny])
-    return ratio * root

@@ -22,7 +22,9 @@ report, on the caller's one-frame objective; ``_brent`` subtracts the target.
 
 ``minimize_on_interval`` scans by calling ``fn`` on each node; its
 golden-section refine (``_refine``) is shared with the oracle, which hands
-it nodes and values it scanned itself.
+it a grid from its branch and bound: the scalar distance at the nodes it
+evaluated and, at the others, a lower bound above the grid's minimum, so
+that the refine settles on the same cell as on the full grid.
 
 ``_minimize_rows`` runs many minimizations with the scan, the degenerate
 intervals and the errors of ``minimize_on_interval``.  It scans the rows
@@ -36,15 +38,6 @@ derivative finds the minimizer in a few steps ("derivative-root"); any
 other row takes the golden refine and returns exactly what
 ``minimize_on_interval`` returns ("grid-refine").  Errors stay per row.
 The line solver minimizes every line's rows through it.
-
-``_brent_rows`` runs ``_brent`` on many lanes at once and
-``_invert_to_two_pi_rows`` runs ``invert_to_two_pi`` on them; each returns,
-lane for lane, what its scalar form returns, bit for bit, given array
-objectives that agree with the scalar ones.  A lane leaves as soon as it
-meets its stop test, and the live lanes are compacted, so a finished lane
-costs nothing; a step updates its lanes in place with ``np.putmask``.
-The oracles' array arc index (``pointmetric._delta_grid``) is built on
-them.
 """
 
 from __future__ import annotations
@@ -316,13 +309,11 @@ def invert_to_two_pi(
     return _solve(fn, lo, hi, target, tol, 200, fn_lo, f_hi)[0]
 
 
-def arc_index_tol(lo: float | np.ndarray) -> float | np.ndarray:
-    """Stop width of the arc-index solve whose certified lower end is lo,
-    a float or an array of them: INDEX_TOL scaled down by lo below 1, so
-    that a small index is solved to relative rather than absolute
-    precision, and floored at _TOL_FLOOR."""
-    if isinstance(lo, np.ndarray):
-        return np.maximum(INDEX_TOL * np.minimum(lo, 1.0), _TOL_FLOOR)
+def arc_index_tol(lo: float) -> float:
+    """Stop width of the arc-index solve whose certified lower end is lo:
+    INDEX_TOL scaled down by lo below 1, so that a small index is solved
+    to relative rather than absolute precision, and floored at
+    _TOL_FLOOR."""
     return max(INDEX_TOL * min(lo, 1.0), _TOL_FLOOR)
 
 
@@ -470,13 +461,6 @@ def _scan_nodes(lo, hi, h, n: int) -> np.ndarray:
 # 4-row blocks ran a third slower.
 SCAN_BLOCK_ROWS = 16
 
-# Binds the objective of a selection of lanes: an index array, or
-# slice(None) (_EVERY) for every lane, so that the lockstep root solves can
-# index the lanes' parameters as views while no lane has left.
-RowObjective = Callable[[np.ndarray | slice], Callable[[np.ndarray], np.ndarray]]
-_EVERY = slice(None)
-
-
 def _minimize_rows(
     fns: list[Callable[[float], float]],
     dfns: list[Callable[[float], float]],
@@ -543,245 +527,3 @@ def _scan_rows(
         except HestonDistError as exc:
             errors[k] = exc
     return vals, errors
-
-
-# ---------------------------------------------------------------------------
-# many root solves at once
-# ---------------------------------------------------------------------------
-
-
-def _brent_rows(
-    fn_rows: RowObjective,
-    x: np.ndarray,
-    f: np.ndarray,
-    xtol: np.ndarray,
-    rtol: float,
-    maxiter: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_brent on every lane at once, bit for bit; returns the arrays (root,
-    f(root), iterations).
-
-    ``x`` and ``f`` have one column per lane and three rows: the points
-    pre, cur, blk and their function values.  Rows 0 and 1 hold _brent's
-    xpre, xcur and fpre, fcur; row 2 is work space.  _brent_rows takes
-    both arrays over and overwrites them.  ``fn_rows(lanes)`` maps one
-    point per selected lane to those lanes' function values, and ``xtol``
-    holds every lane's own absolute tolerance.
-
-    Every step moves every live lane as _brent would, with one array call
-    of the function, and updates the rows in place (``np.putmask``, about
-    twice as fast as ``np.copyto`` under a mask).  A lane leaves at the
-    step where _brent returns, and the live lanes are compacted in place,
-    so a finished lane costs nothing more; its result is kept from the
-    step it leaves on.  A NaN value on any lane, or a lane still live
-    after maxiter steps, raises the ConvergenceError that _brent raises
-    for that lane."""
-    n = x.shape[1]
-    left = []  # (lanes, root, f(root), iterations) of every lane that left
-    lanes = _EVERY  # the live lanes; an index array once one has left
-    x[2] = f[2] = 0.0
-    s = np.zeros((2, n))  # the steps spre, scur
-    tol = np.asarray(xtol, dtype=float)
-    fn = fn_rows(lanes)
-    for it in range(1, maxiter + 1):
-        (xpre, xcur, xblk), (fpre, fcur, fblk) = x, f
-        # a sign change between pre and cur makes pre the new blk (a lane
-        # whose cur value is zero leaves below, whatever its blk)
-        flip = (fpre < 0.0) != (fcur < 0.0)
-        np.putmask(xblk, flip, xpre)
-        np.putmask(fblk, flip, fpre)
-        step = xcur - xpre
-        np.putmask(s[0], flip, step)
-        np.putmask(s[1], flip, step)
-        del step
-        # pre, cur, blk = cur, blk, cur where blk has the smaller value
-        swap = np.abs(fblk) < np.abs(fcur)
-        if swap.any():
-            _rotate(x, swap)
-            _rotate(f, swap)
-
-        delta = (tol + rtol * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0.0) | (np.abs(sbis) < delta)
-        if done.any():
-            gone, live = np.flatnonzero(done), np.flatnonzero(~done)
-            if lanes is not _EVERY:
-                gone = lanes[gone]
-            left.append((gone, xcur[done], fcur[done], it))
-            if not live.size:
-                return _scatter(left, n)
-            lanes = live if lanes is _EVERY else lanes[live]
-            fn = fn_rows(lanes)
-            tol, delta, sbis = tol[live], delta[live], sbis[live]
-            x, f, s = (_compact(a, live) for a in (x, f, s))
-
-        _brent_step(x, f, s, delta, sbis)
-        f[1] = fn(x[1])
-        nan = np.isnan(f[1])
-        if nan.any():
-            raise ConvergenceError(
-                "root solve met a NaN function value at "
-                f"x={float(x[1, nan.argmax()])!r}"
-            )
-    raise ConvergenceError(
-        f"root solve did not converge in {maxiter} iterations; "
-        f"best bracket around {float(x[1, 0])!r}"
-    )
-
-
-def _compact(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The columns keep of rows, moved to its front in place, one row at a
-    time so that no copy of the whole state is made; returns the view."""
-    for row in rows:
-        row[:keep.size] = row[keep]
-    return rows[:, :keep.size]
-
-
-def _rotate(rows: np.ndarray, where: np.ndarray) -> None:
-    """pre, cur, blk = cur, blk, cur on the lanes where ``where`` holds,
-    in place: rows are pre, cur, blk."""
-    pre, cur, blk = rows
-    old = cur.copy()
-    np.putmask(cur, where, blk)
-    np.putmask(pre, where, old)
-    np.putmask(blk, where, old)
-
-
-def _scatter(
-    left: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]], n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_brent_rows' results in lane order."""
-    root, froot = np.empty(n), np.empty(n)
-    iters = np.empty(n, dtype=np.int64)
-    for lanes, x, fx, it in left:
-        root[lanes], froot[lanes], iters[lanes] = x, fx, it
-    return root, froot, iters
-
-
-def _brent_step(
-    x: np.ndarray, f: np.ndarray, s: np.ndarray, delta: np.ndarray,
-    sbis: np.ndarray,
-) -> None:
-    """One step of _brent on every lane, in place: choose the step scur
-    (interpolated where it is short enough, otherwise bisection), make cur
-    the new pre and move cur by scur, or by delta toward blk where scur is
-    shorter than delta.  Every lane has sbis != 0, so the delta step takes
-    the sign of sbis."""
-    spre, scur = s
-    aspre = np.abs(spre)
-    good = (aspre > delta) & (np.abs(f[1]) < np.abs(f[0]))
-    if good.any():
-        stry = _brent_try(x, f)
-        # the C macro MIN(aspre, 3*|sbis| - delta); neither is a NaN
-        good &= 2 * np.abs(stry) < np.minimum(aspre, 3 * np.abs(sbis) - delta)
-        # a good short step: spre, scur = scur, stry
-        s[0] = np.where(good, scur, sbis)
-        s[1] = np.where(good, stry, sbis)
-    else:
-        s[:] = sbis
-    x[0], f[0] = x[1], f[1]
-    x[1] += np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
-
-
-def _brent_try(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """_brent's trial step on every lane: the secant step where pre is blk,
-    otherwise inverse quadratic extrapolation, inf where that divides by
-    zero.  The same operations as _brent, some of them in place."""
-    (xpre, xcur, xblk), (fpre, fcur, fblk) = x, f
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dpre = fpre - fcur
-        dpre /= xpre - xcur
-        dblk = fblk - fcur
-        dblk /= xblk - xcur
-        # -fcur * (fblk*dblk - fpre*dpre) / (dblk*dpre*(fblk - fpre))
-        stry = fblk * dblk
-        dblk *= dpre
-        dpre *= fpre
-        stry -= dpre
-        del dpre
-        stry *= -fcur
-        dblk *= fblk - fpre
-        stry /= dblk
-        stry[(xpre == xcur) | (xblk == xcur) | (dblk == 0.0)] = math.inf
-        del dblk
-        # the secant step -fcur * (xcur - xpre) / (fcur - fpre)
-        sec = xcur - xpre
-        sec *= -fcur
-        sec /= fcur - fpre
-        np.putmask(stry, xpre == xblk, sec)
-    return stry
-
-
-def _invert_to_two_pi_rows(
-    fn_rows: RowObjective,
-    target: np.ndarray,
-    lo: np.ndarray,
-    tol: np.ndarray,
-    fn_lo: np.ndarray,
-) -> np.ndarray:
-    """invert_to_two_pi on every lane at once, bit for bit: entry k is
-    invert_to_two_pi(fn_k, target[k], lo[k], tol=tol[k], fn_lo=fn_lo[k]),
-    where ``fn_rows(lanes)`` maps one point per selected lane to those
-    lanes' fn and agrees with each scalar fn_k bit for bit.
-
-    The march moves every lane still below its target in lockstep, one
-    array call per halving, and the solve is _brent_rows on the lanes that
-    reached it.  An error that the scalar form raises on any lane is
-    raised for all of them."""
-    n = lo.size
-    # the march's hi and fn(hi) become Brent's cur; lo and fn(lo) its pre
-    x, f = np.empty((3, n)), np.empty((3, n))
-    x[0] = lo
-    x[1], f[1] = _march_rows(fn_rows, target, lo)
-    out = x[1].copy()  # lanes that do not reach their target saturate at hi
-    reached = f[1] >= target
-    # solve_monotone on the lanes that reached their target
-    fhi, flo = np.subtract(f[1], target, out=f[1]), np.subtract(fn_lo, target, out=f[0])
-    if not (lo < out)[reached].all():
-        raise BracketError("bracket must have lo < hi")
-    if not (np.isfinite(flo) & np.isfinite(fhi))[reached].all():
-        raise BracketError("function is not finite at the bracket endpoints")
-    at_lo = reached & (flo == 0.0)
-    out[at_lo] = lo[at_lo]
-    solve = reached & ~at_lo & (fhi != 0.0)
-    if (np.signbit(flo) == np.signbit(fhi))[solve].any():
-        raise BracketError("no sign change at the bracket endpoints")
-    if not solve.any():
-        return out
-    # the whole state, not a copy, in the usual case that every lane solves
-    sel = _EVERY if solve.all() else np.flatnonzero(solve)
-    if sel is not _EVERY:
-        x, f = _compact(x, sel), _compact(f, sel)
-
-    def shifted(rows: np.ndarray | slice) -> Callable[[np.ndarray], np.ndarray]:
-        rows = rows if sel is _EVERY else sel[rows]
-        fn, shift = fn_rows(rows), target[rows]
-        return lambda t: fn(t) - shift
-
-    out[sel] = _brent_rows(shifted, x, f, tol[sel], _RTOL, 200)[0]
-    return out
-
-
-def _march_rows(
-    fn_rows: RowObjective, target: np.ndarray, lo: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The march of invert_to_two_pi on every lane at once; returns the
-    arrays (hi, fn(hi)) where each lane stops."""
-    cap = math.nextafter(math.tau, 0.0)
-    hi, f_hi = lo.copy(), np.empty_like(lo)
-    march = np.arange(lo.size)
-    for _ in range(_GROW_STEPS):
-        if not march.size:
-            return hi, f_hi
-        prev = hi[march]
-        nxt = math.tau - 0.5 * (math.tau - prev)
-        saturated = (nxt >= cap) | (nxt <= prev)
-        nxt[saturated] = cap
-        f_nxt = fn_rows(march if march.size < lo.size else _EVERY)(nxt)
-        hi[march], f_hi[march] = nxt, f_nxt
-        march = march[~saturated & (f_nxt < target[march])]
-    if march.size:
-        raise ConvergenceError(
-            f"target {float(target[march[0]])!r} not reached below 2*pi"
-        )
-    return hi, f_hi

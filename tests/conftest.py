@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 import hestondist as hd
+from hestondist import cli
 from hestondist import linedist as ld
 
 # angles safely inside (0, 2*pi): the formulas blow up toward both ends
@@ -85,3 +86,17 @@ def vertical_variant_distance(beta: float, variant: str, tol: float = 1e-9) -> f
         fn, vertical_variant_bracket(beta, variant), tol=tol
     )
     return math.sqrt(2.0 * half_sq)
+
+
+def oracle_sweep_lines():
+    """The lines of `oracle compare --grid` and the far lines of the
+    oracle-sweep benchmark, whose minimizers lie beyond the first horizon."""
+    grid = [
+        (b, g)
+        for b in cli._ORACLE_GRID_BETA
+        for g in cli._ORACLE_GRID_GAMMA
+        if b + g != 0.0
+    ]
+    far = [(10.0, -0.5), (8.0, -0.2), (40.0, -2.0),
+           (5.0, 0.05), (30.0, -1.0), (50.0, -1.0)]
+    return grid + far

@@ -14,7 +14,6 @@ import pytest
 
 import hestondist as hd
 from conftest import vertical_variant_distance
-from hestondist.pointmetric import _dist_base_grid
 
 PI = math.pi
 BASE = (0.0, 1.0)
@@ -50,8 +49,7 @@ def test_criterion_02_level_set_distances():
     # independent check: dense sampling of each curve plus local refinement
     for t in close + far:
         xs = np.linspace(hd.psi(t), hd.psi(t) + 12.0, 4001)
-        vs = np.array([hd.curve_v(t, x) for x in xs])
-        ds = _dist_base_grid(xs, vs)
+        ds = np.array([hd.dist(BASE, (x, hd.curve_v(t, x))) for x in xs.tolist()])
         i = int(np.argmin(ds))
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
         _, sampled = hd.minimize_on_interval(
@@ -69,7 +67,7 @@ def test_criterion_03_horizontal_lines():
         val = hd.dist_to_horizontal(tau)
         assert val == pytest.approx(2.0 * abs(math.sqrt(tau) - 1.0), abs=1e-12)
         xs = np.linspace(0.0, 50.0, 20001)
-        sampled = float(_dist_base_grid(xs, np.full_like(xs, tau)).min())
+        sampled = min(hd.dist(BASE, (x, tau)) for x in xs.tolist())
         assert abs(val - sampled) <= 1e-6
     _report(3, "horizontal-line distances exact and match x-sweeps on 5 levels")
 

@@ -6,7 +6,6 @@ import pytest
 import hestondist as hd
 from hestondist import DomainError
 from hestondist import corefuncs as cf
-from hestondist.pointmetric import _dist_base_grid
 
 PI = math.pi
 BASE = (0.0, 1.0)
@@ -142,8 +141,7 @@ class TestDistToLevelSet:
     @pytest.mark.parametrize("t", [0.5, 1.5, 2.7, 3.6, 5.0])
     def test_matches_direct_minimization(self, t):
         xs = np.linspace(hd.psi(t), hd.psi(t) + 12.0, 4001)
-        vs = np.array([hd.curve_v(t, x) for x in xs])
-        ds = _dist_base_grid(xs, vs)
+        ds = np.array([hd.dist(BASE, (x, hd.curve_v(t, x))) for x in xs.tolist()])
         i = int(np.argmin(ds))
         _, refined = hd.minimize_on_interval(
             lambda x: hd.dist(BASE, (x, hd.curve_v(t, x))),

@@ -43,6 +43,15 @@ CASES = [
     (hd.eta_inv, "y", (NAN,)),
     (hd.theta_crit, "beta", (NAN, 1.0)),
     (hd.CorrelationFrame, "c=inf", (math.inf, 0.0)),
+    # an infinite line parameter or abscissa gave NaN (-inf for the
+    # discriminant) where these functions now raise
+    (hd.lambda_big, "x=inf", (math.inf, 1.0)),
+    (hd.lambda_big, "x=-inf", (-math.inf, -1.0)),
+    (hd.s_plus, "beta=-inf", (-math.inf, 1.0, 1.0)),
+    (hd.s_minus, "gamma=-inf", (1.0, -math.inf, 1.0)),
+    (hd.lambda_plus, "beta=-inf", (-math.inf, 1.0, 1.0)),
+    (hd.lambda_minus, "gamma=inf", (1.0, math.inf, 4.0)),
+    (hd.discriminant, "beta=inf, gamma=inf", (math.inf, math.inf, 1.0)),
 ]
 
 

@@ -1,14 +1,16 @@
-"""The oracle's pruned grids answer exactly as full grids do.
+"""The oracle's branch and bound answers exactly as full grids do.
 
-``linedist._oracle`` solves the arc index only at the grid nodes whose
-horizontal-line bound (2/c)|sqrt(v) - sqrt(v0)| is within the best of its
-probes (every 256th node, by the scalar distance); each other node keeps
-its bound as its value.  The reference here solves every node of the same
-grids with ``_dist_base_grid`` and refines with ``solvers._refine``, as
-the oracle did before it pruned.  Value, report and argmin must agree bit
-for bit, and every pruned node's solved value must lie above the grid's
-minimum d1, so that pruning cannot move the minimum, the certified
-horizon or the refined cell.
+``linedist._oracle`` evaluates the scalar distance only at the grid nodes
+that its lower bounds cannot rule out: those of ``linedist._lower_bounds``
+(the horizontal-line bound (2/c)|sqrt(v) - sqrt(v0)| and a bound from the
+sheared abscissas) and, from every evaluated node v_k, the cone
+d(v_k) - L|sqrt(v) - sqrt(v_k)| with L = ``linedist._line_slope``.  The
+reference here evaluates every node of the same grids with the scalar
+``dist_correlated`` and refines with ``solvers._refine``.  Value, report
+and argmin must agree bit for bit, and every node the search left out
+must lie above the grid's minimum d1, so that the search cannot move the
+minimum, the certified horizon or the refined cell.  The bounds are
+checked on their own on seeded frames, source points and lines.
 """
 
 import math
@@ -22,7 +24,7 @@ from hestondist import linedist as ld
 from hestondist import pointmetric as pm
 from hestondist import solvers
 
-from test_root_rows import oracle_sweep_lines
+from conftest import oracle_sweep_lines
 
 IDENTITY, BASE = hd.CorrelationFrame(1.0, 0.0), (0.0, 1.0)
 P0 = (0.3, 0.04)
@@ -57,27 +59,22 @@ CASES = {
 
 
 def full_oracle(frame, p0, beta, gamma):
-    """The oracle without pruning: ((report, value), grids), every node of
-    each grid solved."""
-    x0, v0 = p0
-    sx0, _ = frame.shear(x0, v0)
-    scale = math.sqrt(v0) / frame.c
+    """The oracle on full grids: ((report, value), grids), every node of
+    each grid evaluated by the scalar distance."""
+
+    def along(v):
+        return pm.dist_correlated(frame, p0, (beta + gamma * v, v))
 
     def grid(horizon):
         vs = np.linspace(0.0, horizon, ld._ORACLE_CELLS + 1)
-        sxs, _ = frame.shear(beta + gamma * vs, vs)
-        return vs, scale * pm._dist_base_grid((sxs - sx0) / v0, vs / v0)
+        return vs, np.array([along(v) for v in vs.tolist()])
 
     grids = [grid(ld._ORACLE_HORIZON)]
-    root = math.sqrt(v0) + 0.5 * frame.c * float(grids[0][1].min())
+    root = math.sqrt(p0[1]) + 0.5 * frame.c * float(grids[0][1].min())
     horizon = root * root * (1.0 + 1e-9)
     if horizon > ld._ORACLE_HORIZON:
         grids.append(grid(horizon))
     vs, ds = grids[-1]
-
-    def along(v):
-        return hd.dist_correlated(frame, p0, (beta + gamma * v, v))
-
     return solvers._refine(along, vs, ds, 1e-9), grids
 
 
@@ -86,20 +83,43 @@ def bits(report, value):
             report.method, value.hex())
 
 
+def count_evaluations(monkeypatch):
+    """Patch the oracle's distance to record the ordinate of every point
+    it evaluates; returns that list."""
+    seen = []
+
+    def counted(frame, p0, p1):
+        seen.append(p1[1])
+        return pm.dist_correlated(frame, p0, p1)
+
+    monkeypatch.setattr(ld, "dist_correlated", counted)
+    return seen
+
+
+def record_searches(monkeypatch):
+    """Patch the oracle's branch and bound to record, for each grid it
+    searches, the ordinates it evaluated; returns that list of lists."""
+    seen = count_evaluations(monkeypatch)
+    searches = []
+    search = ld._branch_and_bound
+
+    def recording(along, vs, bound, slope):
+        start = len(seen)
+        ds = search(along, vs, bound, slope)
+        searches.append(seen[start:])
+        return ds
+
+    monkeypatch.setattr(ld, "_branch_and_bound", recording)
+    return searches
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_pruned_oracle_matches_full_grids(monkeypatch, name):
     frame, p0, lines = CASES[name]
-    sent = []  # the ordinates v/v0 each grid solves
-    grid = pm._dist_base_grid
-
-    def recording(x, v):
-        sent.append(v)
-        return grid(x, v)
-
-    monkeypatch.setattr(ld, "_dist_base_grid", recording)
-    pruned = nodes = 0
+    searches = record_searches(monkeypatch)
+    evaluated = nodes = 0
     for beta, gamma in lines:
-        sent.clear()
+        searches.clear()
         if frame is IDENTITY:
             sol = hd.oracle_dist(beta, gamma)
             got = sol.report, sol.value
@@ -107,17 +127,106 @@ def test_pruned_oracle_matches_full_grids(monkeypatch, name):
             got = ld._oracle(frame, p0, beta, gamma)
         want, grids = full_oracle(frame, p0, beta, gamma)
         assert bits(*got) == bits(*want), (beta, gamma)
-        # one _dist_base_grid call per grid; the pruned nodes lie above d1
-        assert len(sent) == len(grids), (beta, gamma)
-        for (vs, ds), solved in zip(grids, sent):
-            off = ~np.isin(vs / p0[1], solved)
+        # every node a grid's search left out lies above that grid's minimum
+        assert len(searches) == len(grids), (beta, gamma)
+        for (vs, ds), seen in zip(grids, searches):
+            off = ~np.isin(vs, seen)
             assert (ds[off] > ds.min()).all(), (beta, gamma)
-            pruned += int(off.sum())
+            evaluated += vs.size - int(off.sum())
             nodes += vs.size
         if frame is IDENTITY:
             v_star = want[0].value
             assert (sol.argmin.x.hex(), sol.argmin.v.hex()) == (
                 (beta + gamma * v_star).hex(), v_star.hex()
             ), (beta, gamma)
-    # pruning is not vacuous: most lines leave out a share of their nodes
-    assert pruned > 0.2 * nodes, (pruned, nodes)
+    # the search is not vacuous: it evaluates a small share of the nodes
+    # (about 2%)
+    assert evaluated < 0.2 * nodes, (evaluated, nodes)
+
+
+@pytest.mark.parametrize("beta, gamma", [(1e9, 1e9), (1e12, 1e12)])
+def test_far_steep_lines_evaluate_few_nodes(monkeypatch, beta, gamma):
+    # far from p0 on a steep line each cone covers only its own node and
+    # the horizontal bound lies far below the distance; the bound from the
+    # abscissas leaves the search 147 of the first grid's 4,097 nodes and
+    # one of the second's; the full grids take 8,194 distances
+    searches = record_searches(monkeypatch)
+    sol = hd.oracle_dist(beta, gamma)
+    first, second = (len(seen) for seen in searches)
+    assert first <= 200 and second <= 10, (first, second)
+    want, _ = full_oracle(IDENTITY, BASE, beta, gamma)
+    assert bits(sol.report, sol.value) == bits(*want)
+
+
+def test_grid_pass_count(monkeypatch):
+    # one pass of the sweep lines takes 47 grids, as before, and at most
+    # 4,000 branch-and-bound evaluations (3,478 today); the full
+    # grids held 192,559 nodes
+    searches = record_searches(monkeypatch)
+    for beta, gamma in oracle_sweep_lines():
+        hd.oracle_dist(beta, gamma)
+    assert len(searches) == 47
+    assert sum(map(len, searches)) <= 4000
+    # a far line searches a second grid out to its certified horizon
+    searches.clear()
+    hd.oracle_dist(1e12, 0.0)
+    assert len(searches) == 2
+
+
+def test_the_search_bounds_hold():
+    # the node bounds and the cone slope, on seeded frames, source points
+    # and lines; half of the lines pass through the source point, where
+    # the cone is tight, and a quarter lie far from it, where the bound
+    # from the abscissas is within a factor 1.26 of the distance.  The
+    # cone is not checked on the far lines: there the arc index lies
+    # within about 1e-5 of 2*pi and is solved to 1e-13, so the scalar
+    # distance itself is good to about 1e-8 relative, not 1e-12
+    rng = random.Random(2027)
+    checked = far = 0
+    for i in range(400):
+        frame = hd.CorrelationFrame(rng.uniform(0.2, 5.0), rng.uniform(-0.95, 0.95))
+        x0, v0 = rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-2.0, 1.0)
+        gamma = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 1.0)
+        if i % 2:
+            beta = x0 - gamma * v0
+        elif i % 4:
+            beta = rng.uniform(-5.0, 5.0)
+        else:
+            beta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(2.0, 12.0)
+        slope = ld._line_slope(frame, gamma)
+
+        def d(v):
+            return hd.dist_correlated(frame, (x0, v0), (beta + gamma * v, v))
+
+        for _ in range(5):
+            v1 = 10.0 ** rng.uniform(-4.0, 2.0)
+            v2 = rng.choice((v0, v1 * (1.0 + rng.uniform(-0.5, 0.5)),
+                             10.0 ** rng.uniform(-4.0, 2.0)))
+            d1, d2 = d(v1), d(v2)
+            vs = np.array([v1, v2])
+            bounds = ld._lower_bounds(frame, (x0, v0), beta + gamma * vs, vs)
+            for v, dv, bound in zip((v1, v2), (d1, d2), bounds.tolist()):
+                horizontal = (2.0 / frame.c) * abs(math.sqrt(v) - math.sqrt(v0))
+                assert horizontal <= bound <= dv * (1.0 + 1e-12), (frame, v0, v, dv)
+                far += bound > max(2.0 * horizontal, 0.5 * dv)
+            cone = slope * abs(math.sqrt(v1) - math.sqrt(v2))
+            assert i % 4 == 0 or abs(d1 - d2) <= cone + 1e-12 * max(d1, d2), (
+                frame, (x0, v0), (beta, gamma), v1, v2
+            )
+            checked += 1
+    assert checked == 2000
+    # the bound from the abscissas is the larger, and within a factor 2 of
+    # the distance, at more than half of the 4000 nodes
+    assert far > 2000, far
+
+
+def test_line_points_beyond_double_range():
+    # x = -1e308 + 1e308*v passes through (0, 1) and its abscissa
+    # overflows beyond v = 2.8: an overflowed node bounds nothing, and the
+    # search stops at the zero at v = 1 before it evaluates one; where the
+    # first node evaluated overflows, the distance raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = hd.oracle_dist(-1e308, 1e308)
+        assert (sol.value, sol.argmin) == (0.0, (0.0, 1.0))
+        with pytest.raises(hd.DomainError):
+            hd.oracle_dist(1e308, 1e308)

@@ -1,14 +1,12 @@
 import gc
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hestondist as hd
 from hestondist import BoundaryPairError, DomainError
-from hestondist.pointmetric import _dist_base_grid
 
 from conftest import abscissas, positive_variances, variances
 
@@ -171,11 +169,6 @@ class TestDist:
             want = scale * h
             assert abs(hd.dist((0.0, v), (x, v)) - want) <= 1e-15 * want
         assert abs(hd.dist(BASE, (h, 1.0)) - h) <= 1e-15 * h
-
-    def test_tiny_separation_on_the_grid(self):
-        hs = np.array(self.TINY)
-        got = _dist_base_grid(np.concatenate([hs, -hs]), np.ones(2 * hs.size))
-        assert np.all(np.abs(got - np.concatenate([hs, hs])) <= 1e-15 * got)
 
     def test_growth_limit(self):
         for beta in (0.0, 1.0, 10.0):

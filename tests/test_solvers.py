@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from hestondist import (
 )
 from hestondist import solvers
 from hestondist.solvers import minimize_on_interval, solve_monotone
+
+from test_root_solve import _monotone_cases
 
 PI = math.pi
 
@@ -85,6 +88,83 @@ class TestSolveMonotone:
         # stops at the convergence test; the residual is not re-evaluated
         assert len(calls) == rep.iterations + 1
         assert rep.residual == abs(fn(rep.value))
+
+
+RTOL = 4.0 * math.ulp(1.0)
+
+
+def zero_divisions(run) -> int:
+    """How many ZeroDivisionErrors are raised, and caught, inside run()."""
+    seen = []
+
+    def trace(frame, event, arg):
+        if event == "exception" and arg[0] is ZeroDivisionError:
+            seen.append(frame.f_code.co_name)
+        return trace
+
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return len(seen)
+
+
+class TestBrent:
+    @pytest.mark.parametrize("u", [0.03, 0.25, 0.5, 0.8, 0.999])
+    def test_target_is_subtracted_in_the_solve(self, u):
+        # _brent(f, ..., target=t) solves f = t exactly as _brent solves
+        # f - t = 0: the same root, f(root) - t and iteration count, for a
+        # target a fraction u of the way from f(lo) to f(hi)
+        fns = [fn for _, _, fn in _monotone_cases()]
+        fns.append(lambda t: t - 0.5)  # the first secant step is the root
+        xtols = [(1e-3, 1e-8, 1e-12, 1e-300)[k % 4] for k in range(len(fns))]
+        lo, hi = -6.0, 7.0
+        for fn, tol in zip(fns, xtols):
+            t = fn(lo) + u * (fn(hi) - fn(lo))
+            flo, fhi = fn(lo) - t, fn(hi) - t
+            assert flo < 0.0 < fhi
+            shifted = solvers._brent(
+                lambda x, fn=fn, t=t: fn(x) - t, lo, hi, flo, fhi, tol, RTOL, 200
+            )
+            got = solvers._brent(fn, lo, hi, flo, fhi, tol, RTOL, 200, t)
+            assert [got[0].hex(), got[1].hex(), got[2]] == [
+                shifted[0].hex(), shifted[1].hex(), shifted[2]
+            ], t
+
+    def test_extrapolation_dividing_by_zero(self):
+        # f-values near 1e-160 make the extrapolation's denominator
+        # underflow to zero: _brent catches the ZeroDivisionError, bisects
+        # and still converges
+        for c in (-2.0, 0.3, 1.7):
+            fn = lambda t, c=c: 1e-160 * (t - c) ** 3
+            out = []
+
+            def call(fn=fn):
+                out.append(
+                    solvers._brent(fn, -6.0, 7.0, fn(-6.0), fn(7.0), 1e-12, RTOL, 200)
+                )
+
+            assert zero_divisions(call), c
+            root, _, _ = out[0]
+            assert abs(root - c) <= 1e-11, (c, root)
+
+    def test_exact_zero_stops_the_solve(self):
+        # the first secant step of t - 0.5 on [-6, 7] is the root itself
+        fn = lambda t: t - 0.5
+        got = solvers._brent(fn, -6.0, 7.0, fn(-6.0), fn(7.0), 1e-12, RTOL, 200)
+        assert got == (0.5, 0.0, 2)
+
+
+class TestInvertToTwoPi:
+    def test_ends(self):
+        # out of reach: one ulp below 2*pi; met exactly at lo, or exactly
+        # at the first march point: that point
+        fn = lambda d: hd.f_of(0.3, d)
+        first = math.tau - 0.5 * (math.tau - 0.7)
+        assert solvers.invert_to_two_pi(fn, 1e40, 1.0) == math.nextafter(math.tau, 0.0)
+        assert solvers.invert_to_two_pi(fn, fn(0.7), 0.7, fn_lo=fn(0.7)) == 0.7
+        assert solvers.invert_to_two_pi(fn, fn(first), 0.7, fn_lo=fn(0.7)) == first
 
 
 class TestMinimizeOnInterval:
