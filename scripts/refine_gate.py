@@ -5,12 +5,13 @@ row by row, on seeded line-mix-like lines and 50-strike smile ladders.
     PYTHONPATH=src python scripts/refine_gate.py --seed 1
     PYTHONPATH=src python scripts/refine_gate.py --seed 1 --exact 40
 
-Every row of every line's search table is scanned once; the scan then
-feeds both refines (``solvers._refine_root`` on the row's objective and
-derivative, and ``solvers._refine``, the golden refine), so the two
-minima differ only by their refine.  The script prints, per workload, the
-rows each refine method settled, the derivative evaluations per line and
-the gap of the derivative-root minimum above golden's by band of |theta*|.
+Every row of every line's search table, zero-width rows included, is
+scanned once; the scan then feeds both refines (``solvers._refine_root``
+on the row's objective and derivative, and ``solvers._refine``, the
+golden refine), so the two minima differ only by their refine.  The
+script prints, per workload, the rows each refine method settled, the
+derivative evaluations per line and the gap of the derivative-root
+minimum above golden's by band of |theta*|.
 With ``--exact N`` it evaluates, for the N rows where the derivative-root
 minimum lies furthest above golden's, both argmins on the objective in
 60-digit arithmetic (mpmath, which is not a dependency of the package).
@@ -116,9 +117,9 @@ def ladders(seed: int, n: int) -> list[list[tuple[float, float]]]:
 
 
 def compare(lines: list[tuple[float, float]], tol: float = 1e-9) -> list[Row]:
-    """Both refines on every scanned row of every line's search table (the
-    lines share one psi_inv memo, as a ladder does); rows whose interval is
-    degenerate or whose scan or refine raises are left out."""
+    """Both refines on every row of every line's search table (the lines
+    share one psi_inv memo, as a ladder does), zero-width rows included;
+    rows whose scan or refine raises are left out."""
     memo: dict[float, float] = {}
     out = []
     for line in lines:
@@ -130,8 +131,6 @@ def compare(lines: list[tuple[float, float]], tol: float = 1e-9) -> list[Row]:
         except hd.HestonDistError:
             continue
         for row in rows:
-            if solvers._is_degenerate(row.lo, row.hi, tol):
-                continue
             nodes = solvers._scan_nodes(
                 row.lo, row.hi, (row.hi - row.lo) / solvers.SCAN_CELLS,
                 solvers.SCAN_CELLS + 1,

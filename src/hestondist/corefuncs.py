@@ -474,8 +474,8 @@ def _check_two_roots(beta: float, gamma: float, theta: float) -> None:
 # tangency-endpoint inverse solve, so the raw roots clamp it to zero.  At a
 # tangency minimizer the objective is first-order stationary in the root,
 # which bounds the induced value error by the square of the clamp.  They take
-# A and B from _coefs and form the discriminant inline: the golden-section
-# refine calls them at every step.
+# A and B from _coefs and form the discriminant inline; the scalar line
+# objective (linedist._row_fn) is built on them.
 
 
 def _s_plus_raw(beta: float, gamma: float, theta: float) -> float:

@@ -25,9 +25,9 @@ interval and the sign of the line's own index.  A later row must beat the
 incumbent by more than TIE_RTOL (_answer).
 
 One array kernel, _objective_many, evaluates every row's objective from
-per-node parameter arrays; _row_fn is a row's scalar form, one closure
-frame per evaluation, and the two agree bit for bit on every node.
-_row_dfn is the derivative of _row_fn, also in one frame.
+per-node parameter arrays; _row_fn is a row's scalar form, built from the
+scalar roots of corefuncs, and the two agree bit for bit on every node.
+_row_dfn is the derivative of _row_fn, in one closure frame.
 
 _solve_many, behind both dist_to_line (a batch of one line) and
 smile_table (a ladder), builds the tables of its lines, solving each
@@ -243,45 +243,25 @@ def _axis_node_value(row: _Search) -> float:
 
 
 def _row_fn(row: _Search) -> Callable[[float], float]:
-    """A row's objective at one index t, as the golden refine calls it: the
-    arithmetic of cf._coefs, cf._s_plus_raw or cf._s_minus_raw and
-    cf._half_sq_from_root inlined into one frame, with one sin(t/2), and
-    the clamps of _lam_many.  Outside (0, 2*pi) it is the axis value at
-    t = 0 or the DomainError of cf._coefs."""
-    beta, gamma, minus = row.beta, row.gamma, row.minus
-    axis = _axis_node_value(row)
-    has_axis = row.axis is not None
+    """A row's objective at one index t, as the refine calls it:
+    cf._half_sq_from_root of the row's root (cf._s_plus_raw or
+    cf._s_minus_raw) with the clamps of _lam_many.  At t = 0 it is the
+    axis value where the row has one; elsewhere outside (0, 2*pi) it
+    raises the DomainError of cf._coefs."""
+    beta, gamma, axis = row.beta, row.gamma, row.axis
+    root = cf._s_minus_raw if row.minus else cf._s_plus_raw
+    if axis is not None:
+        axis = _axis_value(axis)
 
     def fn(t: float) -> float:
-        if not 0.0 < t < cf.TWO_PI:
-            if t == 0.0 and has_axis:
-                return axis
-            cf._check_angle_open(t)
-        sh = math.sin(0.5 * t)
-        if t < cf.SMALL_ANGLE:
-            a, b = cf._coefs_series(t)
-        else:
-            p = t - math.sin(t)
-            a = -(2.0 * sh - t * math.cos(0.5 * t)) / p
-            b = 2.0 * sh * sh / p
-        q = 1.0 - gamma * b
-        p = 1.0 - beta * b
-        disc = a * a - q * p
-        if disc < 0.0:
-            disc = 0.0
-        if not minus:
-            s = p / (a - math.sqrt(disc))
-        elif q == 0.0:
-            s = math.inf  # the larger root diverges at the tangent index
-        else:
-            s = (a - math.sqrt(disc)) / q
+        if t == 0.0 and axis is not None:
+            return axis
+        s = root(beta, gamma, t)
         if s < 0.0:
             s = 0.0
         elif not math.isfinite(s):
             s = _ROOT_HUGE
-        ratio = sh / t
-        q4 = math.sin(0.25 * t)
-        val = ((s - 1.0) * (s - 1.0) + 4.0 * s * q4 * q4) / (2.0 * ratio * ratio)
+        val = cf._half_sq_from_root(t, s)
         return val if math.isfinite(val) else _HUGE
 
     return fn
@@ -505,7 +485,7 @@ def _solve_many(
     The search tables of all lines are built first, sharing psi_inv by
     argument; solvers._minimize_rows then scans their rows in 2-D blocks
     (all of a single line's rows in one kernel call) and refines each row
-    on its one-frame objective (_row_fn) and derivative (_row_dfn)."""
+    on its scalar objective (_row_fn) and derivative (_row_dfn)."""
     memo: dict[float, float] = {}
     rows: list[_Search] = []
     pending: list = []

@@ -4,7 +4,11 @@ Every "solve the equation" and "minimize over the interval" step in the
 distance formulas funnels through these two routines.  The minimizer never
 assumes unimodality: a coarse uniform scan localizes the best cell before
 golden-section refinement, which keeps it robust on objectives whose
-interior critical-point structure is only known empirically.
+interior critical-point structure is only known empirically.  Every
+interval is scanned and refined, however narrow: a near-diagonal line's
+tangency window can be 6e-13 wide at theta ~ 2e-4 and still hold a
+minimum well below its lower end's value.  A zero-width interval scans
+257 copies of lo, and the refine returns lo with 0 iterations.
 ``invert_to_two_pi`` inverts an increasing function of an angle in
 (0, 2*pi) (the arc index and the psi and eta maps): it grows the root
 bracket toward 2*pi, saturates one ulp below 2*pi when the target is out of
@@ -26,13 +30,13 @@ it a grid from its branch and bound: the scalar distance at the nodes it
 evaluated and, at the others, a lower bound above the grid's minimum, so
 that the refine settles on the same cell as on the full grid.
 
-``_minimize_rows`` runs many minimizations with the scan, the degenerate
-intervals and the errors of ``minimize_on_interval``.  It scans the rows
-as 2-D blocks of ``SCAN_BLOCK_ROWS`` rows (16 rows of 257 nodes, about
-4096 nodes), one array call per block, which bounds its memory, and
-refines each row on its own scalar objective and that objective's
-derivative (``_refine_root``): an end node whose derivative points out of
-the interval is the answer ("endpoint"); where the derivative changes sign
+``_minimize_rows`` runs many minimizations with the scan and the errors of
+``minimize_on_interval``.  It scans the rows as 2-D blocks of
+``SCAN_BLOCK_ROWS`` rows (16 rows of 257 nodes, about 4096 nodes), one
+array call per block, which bounds its memory, and refines each row on
+its own scalar objective and that objective's derivative
+(``_refine_root``): an end node whose derivative points out of the
+interval is the answer ("endpoint"); where the derivative changes sign
 across the cell pair around the best node, Brent's root solve of the
 derivative finds the minimizer in a few steps ("derivative-root"); any
 other row takes the golden refine and returns exactly what
@@ -317,16 +321,15 @@ def arc_index_tol(lo: float) -> float:
     return max(INDEX_TOL * min(lo, 1.0), _TOL_FLOOR)
 
 
-def _is_degenerate(lo: float, hi: float, tol: float) -> bool:
-    """Whether minimize_on_interval evaluates only fn(lo) on [lo, hi];
-    BracketError or DomainError where it rejects the interval or tol."""
+def _check_interval(lo: float, hi: float, tol: float) -> None:
+    """BracketError or DomainError where minimize_on_interval rejects the
+    interval [lo, hi] or tol."""
     if hi < lo:
         raise BracketError(f"bracket must have lo <= hi, got [{lo!r}, {hi!r}]")
     if not 0.0 <= tol < math.inf:
         raise DomainError(
             f"minimizer tolerance must be finite and >= 0, got {tol!r}"
         )
-    return hi == lo or hi - lo <= tol * 1e-3
 
 
 def minimize_on_interval(
@@ -341,28 +344,22 @@ def minimize_on_interval(
     golden-section refines within the bracketing cell pair.  Endpoint
     minima are legitimate answers and are returned as-is.  Every node is
     evaluated before a non-finite sample aborts the scan with the first
-    offending node; ties go to the first node attaining the minimum.
+    offending node; ties go to the first node attaining the minimum.  A
+    zero-width interval (lo == hi) is scanned like any other and returns
+    (lo, fn(lo)) with 0 iterations and residual 0; lo > hi raises
+    BracketError.
 
     ``tol`` must be finite and nonnegative, otherwise DomainError; 0 asks
     the refine for the smallest width a double can hold, so it usually runs
     its whole budget of 200 steps.
     """
     lo, hi = bracket
-    if _is_degenerate(lo, hi, tol):
-        return _at_lo(fn, lo)
+    _check_interval(lo, hi, tol)
     nodes = _scan_nodes(lo, hi, (hi - lo) / SCAN_CELLS, SCAN_CELLS + 1)
     # Python floats, so that fn divides as it does in the refine: a numpy
     # scalar would warn where a float raises ZeroDivisionError
     fs = np.array([fn(x) for x in nodes.tolist()], dtype=float)
     return _refine(fn, nodes, fs, tol)
-
-
-def _at_lo(fn: Callable[[float], float], lo: float) -> tuple[SolveReport, float]:
-    """minimize_on_interval on a degenerate interval: fn(lo) alone."""
-    val = fn(lo)
-    if not math.isfinite(val):
-        raise NonFiniteSampleError(0, lo, val)
-    return SolveReport(lo, 0, 0.0, "grid-refine"), val
 
 
 def _refine(
@@ -471,7 +468,8 @@ def _minimize_rows(
 ) -> list[tuple[SolveReport, float] | HestonDistError]:
     """The minimum of fns[i] on [los[i], his[i]] for every row i, or the
     error minimize_on_interval(fns[i], (los[i], his[i]), tol) raises: the
-    same scan, the same degenerate intervals and the same errors.
+    same scan of every interval, zero-width ones included, and the same
+    errors.
 
     ``scan(rows, nodes)`` evaluates the rows (a list of indices) at a 2-D
     block of nodes, one row of nodes each, and must equal their scalar
@@ -483,12 +481,10 @@ def _minimize_rows(
     refine returns what minimize_on_interval returns."""
     out: list = [None] * len(fns)
     live = []
-    for i, (fn, lo, hi) in enumerate(zip(fns, los, his)):
+    for i, (lo, hi) in enumerate(zip(los, his)):
         try:
-            if _is_degenerate(lo, hi, tol):
-                out[i] = _at_lo(fn, lo)
-            else:
-                live.append(i)
+            _check_interval(lo, hi, tol)
+            live.append(i)
         except HestonDistError as exc:
             out[i] = exc
     for start in range(0, len(live), SCAN_BLOCK_ROWS):

@@ -14,9 +14,9 @@ from hestondist.solvers import minimize_on_interval
 from hestondist.smile import reduced_line
 from test_scan_equivalence import SEARCH_KINDS, search_kind, table_lines
 
-# the near-diagonal line whose tangency window is narrower than the
-# minimizer's degenerate width (ROADMAP, near-field item)
-DEGENERATE = (1.1445945236416332e-4, 1.1446902545269265e-4)
+# a near-diagonal line whose two rows share one tangency window, 6e-13 wide
+# at theta ~ 2.3e-4, with the minimum at the window's upper end
+NARROW = (1.1445945236416332e-4, 1.1446902545269265e-4)
 
 
 def outcome(call):
@@ -64,7 +64,7 @@ def special_lines():
         (0.3, -0.3 * (1.0 + 1e-13)), (1e3, -1e3 + 1e-10),     # near-membership
         (1e-310, 2.0), (2.0, 1e-310), (-3e-320, -0.5),        # subnormal flush
         (0.0, -1.5), (-0.4, 2.0), (-1.0, -0.3),               # mirrored
-        DEGENERATE, (-DEGENERATE[0], -DEGENERATE[1]),
+        NARROW, (-NARROW[0], -NARROW[1]),
         (1e300, 2e300), (1e200, 1e200), (1e308, 0.0),         # saturation
         (math.inf, 1.0), (1.0, math.nan),                     # rejected
     ]
@@ -83,10 +83,11 @@ def test_batch_matches_each_line():
     assert batched(lines) == single(lines)
 
 
-def test_batch_takes_the_degenerate_path():
-    (sol,) = solve_batched([DEGENERATE])
-    assert sol.report.iterations == 0
-    assert outcome(lambda: sol) == outcome(lambda: hd.dist_to_line(*DEGENERATE))
+def test_batch_scans_the_narrow_window():
+    (sol,) = solve_batched([NARROW])
+    (row, _) = ld._searches(*NARROW, {})
+    assert (sol.theta_at_argmin, sol.report.method) == (row.hi, "endpoint")
+    assert outcome(lambda: sol) == outcome(lambda: hd.dist_to_line(*NARROW))
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-3, -1.0, math.nan])
@@ -192,6 +193,6 @@ def test_every_line_failing(monkeypatch):
 
     monkeypatch.setattr(ld, "_objective_many", broken)
     monkeypatch.setattr(ld, "_row_fn", lambda row: broken)
-    lines = [(0.5, 2.0), (1.0, -1.0), (3.0, 0.0), (-1.0, 0.3), DEGENERATE]
+    lines = [(0.5, 2.0), (1.0, -1.0), (3.0, 0.0), (-1.0, 0.3), NARROW]
     assert batched(lines) == single(lines)
     assert batched(lines)[1][0] != "DomainError"  # the on-line answer

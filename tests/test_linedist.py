@@ -95,6 +95,17 @@ class TestDistToLine:
             f = hd.dist_to_line(beta, gamma)
             assert abs(f.value - o.value) <= 1e-7
 
+    @pytest.mark.parametrize("line", [
+        (1.1445945236416332e-4, 1.1446902545269265e-4),
+        (-1.5425772158292659e-4, -1.5426024420367207e-4),
+        (2.065323992930172e-4, 2.0653263642554895e-4),
+    ])
+    def test_narrow_tangency_window_against_oracle(self, line):
+        # near-diagonal lines whose tangency window is at most 6e-13 wide
+        # at theta ~ 2e-4, with the minimum away from the window's lower end
+        o = hd.oracle_dist(*line)
+        assert hd.dist_to_line(*line).value == pytest.approx(o.value, rel=1e-9)
+
     def test_reflection_is_exact(self, rng):
         for _ in range(25):
             beta = rng.uniform(-4.0, 4.0)

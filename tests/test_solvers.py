@@ -251,16 +251,29 @@ class TestArrayScan:
         assert rep.value == 0.25 and val == 0.0
         assert type(rep.value) is float and type(val) is float
 
-    def test_degenerate_interval_evaluates_only_lo(self):
-        calls = []
+    def test_zero_width_interval_returns_lo(self):
+        # all 257 nodes are lo, and the refine stays there
+        fn = lambda t: (t - 3.0) ** 2
+        rows = solvers._minimize_rows(
+            [fn, fn], [_no_derivative, lambda t: 2.0 * (t - 3.0)],
+            lambda sel, nodes: (nodes - 3.0) ** 2, [1.0, 1.0], [1.0, 1.0],
+        )
+        for rep, val in [minimize_on_interval(fn, (1.0, 1.0)), *rows]:
+            assert (rep.value, rep.iterations, rep.residual) == (1.0, 0, 0.0)
+            assert val == 4.0
 
-        def fn(t):
-            calls.append(t)
-            return (t - 3.0) ** 2
-
-        rep, val = minimize_on_interval(fn, (1.0, 1.0))
-        assert rep.value == 1.0 and val == 4.0
-        assert calls == [1.0]
+    def test_narrow_interval_is_scanned(self):
+        # a window as narrow as a near-diagonal line's tangency window, with
+        # its minimum at hi: the scan finds it, fn(lo) alone would not
+        lo = 1e-4
+        hi = lo + 6e-13
+        fn = lambda t: hi - t
+        rows = solvers._minimize_rows(
+            [fn, fn], [_no_derivative, lambda t: -1.0],
+            lambda sel, nodes: hi - nodes, [lo, lo], [hi, hi],
+        )
+        for rep, val in [minimize_on_interval(fn, (lo, hi)), *rows]:
+            assert (rep.value, val) == (hi, 0.0)
 
 
 def _no_derivative(t):
@@ -271,9 +284,9 @@ def _no_derivative(t):
 
 def _objective_rows():
     """Rows of (scalar objective, array form, bracket, derivative) for
-    _minimize_rows: interior, endpoint and tied minima, degenerate
-    intervals, rejected brackets, a non-finite node and an objective that
-    raises."""
+    _minimize_rows: interior, endpoint and tied minima, zero-width and
+    narrow intervals, rejected brackets, a non-finite node and an objective
+    that raises."""
     rows = []
     for k in range(12):
         c = -1.0 + 0.37 * k
