@@ -131,10 +131,7 @@ def compare(lines: list[tuple[float, float]], tol: float = 1e-9) -> list[Row]:
         except hd.HestonDistError:
             continue
         for row in rows:
-            nodes = solvers._scan_nodes(
-                row.lo, row.hi, (row.hi - row.lo) / solvers.SCAN_CELLS,
-                solvers.SCAN_CELLS + 1,
-            )
+            nodes = solvers._scan_nodes(row.lo, row.hi)
             fn, dfn = ld._row_fn(row), ld._row_dfn(row)
             calls = [0]
 

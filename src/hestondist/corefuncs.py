@@ -9,21 +9,21 @@ straight line x = beta + gamma*v with a level curve are located by the
 quadratic in sqrt(v) whose coefficients involve coef_A and coef_B; s_plus /
 s_minus are its roots and lambda_plus / lambda_minus the corresponding
 half-squared distances.  The roots are written once, here: the raw forms
-``_s_plus_raw``/``_s_minus_raw`` (discriminant clamped at zero) and their
-array form ``_roots_many`` are the line solvers' objectives, and the public
-``s_plus``/``s_minus`` check the line first and then evaluate the same raw
-root.  ``_coefs`` gives coef_A and coef_B together, for one domain check
-and one evaluation of each sine.  ``_radicand`` is the one radicand of the
-level curve, shared by ``lambda_big`` and the curve functions in
-``levelsets``.  ``f_of``, ``eta_alpha`` and ``zeta`` are written once, as
+``_s_plus_raw``/``_s_minus_raw`` (discriminant clamped at zero) are the
+line solvers' scalar objectives, which the line scan kernel
+(``linedist._objective_many``) repeats bit for bit on arrays, and the
+public ``s_plus``/``s_minus`` check the line first and then evaluate the
+same raw root.  ``_coefs`` gives coef_A and coef_B together, for one
+domain check and one evaluation of each sine.  ``_radicand`` is the one
+radicand of the level curve, shared by ``lambda_big`` and the curve
+functions in ``levelsets``.  ``f_of``, ``eta_alpha`` and ``zeta`` are
+written once, as
 closures over their first argument (``_f_of_fn``, ``_eta_alpha_fn``,
 ``_zeta_fn``) that the root solves evaluate in one frame per call; the
 two-argument forms call them.
 
 All functions here are pure, stateless and raise DomainError outside their
-stated domains rather than returning NaN.  The ``*_many`` functions are the
-array forms the minimizer scan evaluates; they repeat the scalar operations
-in the same order, so each element equals the scalar value bit for bit.
+stated domains rather than returning NaN.
 
 Numerical note: ratios whose numerators vanish like theta^3
 (theta - sin(theta) and friends) lose all precision near zero when formed
@@ -36,8 +36,6 @@ from __future__ import annotations
 
 import math
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .errors import DegenerateLineError, DomainError
 
@@ -283,50 +281,14 @@ def _coefs(theta: float) -> tuple[float, float]:
     return -(2.0 * sh - theta * math.cos(0.5 * theta)) / p, 2.0 * sh * sh / p
 
 
-# Array form of coef_A and coef_B for the minimizer scan.  numpy's float64
-# sin, cos and sqrt matched math's on every argument tested, tan did not
-# (README, "Numerical notes"), so the array forms use only those three and
-# arithmetic.
-
-
 def _coefs_series(t):
-    """The series branch of _coefs, for a float or an array."""
+    """The series branch of _coefs, for a float or an array (the line
+    scan kernel, linedist._objective_many, evaluates it on its nodes below
+    SMALL_ANGLE)."""
     t2 = t * t
     p3 = _p_r3(t2)
     sr = _sin_half_r(t2)
     return -_u_r3(t2) / p3, 2.0 * sr * sr / (t * p3)
-
-
-def coefs_many(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coef_A, coef_B, sin(theta/2)) at every element of a float64 array,
-    each element bit-identical to _coefs and math.sin.  Where the elements
-    straddle SMALL_ANGLE both forms are evaluated on every element and
-    np.where picks each element's own (the direct forms are 0/0 at tiny
-    angles).  An element outside (0, 2*pi) raises DomainError naming the
-    first such element in C order."""
-    least, most = theta.min(), theta.max()  # nan if any element is nan
-    if not (0.0 < least and most < TWO_PI):
-        inside = (0.0 < theta) & (theta < TWO_PI)
-        _check_angle_open(float(theta.flat[np.argmin(inside)]))
-    half = 0.5 * theta
-    sh = np.sin(half)
-    if most < SMALL_ANGLE:
-        return (*_coefs_series(theta), sh)
-    if least >= SMALL_ANGLE:
-        return (*_coefs_direct(theta, half, sh), sh)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a, b = _coefs_direct(theta, half, sh)
-    a_s, b_s = _coefs_series(theta)
-    small = theta < SMALL_ANGLE
-    return np.where(small, a_s, a), np.where(small, b_s, b), sh
-
-
-def _coefs_direct(t, half, sh):
-    """The direct branch of _coefs on arrays, given half = t/2 and sh =
-    sin(half)."""
-    two_sh = 2.0 * sh
-    p = t - np.sin(t)
-    return -(two_sh - t * np.cos(half)) / p, two_sh * sh / p
 
 
 # ---------------------------------------------------------------------------
@@ -501,31 +463,6 @@ def _s_minus_raw(beta: float, gamma: float, theta: float) -> float:
     return (a - math.sqrt(disc)) / den
 
 
-def _roots_many(
-    beta: np.ndarray | float,
-    gamma: np.ndarray | float,
-    minus: np.ndarray | bool,
-    a: np.ndarray,
-    b: np.ndarray,
-) -> np.ndarray:
-    """_s_minus_raw where minus is true and _s_plus_raw elsewhere, from the
-    coefficients A and B at every node (coefs_many) and bit-identical to
-    them (+inf at the minus pole); beta, gamma and minus broadcast against
-    a.  A scalar minus evaluates only its own root."""
-    p = 1.0 - beta * b
-    q = 1.0 - gamma * b
-    disc = a * a - q * p
-    # np.maximum may keep -0.0 where the scalar clamp keeps 0.0 or the
-    # reverse; either square root leaves a - root unchanged
-    m = a - np.sqrt(np.maximum(disc, 0.0))
-    if minus is False:
-        return p / m
-    with np.errstate(divide="ignore"):
-        if minus is True:
-            return np.where(q == 0.0, math.inf, m / q)
-        return np.where(minus, np.where(q == 0.0, math.inf, m / q), p / m)
-
-
 def s_plus(beta: float, gamma: float, theta: float) -> float:
     """Smaller-v intersection root sqrt(v) of the line with the level curve.
 
@@ -568,18 +505,6 @@ def _half_sq_from_root(theta: float, s: float) -> float:
     ratio = math.sin(0.5 * theta) / theta
     q4 = math.sin(0.25 * theta)
     inner = (s - 1.0) * (s - 1.0) + 4.0 * s * q4 * q4
-    return inner / (2.0 * ratio * ratio)
-
-
-def _half_sq_from_root_many(
-    theta: np.ndarray, s: np.ndarray, sh: np.ndarray
-) -> np.ndarray:
-    """_half_sq_from_root elementwise, bit-identical to it, given
-    sh = sin(theta/2) (coefs_many has it)."""
-    ratio = sh / theta
-    q4 = np.sin(0.25 * theta)
-    s1 = s - 1.0
-    inner = s1 * s1 + 4.0 * s * q4 * q4
     return inner / (2.0 * ratio * ratio)
 
 

@@ -25,9 +25,11 @@ interval and the sign of the line's own index.  A later row must beat the
 incumbent by more than TIE_RTOL (_answer).
 
 One array kernel, _objective_many, evaluates every row's objective from
-per-node parameter arrays; _row_fn is a row's scalar form, built from the
-scalar roots of corefuncs, and the two agree bit for bit on every node.
-_row_dfn is the derivative of _row_fn, in one closure frame.
+per-node parameters, in buffers of its own, and evaluates each
+coefficient form, root and axis value only on the nodes that need it;
+_row_fn is a row's scalar form, built from the scalar roots of corefuncs,
+and the two agree bit for bit on every node.  _row_dfn is the derivative
+of _row_fn, in one closure frame.
 
 _solve_many, behind both dist_to_line (a batch of one line) and
 smile_table (a ladder), builds the tables of its lines, solving each
@@ -37,8 +39,8 @@ kernel call per block, so a single line's one or two rows take one call;
 then each row's refine, a root solve of _row_dfn where it changes sign
 around the best node, otherwise the golden section on _row_fn.  An error
 fails only its own line, and so does a distance beyond double range.
-The intersection roots themselves live in corefuncs (_s_plus_raw,
-_s_minus_raw and the array form _roots_many).
+The intersection roots themselves live in corefuncs (_s_plus_raw and
+_s_minus_raw).
 
 Every closed-form path is validated against oracle_dist, a deliberately
 slow reference that minimizes the scalar point distance along the line
@@ -105,20 +107,6 @@ _ROOT_HUGE = _HUGE ** 0.5
 
 def _sq(x: float) -> float:
     return x * x  # float**2 raises on overflow; multiplication saturates
-
-
-def _lam_many(theta: np.ndarray, sh: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The half-squared distance from the roots s at every node, given
-    sh = sin(theta/2): a negative root (reachable only through rounding
-    right at an interval endpoint) counts as 0 and a non-finite one as
-    _ROOT_HUGE, and an astronomically distant candidate saturates at _HUGE
-    instead of overflowing, which keeps the scan sound."""
-    # np.maximum keeps nan, and may keep -0.0 where the scalar clamp keeps
-    # 0.0: either zero gives the same value
-    s = np.maximum(s, 0.0)
-    s = np.where(np.isfinite(s), s, _ROOT_HUGE)
-    # from a finite root >= 0 the value is finite or +inf, never nan
-    return np.minimum(cf._half_sq_from_root_many(theta, s, sh), _HUGE)
 
 
 def _axis_value(v: float) -> float:
@@ -224,17 +212,104 @@ def _objective_many(
     Each node carries its row's parameters, broadcast against theta: the
     line, the root (a scalar minus evaluates only that root) and the
     objective's value at the axis node theta = 0 (nan where the row has no
-    axis node).  _row_fn is the scalar form; the two agree bit for bit."""
-    zeros = not theta.all()
-    if zeros:
-        at_axis = (theta == 0.0) & ~np.isnan(axis)
-        theta = np.where(at_axis, 1.0, theta)  # in-domain; replaced below
+    axis node).  _row_fn is the scalar form; the two agree bit for bit.
+
+    One kernel, in buffers of its own (theta is never written): A and B
+    by their direct forms, with the series of cf._coefs_series written
+    over the nodes below SMALL_ANGLE only; the root of each row, the
+    clamps of _row_fn, and the axis value written over the axis nodes.
+    An angle outside (0, 2*pi) that is not an axis node raises the
+    DomainError of cf._coefs for the first such node in C order.
+
+    numpy's float64 sin, cos and sqrt matched math's on every argument
+    tested, tan did not (README, "Numerical notes"), so the kernel uses
+    only those three and arithmetic."""
+    least, most = theta.min(), theta.max()  # nan if any node is nan
+    axis_nodes = None
+    if not (0.0 < least and most < cf.TWO_PI):
+        axis_nodes = _axis_nodes(theta, least, most, axis)
     # Python floats overflow to inf and turn inf - inf into nan without a
-    # word; _lam_many saturates both, so numpy may stay quiet as well
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b, sh = cf.coefs_many(theta)
-        val = _lam_many(theta, sh, cf._roots_many(beta, gamma, minus, a, b))
-    return np.where(at_axis, axis, val) if zeros else val
+    # word, and the direct forms are 0/0 at the axis nodes and the tiny
+    # angles that are written over; the clamps below saturate the rest
+    with np.errstate(all="ignore"):
+        half = 0.5 * theta
+        sh = np.sin(half)
+        if most < cf.SMALL_ANGLE:
+            a, b = cf._coefs_series(theta)
+        else:
+            # A = (t cos(t/2) - 2 sin(t/2))/(t - sin t): the negation of
+            # _coefs' -(2 sin(t/2) - t cos(t/2)), exactly, as A is never 0
+            a = np.cos(half, out=half)
+            a *= theta
+            b = 2.0 * sh  # then 2 sin(t/2)^2, B's numerator
+            a -= b
+            p = np.sin(theta)
+            np.subtract(theta, p, out=p)
+            a /= p
+            b *= sh
+            b /= p
+            if least < cf.SMALL_ANGLE:
+                small = theta < cf.SMALL_ANGLE
+                a[small], b[small] = cf._coefs_series(theta[small])
+        # -p = beta*B - 1 and -q = gamma*B - 1 are the negations of the
+        # scalar p and q and den = root - A that of A - root (> 0), so the
+        # ratios below are _s_plus_raw's p/(A - root) and _s_minus_raw's
+        # (A - root)/q bit for bit, and at the pole q = 0 den/(+0) is the
+        # scalar's +inf.  A root of p = 0 comes out +0.0 where the scalar
+        # has -0.0; either gives the same value.
+        neg_p = beta * b
+        neg_p -= 1.0
+        neg_q = np.multiply(gamma, b, out=b)
+        neg_q -= 1.0
+        disc = a * a
+        disc -= neg_q * neg_p
+        np.maximum(disc, 0.0, out=disc)
+        den = np.sqrt(disc, out=disc)
+        den -= a
+        if isinstance(minus, np.ndarray):
+            s = np.divide(neg_p, den, out=neg_p)
+            np.divide(den, neg_q, out=s, where=minus)
+        elif minus:
+            s = np.divide(den, neg_q, out=neg_q)
+        else:
+            s = np.divide(neg_p, den, out=neg_p)
+        # _row_fn's clamps: a negative root counts as 0, and a value that
+        # is not finite saturates at _HUGE (fmin also takes nan to _HUGE).
+        # A non-finite root needs no clamp of its own: _row_fn's _ROOT_HUGE
+        # overflows to inf as well, as 2 sin(t/2)^2/t^2 <= 1/2.
+        np.maximum(s, 0.0, out=s)
+        # cf._half_sq_from_root
+        val = s - 1.0
+        val *= val
+        s *= 4.0
+        q4 = np.multiply(0.25, theta)
+        np.sin(q4, out=q4)
+        s *= q4
+        s *= q4
+        val += s
+        ratio = np.divide(sh, theta, out=sh)
+        sq = np.multiply(2.0, ratio, out=q4)
+        sq *= ratio
+        val /= sq
+        np.fmin(val, _HUGE, out=val)
+    if axis_nodes is not None:
+        np.copyto(val, axis, where=axis_nodes)
+    return val
+
+
+def _axis_nodes(
+    theta: np.ndarray, least: float, most: float, axis: np.ndarray | float
+) -> np.ndarray:
+    """The nodes theta = 0, all of them in rows with an axis value, given
+    the least and the greatest node; where another node lies outside
+    (0, 2*pi), the DomainError of cf._coefs for the first such node in C
+    order."""
+    zero = theta == 0.0
+    no_axis = np.isnan(axis)
+    if not (least == 0.0 and most < cf.TWO_PI and not (zero & no_axis).any()):
+        inside = (0.0 < theta) & (theta < cf.TWO_PI) | zero & ~no_axis
+        cf._check_angle_open(float(theta.flat[np.argmin(inside)]))
+    return zero
 
 
 def _axis_node_value(row: _Search) -> float:
@@ -245,9 +320,11 @@ def _axis_node_value(row: _Search) -> float:
 def _row_fn(row: _Search) -> Callable[[float], float]:
     """A row's objective at one index t, as the refine calls it:
     cf._half_sq_from_root of the row's root (cf._s_plus_raw or
-    cf._s_minus_raw) with the clamps of _lam_many.  At t = 0 it is the
-    axis value where the row has one; elsewhere outside (0, 2*pi) it
-    raises the DomainError of cf._coefs."""
+    cf._s_minus_raw), clamped: a negative root counts as 0 and a
+    non-finite one as _ROOT_HUGE, and an astronomically distant candidate
+    saturates at _HUGE instead of overflowing, which keeps the scan sound.
+    At t = 0 it is the axis value where the row has one; elsewhere outside
+    (0, 2*pi) it raises the DomainError of cf._coefs."""
     beta, gamma, axis = row.beta, row.gamma, row.axis
     root = cf._s_minus_raw if row.minus else cf._s_plus_raw
     if axis is not None:
@@ -346,8 +423,14 @@ def _row_dfn(row: _Search) -> Callable[[float], float]:
 
 def _scan_block(rows: list[_Search], nodes: np.ndarray) -> np.ndarray:
     """The rows' objectives on a 2-D block of nodes, one row of nodes per
-    row, in one kernel call; the parameters are columns built from the
-    rows, and minus a scalar where every row follows the same root."""
+    row, in one kernel call.  A single row's parameters are Python floats;
+    a larger block's are columns built from the rows, with minus a scalar
+    where every row follows the same root."""
+    if len(rows) == 1:
+        (row,) = rows
+        return _objective_many(
+            nodes, row.beta, row.gamma, row.minus, _axis_node_value(row)
+        )
     beta, gamma, axis = np.array(
         [(r.beta, r.gamma, _axis_node_value(r)) for r in rows]
     ).T[:, :, None]

@@ -355,7 +355,7 @@ def minimize_on_interval(
     """
     lo, hi = bracket
     _check_interval(lo, hi, tol)
-    nodes = _scan_nodes(lo, hi, (hi - lo) / SCAN_CELLS, SCAN_CELLS + 1)
+    nodes = _scan_nodes(lo, hi)
     # Python floats, so that fn divides as it does in the refine: a numpy
     # scalar would warn where a float raises ZeroDivisionError
     fs = np.array([fn(x) for x in nodes.tolist()], dtype=float)
@@ -439,10 +439,16 @@ def _refine_root(
     return _golden_refine(fn, a, b, best_x, best_f, tol)
 
 
-def _scan_nodes(lo, hi, h, n: int) -> np.ndarray:
-    """The n scan nodes lo + i*h, the last one replaced by hi; a row of
-    nodes for each entry when lo, hi and h are columns."""
-    nodes = lo + np.arange(n) * h
+# The node indices 0, 1, ..., SCAN_CELLS of every scan, as floats.
+_SCAN_STEPS = np.arange(SCAN_CELLS + 1.0)
+
+
+def _scan_nodes(lo, hi) -> np.ndarray:
+    """The SCAN_CELLS + 1 scan nodes lo + i*h, h = (hi - lo)/SCAN_CELLS,
+    the last one replaced by hi; a row of nodes for each entry when lo and
+    hi are columns."""
+    nodes = _SCAN_STEPS * ((hi - lo) / SCAN_CELLS)
+    nodes += lo
     nodes[..., -1:] = hi
     return nodes
 
@@ -453,9 +459,12 @@ def _scan_nodes(lo, hi, h, n: int) -> np.ndarray:
 
 # Rows per 2-D scan block: 16 rows of SCAN_CELLS + 1 = 257 nodes (4112
 # nodes).  On 50-strike smile ladders (about 68 rows each; 2-core x86-64,
-# Python 3.11, numpy 2.4) 16-row blocks ran as fast as one block per ladder
-# with a quarter of its traced peak memory (0.5 MB against 1.9 MB), and
-# 4-row blocks ran a third slower.
+# Python 3.11, numpy 2.4; bench/run.py smile-ladder, 10 s runs, seeds 1-10
+# in alternating pairs) 16-row blocks ran at a median 178 ladders/s
+# against 164 for 8-row blocks (8 rows won 2 of 10 pairs), and at 181
+# against 182 for 32-row blocks (32 rows won 5 of 10): larger blocks gain
+# nothing measurable and hold more memory (one block per ladder took
+# 1.9 MB of traced peak memory against 0.5 MB for 16 rows).
 SCAN_BLOCK_ROWS = 16
 
 def _minimize_rows(
@@ -489,9 +498,12 @@ def _minimize_rows(
             out[i] = exc
     for start in range(0, len(live), SCAN_BLOCK_ROWS):
         rows = live[start:start + SCAN_BLOCK_ROWS]
-        lo = np.array([[los[i]] for i in rows])
-        hi = np.array([[his[i]] for i in rows])
-        nodes = _scan_nodes(lo, hi, (hi - lo) / SCAN_CELLS, SCAN_CELLS + 1)
+        if len(rows) == 1:  # floats broadcast faster than 1x1 columns
+            nodes = _scan_nodes(los[rows[0]], his[rows[0]])[None, :]
+        else:
+            lo = np.array([[los[i]] for i in rows])
+            hi = np.array([[his[i]] for i in rows])
+            nodes = _scan_nodes(lo, hi)
         fs, errors = _scan_rows(scan, rows, nodes)
         for k, i in enumerate(rows):
             if k in errors:

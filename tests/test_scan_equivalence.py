@@ -100,7 +100,7 @@ def row_block(call):
     start = live.index(call["index"]) // SCAN_BLOCK_ROWS * SCAN_BLOCK_ROWS
     rows = live[start:start + SCAN_BLOCK_ROWS]
     lo, hi = np.array([[los[i]] for i in rows]), np.array([[his[i]] for i in rows])
-    return rows, solvers._scan_nodes(lo, hi, (hi - lo) / SCAN_CELLS, SCAN_CELLS + 1)
+    return rows, solvers._scan_nodes(lo, hi)
 
 
 class TestObjectivesOnScanNodes:
@@ -148,17 +148,33 @@ class TestObjectivesOnScanNodes:
         check_objective(line_objective(0.004, 0.006, minus=True), nodes)
 
     def test_coefficients(self):
+        # the kernel's A and B (the direct forms, the series below
+        # SMALL_ANGLE) and sin(theta/2) equal cf._coefs and math.sin: on the
+        # objective of each root of two lines, which both coefficients and
+        # the sine move
         nodes = scan_nodes(1e-300, 2.0 * math.pi - 1e-9) + scan_nodes(1e-4, 0.03)
-        a, b, sh = cf.coefs_many(np.array(nodes))
-        assert_same_bits([cf.coef_A(t) for t in nodes], a)
-        assert_same_bits([cf.coef_B(t) for t in nodes], b)
-        assert_same_bits([math.sin(0.5 * t) for t in nodes], sh)
+        assert min(nodes) < cf.SMALL_ANGLE < max(nodes)
+        for beta, gamma in ((0.5, 2.0), (2.0, 0.5)):
+            for minus in (False, True):
+                check_objective(line_objective(beta, gamma, minus=minus), nodes)
 
     def test_coefficients_reject_the_first_node_outside_the_domain(self):
+        objective = line_objective(1.0, 0.5)[1]
         with pytest.raises(hd.DomainError, match="got 0.0"):
-            cf.coefs_many(np.array([0.5, 0.0, -1.0]))
+            objective(np.array([0.5, 0.0, -1.0]))
         with pytest.raises(hd.DomainError):
-            cf.coefs_many(np.array([0.5, math.nan]))
+            objective(np.array([0.5, math.nan]))
+        # an axis node is inside; the first node outside is named
+        with pytest.raises(hd.DomainError, match="got -1.0"):
+            line_objective(1.0, -0.5, axis=2.0)[1](np.array([0.5, 0.0, -1.0]))
+        # in a block, theta = 0 is an axis node only in a row with an axis
+        rows = [ld._Search("", 1.0, -0.5, False, 0.0, 1.0, 2.0),
+                ld._Search("", 1.0, 0.5, False, 0.0, 1.0)]
+        with pytest.raises(hd.DomainError, match="got 0.0"):
+            ld._scan_block(rows, np.array([[0.0, 0.5], [0.5, 0.0]]))
+        assert ld._scan_block(rows, np.array([[0.0, 0.5], [0.5, 0.25]]))[0, 0] == (
+            ld._axis_value(2.0)
+        )
 
     def test_minus_branch_pole(self):
         # a node where 1 - gamma*B is exactly zero: the scalar root is +inf
@@ -169,11 +185,12 @@ class TestObjectivesOnScanNodes:
         beta = 0.5 * gamma
         nodes = scan_nodes(theta - 0.25, theta) + [theta + 1e-3]
         assert cf._s_minus_raw(beta, gamma, theta) == math.inf
+        fn, fn_many = line_objective(beta, gamma, minus=True)
         assert_same_bits(
-            [cf._s_minus_raw(beta, gamma, t) for t in nodes],
-            cf._roots_many(beta, gamma, True, *cf.coefs_many(np.array(nodes))[:2]),
+            [lam(t, cf._s_minus_raw(beta, gamma, t)) for t in nodes],
+            fn_many(np.array(nodes)),
         )
-        check_objective(line_objective(beta, gamma, minus=True), nodes)
+        check_objective((fn, fn_many), nodes)
 
     def test_clamped_negative_discriminant(self):
         beta, gamma = 2.0, 0.5
@@ -192,13 +209,73 @@ class TestObjectivesOnScanNodes:
         check_objective(line_objective(beta, gamma, minus=True), nodes)
 
     def test_root_clamps(self):
-        roots = [-math.inf, -1.0, -0.0, 0.0, 0.5, 1e150, 1e160, 1e200, math.inf, math.nan]
-        thetas = [1.0, 2.5, 6.0, 1e-3, 3.0, 1.0, 6.2, 2.0, 1.0, 1.0]
-        with np.errstate(over="ignore"):
-            thetas_a = np.array(thetas)
-            got = ld._lam_many(thetas_a, np.sin(0.5 * thetas_a), np.array(roots))
+        # one node for each clamp of a raw root: (theta, beta, gamma, minus)
+        # and the root it reaches.  A zero root is -0.0: p = 1 - beta*B is
+        # +0.0 where it vanishes, and p/(A - root) has the sign of A < 0.
+        recip_1 = 1.0 / cf.coef_B(1.0)
+        recip_small = 1.0 / cf.coef_B(1e-3)
+        assert 1.0 - recip_1 * cf.coef_B(1.0) == 0.0
+        assert 1.0 - recip_small * cf.coef_B(1e-3) == 0.0
+        cases = [
+            (1.0, -1e308, 0.0, False, lambda s: s == -math.inf),
+            (2.5, 0.0, 0.0, False, lambda s: -math.inf < s < 0.0),
+            (6.0, 1e300, -1.0, False, lambda s: 1e148 < s < ld._ROOT_HUGE),
+            (1e-3, recip_small, 0.0, False, lambda s: s == 0.0 and math.copysign(1.0, s) < 0.0),
+            (3.0, 2.0, 0.5, False, lambda s: 0.0 < s < 1.0),
+            (1.0, recip_1, 0.0, False, lambda s: s == 0.0 and math.copysign(1.0, s) < 0.0),
+            (6.2, 1e300, 1e5, False, lambda s: ld._ROOT_HUGE < s < math.inf),
+            (2.0, 1e200, 1e5, False, lambda s: ld._ROOT_HUGE < s < math.inf),
+            (1.0, 0.5 * recip_1, recip_1, True, lambda s: s == math.inf),
+            (1.0, -1e308, 1e308, False, math.isnan),
+        ]
+        rows = [ld._Search("", beta, gamma, minus, t, t) for t, beta, gamma, minus, _ in cases]
+        roots = []
+        for t, beta, gamma, minus, kind in cases:
+            roots.append((cf._s_minus_raw if minus else cf._s_plus_raw)(beta, gamma, t))
+            assert kind(roots[-1]), (t, beta, gamma, roots[-1])
+        thetas = [c[0] for c in cases]
+        got = ld._scan_block(rows, np.array(thetas)[:, None])[:, 0]
         assert_same_bits([lam(t, s) for t, s in zip(thetas, roots)], got)
-        assert got[-3] == ld._HUGE
+        assert_same_bits([ld._row_fn(r)(t) for r, t in zip(rows, thetas)], got)
+        assert got[-3] == got[-4] == ld._HUGE
+
+    def test_block_matches_each_row(self):
+        # one 16-row block that mixes plus and minus rows, axis rows, a row
+        # across SMALL_ANGLE, all-series rows, the minus pole, a clamped
+        # discriminant and saturated values, against each row's scalar
+        # objective node by node and against the row scanned alone
+        pole = next(
+            t for t in scan_nodes(0.5, 2.0) if 1.0 - (1.0 / cf.coef_B(t)) * cf.coef_B(t) == 0.0
+        )
+        gamma = 1.0 / cf.coef_B(pole)
+        tangency = hd.eta_alpha_inv(2.0, 0.5)
+        rows = [
+            ld._Search("slanted-minus", 0.5 * gamma, gamma, True, pole - 0.25, pole),
+            ld._Search("slanted-plus", 2.0, 0.5, False, 0.5 * tangency, hd.psi_inv(0.5) - 1e-9),
+            ld._Search("slanted-minus", 2.0, 0.5, True, 0.5 * tangency, hd.psi_inv(0.5) - 1e-9),
+        ]
+        for line in ((2.0, 0.5), (0.5, 2.0), (1.0, -0.5), (0.5, -2.0), (0.0, 1.5),
+                     (0.01, 0.0), (1e-3, 0.0), (2e-3, -1e-3), (1e300, 2e300), (0.9, 0.9),
+                     (50.0, 80.0)):
+            beta, gamma, _ = ld._prelude(*line)
+            rows += ld._searches(beta, gamma, {})
+        assert len(rows) == 16
+        small = cf.SMALL_ANGLE
+        assert {r.minus for r in rows} == {False, True}
+        assert any(r.lo == 0.0 and r.axis is not None for r in rows)
+        assert any(r.lo < small < r.hi for r in rows)
+        assert any(r.hi < small for r in rows)
+        assert cf._s_minus_raw(rows[0].beta, rows[0].gamma, rows[0].hi) == math.inf
+        assert any(cf.discriminant(2.0, 0.5, t) < 0.0 for t in scan_nodes(rows[1].lo, rows[1].hi))
+        nodes = np.array([scan_nodes(r.lo, r.hi) for r in rows])
+        before = nodes.copy()
+        values = ld._scan_block(rows, nodes)
+        assert_same_bits(before, nodes)
+        assert (values == ld._HUGE).any()
+        for k, row in enumerate(rows):
+            fn = ld._row_fn(row)
+            assert_same_bits([fn(t) for t in nodes[k].tolist()], values[k])
+            assert_same_bits(values[k], ld._scan_block([row], nodes[k:k + 1])[0])
 
     def test_axis_node(self):
         for v_axis, beta, gamma in ((2.0, 1.0, -0.5), (0.0, 0.0, 1.5)):
@@ -245,7 +322,7 @@ def test_row_objective_matches_the_kernel(beta, gamma):
     rows = ld._searches(line[0], line[1], {})
     lo, hi = np.array([[r.lo] for r in rows]), np.array([[r.hi] for r in rows])
     assume((hi > lo).all())
-    nodes = solvers._scan_nodes(lo, hi, (hi - lo) / SCAN_CELLS, SCAN_CELLS + 1)
+    nodes = solvers._scan_nodes(lo, hi)
     block = ld._scan_block(rows, nodes)
     for k, row in enumerate(rows):
         fn = ld._row_fn(row)

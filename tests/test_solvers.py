@@ -454,8 +454,7 @@ class TestMinimizeRows:
 
 def _scan_minimum(scan, lo, hi):
     """The scan's minimum node and its cell pair, as _refine finds them."""
-    nodes = solvers._scan_nodes(lo, hi, (hi - lo) / solvers.SCAN_CELLS,
-                                solvers.SCAN_CELLS + 1)
+    nodes = solvers._scan_nodes(lo, hi)
     return solvers._best_cell(nodes, scan(None, nodes))
 
 
