@@ -155,12 +155,14 @@ def inverse_maps(seed: int, n: int) -> Section:
     return sec
 
 
-def intersections(seed: int, n: int) -> Section:
+def intersections(seed: int, n: int, tiny: int) -> Section:
+    """The line roots and the level-curve functions at n angles on both
+    sides of the small-angle switch at 1e-2, then at `tiny` angles
+    log-uniform in [1e-300, 1e-2]."""
     rng = random.Random(f"{seed}-intersections")
     sec = Section("intersections+curves")
-    for _ in range(n):
-        # both sides of the small-angle switch at 1e-2
-        theta = rng.choice((rng.uniform(1e-6, 0.02), rng.uniform(1e-6, 2.0 * math.pi)))
+
+    def record(theta: float) -> None:
         beta = _sign(rng) * _mag(rng)
         # 1/B(theta) often makes 1 - gamma*B exactly zero: the pole of s_minus
         gamma = rng.choice((_sign(rng) * _mag(rng), 1.0 / hd.coef_B(theta)))
@@ -177,6 +179,18 @@ def intersections(seed: int, n: int) -> Section:
         for fn in (hd.curve_v, hd.curve_slope, hd.curve_curvature):
             sec.record(fn, theta, x)
         sec.record(hd.dist_to_level_set, _sign(rng) * theta)
+
+    for _ in range(n):
+        record(rng.choice((rng.uniform(1e-6, 0.02), rng.uniform(1e-6, 2.0 * math.pi))))
+    tiny_rng = random.Random(f"{seed}-tiny-angles")
+    for _ in range(tiny):
+        theta = _mag(tiny_rng, -300, -2)
+        record(theta)
+        sec.record(hd.xi, theta)
+        x = hd.psi(theta) * (1.0 + _mag(tiny_rng, -3, 3))
+        sec.record(hd.lambda_big, x, theta)
+        for fn in (hd.curve_v, hd.curve_slope, hd.curve_curvature):
+            sec.record(fn, theta, x)
     return sec
 
 
@@ -247,7 +261,7 @@ def main() -> int:
         points(args.seed, 3000),
         extremes(args.seed, 1500),
         inverse_maps(args.seed, 300),
-        intersections(args.seed, 1500),
+        intersections(args.seed, 1500, 500),
         *smile_and_oracle(args.seed, 8, 40),
         correlated(args.seed, 500, 10),
         cli(),

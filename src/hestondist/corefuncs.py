@@ -14,16 +14,17 @@ line solvers' scalar objectives, which the line scan kernel
 (``linedist._objective_many``) repeats bit for bit on arrays, and the
 public ``s_plus``/``s_minus`` check the line first and then evaluate the
 same raw root.  ``_coefs`` gives coef_A and coef_B together, for one
-domain check and one evaluation of each sine.  ``_radicand`` is the one
-radicand of the level curve, shared by ``lambda_big`` and the curve
-functions in ``levelsets``.  ``f_of``, ``eta_alpha`` and ``zeta`` are
-written once, as
-closures over their first argument (``_f_of_fn``, ``_eta_alpha_fn``,
-``_zeta_fn``) that the root solves evaluate in one frame per call; the
-two-argument forms call them.
+domain check and one evaluation of each sine.  The level curve is written
+once, in theta^3-scaled terms (``_curve_terms``): ``lambda_big``, ``xi``
+and the curve functions in ``levelsets`` are each one formula over them,
+for every theta in (0, 2*pi).  ``f_of``, ``eta_alpha`` and ``zeta`` are
+written once, as closures over their first argument (``_f_of_fn``,
+``_eta_alpha_fn``, ``_zeta_fn``) that the root solves evaluate in one frame
+per call; the two-argument forms call them.
 
 All functions here are pure, stateless and raise DomainError outside their
-stated domains rather than returning NaN.
+stated domains rather than returning NaN.  A level-curve value beyond the
+double range is inf.
 
 Numerical note: ratios whose numerators vanish like theta^3
 (theta - sin(theta) and friends) lose all precision near zero when formed
@@ -72,9 +73,9 @@ def _check_angle_sym(theta: float, name: str = "theta") -> None:
 # stable primitives
 # ---------------------------------------------------------------------------
 #
-# The theta^3-scale factors are also provided divided by theta^3 (the _r3
-# forms), so that the small-angle branches of psi, f_of, lambda_big, coef_A
-# and coef_B can be assembled without ever forming a quantity that
+# The theta^3-scale factors are provided divided by theta^3 (the _r3
+# forms), so that the small-angle branches of psi, f_of, coef_A, coef_B and
+# the level curve can be assembled without ever forming a quantity that
 # underflows; the cubes themselves vanish below ~1e-103.
 
 
@@ -101,27 +102,6 @@ def _sin_half_r(t2: float) -> float:
 def _sin_quarter_r(t2: float) -> float:
     """sin(t/4)/t by series."""
     return 0.25 + t2 * (-1.0 / 384.0 + t2 / 122880.0)
-
-
-def theta_minus_sin(t: float) -> float:
-    """theta - sin(theta), accurate near zero (~theta^3/6)."""
-    if abs(t) < SMALL_ANGLE:
-        return t * (t * t) * _p_r3(t * t)
-    return t - math.sin(t)
-
-
-def two_sin_half_minus_cos_weighted(t: float) -> float:
-    """2*sin(t/2) - t*cos(t/2), accurate near zero (~theta^3/12)."""
-    if abs(t) < SMALL_ANGLE:
-        return t * (t * t) * _u_r3(t * t)
-    return 2.0 * math.sin(0.5 * t) - t * math.cos(0.5 * t)
-
-
-def two_sin_half_minus_theta(t: float) -> float:
-    """2*sin(t/2) - t, accurate near zero (~ -theta^3/24)."""
-    if abs(t) < SMALL_ANGLE:
-        return t * (t * t) * _w_r3(t * t)
-    return 2.0 * math.sin(0.5 * t) - t
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +181,8 @@ def lambda_big(x: float, theta: float) -> float:
     Finite and real for theta != 0 and
     2*(theta - sin theta)*x + 2*(1 - cos theta) - theta^2 >= 0 (the point
     must exist on the curve); the positive square root is taken.  Negative
-    theta is handled by mirror symmetry in x.
+    theta is handled by mirror symmetry in x.  inf where the value exceeds
+    the double range.
     """
     _check_angle_sym(theta)
     if not math.isfinite(x):
@@ -210,48 +191,55 @@ def lambda_big(x: float, theta: float) -> float:
         raise DomainError("lambda_big is undefined at theta = 0")
     if theta < 0.0:
         return lambda_big(-x, -theta)
-    if theta < SMALL_ANGLE:
-        # everything scaled by theta^3 so that nothing underflows
-        t2 = theta * theta
-        p3, u3, w3 = _p_r3(t2), _u_r3(t2), _w_r3(t2)
-        sr = _sin_half_r(t2)
-        scaled_radicand = 2.0 * p3 * x + theta * w3 * (1.0 + 2.0 * sr)
-        if not scaled_radicand >= 0.0:
-            if scaled_radicand > -1e-12 * max(1.0, abs(x)):
-                scaled_radicand = 0.0
-            else:
-                raise DomainError(
-                    f"no point with abscissa {x!r} on the level curve "
-                    f"theta={theta!r}"
-                )
-        bracket = (
-            p3 * x
-            + 2.0 * theta * sr * u3
-            - 2.0 * sr * sr * math.sqrt(theta * scaled_radicand)
-        )
-        return bracket / (theta * p3 * p3)
-    p = theta_minus_sin(theta)
-    u = two_sin_half_minus_cos_weighted(theta)
-    sh = math.sin(0.5 * theta)
-    c = 2.0 * sh * sh
-    bracket = p * x + 2.0 * sh * u - c * math.sqrt(_radicand(theta, x))
-    return (theta / p) ** 2 * bracket
+    p3, u3, sr, rad = _curve_terms(theta, x)
+    # theta is divided out last, so that nothing underflows
+    bracket = (
+        p3 * x
+        + 2.0 * theta * sr * u3
+        - 2.0 * sr * sr * math.sqrt(theta) * math.sqrt(rad)
+    )
+    return bracket / (p3 * p3) / theta
 
 
-def _radicand(t: float, x: float) -> float:
-    """2*(t - sin t)*x + 2*(1 - cos t) - t^2 for 0 < t < 2*pi, clamped at
-    tiny negatives: the level curve t has a point with abscissa x where it
-    is nonnegative."""
-    p = theta_minus_sin(t)
-    w = two_sin_half_minus_theta(t)
-    r = 2.0 * p * x + w * (2.0 * math.sin(0.5 * t) + t)
-    if not r >= 0.0:
-        if r > -1e-12 * max(1.0, abs(x)):
-            return 0.0
-        raise DomainError(
-            f"x={x!r} lies left of the curve start psi({t!r})={psi(t)!r}"
-        )
-    return r
+def _scaled_terms(t: float) -> tuple[float, float, float, float]:
+    """(p3, u3, w3, sr) for 0 < t < 2*pi: the level curve's theta^3-scale
+    factors divided by t^3, p3 = (t - sin t)/t^3,
+    u3 = (2 sin(t/2) - t cos(t/2))/t^3 and w3 = (2 sin(t/2) - t)/t^3, and
+    sr = sin(t/2)/t.  None of them underflows: below SMALL_ANGLE they come
+    from the series, above it from the direct forms."""
+    if t < SMALL_ANGLE:
+        t2 = t * t
+        return _p_r3(t2), _u_r3(t2), _w_r3(t2), _sin_half_r(t2)
+    sh = math.sin(0.5 * t)
+    t3 = t * t * t
+    return (
+        (t - math.sin(t)) / t3,
+        (2.0 * sh - t * math.cos(0.5 * t)) / t3,
+        (2.0 * sh - t) / t3,
+        sh / t,
+    )
+
+
+def _curve_terms(t: float, x: float) -> tuple[float, float, float, float]:
+    """(p3, u3, sr, rad) of the level curve t at abscissa x, with
+    rad = 2*p3*x + t*w3*(1 + 2*sr) the curve's radicand divided by t^3;
+    DomainError unless 0 < t < 2*pi.
+
+    The curve has a point with abscissa x where rad >= 0.  The second term
+    is negative; a negative rad within 1e-12 times that term is rounding in
+    the difference and reads 0, and below that x is off the curve
+    (DomainError)."""
+    _check_angle_open(t)
+    p3, u3, w3, sr = _scaled_terms(t)
+    tail = t * w3 * (1.0 + 2.0 * sr)
+    rad = 2.0 * p3 * x + tail
+    if not rad >= 0.0:
+        if not rad >= 1e-12 * tail:
+            raise DomainError(
+                f"no point with abscissa {x!r} on the level curve theta={t!r}"
+            )
+        rad = 0.0
+    return p3, u3, sr, rad
 
 
 def coef_A(theta: float) -> float:
@@ -379,10 +367,10 @@ def x_crit(theta: float) -> float:
 
 
 def xi(delta: float) -> float:
-    """delta^2/(delta - sin delta); strictly decreasing on (0, pi] and
-    strictly increasing on [pi, 2*pi)."""
+    """delta^2/(delta - sin delta), ~6/delta near 0 (inf below ~3e-308);
+    strictly decreasing on (0, pi] and strictly increasing on [pi, 2*pi)."""
     _check_angle_open(delta, "delta")
-    return delta * delta / theta_minus_sin(delta)
+    return 1.0 / _scaled_terms(delta)[0] / delta
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +459,28 @@ def s_plus(beta: float, gamma: float, theta: float) -> float:
     the numerator.  May be negative: the intersection then lies off the
     physical branch and the caller must reject it.
     """
-    _check_two_roots(beta, gamma, theta)
-    return _s_plus_raw(beta, gamma, theta)
+    return _public_root(_s_plus_raw, beta, gamma, theta)
 
 
 def s_minus(beta: float, gamma: float, theta: float) -> float:
     """Larger-v intersection root sqrt(v); defined only when
     1 - gamma*B(theta) != 0."""
+    return _public_root(_s_minus_raw, beta, gamma, theta)
+
+
+def _public_root(
+    raw: Callable[[float, float, float], float], beta: float, gamma: float, theta: float
+) -> float:
+    """raw(beta, gamma, theta) once the line meets the curve; DomainError
+    where it comes out NaN, where beta*B or gamma*B overflows (huge line
+    parameters at tiny theta).  The line scan calls the raw roots."""
     _check_two_roots(beta, gamma, theta)
-    return _s_minus_raw(beta, gamma, theta)
+    s = raw(beta, gamma, theta)
+    if math.isnan(s):
+        raise DomainError(
+            f"line ({beta!r}, {gamma!r}) has no representable root at theta={theta!r}"
+        )
+    return s
 
 
 def s_tangent(beta: float, theta: float) -> float:
@@ -492,7 +493,10 @@ def s_tangent(beta: float, theta: float) -> float:
     a = coef_A(theta)
     if a == 0.0:
         raise DomainError("A(theta) = 0: tangent root undefined")
-    return (1.0 - beta * coef_B(theta)) / (2.0 * a)
+    s = (1.0 - beta * coef_B(theta)) / (2.0 * a)
+    if math.isnan(s):  # beta = 0 and B(theta) overflows
+        raise DomainError(f"B({theta!r}) overflows: no representable root")
+    return s
 
 
 def _half_sq_from_root(theta: float, s: float) -> float:

@@ -11,6 +11,10 @@ across x = 0.  The nearest point of the curve to the base point (0, 1) is
 and those nearest points sweep out a decreasing concave curve from (0, 1)
 to (pi/2, 0) as theta runs over [0, pi].
 
+The curve and its derivatives hold for every theta in (0, 2*pi), from
+corefuncs' theta^3-scaled terms; a value beyond the double range (the
+slope ~ 3/theta, the curvature ~ 1/theta^2 near the curve start) is inf.
+
 This module also hosts the inverse index maps (psi, eta, eta_alpha, zeta,
 x_crit are all strictly monotone) that the line-distance reductions use to
 build their minimization intervals.
@@ -50,17 +54,14 @@ class LevelCurveSample:
 def curve_v(theta: float, x: float) -> float:
     """Ordinate of the level-curve point with abscissa x (x >= psi(|theta|)).
 
-    Squares the nonnegative root (sqrt(N) - u)/(theta - sin theta).
+    Squares the nonnegative root (sin(t/2)*sqrt(radicand) - u)/(t - sin t),
+    with every t^3-scale term divided by t^3.
     """
     if theta == 0.0:
         raise DomainError("theta = 0 indexes the vertical axis, not a graph")
     t = abs(theta)
-    cf._check_angle_open(t)
-    r = cf._radicand(t, x)
-    p = cf.theta_minus_sin(t)
-    u = cf.two_sin_half_minus_cos_weighted(t)
-    sh = math.sin(0.5 * t)
-    s = (sh * math.sqrt(r) - u) / p
+    p3, u3, sr, rad = cf._curve_terms(t, x)
+    s = (sr * math.sqrt(rad / t) - u3) / p3
     if s < 0.0:  # only by rounding at the curve start
         s = 0.0
     return s * s
@@ -69,35 +70,29 @@ def curve_v(theta: float, x: float) -> float:
 def curve_slope(theta: float, x: float) -> float:
     """dv/dx of the level curve; 0 one-sidedly at the curve start and
     strictly positive beyond it."""
-    cf._check_angle_open(theta)
-    r = cf._radicand(theta, x)
-    p = cf.theta_minus_sin(theta)
-    u = cf.two_sin_half_minus_cos_weighted(theta)
-    sh = math.sin(0.5 * theta)
-    root_n = sh * math.sqrt(r)  # sqrt of N = sin(t/2)^2 * radicand
+    p3, u3, sr, rad = cf._curve_terms(theta, x)
+    # sqrt(N)/t^3, N = sin(t/2)^2 * radicand
+    root_n = sr * math.sqrt(rad / theta)
     if root_n <= 0.0:
         # N = u^2 > 0 in-domain; reachable only if the radicand was clamped
         return 0.0
-    return 2.0 * sh * sh / p * (1.0 - u / root_n)
+    return 2.0 * sr * sr / p3 * (1.0 - u3 / root_n) / theta
 
 
 def curve_curvature(theta: float, x: float) -> float:
     """d2v/dx2 of the level curve; strictly positive on [psi(theta), inf).
 
-    Finite everywhere in-domain, including the curve start, where
+    Finite wherever it fits a double, including the curve start, where
     N = u(theta)^2 > 0.
     """
-    cf._check_angle_open(theta)
-    r = cf._radicand(theta, x)
-    u = cf.two_sin_half_minus_cos_weighted(theta)
-    sh = math.sin(0.5 * theta)
-    n = sh * sh * r  # N
-    if n <= 0.0:
+    p3, u3, sr, rad = cf._curve_terms(theta, x)
+    if rad <= 0.0:
         raise DomainError(
             f"curvature undefined where the radicand vanishes (x={x!r})"
         )
-    c = 2.0 * sh * sh
-    return u * c * c / (2.0 * n ** 1.5)
+    # 2*u3*sr/(theta^2*(rad/theta)^1.5), divided in steps that overflow
+    # to inf rather than forming theta^2 (which underflows)
+    return 2.0 * u3 * sr / math.sqrt(theta) / math.sqrt(rad) / rad
 
 
 def sample_curve(theta: float, x_max: float, samples: int) -> list[LevelCurveSample]:

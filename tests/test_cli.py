@@ -192,6 +192,19 @@ class TestLevelsetEmit:
         doc = json.loads(out)
         assert len(doc["outputs"]["rows"]) == 5
 
+    def test_tiny_angle(self, capsys):
+        # the curve's theta^3-scale terms underflow here unless scaled
+        code, out = run_cli(
+            capsys, "--quiet-meta", "levelset", "emit", "--theta", "1e-150",
+            "--x-max", "1", "--samples", "3",
+        )
+        assert code == 0
+        rows = json.loads(out)["outputs"]["rows"]
+        assert len(rows) == 3
+        assert all(math.isfinite(r[k]) for r in rows for k in ("x", "v", "slope"))
+        assert rows[-1]["x"] == 1.0
+        assert rows[-1]["v"] == pytest.approx(hd.curve_v(1e-150, 1.0), rel=1e-12)
+
 
 class TestSmileCommand:
     def test_csv_schema(self, capsys):

@@ -404,7 +404,7 @@ def two_argument_f_of(v, delta):
         return delta * num / (2.0 * sr * sr)
     sh = math.sin(0.5 * delta)
     q4 = math.sin(0.25 * delta)
-    num = (s - 1.0) ** 2 * cf.theta_minus_sin(delta) + 4.0 * s * q4 * q4 * (
+    num = (s - 1.0) ** 2 * (delta - math.sin(delta)) + 4.0 * s * q4 * q4 * (
         delta + 2.0 * sh
     )
     return num / (2.0 * sh * sh)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hestondist as hd
 from hestondist import DomainError
-from hestondist import corefuncs as cf
 
 PI = math.pi
 BASE = (0.0, 1.0)
@@ -15,10 +16,10 @@ def curve_v_split(theta, x):
     """curve_v by the equal-value decomposition v1 - v2 (affine minus
     root-of-affine), which subtracts two positive quantities."""
     t = abs(theta)
-    r = cf._radicand(t, x)
-    p = cf.theta_minus_sin(t)
-    u = cf.two_sin_half_minus_cos_weighted(t)
     sh = math.sin(0.5 * t)
+    p = t - math.sin(t)
+    u = 2.0 * sh - t * math.cos(0.5 * t)
+    r = 2.0 * p * x + (2.0 * sh - t) * (2.0 * sh + t)
     v1 = 2.0 * sh * sh / p * x + 2.0 * u * u / (p * p) - 1.0
     v2 = 2.0 * sh * u / (p * p) * math.sqrt(r)
     return v1 - v2
@@ -242,3 +243,65 @@ class TestSampling:
         neg = hd.sample_curve(-1.2, 4.0, 10)
         for p, n in zip(pos, neg):
             assert n.x == -p.x and n.v == p.v and n.slope == -p.slope
+
+
+# theta over the whole of (0, 2*pi), down to the smallest subnormal, and x
+# from the curve start to the top of the double range: a draw from the
+# full float range, or log-uniform, so that every decade is reached
+tiny_to_two_pi = st.one_of(
+    st.floats(min_value=5e-324, max_value=2.0 * PI, exclude_max=True),
+    st.floats(min_value=-323.3, max_value=0.798).map(lambda e: 10.0**e),
+)
+
+
+@st.composite
+def curve_points(draw):
+    t = draw(tiny_to_two_pi)
+    x0 = hd.psi(t)
+    x = draw(st.one_of(
+        st.floats(min_value=x0, max_value=1.7e308),
+        st.floats(min_value=-3.0, max_value=308.0).map(
+            lambda e: min(x0 * (1.0 + 10.0**e), 1.7e308)
+        ),
+    ))
+    return t, x
+
+
+class TestWholeRange:
+    """Every level-curve function returns a float that is not NaN, or
+    raises a typed error, over theta in [5e-324, 2*pi) and x from psi(theta)
+    to 1.7e308.  A value beyond the double range is inf (never an
+    exception); the nonnegative quantities stay nonnegative."""
+
+    @staticmethod
+    def _value(fn, *args):
+        try:
+            out = fn(*args)
+        except hd.HestonDistError:
+            return None
+        assert isinstance(out, float) and not math.isnan(out), (fn.__name__, args, out)
+        return out
+
+    @settings(max_examples=400, deadline=None)
+    @given(curve_points())
+    def test_no_nan(self, point):
+        t, x = point
+        for fn in (hd.curve_v, hd.curve_curvature):
+            value = self._value(fn, t, x)
+            assert value is None or value >= 0.0
+        self._value(hd.curve_slope, t, x)
+        self._value(hd.lambda_big, x, t)
+        assert self._value(hd.xi, t) > 0.0
+        try:
+            rows = hd.sample_curve(t, x, 3)
+        except hd.HestonDistError:
+            return
+        for row in rows:
+            assert not any(map(math.isnan, (row.x, row.v, row.slope, row.curvature)))
+
+    def test_beyond_the_double_range_is_inf(self):
+        assert hd.lambda_big(1.7e308, 4.07) == math.inf
+        assert hd.xi(1e-308) == math.inf
+        assert hd.curve_slope(5e-324, 1.0) == math.inf
+        assert hd.curve_curvature(1e-160, hd.psi(1e-160)) == math.inf
+        assert hd.curve_v(1e-300, 1e10) == math.inf

@@ -1,5 +1,6 @@
-"""A NaN argument, an infinite vol-of-vol, or a non-finite coordinate of a
-point raises DomainError instead of returning NaN or a number."""
+"""A NaN argument, an infinite vol-of-vol, a non-finite coordinate of a
+point, or finite arguments whose result would be NaN raise DomainError
+instead of returning NaN or a number."""
 
 import math
 
@@ -60,6 +61,25 @@ CASES = [
 )
 def test_nan_argument_raises_domain_error(fn, position, args):
     with pytest.raises(hd.DomainError):
+        fn(*args)
+
+
+# Finite line parameters so large, at angles so small, that beta*B or
+# gamma*B overflows: the public roots came out NaN (inf/inf, 0*inf).
+NAN_RESULTS = [
+    (hd.s_plus, (1.28e189, 1e-308, 6.79e-285)),
+    (hd.s_minus, (-5e-324, 7.93e209, 1.95e-205)),
+    (hd.s_tangent, (0.0, 1e-308)),
+    (hd.lambda_plus, (3.12e300, -1.59e76, 6.46e-60)),
+    (hd.lambda_minus, (2.47e281, -1.7e308, 7.01e-97)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args", NAN_RESULTS, ids=[f"{fn.__name__}-{args}" for fn, args in NAN_RESULTS]
+)
+def test_nan_result_raises_domain_error(fn, args):
+    with pytest.raises(hd.DomainError, match="no representable root"):
         fn(*args)
 
 
