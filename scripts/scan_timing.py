@@ -23,7 +23,6 @@ rows and nodes built here, so it may be an older tree.
 from __future__ import annotations
 
 import argparse
-import importlib
 import importlib.util
 import sys
 import time
@@ -39,8 +38,7 @@ import workloads  # noqa: E402
 
 
 def load_tree(src: Path):
-    """The linedist module of the package under src/hestondist, imported
-    as the package hestondist_against."""
+    """The package under src/hestondist, imported as hestondist_against."""
     init = src / "hestondist" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
         "hestondist_against", init, submodule_search_locations=[str(init.parent)]
@@ -48,7 +46,7 @@ def load_tree(src: Path):
     package = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = package
     spec.loader.exec_module(package)
-    return importlib.import_module("hestondist_against.linedist")
+    return package
 
 
 def block(rows: list) -> tuple[list, np.ndarray]:
@@ -63,13 +61,15 @@ def block(rows: list) -> tuple[list, np.ndarray]:
 
 def mean_us(fns: list, calls: list, passes: int, errors: tuple) -> list[float]:
     """The mean time of one call of each fn on the calls' arguments, in us;
-    the fns take turns on every call, and a call that raises one of errors
-    is timed as well."""
+    the fns take turns on every call, in reverse order on every other call
+    (the fn called first on an argument runs about 5% slower), and a call
+    that raises one of errors is timed as well."""
     total = [0.0] * len(fns)
     clock = time.perf_counter
+    turns = [list(enumerate(fns)), list(enumerate(fns))[::-1]]
     for _ in range(passes):
-        for args in calls:
-            for k, fn in enumerate(fns):
+        for i, args in enumerate(calls):
+            for k, fn in turns[i % 2]:
                 start = clock()
                 try:
                     fn(*args)
@@ -97,7 +97,7 @@ def main() -> int:
     kernels, solvers = [ld._scan_block], [ld.dist_to_line]
     errors: tuple = (hd.HestonDistError,)
     if args.against:
-        other = load_tree(args.against)
+        other = load_tree(args.against).linedist
         kernels.append(other._scan_block)
         solvers.append(other.dist_to_line)
         errors += (other.HestonDistError,)

@@ -142,34 +142,50 @@ def f_of(v: float, delta: float) -> float:
 
     a sum of two nonnegative terms for d > 0.
     """
-    return _f_of_fn(v)(delta)
+    return _f_of_fn(v)(delta)[0]
 
 
-def _f_of_fn(v: float) -> Callable[[float], float]:
-    """f_of(v, .) as a one-frame function of delta, the arc-index objective:
-    v is checked, and (sqrt(v) - 1)^2 and 4*sqrt(v) computed, once."""
+def _f_of_fn(v: float) -> Callable[[float], tuple[float, float]]:
+    """(f_of(v, delta), its slope in delta) as a one-frame function of
+    delta, the arc-index objective: v is checked, and (sqrt(v) - 1)^2 and
+    4*sqrt(v) computed, once.
+
+    Above SMALL_ANGLE the slope is exact and reuses f's sines:
+    s1 + (s4*(sh*(d + 2 sh)/4 + 2 q4^2 (1 - q4^2)) - f*sin d)/(2 sh^2)
+    with sh = sin(d/2), q4 = sin(d/4), s1 = (sqrt(v) - 1)^2 and
+    s4 = 4 sqrt(v).  Below it the slope is f/delta, which is within
+    O(delta^2) relative of the derivative (f is odd), close enough for a
+    safeguarded Newton step.  An f beyond the double range is inf; its
+    slope is then inf or nan."""
     if not v >= 0.0:
         raise DomainError(f"v must be nonnegative, got {v!r}")
     s = math.sqrt(v)
     s1, s4 = (s - 1.0) ** 2, 4.0 * s
+    sin = math.sin
 
-    def f_v(delta: float) -> float:
+    def f_v(delta: float) -> tuple[float, float]:
         if SMALL_ANGLE <= delta < TWO_PI:
-            sh = math.sin(0.5 * delta)
-            q4 = math.sin(0.25 * delta)
-            num = s1 * (delta - math.sin(delta)) + s4 * q4 * q4 * (delta + 2.0 * sh)
-            return num / (2.0 * sh * sh)
+            sh = sin(0.5 * delta)
+            q4 = sin(0.25 * delta)
+            sd = sin(delta)
+            t = delta + 2.0 * sh
+            den = 2.0 * sh * sh
+            f = (s1 * (delta - sd) + s4 * q4 * q4 * t) / den
+            q2 = q4 * q4
+            return f, s1 + (s4 * (0.25 * sh * t + 2.0 * q2 * (1.0 - q2)) - f * sd) / den
         if 0.0 < delta < SMALL_ANGLE:
             t2 = delta * delta
             sr = _sin_half_r(t2)
             qr = _sin_quarter_r(t2)
             num = s1 * _p_r3(t2) + s4 * qr * qr * (1.0 + 2.0 * sr)
-            return delta * num / (2.0 * sr * sr)
+            f = delta * num / (2.0 * sr * sr)
+            return f, f / delta
         _check_angle_sym(delta, "delta")
         if delta == 0.0:
-            return 0.0
+            return 0.0, (v + s + 1.0) / 3.0
         # via the factory: a self-calling closure is a cycle for the collector
-        return -_f_of_fn(v)(-delta)
+        f, slope = _f_of_fn(v)(-delta)
+        return -f, slope
 
     return f_v
 

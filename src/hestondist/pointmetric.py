@@ -34,9 +34,10 @@ import numpy as np
 
 from . import corefuncs as cf
 from .errors import BoundaryPairError, DomainError
-from .solvers import arc_index_tol, invert_to_two_pi
+from .solvers import arc_index_tol, newton_to_two_pi
 
-# the lower end of the arc-index bracket is h_lower clipped to these
+# h_lower, the floor of the arc-index solve's start and the base of its
+# stop width, is clipped to these
 _LO_MIN = 5e-324
 _LO_MAX = cf.TWO_PI * (1.0 - 1e-16)
 
@@ -104,13 +105,18 @@ def delta_of(x: float, v: float) -> float:
     """Arc index of the point (x, v) relative to the base point (0, 1):
     the unique delta in (-2*pi, 2*pi) with f_of(v, delta) = x.
 
-    sign(delta) = sign(x).  The root bracket starts at the certified lower
-    bound h_lower and is tightened toward 2*pi from the right by geometric
-    halving (solvers.invert_to_two_pi); the solve stops at
-    solvers.arc_index_tol of that lower end, so small indices are solved to
-    relative precision.  One closure, corefuncs._f_of_fn(v), is f_of(v, .)
-    for the lower end, the back-off, the march and the solve.  A
-    non-finite coordinate raises DomainError.
+    sign(delta) = sign(x); a nonzero x whose index lies below the smallest
+    subnormal gives that subnormal, +-5e-324, and an index beyond the
+    largest double below 2*pi gives that double.  One Newton-bisection
+    solve (solvers.newton_to_two_pi) on corefuncs._f_of_fn(v), which gives
+    f_of(v, .) and its slope together.  It starts from the asymptotic
+    inverse, clipped below to the certified lower bound h_lower: with c1
+    and c3 the first two Taylor coefficients of f_of(v, .) and y = x/c1,
+    y/(1 + (c3/c1)*y^2) for a small index, and
+    2*pi - 2*(sqrt(v) + 1)*sqrt(pi/x) near 2*pi (y > pi).  It stops at
+    solvers.arc_index_tol of h_lower plus 4 ulp, so small indices are
+    solved to relative precision.
+    A non-finite coordinate raises DomainError.
     """
     if not v >= 0.0:
         raise DomainError(f"v must be nonnegative, got {v!r}")
@@ -118,16 +124,22 @@ def delta_of(x: float, v: float) -> float:
         raise DomainError(f"coordinates must be finite, got x={x!r}, v={v!r}")
     if x == 0.0:
         return 0.0
-    sign = 1.0 if x > 0.0 else -1.0
     xa = abs(x)
     lo = min(max(cf.h_lower(xa, v), _LO_MIN), _LO_MAX)
-    f = cf._f_of_fn(v)
-    f_lo = f(lo)
-    if f_lo > xa:
-        # the certified bound can only fail by rounding; back off
-        lo *= 0.5
-        f_lo = f(lo)
-    return sign * invert_to_two_pi(f, xa, lo, tol=arc_index_tol(lo), fn_lo=f_lo)
+    # f_of(v, d) = c1*d + c3*d^3 + ... near 0, with c1 = (v + sqrt(v) + 1)/3
+    # and c3 = (sqrt(v) - 1)^2/90 + sqrt(v)/24, and about
+    # 4*pi*(sqrt(v) + 1)^2/(2*pi - d)^2 near 2*pi
+    s = math.sqrt(v)
+    q = (s - 1.0) ** 2
+    c1 = q / 3.0 + s
+    y = xa / c1
+    if y > math.pi:
+        start = cf.TWO_PI - 2.0 * (s + 1.0) * math.sqrt(math.pi / xa)
+    else:
+        start = y / (1.0 + (q / 90.0 + s / 24.0) / c1 * y * y)
+    return math.copysign(
+        newton_to_two_pi(cf._f_of_fn(v), xa, max(start, lo), arc_index_tol(lo)), x
+    )
 
 
 def _dist_base(x: float, v: float) -> float:

@@ -10,18 +10,19 @@ tangency window can be 6e-13 wide at theta ~ 2e-4 and still hold a
 minimum well below its lower end's value.  A zero-width interval scans
 257 copies of lo, and the refine returns lo with 0 iterations.
 ``invert_to_two_pi`` inverts an increasing function of an angle in
-(0, 2*pi) (the arc index and the psi and eta maps): it grows the root
-bracket toward 2*pi, saturates one ulp below 2*pi when the target is out of
-reach, and otherwise solves to ``INDEX_TOL`` (the psi and eta maps) or to
-``arc_index_tol`` of the bracket's lower end (the arc index, whose small
-values need a relative stop).
+(0, 2*pi) for the psi and eta maps: it grows the root bracket toward 2*pi,
+saturates one ulp below 2*pi when the target is out of reach, and
+otherwise solves to ``INDEX_TOL``.  The arc index has a slope at hand, and
+``newton_to_two_pi`` inverts it by Newton steps inside a bracket that every
+value tightens, to ``arc_index_tol`` of its certified lower bound (small
+indices need a relative stop).
 
-The root solve is a pure-Python port of SciPy's ``brentq.c``: it visits the
-same iterates and reports the same iteration count as
+Every other root solve is a pure-Python port of SciPy's ``brentq.c``: it
+visits the same iterates and reports the same iteration count as
 ``scipy.optimize.brentq``, but evaluates the function once per iteration
 (n + 1 calls for n iterations, endpoints included), never re-evaluating the
 endpoints or the root.  The package has no SciPy dependency.  The
-library's root solves run ``_solve``, ``solve_monotone`` without its
+library's Brent solves run ``_solve``, ``solve_monotone`` without its
 report, on the caller's one-frame objective; ``_brent`` subtracts the target.
 
 ``minimize_on_interval`` scans by calling ``fn`` on each node; its
@@ -64,9 +65,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 ROOT_TOL = 1e-12
 INDEX_TOL = 1e-13  # absolute tolerance of the line-map inversions
-# Smallest stop width of the arc-index solve: about 20 subnormal ulps.  At
-# 5e-324 Brent's half-width (xtol + rtol*|x|)/2 rounds to 0 on a subnormal
-# root, and the solve could never stop.
+# Smallest stop width of the arc-index solve: about 20 subnormal ulps.  On
+# a subnormal lower bound INDEX_TOL*lo rounds to 0, and so does 4 ulp of a
+# subnormal root: a solve with no width could never stop.
 _TOL_FLOOR = 1e-322
 _RTOL = 4.0 * math.ulp(1.0)  # brentq's smallest admissible rtol
 MIN_TOL = 1e-9
@@ -278,28 +279,22 @@ def _golden(
 
 
 def invert_to_two_pi(
-    fn: Callable[[float], float],
-    target: float,
-    lo: float,
-    *,
-    tol: float = INDEX_TOL,
-    fn_lo: float | None = None,
+    fn: Callable[[float], float], target: float, lo: float
 ) -> float:
     """The angle in (lo, 2*pi) where an increasing fn reaches target, given
     fn(lo) <= target.
 
     Marches from lo toward 2*pi, halving the gap, until fn reaches target,
-    then solves on [lo, hi] to ``tol``, handing the march's last value
-    fn(hi), and ``fn_lo`` = fn(lo) where the caller has it, to the solve.
-    Returns the largest double below 2*pi when the target is out of reach
-    at double resolution; the gap shrinks to one ulp of 2*pi within about
-    54 halvings, so the step budget is never exhausted."""
-    cap = math.nextafter(math.tau, 0.0)  # math.tau == corefuncs.TWO_PI
+    then solves on [lo, hi] to ``INDEX_TOL``, handing the march's last value
+    fn(hi) to the solve.  Returns the largest double below 2*pi when the
+    target is out of reach at double resolution; the gap shrinks to one ulp
+    of 2*pi within about 54 halvings, so the step budget is never
+    exhausted."""
     hi = lo
     for _ in range(_GROW_STEPS):
         nxt = math.tau - 0.5 * (math.tau - hi)
-        if nxt >= cap or nxt <= hi:
-            hi = cap
+        if nxt >= _CAP or nxt <= hi:
+            hi = _CAP
             f_hi = fn(hi)
             break
         hi = nxt
@@ -310,7 +305,85 @@ def invert_to_two_pi(
         raise ConvergenceError(f"target {target!r} not reached below 2*pi")
     if f_hi < target:
         return hi  # saturated one ulp below 2*pi
-    return _solve(fn, lo, hi, target, tol, 200, fn_lo, f_hi)[0]
+    return _solve(fn, lo, hi, target, INDEX_TOL, 200, None, f_hi)[0]
+
+
+# the largest double below 2*pi (math.tau == corefuncs.TWO_PI)
+_CAP = math.nextafter(math.tau, 0.0)
+_INF = math.inf
+_NAN = math.nan
+
+
+def newton_to_two_pi(
+    fn: Callable[[float], tuple[float, float]],
+    target: float,
+    start: float,
+    tol: float,
+) -> float:
+    """The angle in (0, 2*pi) where an increasing fn reaches target > 0,
+    by Newton steps from ``start`` (clipped to the largest double below
+    2*pi) inside a bracket that every value tightens; fn returns (value,
+    slope) and ``tol`` is positive.
+
+    The bracket starts as [0, 2*pi) (fn(0) = 0 < target) and each value
+    moves one end: a value below target the lower, any other, an
+    overflowed inf included, the upper.  A Newton step below half the stop
+    width, or above half the step before last (the test of rtsafe in
+    Numerical Recipes: the iteration has stopped converging quadratically,
+    as rounding noise in fn makes it do next to the root), probes past the
+    Newton root instead: by half a stop width the first time, which closes
+    the bracket as Brent's smallest step does, and twice as far each time
+    after, which gets past a stretch where rounding makes fn flat or
+    backward.  A step that leaves the bracket, or that a slope which is not
+    positive and finite cannot take, is a bisection: at the geometric mean
+    of the ends where they are more than a factor 4 apart, so that a root
+    many decades below the upper end is reached in a few steps, else at
+    their midpoint.  The solve stops once the bracket is no wider than
+    ``tol`` + 4 ulp of the iterate (ends that are adjacent doubles always
+    are) and returns the secant point of its ends.  Returns the largest
+    double below 2*pi when fn stays below target there, and the smallest
+    subnormal, never 0, when the root lies below it.  No angle is
+    evaluated twice."""
+    lo, hi = 0.0, _CAP
+    r_lo = r_hi = _INF  # |fn - target| at the ends; inf: never taken
+    top = False  # whether fn(hi) is known
+    reach = 0.5  # of the stop width: how far past its root a probe lands
+    last = prior = _CAP  # the lengths of the last two steps
+    d = start if start < _CAP else _CAP
+    for _ in range(_GROW_STEPS):
+        f, slope = fn(d)
+        r = f - target
+        if r < 0.0:
+            lo, r_lo = d, -r
+            if lo == _CAP:
+                return lo  # saturated one ulp below 2*pi
+        elif r == 0.0:
+            return d
+        else:
+            hi, r_hi, top = d, r, True
+        width = tol + _RTOL * d
+        if hi - lo <= width:
+            # an inf residual (the lower end 0, an upper end never
+            # evaluated or overflowed) gives the other end
+            return lo + (hi - lo) / (1.0 + r_hi / r_lo)
+        nxt = _NAN
+        if 0.0 < slope < _INF:
+            step = -r / slope
+            if -0.5 * width < step < 0.5 * width or abs(step + step) > prior:
+                probe = reach * width
+                step = step + probe if step > 0.0 else step - probe
+                reach += reach
+            nxt = d + step
+            if nxt >= hi and not top:
+                nxt = hi  # the target may lie beyond the top end
+        if not (lo < nxt < hi or nxt == hi and not top):
+            if 0.0 < 4.0 * lo < hi:  # bisect in the exponent
+                nxt = math.sqrt(lo) * math.sqrt(hi)
+            else:
+                nxt = lo + 0.5 * (hi - lo)
+        prior, last = last, abs(nxt - d)
+        d = nxt
+    raise ConvergenceError(f"target {target!r}: no root in {_GROW_STEPS} steps")
 
 
 def arc_index_tol(lo: float) -> float:
@@ -318,7 +391,8 @@ def arc_index_tol(lo: float) -> float:
     INDEX_TOL scaled down by lo below 1, so that a small index is solved
     to relative rather than absolute precision, and floored at
     _TOL_FLOOR."""
-    return max(INDEX_TOL * min(lo, 1.0), _TOL_FLOOR)
+    tol = INDEX_TOL * lo if lo < 1.0 else INDEX_TOL
+    return tol if tol > _TOL_FLOOR else _TOL_FLOOR
 
 
 def _check_interval(lo: float, hi: float, tol: float) -> None:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 import hestondist as hd
 from hestondist import cli
 from hestondist import linedist as ld
+from hestondist import solvers
 
 # angles safely inside (0, 2*pi): the formulas blow up toward both ends
 angles_open = st.floats(min_value=1e-3, max_value=2.0 * math.pi - 1e-3,
@@ -100,3 +102,26 @@ def oracle_sweep_lines():
     far = [(10.0, -0.5), (8.0, -0.2), (40.0, -2.0),
            (5.0, 0.05), (30.0, -1.0), (50.0, -1.0)]
     return grid + far
+
+
+# ---------------------------------------------------------------------------
+# arc-index references
+# ---------------------------------------------------------------------------
+
+
+def index_references() -> dict[tuple[float, float], float]:
+    """{(x, v): delta} from index_references.txt, the 50-digit roots of
+    f_of(v, delta) = x that scripts/index_references.py records."""
+    path = Path(__file__).with_name("index_references.txt")
+    with path.open() as fh:
+        rows = [line.split() for line in fh if not line.startswith("#")]
+    return {
+        (float.fromhex(x), float.fromhex(v)): float.fromhex(d) for x, v, d in rows
+    }
+
+
+def arc_index_width(x: float, v: float, delta: float) -> float:
+    """The stop width of delta_of(x, v) at its answer delta: arc_index_tol
+    of the clipped certified lower bound, plus 4 ulp of delta."""
+    lo = min(max(hd.h_lower(abs(x), v), 5e-324), hd.TWO_PI * (1.0 - 1e-16))
+    return solvers.arc_index_tol(lo) + 4.0 * math.ulp(1.0) * abs(delta)

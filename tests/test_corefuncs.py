@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import sys
@@ -410,6 +411,19 @@ def two_argument_f_of(v, delta):
     return num / (2.0 * sh * sh)
 
 
+def complex_step_slope(v, delta):
+    """d f_of(v, delta)/d delta by a complex step of 1e-20*delta on the
+    direct form of f_of.  The step takes no difference of function values;
+    its imaginary part of d - sin d is h*(1 - cos d), which cancels as
+    f_of's own d - sin d does."""
+    h = 1e-20 * delta
+    t = complex(delta, h)
+    s = math.sqrt(v)
+    sh, q4 = cmath.sin(0.5 * t), cmath.sin(0.25 * t)
+    num = (s - 1.0) ** 2 * (t - cmath.sin(t)) + 4.0 * s * q4 * q4 * (t + 2.0 * sh)
+    return (num / (2.0 * sh * sh)).imag / h
+
+
 def two_argument_eta_alpha(alpha, theta):
     if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
@@ -486,7 +500,31 @@ class TestOneFrameObjectives:
     def test_f_of(self, v, delta):
         want = outcome(two_argument_f_of, v, delta)
         assert outcome(hd.f_of, v, delta) == want
-        assert outcome(lambda: cf._f_of_fn(v)(delta)) == want
+        assert outcome(lambda: cf._f_of_fn(v)(delta)[0]) == want
+
+    @given(
+        st.one_of(st.sampled_from((0.0, 1.0)), log_uniform(-6.0, 6.0)),
+        st.one_of(
+            st.floats(min_value=1e-300, max_value=cf.SMALL_ANGLE),
+            st.floats(min_value=cf.SMALL_ANGLE, max_value=2 * PI - 1e-6),
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_f_of_slope(self, v, delta, negative):
+        # above SMALL_ANGLE the closure's slope is the derivative; both it
+        # and the complex step carry f_of's cancellation (d - sin d) just
+        # above the switch, ~7e-12 relative against mpmath.  Below it the
+        # slope is f/delta, within O(delta^2) of the derivative.
+        assert cf._f_of_fn(v)(0.0) == (0.0, (v + math.sqrt(v) + 1.0) / 3.0)
+        f, slope = cf._f_of_fn(v)(-delta if negative else delta)
+        assert f == (-1.0 if negative else 1.0) * hd.f_of(v, delta)
+        if delta >= cf.SMALL_ANGLE:
+            assert slope == pytest.approx(complex_step_slope(v, delta), rel=5e-11)
+            return
+        assert slope == hd.f_of(v, delta) / delta
+        if delta > 1e-6:  # below, the complex step of d - sin d cancels
+            assert slope == pytest.approx(complex_step_slope(v, delta), rel=1e-4)
 
     @given(
         st.one_of(

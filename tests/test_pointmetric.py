@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 import hestondist as hd
 from hestondist import BoundaryPairError, DomainError
 
-from conftest import abscissas, positive_variances, variances
+from conftest import (
+    abscissas,
+    arc_index_width,
+    index_references,
+    positive_variances,
+    variances,
+)
+
+INDEX_REFERENCES = index_references()
 
 PI = math.pi
 BASE = (0.0, 1.0)
@@ -49,9 +57,28 @@ class TestDeltaOf:
             )
 
     def test_subnormal_index(self):
-        # a stop width of 5e-324 would halve to 0 and never stop
-        assert hd.delta_of(5e-324, 0.0) > 0.0
+        # the stop width is floored: INDEX_TOL times a subnormal lower bound
+        # rounds to 0, and a solve with no width could never stop.  A
+        # nonzero x keeps its sign, and an index below the smallest
+        # subnormal is that subnormal.  At these indices f_of(v, delta) is
+        # delta*(v + sqrt(v) + 1)/3 to all digits; the root is formed
+        # scaled up, so that it is rounded once.
         assert hd.dist(BASE, (5e-324, 0.0)) == 2.0
+        for v in (0.0, 0.5, 2.0, 1e6):
+            slope = (v + math.sqrt(v) + 1.0) / 3.0
+            for x in (5e-324, 1e-320, 1e-310):
+                want = max(x * 2.0**200 / slope * 2.0**-200, 5e-324)
+                for sign in (1.0, -1.0):
+                    delta = hd.delta_of(sign * x, v)
+                    assert delta != 0.0 and math.copysign(1.0, delta) == sign
+                    assert abs(abs(delta) - want) <= 2e-322, (x, v, delta)
+
+    def test_objective_overflow(self):
+        # f_of(1e308, .) overflows to inf before it reaches 2*pi; an inf
+        # value only tightens the bracket (the root is about psi_inv(1))
+        x = v = 1e308
+        delta = hd.delta_of(x, v)
+        assert abs(delta - INDEX_REFERENCES[(x, v)]) <= arc_index_width(x, v, delta)
 
     def test_no_angle_is_evaluated_twice(self, monkeypatch):
         seen = []

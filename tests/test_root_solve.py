@@ -1,9 +1,14 @@
-"""The root solve, pinned bit for bit and checked against scipy's brentq.
+"""The root solves, pinned bit for bit.
 
-The pins were recorded with the scipy-backed solve that ``_brent`` replaced:
-every SolveReport (value, iterations, residual) that ``delta_of`` and the
-inverse index maps produce, as ``float.hex`` strings.  The differential test
-runs only where scipy is installed; the package itself does not need it.
+``delta_of`` is pinned as its Newton-bisection solve's value and number of
+evaluations of ``corefuncs._f_of_fn(v)``, and each pinned value is checked
+against a 50-digit mpmath root (``index_references.txt``, written by
+``scripts/index_references.py``) to within the solve's stop width.  The
+inverse index maps are pinned as every SolveReport (value, iterations,
+residual) of their Brent solves, which were recorded with the scipy-backed
+solve that ``_brent`` replaced, as ``float.hex`` strings.  The differential
+test against scipy's brentq runs only where scipy is installed; the
+package itself does not need it.
 """
 
 import math
@@ -16,133 +21,137 @@ import hestondist.pointmetric as pm
 import hestondist.solvers as solvers
 from hestondist.solvers import ROOT_TOL, solve_monotone
 
+from conftest import arc_index_width, index_references
+
+INDEX_REFERENCES = index_references()
+
 # delta_of(x, v) with x = f_of(v, delta): for v in (1, 0.25, 4, 37) the
 # small-angle deltas 1e-5, 3e-4, 2e-3, 9e-3, the near-2*pi deltas
 # 2*pi - (1e-3, 1e-6, 1e-9) and the mid-range deltas 0.7, 2.5, 4.1 (both
 # signs of x at v = 1); then v -> 0 (1e-6, 1e-10, 1e-14, 0) at deltas
-# 0.01, 1.3, 3.0, 5.9.  Row: x, v, delta_of(x, v), its SolveReports as
-# (value, iterations, residual).  The twelve rows at deltas 1e-5, 3e-4 and
-# v -> 0 at 0.01 were re-recorded when delta_of's stop became relative
-# below 1 (solvers.arc_index_tol); the other rows did not move.
+# 0.01, 1.3, 3.0, 5.9.  Row: x, v, the answer of the Brent solve that
+# delta_of ran before its Newton-bisection solve, and the Newton-bisection
+# solve's report [(delta_of(x, v), evaluations)].  Each answer is within
+# one stop width of the root, so the two answers are within two.
 DELTA_OF_PINS = [
     (1.0000000000041668e-05, 1.0, '0x1.4f8b588e368ffp-17',
-     [('0x1.4f8b588e368ffp-17', 5, '0x1.c000000000000p-66')]),
+     [('0x1.4f8b588e368f1p-17', 1)]),
     (0.000300000001125, 1.0, '0x1.3a92a30553261p-12',
-     [('0x1.3a92a30553261p-12', 5, '0x0.0p+0')]),
+     [('0x1.3a92a30553261p-12', 1)]),
     (0.002000000333333384, 1.0, '0x1.0624dd2f1a9fdp-9',
-     [('0x1.0624dd2f1a9fdp-9', 6, '0x1.0000000000000p-61')]),
+     [('0x1.0624dd2f1a9fcp-9', 2)]),
     (0.009000030375092264, 1.0, '0x1.26e978d4fdf37p-7',
-     [('0x1.26e978d4fdf37p-7', 6, '0x1.0000000000000p-57')]),
+     [('0x1.26e978d4fdf3bp-7', 2)]),
     (50265483.504242726, 1.0, '0x1.920f52f66fde5p+2',
-     [('0x1.920f52f66fde5p+2', 16, '0x1.18e1400000000p-9')]),
+     [('0x1.920f52f66fdfdp+2', 2)]),
     (50265482418762.76, 1.0, '0x1.921fb11284e95p+2',
-     [('0x1.921fb11284e95p+2', 21, '0x0.0p+0')]),
+     [('0x1.921fb11284e95p+2', 1)]),
     (5.026544951649868e+19, 1.0, '0x1.921fb5432ff0bp+2',
-     [('0x1.921fb5432ff0bp+2', 26, '0x1.44d5129700000p+46')]),
+     [('0x1.921fb5432ff0cp+2', 1)]),
     (0.7145586847389862, 1.0, '0x1.6666666666666p-1',
-     [('0x1.6666666666666p-1', 6, '0x0.0p+0')]),
+     [('0x1.6666666666666p-1', 3)]),
     (-0.7145586847389862, 1.0, '-0x1.6666666666666p-1',
-     [('0x1.6666666666666p-1', 6, '0x0.0p+0')]),
+     [('-0x1.6666666666666p-1', 3)]),
     (3.3436436302217567, 1.0, '0x1.4000000000001p+1',
-     [('0x1.4000000000001p+1', 8, '0x0.0p+0')]),
+     [('0x1.4000000000000p+1', 5)]),
     (-3.3436436302217567, 1.0, '-0x1.4000000000001p+1',
-     [('0x1.4000000000001p+1', 8, '0x0.0p+0')]),
+     [('-0x1.4000000000000p+1', 5)]),
     (10.900773895228998, 1.0, '0x1.0666666666665p+2',
-     [('0x1.0666666666665p+2', 9, '0x1.0000000000000p-47')]),
+     [('0x1.0666666666666p+2', 5)]),
     (-10.900773895228998, 1.0, '-0x1.0666666666665p+2',
-     [('0x1.0666666666665p+2', 9, '0x1.0000000000000p-47')]),
+     [('-0x1.0666666666666p+2', 5)]),
     (5.833333333356945e-06, 0.25, '0x1.4f8b588e36904p-17',
-     [('0x1.4f8b588e36904p-17', 5, '0x1.7000000000000p-66')]),
+     [('0x1.4f8b588e368f1p-17', 1)]),
     (0.0001750000006375, 0.25, '0x1.3a92a30553261p-12',
-     [('0x1.3a92a30553261p-12', 5, '0x0.0p+0')]),
+     [('0x1.3a92a30553261p-12', 1)]),
     (0.001166666855555584, 0.25, '0x1.0624dd2f1a9fdp-9',
-     [('0x1.0624dd2f1a9fdp-9', 6, '0x1.0000000000000p-62')]),
+     [('0x1.0624dd2f1a9fcp-9', 2)]),
     (0.00525001721255199, 0.25, '0x1.26e978d4fdf38p-7',
-     [('0x1.26e978d4fdf38p-7', 6, '0x1.0000000000000p-58')]),
+     [('0x1.26e978d4fdf3bp-7', 2)]),
     (28274334.667423587, 0.25, '0x1.920f52f66fdeep+2',
-     [('0x1.920f52f66fdeep+2', 16, '0x1.8afd000000000p-11')]),
+     [('0x1.920f52f66fdfdp+2', 2)]),
     (28274333860554.246, 0.25, '0x1.921fb11284e95p+2',
-     [('0x1.921fb11284e95p+2', 21, '0x0.0p+0')]),
+     [('0x1.921fb11284e95p+2', 1)]),
     (2.8274315353030504e+19, 0.25, '0x1.921fb5432ff0bp+2',
-     [('0x1.921fb5432ff0bp+2', 26, '0x1.6d6fb4e980000p+45')]),
+     [('0x1.921fb5432ff0cp+2', 1)]),
     (0.4165824037032378, 0.25, '0x1.6666666666666p-1',
-     [('0x1.6666666666666p-1', 6, '0x0.0p+0')]),
+     [('0x1.6666666666666p-1', 3)]),
     (1.9357552182391218, 0.25, '0x1.4000000000000p+1',
-     [('0x1.4000000000000p+1', 8, '0x0.0p+0')]),
+     [('0x1.4000000000000p+1', 5)]),
     (6.2311531281598285, 0.25, '0x1.0666666666665p+2',
-     [('0x1.0666666666665p+2', 9, '0x1.4000000000000p-48')]),
+     [('0x1.0666666666666p+2', 5)]),
     (2.333333333342778e-05, 4.0, '0x1.4f8b588e36904p-17',
-     [('0x1.4f8b588e36904p-17', 5, '0x1.7000000000000p-64')]),
+     [('0x1.4f8b588e368f1p-17', 1)]),
     (0.00070000000255, 4.0, '0x1.3a92a30553261p-12',
-     [('0x1.3a92a30553261p-12', 5, '0x0.0p+0')]),
+     [('0x1.3a92a30553261p-12', 1)]),
     (0.004666667422222336, 4.0, '0x1.0624dd2f1a9fdp-9',
-     [('0x1.0624dd2f1a9fdp-9', 6, '0x1.0000000000000p-60')]),
+     [('0x1.0624dd2f1a9fcp-9', 2)]),
     (0.02100006885020796, 4.0, '0x1.26e978d4fdf38p-7',
-     [('0x1.26e978d4fdf38p-7', 6, '0x1.0000000000000p-56')]),
+     [('0x1.26e978d4fdf3bp-7', 2)]),
     (113097338.66969435, 4.0, '0x1.920f52f66fdeep+2',
-     [('0x1.920f52f66fdeep+2', 16, '0x1.8afd000000000p-9')]),
+     [('0x1.920f52f66fdfdp+2', 2)]),
     (113097335442216.98, 4.0, '0x1.921fb11284e95p+2',
-     [('0x1.921fb11284e95p+2', 21, '0x0.0p+0')]),
+     [('0x1.921fb11284e95p+2', 1)]),
     (1.1309726141212202e+20, 4.0, '0x1.921fb5432ff0bp+2',
-     [('0x1.921fb5432ff0bp+2', 26, '0x1.6d6fb4e980000p+47')]),
+     [('0x1.921fb5432ff0cp+2', 1)]),
     (1.6663296148129512, 4.0, '0x1.6666666666666p-1',
-     [('0x1.6666666666666p-1', 6, '0x0.0p+0')]),
+     [('0x1.6666666666666p-1', 3)]),
     (7.743020872956487, 4.0, '0x1.4000000000000p+1',
-     [('0x1.4000000000000p+1', 8, '0x0.0p+0')]),
+     [('0x1.4000000000000p+1', 5)]),
     (24.924612512639314, 4.0, '0x1.0666666666665p+2',
-     [('0x1.0666666666665p+2', 9, '0x1.4000000000000p-46')]),
+     [('0x1.0666666666666p+2', 5)]),
     (0.00014694254176820121, 37.0, '0x1.4f8b588e36916p-17',
-     [('0x1.4f8b588e36916p-17', 5, '0x1.1000000000000p-60')]),
+     [('0x1.4f8b588e368f0p-17', 1)]),
     (0.004408276267623272, 37.0, '0x1.3a92a30553261p-12',
-     [('0x1.3a92a30553261p-12', 5, '0x0.0p+0')]),
+     [('0x1.3a92a30553261p-12', 1)]),
     (0.02938851267751806, 37.0, '0x1.0624dd2f1a9fdp-9',
-     [('0x1.0624dd2f1a9fdp-9', 6, '0x1.0000000000000p-57')]),
+     [('0x1.0624dd2f1a9fcp-9', 2)]),
     (0.13224868161522008, 37.0, '0x1.26e978d4fdf38p-7',
-     [('0x1.26e978d4fdf38p-7', 6, '0x1.8000000000000p-54')]),
+     [('0x1.26e978d4fdf3bp-7', 2)]),
     (630398613.387663, 37.0, '0x1.920f52f66fdfap+2',
-     [('0x1.920f52f66fdfap+2', 16, '0x1.b854000000000p-9')]),
+     [('0x1.920f52f66fdfdp+2', 2)]),
     (630398579490373.4, 37.0, '0x1.921fb11284e95p+2',
-     [('0x1.921fb11284e95p+2', 21, '0x0.0p+0')]),
+     [('0x1.921fb11284e95p+2', 1)]),
     (6.303981668505148e+20, 37.0, '0x1.921fb5432fefcp+2',
-     [('0x1.921fb5432fefcp+2', 26, '0x1.fd3876c420000p+53')]),
+     [('0x1.921fb5432ff0cp+2', 1)]),
     (10.474744600655642, 37.0, '0x1.6666666666663p-1',
-     [('0x1.6666666666663p-1', 7, '0x1.4000000000000p-47')]),
+     [('0x1.6666666666665p-1', 4)]),
     (47.61291374373564, 37.0, '0x1.4000000000000p+1',
-     [('0x1.4000000000000p+1', 8, '0x0.0p+0')]),
+     [('0x1.4000000000001p+1', 5)]),
     (146.9895563004805, 37.0, '0x1.0666666666666p+2',
-     [('0x1.0666666666666p+2', 8, '0x0.0p+0')]),
+     [('0x1.0666666666666p+2', 5)]),
     (0.003336681130614941, 1e-06, '0x1.47ae147ae4eb4p-7',
-     [('0x1.47ae147ae4eb4p-7', 14, '0x1.356e000000000p-46')]),
+     [('0x1.47ae147ae4ec7p-7', 12)]),
     (0.45978503780266194, 1e-06, '0x1.4cccccccccccdp+0',
-     [('0x1.4cccccccccccdp+0', 6, '0x0.0p+0')]),
+     [('0x1.4cccccccccccdp+0', 5)]),
     (1.4384217088489168, 1e-06, '0x1.8000000000000p+1',
-     [('0x1.8000000000000p+1', 8, '0x0.0p+0')]),
+     [('0x1.8000000000000p+1', 6)]),
     (86.68081482220205, 1e-06, '0x1.799999999999ap+2',
-     [('0x1.799999999999ap+2', 11, '0x0.0p+0')]),
+     [('0x1.799999999999ap+2', 4)]),
     (0.003333377778353772, 1e-10, '0x1.47ae147ae4e19p-7',
-     [('0x1.47ae147ae4e19p-7', 14, '0x1.3346000000000p-46')]),
+     [('0x1.47ae147ae4e89p-7', 10)]),
     (0.45931028787595973, 1e-10, '0x1.4cccccccccccdp+0',
-     [('0x1.4cccccccccccdp+0', 6, '0x0.0p+0')]),
+     [('0x1.4cccccccccccep+0', 4)]),
     (1.4366464459928079, 1e-10, '0x1.8000000000000p+1',
-     [('0x1.8000000000000p+1', 8, '0x0.0p+0')]),
+     [('0x1.8000000000000p+1', 6)]),
     (86.51219475242539, 1e-10, '0x1.799999999999ap+2',
-     [('0x1.799999999999ap+2', 11, '0x0.0p+0')]),
+     [('0x1.799999999999ap+2', 4)]),
     (0.0033333447778279707, 1e-14, '0x1.47ae147ae4e1ap-7',
-     [('0x1.47ae147ae4e1ap-7', 14, '0x1.3352000000000p-46')]),
+     [('0x1.47ae147ae4e8ep-7', 10)]),
     (0.4593055449233624, 1e-14, '0x1.4cccccccccccep+0',
-     [('0x1.4cccccccccccep+0', 6, '0x0.0p+0')]),
+     [('0x1.4cccccccccccdp+0', 4)]),
     (1.436628707585447, 1e-14, '0x1.8000000000000p+1',
-     [('0x1.8000000000000p+1', 8, '0x0.0p+0')]),
+     [('0x1.8000000000000p+1', 6)]),
     (86.51050940809584, 1e-14, '0x1.799999999999ap+2',
-     [('0x1.799999999999ap+2', 11, '0x0.0p+0')]),
+     [('0x1.799999999999ap+2', 4)]),
     (0.003333344444492659, 0.0, '0x1.47ae147ae4e1ap-7',
-     [('0x1.47ae147ae4e1ap-7', 14, '0x1.3352000000000p-46')]),
+     [('0x1.47ae147ae4e91p-7', 10)]),
     (0.45930549701520956, 0.0, '0x1.4cccccccccccep+0',
-     [('0x1.4cccccccccccep+0', 6, '0x0.0p+0')]),
+     [('0x1.4cccccccccccdp+0', 4)]),
     (1.4366285284110516, 0.0, '0x1.8000000000000p+1',
-     [('0x1.8000000000000p+1', 8, '0x0.0p+0')]),
+     [('0x1.8000000000000p+1', 6)]),
     (86.51049238450226, 0.0, '0x1.799999999999ap+2',
-     [('0x1.799999999999ap+2', 11, '0x0.0p+0')]),
+     [('0x1.799999999999ap+2', 4)]),
 ]
 INVERSE_MAP_PINS = [
     ('psi_inv', (0.001,), '0x1.8937440b89456p-9',
@@ -236,11 +245,26 @@ def _recording(monkeypatch, module):
     return reports
 
 
-@pytest.mark.parametrize("x, v, delta, reports", DELTA_OF_PINS)
-def test_delta_of_pins(monkeypatch, x, v, delta, reports):
-    seen = _recording(monkeypatch, pm)
-    assert pm.delta_of(x, v).hex() == delta
-    assert seen == reports
+@pytest.mark.parametrize("x, v, brent, reports", DELTA_OF_PINS)
+def test_delta_of_pins(monkeypatch, x, v, brent, reports):
+    evaluations = []
+    factory = pm.cf._f_of_fn
+
+    def counting(v):
+        f_v = factory(v)
+
+        def counted(d):
+            evaluations.append(d)
+            return f_v(d)
+
+        return counted
+
+    monkeypatch.setattr(pm.cf, "_f_of_fn", counting)
+    delta = pm.delta_of(x, v)
+    assert [(delta.hex(), len(evaluations))] == reports
+    width = arc_index_width(x, v, delta)
+    assert abs(delta - INDEX_REFERENCES[(x, v)]) <= width
+    assert abs(delta - float.fromhex(brent)) <= 2.0 * width
 
 
 @pytest.mark.parametrize("name, args, value, reports", INVERSE_MAP_PINS)

@@ -163,8 +163,8 @@ class TestInvertToTwoPi:
         fn = lambda d: hd.f_of(0.3, d)
         first = math.tau - 0.5 * (math.tau - 0.7)
         assert solvers.invert_to_two_pi(fn, 1e40, 1.0) == math.nextafter(math.tau, 0.0)
-        assert solvers.invert_to_two_pi(fn, fn(0.7), 0.7, fn_lo=fn(0.7)) == 0.7
-        assert solvers.invert_to_two_pi(fn, fn(first), 0.7, fn_lo=fn(0.7)) == first
+        assert solvers.invert_to_two_pi(fn, fn(0.7), 0.7) == 0.7
+        assert solvers.invert_to_two_pi(fn, fn(first), 0.7) == first
 
 
 class TestMinimizeOnInterval:
