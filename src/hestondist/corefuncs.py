@@ -292,7 +292,13 @@ def _coefs_series(t):
     t2 = t * t
     p3 = _p_r3(t2)
     sr = _sin_half_r(t2)
-    return -_u_r3(t2) / p3, 2.0 * sr * sr / (t * p3)
+    a = -_u_r3(t2) / p3
+    try:
+        return a, 2.0 * sr * sr / (t * p3)
+    except ZeroDivisionError:
+        # t*p3 underflows to 0 below t = 2e-323, where B = 1/psi is inf;
+        # the array path's division gives inf there too
+        return a, math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +526,18 @@ def _half_sq_from_root(theta: float, s: float) -> float:
     theta with sqrt(v) = s, via the cancellation-safe inner form.
 
     theta^2/(2 sin(theta/2)^2) is formed from the ratio sin(theta/2)/theta,
-    which cannot underflow for any positive theta below 2*pi.
+    which cannot underflow for any positive theta below 2*pi but the
+    least, 5e-324, where theta/2 rounds to 0; the value is inf there, as
+    in linedist._objective_many, whose clamp and _row_fn's take it to
+    _HUGE.
     """
     ratio = math.sin(0.5 * theta) / theta
     q4 = math.sin(0.25 * theta)
     inner = (s - 1.0) * (s - 1.0) + 4.0 * s * q4 * q4
-    return inner / (2.0 * ratio * ratio)
+    try:
+        return inner / (2.0 * ratio * ratio)
+    except ZeroDivisionError:
+        return math.inf
 
 
 def lambda_plus(beta: float, gamma: float, theta: float) -> float:

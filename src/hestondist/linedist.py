@@ -47,7 +47,8 @@ slow reference that minimizes the scalar point distance along the line
 over a dense v-grid with local refinement.  It finds each grid's first
 minimum by branch and bound (_oracle): the paper's horizontal-line
 distance, a bound from the sheared abscissas and the triangle inequality
-along the line rule out all but a few nodes.
+along the line rule out all but a few nodes.  The search keeps the nodes
+it may still evaluate as a live set, and works on that set alone.
 """
 
 from __future__ import annotations
@@ -723,7 +724,8 @@ def _line_slope(frame: CorrelationFrame, gamma: float) -> float:
 
 
 def _lower_bounds(
-    frame: CorrelationFrame, p0: tuple[float, float], xs: np.ndarray, vs: np.ndarray
+    frame: CorrelationFrame, p0: tuple[float, float], xs: np.ndarray,
+    vs: np.ndarray, roots: np.ndarray | None = None,
 ) -> np.ndarray:
     """Lower bounds on the distance from p0 to the points (xs, vs), in
     the base metric ds^2 = (dx^2 + dv^2)/v of the sheared points, over c.
@@ -734,9 +736,12 @@ def _lower_bounds(
     4M - 2 sqrt(v0) - 2 sqrt(v) on |dv|/sqrt(v); as ds >= (|dx| +
     |dv|)/sqrt(2v) and a/M + 4M >= 4 sqrt(a), also d >= (sqrt(2)/c) *
     (2 sqrt(a) - sqrt(v0) - sqrt(v)), within a factor 1.26 of d far
-    from p0, where the first bound is not."""
+    from p0, where the first bound is not.  roots is sqrt(vs), when the
+    caller has it."""
     x0, v0 = p0
-    s0, roots = math.sqrt(v0), np.sqrt(vs)
+    s0 = math.sqrt(v0)
+    if roots is None:
+        roots = np.sqrt(vs)
     horizontal = (2.0 / frame.c) * np.abs(roots - s0)
     a = np.abs(frame.shear(xs, vs)[0] - frame.shear(x0, v0)[0])
     far = (math.sqrt(2.0) / frame.c) * (2.0 * np.sqrt(a) - roots - s0)
@@ -745,33 +750,47 @@ def _lower_bounds(
 
 
 def _branch_and_bound(
-    along: Callable[[float], float], vs: np.ndarray, bound: np.ndarray, slope: float
+    along: Callable[[float], float], vs: np.ndarray, bound: np.ndarray,
+    slope: float, roots: np.ndarray,
 ) -> np.ndarray:
-    """The values of the nodes vs for _refine: the distance along(v) at
-    every node the search evaluated, and its lower bound, which this
-    raises in place, at every other.
+    """The values of the nodes vs (roots = sqrt(vs)) for _refine: the
+    distance along(v) at every node the search evaluated, and its lower
+    bound, which this raises in place, at every other.
 
-    Each step evaluates the unevaluated node with the least bound and
-    raises every bound to its cone d_k - slope*|sqrt(v) - sqrt(v_k)|
-    (the triangle inequality along the line, Shubert's Lipschitz
-    search); the search stops once the least remaining bound exceeds the
-    best distance by 1e-9 relative, a margin for rounding.  Every
-    unevaluated node then lies above the first minimum, so the minimum
-    and its node are those of the full grid of distances."""
-    roots = np.sqrt(vs)
+    Each step evaluates the live node with the least bound and raises the
+    bound of every live node to its cone d_k - slope*|sqrt(v) - sqrt(v_k)|
+    (the triangle inequality along the line, Shubert's Lipschitz search);
+    the search stops once the least live bound exceeds the level
+    best*(1 + 1e-9), the best distance with a margin for rounding.  Each
+    time the level falls, the live nodes whose bound lies above it are
+    dropped: bounds only rise and the level only falls, so a dropped node
+    would never be evaluated, and it never ties the least bound.  Every
+    unevaluated node is returned above the final level, so the minimum and
+    its node are those of the full grid of distances; a node dropped early
+    carries only the cones of the steps before its drop."""
+    live = np.arange(vs.size)  # the indices of the live nodes,
+    lb, lr = bound, roots  # their bounds and their sqrt(v)
     ds = np.empty_like(vs)
     done = np.zeros(vs.size, dtype=bool)
-    best = math.inf
+    best = level = math.inf
     for _ in range(vs.size):
-        k = int(bound.argmin())
-        if bound[k] > best * (1.0 + 1e-9):
+        if not live.size:
             break
+        j = int(lb.argmin())
+        if lb[j] > level:
+            break
+        k = int(live[j])
         d = ds[k] = along(float(vs[k]))
-        done[k], bound[k] = True, math.inf
-        best = min(best, d)
+        done[k], lb[j] = True, math.inf
         # a nan or infinite distance bounds nothing
         if math.isfinite(d):
-            np.fmax(bound, d - slope * np.abs(roots - roots[k]), out=bound)
+            np.fmax(lb, d - slope * np.abs(lr - lr[j]), out=lb)
+        if d < best:
+            best, level = d, d * (1.0 + 1e-9)
+            bound[live] = lb
+            keep = lb <= level
+            live, lb, lr = live[keep], lb[keep], lr[keep]
+    bound[live] = lb
     return np.where(done, ds, bound)
 
 
@@ -806,8 +825,9 @@ def _oracle(
 
     def grid(horizon: float) -> tuple[np.ndarray, np.ndarray]:
         vs = np.linspace(0.0, horizon, _ORACLE_CELLS + 1)
-        bound = _lower_bounds(frame, p0, beta + gamma * vs, vs)
-        return vs, _branch_and_bound(along, vs, bound, slope)
+        roots = np.sqrt(vs)
+        bound = _lower_bounds(frame, p0, beta + gamma * vs, vs, roots)
+        return vs, _branch_and_bound(along, vs, bound, slope, roots)
 
     vs, ds = grid(_ORACLE_HORIZON)
     root = math.sqrt(v0) + 0.5 * frame.c * float(ds.min())

@@ -126,6 +126,19 @@ class TestCoefficients:
             with pytest.raises(DomainError):
                 hd.coef_B(bad)
 
+    @pytest.mark.parametrize("t", [5e-324, 1e-323, 1.5e-323, 2e-323])
+    def test_smallest_subnormals(self, t):
+        # theta*(theta - sin theta)/theta^3 underflows to 0 below 2e-323:
+        # B = 1/psi is inf there, as the array kernel gives, and the
+        # functions built on A and B answer or raise a typed error
+        assert (hd.coef_A(t), hd.coef_B(t)) == (-0.5, math.inf)
+        assert cf._coefs_series(t) == (-0.5, math.inf)
+        assert hd.eta(t) == hd.psi(t) * 1.5
+        assert hd.eta_inv(t) == t
+        assert hd.discriminant(1.0, 0.5, t) == -math.inf
+        with pytest.raises(DomainError):
+            hd.discriminant(0.0, 1.0, t)
+
 
 class TestIndexFunctions:
     def test_x_crit_at_pi(self):

@@ -103,14 +103,127 @@ def record_searches(monkeypatch):
     searches = []
     search = ld._branch_and_bound
 
-    def recording(along, vs, bound, slope):
+    def recording(along, vs, bound, slope, roots):
         start = len(seen)
-        ds = search(along, vs, bound, slope)
+        ds = search(along, vs, bound, slope, roots)
         searches.append(seen[start:])
         return ds
 
     monkeypatch.setattr(ld, "_branch_and_bound", recording)
     return searches
+
+
+# the live-set search itself, which some tests below patch over
+live_set_search = ld._branch_and_bound
+
+
+def full_array_search(along, vs, bound, slope):
+    """The branch and bound as it was before its live set, verbatim: the
+    argmin and the cone update run over every node of the grid at every
+    step."""
+    roots = np.sqrt(vs)
+    ds = np.empty_like(vs)
+    done = np.zeros(vs.size, dtype=bool)
+    best = math.inf
+    for _ in range(vs.size):
+        k = int(bound.argmin())
+        if bound[k] > best * (1.0 + 1e-9):
+            break
+        d = ds[k] = along(float(vs[k]))
+        done[k], bound[k] = True, math.inf
+        best = min(best, d)
+        # a nan or infinite distance bounds nothing
+        if math.isfinite(d):
+            np.fmax(bound, d - slope * np.abs(roots - roots[k]), out=bound)
+    return np.where(done, ds, bound)
+
+
+def assert_same_search(along, vs, bound, slope):
+    """The live-set search and full_array_search evaluate the same
+    ordinates in the same order and return the same values there; every
+    node the live-set search left out is returned above the level
+    best*(1 + 1e-9), so it lies above the grid's minimum.  Returns the
+    live-set search's values and the evaluated indices."""
+    traces = [], []
+
+    def tracing(trace):
+        def at(v):
+            trace.append(v)
+            return along(v)
+
+        return at
+
+    got = live_set_search(tracing(traces[0]), vs, bound.copy(), slope, np.sqrt(vs))
+    want = full_array_search(tracing(traces[1]), vs, bound.copy(), slope)
+    assert traces[0] == traces[1]
+    index = {v: i for i, v in enumerate(vs.tolist())}
+    evaluated = np.zeros(vs.size, dtype=bool)
+    evaluated[[index[v] for v in traces[0]]] = True
+    assert np.array_equal(got[evaluated], want[evaluated], equal_nan=True)
+    finite = got[evaluated][np.isfinite(got[evaluated])]
+    best = finite.min() if finite.size else math.inf
+    assert (got[~evaluated] > best * (1.0 + 1e-9)).all()
+    return got, np.flatnonzero(evaluated)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_live_set_search_traces_the_full_array_search(monkeypatch, name):
+    # on every grid the oracle searches, the live-set branch and bound
+    # evaluates what the full-array one does, in the same order
+    frame, p0, lines = CASES[name]
+    grids = [0]
+
+    def checked(along, vs, bound, slope, roots):
+        assert np.array_equal(roots, np.sqrt(vs))
+        assert_same_search(along, vs, bound, slope)
+        grids[0] += 1
+        return live_set_search(along, vs, bound, slope, roots)
+
+    monkeypatch.setattr(ld, "_branch_and_bound", checked)
+    for beta, gamma in lines:
+        ld._oracle(frame, p0, beta, gamma)
+    assert grids[0] >= len(lines)
+
+
+def tabled(vs, ds):
+    """along over the nodes vs, from the table of their values ds."""
+    table = dict(zip(vs.tolist(), ds))
+    return table.__getitem__
+
+
+def test_live_set_search_on_synthetic_grids():
+    vs = np.linspace(0.0, 4.0, 17)
+    roots = np.sqrt(vs)
+    # two exact ties at the minimum, 1.0 at nodes 4 and 12: both are
+    # evaluated and the first wins
+    tent = 1.0 + 0.5 * np.minimum(abs(roots - roots[4]), abs(roots - roots[12]))
+    got, evaluated = assert_same_search(tabled(vs, tent.tolist()), vs, np.zeros(17), 0.5)
+    assert {4, 12} <= set(evaluated.tolist())
+    assert solvers._best_cell(vs, got)[0] == 4
+    # a nan and an infinite distance raise no cone, and the nan is returned
+    ds = (0.2 + abs(roots - roots[6])).tolist()
+    ds[5], ds[7] = math.nan, math.inf
+    got, evaluated = assert_same_search(tabled(vs, ds), vs, np.zeros(17), 3.0)
+    assert {5, 7} <= set(evaluated.tolist()) and math.isnan(got[5])
+    # nothing but nan: every node is evaluated once
+    got, evaluated = assert_same_search(tabled(vs, [math.nan] * 17), vs, np.zeros(17), 1.0)
+    assert evaluated.size == 17 and np.isnan(got).all()
+    # constant bounds: the first node goes first, and the cones order the rest
+    ds = (0.2 + abs(roots - 1.3)).tolist()
+    assert_same_search(tabled(vs, ds), vs, np.full(17, 0.1), 1.0)
+    # a zero at the first node drops every other node at once
+    two = np.array([1.0, 2.0])
+    got, evaluated = assert_same_search(tabled(two, [0.0, 1.0]), two, np.array([0.0, 0.5]), 1.0)
+    assert evaluated.tolist() == [0] and got.tolist() == [0.0, 0.5]
+    # a bound exactly at the level best*(1 + 1e-9) is still evaluated
+    got, evaluated = assert_same_search(
+        tabled(two, [1.0, 2.0]), two, np.array([0.0, 1.0 * (1.0 + 1e-9)]), 0.0
+    )
+    assert evaluated.tolist() == [0, 1]
+    # a one-node grid
+    one = np.array([2.0])
+    got, evaluated = assert_same_search(tabled(one, [0.7]), one, np.zeros(1), 1.0)
+    assert got.tolist() == [0.7]
 
 
 @pytest.mark.parametrize("name", list(CASES))

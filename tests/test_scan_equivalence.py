@@ -158,6 +158,17 @@ class TestObjectivesOnScanNodes:
             for minus in (False, True):
                 check_objective(line_objective(beta, gamma, minus=minus), nodes)
 
+    def test_smallest_subnormals(self):
+        # below theta = 2e-323 the series' theta*p3 underflows to 0 and B is
+        # inf in both forms
+        nodes = [5e-324, 1e-323, 1.5e-323, 2e-323, 1e-300]
+        for beta, gamma in ((1.0, 0.5), (0.5, 2.0), (0.01, 0.0)):
+            for minus in (False, True):
+                check_objective(line_objective(beta, gamma, minus=minus), nodes)
+        row = ld._Search("", 1.0, 0.5, False, 5e-324, 5e-324)
+        assert_same_bits([ld._row_fn(row)(5e-324)],
+                         ld._scan_block([row], np.array([[5e-324]]))[0])
+
     def test_coefficients_reject_the_first_node_outside_the_domain(self):
         objective = line_objective(1.0, 0.5)[1]
         with pytest.raises(hd.DomainError, match="got 0.0"):
