@@ -17,7 +17,10 @@ slope ~ 3/theta, the curvature ~ 1/theta^2 near the curve start) is inf.
 
 This module also hosts the inverse index maps (psi, eta, eta_alpha, zeta,
 x_crit are all strictly monotone) that the line-distance reductions use to
-build their minimization intervals.
+build their minimization intervals.  psi, eta and eta_alpha are inverted
+by one march toward a ceiling (``solvers.invert_below``: 2*pi, and
+psi_inv(alpha) for eta_alpha); zeta and x_crit are solved on fixed
+brackets.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from . import corefuncs as cf
 from .errors import DomainError
 from .pointmetric import ManifoldPoint
 from .solution import DistanceSolution
-from .solvers import INDEX_TOL, _solve, invert_to_two_pi
+from .solvers import INDEX_TOL, _solve, invert_below
 
 _EPS_ANGLE = 1e-12
-_STEP_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -166,14 +168,14 @@ def psi_inv(y: float) -> float:
     """Inverse of the boundary-abscissa map psi on (0, inf)."""
     if not y > 0.0:
         raise DomainError(f"psi_inv needs a positive argument, got {y!r}")
-    return invert_to_two_pi(cf.psi, y, min(_EPS_ANGLE, y))
+    return invert_below(cf.psi, y, min(_EPS_ANGLE, y), math.tau)
 
 
 def eta_inv(y: float) -> float:
     """Inverse of the equal-parameter tangency index eta on (0, inf)."""
     if not y > 0.0:
         raise DomainError(f"eta_inv needs a positive argument, got {y!r}")
-    return invert_to_two_pi(cf.eta, y, min(_EPS_ANGLE, y))
+    return invert_below(cf.eta, y, min(_EPS_ANGLE, y), math.tau)
 
 
 def eta_alpha_inv(
@@ -181,30 +183,17 @@ def eta_alpha_inv(
 ) -> float:
     """Inverse of eta_alpha(alpha, .) on its domain (0, psi_inv(alpha)).
 
-    Saturates at the largest resolvable argument below the domain ceiling
-    when the target cannot be bracketed at double resolution.  ``ceiling``
-    is psi_inv(alpha) where the caller has already solved it.
+    Marches toward the domain ceiling psi_inv(alpha) as psi_inv and eta_inv
+    march toward 2*pi (``solvers.invert_below``), and returns the last
+    point evaluated where the target cannot be bracketed at double
+    resolution.  ``ceiling`` is psi_inv(alpha) where the caller has already
+    solved it.
     """
     if not y > 0.0:
         raise DomainError(f"eta_alpha_inv needs a positive argument, got {y!r}")
     if ceiling is None:
         ceiling = psi_inv(alpha)
-    lo = min(_EPS_ANGLE, y)
-    fn = cf._eta_alpha_fn(alpha)
-    hi = lo
-    for _ in range(_STEP_CAP):
-        nxt = ceiling - 0.5 * (ceiling - hi)
-        if nxt <= hi or nxt >= ceiling:
-            return hi
-        hi = nxt
-        try:
-            f_hi = fn(hi)
-        except DomainError:
-            # rounding pushed hi past the ceiling; keep the previous point
-            return ceiling - (ceiling - hi) * 2.0
-        if f_hi >= y:
-            return _solve(fn, lo, hi, y, INDEX_TOL, 200, None, f_hi)[0]
-    raise DomainError(f"target {y!r} not reached below the tangency ceiling")
+    return invert_below(cf._eta_alpha_fn(alpha), y, min(_EPS_ANGLE, y), ceiling)
 
 
 def x_crit_inv(y: float) -> float:

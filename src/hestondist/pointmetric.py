@@ -168,7 +168,8 @@ def dist(p0: tuple[float, float], p1: tuple[float, float]) -> float:
 
     Defined whenever at least one point is off the boundary v = 0;
     boundary-to-boundary pairs with distinct abscissas are rejected, and
-    so is a non-finite coordinate (DomainError).
+    so is a non-finite coordinate (DomainError).  A pair whose reduced
+    abscissa (x1 - x0)/v0 overflows raises DomainError too.
     """
     x0, v0 = p0
     x1, v1 = p1
@@ -189,7 +190,12 @@ def dist(p0: tuple[float, float], p1: tuple[float, float]) -> float:
         # normalizing by the larger variance keeps the reduced coordinates
         # representable when the ratio is extreme (symmetry of the metric)
         x0, v0, x1, v1 = x1, v1, x0, v0
-    return math.sqrt(v0) * _dist_base((x1 - x0) / v0, v1 / v0)
+    x = (x1 - x0) / v0
+    if not math.isfinite(x):
+        raise DomainError(
+            f"the reduced abscissa (x1 - x0)/v0 of {p0!r}, {p1!r} overflows"
+        )
+    return math.sqrt(v0) * _dist_base(x, v1 / v0)
 
 
 def dist_correlated(

@@ -7,19 +7,6 @@ from dataclasses import dataclass
 from .pointmetric import ManifoldPoint
 from .solvers import SolveReport
 
-# How a DistanceSolution was obtained.
-BRANCHES = (
-    "on-line",
-    "vertical-kp",
-    "slanted-plus",
-    "slanted-minus",
-    "left-slanted",
-    "tangent-exact",
-    "level-set",
-    "horizontal",
-    "oracle",
-)
-
 
 @dataclass(frozen=True)
 class DistanceSolution:
@@ -27,7 +14,10 @@ class DistanceSolution:
 
     ``value`` is the distance, ``half_squared`` its half-square (value =
     sqrt(2*half_squared) identically), ``argmin`` the nearest point of the
-    queried set and ``theta_at_argmin`` its arc index.
+    queried set and ``theta_at_argmin`` its arc index.  ``branch`` says how
+    it was obtained: "on-line", "vertical-kp", "slanted-plus",
+    "slanted-minus", "left-slanted", "tangent-exact", "level-set" or
+    "oracle".
     """
 
     value: float

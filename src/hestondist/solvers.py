@@ -9,10 +9,11 @@ interval is scanned and refined, however narrow: a near-diagonal line's
 tangency window can be 6e-13 wide at theta ~ 2e-4 and still hold a
 minimum well below its lower end's value.  A zero-width interval scans
 257 copies of lo, and the refine returns lo with 0 iterations.
-``invert_to_two_pi`` inverts an increasing function of an angle in
-(0, 2*pi) for the psi and eta maps: it grows the root bracket toward 2*pi,
-saturates one ulp below 2*pi when the target is out of reach, and
-otherwise solves to ``INDEX_TOL``.  The arc index has a slope at hand, and
+``invert_below`` inverts an increasing function below a ceiling for the
+psi, eta and eta_alpha maps (2*pi for the first two, psi_inv(alpha) for
+eta_alpha): it grows the root bracket toward the ceiling, returns the
+last point it evaluated when the march saturates, and otherwise solves to
+``INDEX_TOL``.  The arc index has a slope at hand, and
 ``newton_to_two_pi`` inverts it by Newton steps inside a bracket that every
 value tightens, to ``arc_index_tol`` of its certified lower bound (small
 indices need a relative stop).
@@ -278,34 +279,34 @@ def _golden(
     return d, fd, it, b - a
 
 
-def invert_to_two_pi(
-    fn: Callable[[float], float], target: float, lo: float
+def invert_below(
+    fn: Callable[[float], float], target: float, lo: float, ceiling: float
 ) -> float:
-    """The angle in (lo, 2*pi) where an increasing fn reaches target, given
-    fn(lo) <= target.
+    """The argument in (lo, ceiling) where an increasing fn reaches target,
+    given fn(lo) <= target.
 
-    Marches from lo toward 2*pi, halving the gap, until fn reaches target,
-    then solves on [lo, hi] to ``INDEX_TOL``, handing the march's last value
-    fn(hi) to the solve.  Returns the largest double below 2*pi when the
-    target is out of reach at double resolution; the gap shrinks to one ulp
-    of 2*pi within about 54 halvings, so the step budget is never
-    exhausted."""
+    Marches from lo toward ceiling, halving the gap, until fn reaches
+    target, then solves on [lo, hi] to ``INDEX_TOL``, handing the march's
+    last value fn(hi) to the solve.  The march saturates where the next
+    point rounds to the last one or to the ceiling, or where fn raises
+    DomainError there (a rounded ceiling can sit just past fn's domain):
+    it then returns the last point evaluated, lo if none was: below a
+    ceiling of 2*pi, the largest double below 2*pi.  The gap reaches one
+    ulp of the ceiling within about 54 halvings, so the step budget is
+    never exhausted."""
     hi = lo
     for _ in range(_GROW_STEPS):
-        nxt = math.tau - 0.5 * (math.tau - hi)
-        if nxt >= _CAP or nxt <= hi:
-            hi = _CAP
-            f_hi = fn(hi)
-            break
+        nxt = ceiling - 0.5 * (ceiling - hi)
+        if nxt <= hi or nxt >= ceiling:
+            return hi
+        try:
+            f_hi = fn(nxt)
+        except DomainError:
+            return hi
         hi = nxt
-        f_hi = fn(hi)
         if f_hi >= target:
-            break
-    else:
-        raise ConvergenceError(f"target {target!r} not reached below 2*pi")
-    if f_hi < target:
-        return hi  # saturated one ulp below 2*pi
-    return _solve(fn, lo, hi, target, INDEX_TOL, 200, None, f_hi)[0]
+            return _solve(fn, lo, hi, target, INDEX_TOL, 200, None, f_hi)[0]
+    raise ConvergenceError(f"target {target!r} not reached below {ceiling!r}")
 
 
 # the largest double below 2*pi (math.tau == corefuncs.TWO_PI)

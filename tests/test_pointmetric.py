@@ -145,6 +145,16 @@ class TestDist:
             hd.dist((0.0, 0.0), (1.0, 0.0))
         assert hd.dist((1.0, 0.0), (1.0, 0.0)) == 0.0
 
+    @pytest.mark.parametrize("p0, p1", [
+        ((0.0, 1e-10), (1e300, 1e-10)),
+        ((-1e308, 1.0), (1e308, 1.0)),
+    ])
+    def test_reduced_abscissa_overflow(self, p0, p1):
+        # (x1 - x0)/v0 overflows: the error names the given points
+        with pytest.raises(DomainError, match="overflows") as err:
+            hd.dist(p0, p1)
+        assert f"{p0!r}, {p1!r}" in str(err.value)
+
     def test_negative_variance_rejected(self):
         with pytest.raises(DomainError):
             hd.dist((0.0, -0.1), (0.0, 1.0))

@@ -230,7 +230,7 @@ INVERSE_MAP_PINS = [
 def _recording(monkeypatch, module):
     """Record (value, iterations, residual) of every private solve, as the
     SolveReport of solve_monotone would hold them, whether the module calls
-    it directly or through solvers.invert_to_two_pi."""
+    it directly or through solvers.invert_below."""
     reports = []
     solve = solvers._solve
 
@@ -329,7 +329,7 @@ def test_inversion_evaluates_no_point_twice(target):
         seen.append(d)
         return pm.cf.f_of(0.7, d)
 
-    solvers.invert_to_two_pi(fn, target, 1e-12)
+    solvers.invert_below(fn, target, 1e-12, math.tau)
     assert len(seen) == len(set(seen))
 
 

@@ -12,6 +12,7 @@ from hestondist import (
     HestonDistError,
     NonFiniteSampleError,
 )
+from hestondist import levelsets as ls
 from hestondist import solvers
 from hestondist.solvers import minimize_on_interval, solve_monotone
 
@@ -156,15 +157,110 @@ class TestBrent:
         assert got == (0.5, 0.0, 2)
 
 
-class TestInvertToTwoPi:
+def _recorded(fn, seen):
+    """fn, appending every argument it is called at to seen."""
+
+    def record(t):
+        seen.append(t)
+        return fn(t)
+
+    return record
+
+
+class TestInvertBelow:
     def test_ends(self):
         # out of reach: one ulp below 2*pi; met exactly at lo, or exactly
         # at the first march point: that point
         fn = lambda d: hd.f_of(0.3, d)
         first = math.tau - 0.5 * (math.tau - 0.7)
-        assert solvers.invert_to_two_pi(fn, 1e40, 1.0) == math.nextafter(math.tau, 0.0)
-        assert solvers.invert_to_two_pi(fn, fn(0.7), 0.7) == 0.7
-        assert solvers.invert_to_two_pi(fn, fn(first), 0.7) == first
+        assert solvers.invert_below(fn, 1e40, 1.0, math.tau) == math.nextafter(math.tau, 0.0)
+        assert solvers.invert_below(fn, fn(0.7), 0.7, math.tau) == 0.7
+        assert solvers.invert_below(fn, fn(first), 0.7, math.tau) == first
+
+    def test_saturation_returns_the_last_point_evaluated(self, monkeypatch):
+        # psi(t) stays below 1e40 up to the largest double below 2*pi:
+        # the march evaluates that double last and returns it
+        seen = []
+        monkeypatch.setattr(ls.cf, "psi", _recorded(ls.cf.psi, seen))
+        got = ls.psi_inv(1e40)
+        assert got == math.nextafter(math.tau, 0.0)
+        assert seen[-1] == got
+        assert len(seen) == len(set(seen))
+
+    def test_nothing_to_march_returns_lo(self):
+        # a ceiling at or below lo leaves no point to evaluate
+        def fn(t):
+            raise AssertionError(f"evaluated at {t!r}")
+
+        assert solvers.invert_below(fn, 1.0, 0.5, 0.5) == 0.5
+        assert solvers.invert_below(fn, 1.0, 0.5, 0.25) == 0.5
+
+    def test_domain_error_returns_the_last_point_evaluated(self):
+        # fn's domain ends at 1.0, below the ceiling 1.5: the march's
+        # second point 1.25 raises, and its first point 1.0 is the answer
+        seen = []
+
+        def fn(t):
+            seen.append(t)
+            if t > 1.0:
+                raise DomainError(f"t={t!r} is past the domain")
+            return t
+
+        assert solvers.invert_below(fn, 2.0, 0.5, 1.5) == 1.0
+        assert seen == [1.0, 1.25]
+
+    # (alpha, y) where the rounded ceiling psi_inv(alpha) lies just past
+    # eta_alpha's domain, and the answer: the last point the march
+    # evaluated, one ulp below the point it could not evaluate
+    ROUNDED_CEILINGS = [
+        (8.638724563399447e29, 8.638724563399447e29, 6.283185307179581),
+        (8.594372647533829e29, 8.594372507171565e29, 6.283185307179581),
+    ]
+
+    @pytest.mark.parametrize("alpha, y, want", ROUNDED_CEILINGS)
+    def test_rounded_ceiling(self, monkeypatch, alpha, y, want):
+        seen, raised = [], []
+        factory = ls.cf._eta_alpha_fn
+
+        def recording(a):
+            fn = factory(a)
+
+            def record(t):
+                seen.append(t)
+                try:
+                    return fn(t)
+                except DomainError:
+                    raised.append(t)
+                    raise
+
+            return record
+
+        monkeypatch.setattr(ls.cf, "_eta_alpha_fn", recording)
+        got = ls.eta_alpha_inv(alpha, y)
+        assert got == want
+        assert raised == [seen[-1]]
+        assert seen[-2] == got
+        assert len(seen) == len(set(seen))
+        assert hd.eta_alpha(alpha, got) < y  # in the domain, below the target
+
+    @pytest.mark.parametrize("name, factory, args", [
+        ("psi_inv", "psi", [(1e-9,), (0.3,), (3.0,), (1e6,), (1e40,)]),
+        ("eta_inv", "eta", [(1e-9,), (0.3,), (3.0,), (1e6,), (1e40,)]),
+        ("eta_alpha_inv", "_eta_alpha_fn",
+         [(1e6, 3.0), (0.01, 0.009), (8.638724563399447e29, 8.638724563399447e29)]),
+    ])
+    def test_no_point_is_evaluated_twice(self, monkeypatch, name, factory, args):
+        seen = []
+        fn = getattr(ls.cf, factory)
+        if factory == "_eta_alpha_fn":
+            patched = lambda alpha: _recorded(fn(alpha), seen)
+        else:
+            patched = _recorded(fn, seen)
+        monkeypatch.setattr(ls.cf, factory, patched)
+        for a in args:
+            seen.clear()
+            getattr(ls, name)(*a)
+            assert seen and len(seen) == len(set(seen)), a
 
 
 class TestMinimizeOnInterval:
