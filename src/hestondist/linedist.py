@@ -48,7 +48,9 @@ over a dense v-grid with local refinement.  It finds each grid's first
 minimum by branch and bound (_oracle): the paper's horizontal-line
 distance, a bound from the sheared abscissas and the triangle inequality
 along the line rule out all but a few nodes.  The search keeps the nodes
-it may still evaluate as a live set, and works on that set alone.
+it may still evaluate as a live set, and works on that set alone.  The
+best node is refined at the root of the distance's slope along the line
+(pointmetric._line_dist_fn).
 """
 
 from __future__ import annotations
@@ -67,11 +69,12 @@ from .errors import ConvergenceError, DomainError, HestonDistError
 from .pointmetric import (
     CorrelationFrame,
     ManifoldPoint,
+    _line_dist_fn,
     delta_of,
     dist_correlated,
 )
 from .solution import DistanceSolution
-from .solvers import SolveReport, _minimize_rows, _refine
+from .solvers import SolveReport, _minimize_rows, _refine_root
 
 # Half-open interval ends (where lambda_minus blows up) are closed at this
 # offset; the objective diverges there, so no minimum is lost.
@@ -753,7 +756,7 @@ def _branch_and_bound(
     along: Callable[[float], float], vs: np.ndarray, bound: np.ndarray,
     slope: float, roots: np.ndarray,
 ) -> np.ndarray:
-    """The values of the nodes vs (roots = sqrt(vs)) for _refine: the
+    """The values of the nodes vs (roots = sqrt(vs)) for the refine: the
     distance along(v) at every node the search evaluated, and its lower
     bound, which this raises in place, at every other.
 
@@ -800,13 +803,17 @@ def _oracle(
     """Formula-free distance from p0 (v0 > 0) to the line x = beta + gamma*v
     under the frame's metric, and the report whose value is the v of the
     argmin: the first minimum of the point distance over a v-grid, then
-    golden refinement around it (solvers._refine).  Every point is sheared
-    on its own; the line reduction of dist_to_line_correlated, which this
-    referees, is not used.
+    the root of its slope along the line in the cell pair around it
+    (solvers._refine_root on the slope of pointmetric._line_dist_fn).
+    Every point is sheared on its own; the line reduction of
+    dist_to_line_correlated, which this referees, is not used.
 
     Each grid's first minimum is found by _branch_and_bound from the node
-    bounds of _lower_bounds and cones of slope _line_slope(frame, gamma);
-    the search and the refine evaluate one function, dist_correlated.
+    bounds of _lower_bounds and cones of slope _line_slope(frame, gamma).
+    Every value the search and the refine compare comes from one function,
+    dist_correlated; the slope only places the refine's points.  A cell
+    pair whose end slope is not finite (one end at v = 0, or at p0) or
+    does not change sign takes the golden refine.
 
     The best node d1 of the grid on [0, _ORACLE_HORIZON] certifies the
     horizon H* = (sqrt(v0) + c*d1/2)^2 by the horizontal bound: the argmin
@@ -819,9 +826,13 @@ def _oracle(
     if not v0 > 0.0:
         raise DomainError("the source point must have v0 > 0")
     slope = _line_slope(frame, gamma)
+    with_slope = _line_dist_fn(frame, p0, beta, gamma)
 
     def along(v: float) -> float:
         return dist_correlated(frame, p0, (beta + gamma * v, v))
+
+    def along_slope(v: float) -> float:
+        return with_slope(v)[1]
 
     def grid(horizon: float) -> tuple[np.ndarray, np.ndarray]:
         vs = np.linspace(0.0, horizon, _ORACLE_CELLS + 1)
@@ -838,12 +849,16 @@ def _oracle(
         )
     if horizon > _ORACLE_HORIZON:
         vs, ds = grid(horizon)
-    return _refine(along, vs, ds, 1e-9)
+    return _refine_root(along, along_slope, vs, ds, 1e-9)
 
 
 def oracle_dist(beta: float, gamma: float) -> DistanceSolution:
-    """Formula-free reference distance from (0, 1) to the line; raises
-    ConvergenceError where the certified grid horizon is not finite."""
+    """Formula-free reference distance from (0, 1) to the line: the best
+    node of a certified v-grid, refined at the root of the distance's
+    slope along the line (report.method "derivative-root"; "endpoint" or
+    the golden section's "grid-refine" where that root is not bracketed).
+    Raises ConvergenceError where the certified grid horizon is not
+    finite."""
     report, value = _oracle(CorrelationFrame(1.0, 0.0), (0.0, 1.0), beta, gamma)
     v_star = report.value
     return DistanceSolution(

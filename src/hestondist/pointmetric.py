@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -207,6 +207,103 @@ def dist_correlated(
     x0, v0 = p0
     x1, v1 = p1
     return dist(frame.shear(x0, v0), frame.shear(x1, v1)) / frame.c
+
+
+def _line_dist_fn(
+    frame: CorrelationFrame, p0: tuple[float, float], beta: float, gamma: float
+) -> Callable[[float], tuple[float, float]]:
+    """(D, dD/dv) as a one-frame function of v, where D(v) =
+    dist_correlated(frame, p0, (beta + gamma*v, v)) is the distance from
+    p0 (v0 > 0) to the point of the line x = beta + gamma*v at ordinate v.
+
+    D is formed as dist_correlated forms it, bit for bit: the same shear,
+    the swap where v > 1e12*v0, the reduced point (x, w) and _dist_base's
+    x = 0, small-index and _INNER_FLOOR forms.  The slope is the chain
+    rule along that path.  With d = |delta_of(x, w)| and s = sqrt(w) the
+    base distance is R*sqrt(I), R = d/sin(d/2), I = (s - 1)^2 + 4s
+    sin(d/4)^2, and f_of(w, d) = |x| gives dd = (d|x| - f_w dw)/f_d.
+    f = (s - 1)^2 fp + 4s fq, with fp = f_of(0, d), so s*f_w = (s - 1) fp
+    + 2 fq.  Below SMALL_ANGLE fp, fq, f_d and R' are Taylor series to
+    d^7, exact to rounding; above it they are closed forms, with the
+    cancellation that f_of's direct form has just above SMALL_ANGLE.
+
+    The slope is +-inf or nan at v = 0, where D grows like sqrt(v), and
+    nan at p0 itself; a reduced abscissa that overflows raises
+    DomainError, as dist does."""
+    x0, v0 = p0
+    if not v0 > 0.0:
+        raise DomainError("the source point must have v0 > 0")
+    c, rho, root = frame.c, frame.rho, frame._root()
+    sx0 = frame.shear(x0, v0)[0]
+    eta = frame.shear(gamma, 1.0)[0]  # the sheared line's dx/dv
+    gap = sx0 - frame.shear(beta, 0.0)[0]  # sheared p0 less the line's foot at v = 0
+    r0, cut = math.sqrt(v0), v0 * 1e12
+    sqrt, sin = math.sqrt, math.sin
+
+    def fn(v: float) -> tuple[float, float]:
+        if not 0.0 <= v < math.inf:
+            raise DomainError(f"v must be nonnegative and finite, got {v!r}")
+        sx1 = (c * (beta + gamma * v) - rho * v) / root
+        swap = v > cut
+        if swap:
+            x, w, scale = (sx0 - sx1) / v, v0 / v, sqrt(v)
+        else:
+            x, w, scale = (sx1 - sx0) / v0, v / v0, r0
+        if not math.isfinite(x):
+            raise DomainError(f"the reduced abscissa at v = {v!r} overflows")
+        s = sqrt(w)
+        if x == 0.0:
+            base = 2.0 * abs(s - 1.0)
+            # the base distance is even in x; in w its slope is sign(s - 1)/s
+            gx, gw = 0.0, math.copysign(1.0, s - 1.0) if s != 1.0 else math.nan
+        else:
+            d = abs(delta_of(x, w))
+            q4 = sin(0.25 * d)
+            q2 = q4 * q4
+            s1 = (s - 1.0) ** 2
+            inner = s1 + 4.0 * s * q4 * q4
+            # d/sin(d/2) = 2 + d^2/12 + ...: below 1e-8 the correction is sub-ulp
+            ratio = 2.0 if d < 1e-8 else d / sin(0.5 * d)
+            if inner < _INNER_FLOOR:
+                rad = math.hypot(s - 1.0, 2.0 * sqrt(s) * q4)
+            else:
+                rad = sqrt(inner)
+            base = ratio * rad
+            if not rad > 0.0:
+                return scale * base / c, math.nan
+            sh = sin(0.5 * d)
+            if d < cf.SMALL_ANGLE:
+                t2 = d * d
+                fp = d * (1.0 / 3.0 + t2 * (1.0 / 90.0 + t2 * (1.0 / 2520.0 + t2 / 75600.0)))
+                fq = d * (0.25 + t2 * (1.0 / 96.0 + t2 * (1.0 / 2560.0 + t2 * (17.0 / 1290240.0))))
+                # the slopes of fp and fq in d
+                dfp = 1.0 / 3.0 + t2 * (1.0 / 30.0 + t2 * (1.0 / 504.0 + t2 / 10800.0))
+                dfq = 0.25 + t2 * (1.0 / 32.0 + t2 * (1.0 / 512.0 + t2 * (119.0 / 1290240.0)))
+                fd = s1 * dfp + 4.0 * s * dfq
+                dratio = d * (1.0 / 6.0 + t2 * (
+                    7.0 / 720.0 + t2 * (31.0 / 80640.0 + t2 * (127.0 / 9676800.0))))
+            else:
+                sd = sin(d)
+                den = 2.0 * sh * sh
+                fp = (d - sd) / den
+                fq = q2 * (d + 2.0 * sh) / den
+                f = s1 * fp + 4.0 * s * fq
+                # f_d as corefuncs._f_of_fn forms it
+                fd = s1 + (4.0 * s * (0.25 * sh * (d + 2.0 * sh) + 2.0 * q2 * (1.0 - q2))
+                           - f * sd) / den
+                dratio = (2.0 * sh - d * (1.0 - 2.0 * q2)) / den
+            # the base distance's slopes: in |x|, and s times that in w
+            gx = (dratio * rad + ratio * s * sh / (2.0 * rad)) / fd
+            gw = ratio * (s - 1.0 + 2.0 * q2) / (2.0 * rad) - gx * ((s - 1.0) * fp + 2.0 * fq)
+            gx = math.copysign(gx, x)
+        if swap:
+            # x = (sx0 - sx1)/v and w = v0/v: dx/dv = -gap/v^2, dw/dv = -w/v
+            slope = (0.5 * base - gx * gap / v - s * gw) / (c * scale)
+        else:
+            slope = (gx * eta + (gw / s if s else math.inf * gw)) / (c * r0)
+        return scale * base / c, slope
+
+    return fn
 
 
 def to_delta(p: tuple[float, float]) -> DeltaCoordinate:

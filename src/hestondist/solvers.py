@@ -26,11 +26,15 @@ endpoints or the root.  The package has no SciPy dependency.  The
 library's Brent solves run ``_solve``, ``solve_monotone`` without its
 report, on the caller's one-frame objective; ``_brent`` subtracts the target.
 
-``minimize_on_interval`` scans by calling ``fn`` on each node; its
-golden-section refine (``_refine``) is shared with the oracle, which hands
-it a grid from its branch and bound: the scalar distance at the nodes it
-evaluated and, at the others, a lower bound above the grid's minimum, so
-that the refine settles on the same cell as on the full grid.
+``minimize_on_interval`` scans by calling ``fn`` on each node, then
+refines by golden section (``_refine``).
+
+``_refine_root`` refines at the root of the objective's derivative.  It
+serves the line rows of ``_minimize_rows`` (below) and the oracle, which
+hands it a grid from its branch and bound and the slope of the distance
+along the line: the scalar distance at the nodes it evaluated and, at the
+others, a lower bound above the grid's minimum, so that the refine
+settles on the same cell as on the full grid.
 
 ``_minimize_rows`` runs many minimizations with the scan and the errors of
 ``minimize_on_interval``.  It scans the rows as 2-D blocks of

@@ -5,16 +5,21 @@ that its lower bounds cannot rule out: those of ``linedist._lower_bounds``
 (the horizontal-line bound (2/c)|sqrt(v) - sqrt(v0)| and a bound from the
 sheared abscissas) and, from every evaluated node v_k, the cone
 d(v_k) - L|sqrt(v) - sqrt(v_k)| with L = ``linedist._line_slope``.  The
-reference here evaluates every node of the same grids with the scalar
-``dist_correlated`` and refines with ``solvers._refine``.  Value, report
-and argmin must agree bit for bit, and every node the search left out
-must lie above the grid's minimum d1, so that the search cannot move the
-minimum, the certified horizon or the refined cell.  The bounds are
-checked on their own on seeded frames, source points and lines.
+reference, ``full_oracle``, evaluates every node of the same grids with
+the scalar ``dist_correlated`` and refines as the oracle does, with
+``solvers._refine_root`` on the slope of ``pointmetric._line_dist_fn``.
+``scripts/oracle_references.py`` runs it once on every ``CASES`` line and
+records value, report, argmin and each grid's minimum d1 in
+``oracle_references.txt``.  The oracle must agree with that file bit for
+bit, and every node its search left out must carry a lower bound above
+the recorded d1, so that the search cannot move the minimum, the
+certified horizon or the refined cell.  The bounds are checked on their
+own on seeded frames, source points and lines.
 """
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +66,7 @@ CASES = {
 def full_oracle(frame, p0, beta, gamma):
     """The oracle on full grids: ((report, value), grids), every node of
     each grid evaluated by the scalar distance."""
+    with_slope = pm._line_dist_fn(frame, p0, beta, gamma)
 
     def along(v):
         return pm.dist_correlated(frame, p0, (beta + gamma * v, v))
@@ -75,12 +81,31 @@ def full_oracle(frame, p0, beta, gamma):
     if horizon > ld._ORACLE_HORIZON:
         grids.append(grid(horizon))
     vs, ds = grids[-1]
-    return solvers._refine(along, vs, ds, 1e-9), grids
+    refined = solvers._refine_root(along, lambda v: with_slope(v)[1], vs, ds, 1e-9)
+    return refined, grids
 
 
 def bits(report, value):
     return (report.value.hex(), report.iterations, report.residual.hex(),
             report.method, value.hex())
+
+
+def references():
+    """{case: [(beta, gamma, bits, [d1 of each grid])]} from
+    oracle_references.txt, the full-grid oracle that
+    scripts/oracle_references.py records, in the order of CASES."""
+    out = {}
+    with Path(__file__).with_name("oracle_references.txt").open() as fh:
+        for line in fh:
+            if line.startswith("#"):
+                continue
+            name, beta, gamma, v_star, iterations, residual, method, value, *d1 = line.split()
+            out.setdefault(name, []).append((
+                float.fromhex(beta), float.fromhex(gamma),
+                (v_star, int(iterations), residual, method, value),
+                [float.fromhex(d) for d in d1],
+            ))
+    return out
 
 
 def count_evaluations(monkeypatch):
@@ -98,7 +123,8 @@ def count_evaluations(monkeypatch):
 
 def record_searches(monkeypatch):
     """Patch the oracle's branch and bound to record, for each grid it
-    searches, the ordinates it evaluated; returns that list of lists."""
+    searches, its nodes, the values it returns (a distance or a lower
+    bound) and the ordinates it evaluated; returns that list."""
     seen = count_evaluations(monkeypatch)
     searches = []
     search = ld._branch_and_bound
@@ -106,7 +132,7 @@ def record_searches(monkeypatch):
     def recording(along, vs, bound, slope, roots):
         start = len(seen)
         ds = search(along, vs, bound, slope, roots)
-        searches.append(seen[start:])
+        searches.append((vs, ds, seen[start:]))
         return ds
 
     monkeypatch.setattr(ld, "_branch_and_bound", recording)
@@ -229,26 +255,29 @@ def test_live_set_search_on_synthetic_grids():
 @pytest.mark.parametrize("name", list(CASES))
 def test_pruned_oracle_matches_full_grids(monkeypatch, name):
     frame, p0, lines = CASES[name]
+    recorded = references()[name]
+    assert [r[:2] for r in recorded] == lines
     searches = record_searches(monkeypatch)
     evaluated = nodes = 0
-    for beta, gamma in lines:
+    for beta, gamma, want, minima in recorded:
         searches.clear()
         if frame is IDENTITY:
             sol = hd.oracle_dist(beta, gamma)
             got = sol.report, sol.value
         else:
             got = ld._oracle(frame, p0, beta, gamma)
-        want, grids = full_oracle(frame, p0, beta, gamma)
-        assert bits(*got) == bits(*want), (beta, gamma)
-        # every node a grid's search left out lies above that grid's minimum
-        assert len(searches) == len(grids), (beta, gamma)
-        for (vs, ds), seen in zip(grids, searches):
-            off = ~np.isin(vs, seen)
-            assert (ds[off] > ds.min()).all(), (beta, gamma)
-            evaluated += vs.size - int(off.sum())
+        assert bits(*got) == want, (beta, gamma)
+        # each grid's least distance is the full grid's minimum d1, and
+        # every node its search left out has a lower bound above d1
+        assert len(searches) == len(minima), (beta, gamma)
+        for (vs, ds, seen), d1 in zip(searches, minima):
+            done = np.isin(vs, seen)
+            assert float(ds[done].min()) == d1, (beta, gamma)
+            assert (ds[~done] > d1).all(), (beta, gamma)
+            evaluated += int(done.sum())
             nodes += vs.size
         if frame is IDENTITY:
-            v_star = want[0].value
+            v_star = got[0].value
             assert (sol.argmin.x.hex(), sol.argmin.v.hex()) == (
                 (beta + gamma * v_star).hex(), v_star.hex()
             ), (beta, gamma)
@@ -265,7 +294,7 @@ def test_far_steep_lines_evaluate_few_nodes(monkeypatch, beta, gamma):
     # one of the second's; the full grids take 8,194 distances
     searches = record_searches(monkeypatch)
     sol = hd.oracle_dist(beta, gamma)
-    first, second = (len(seen) for seen in searches)
+    first, second = (len(seen) for _, _, seen in searches)
     assert first <= 200 and second <= 10, (first, second)
     want, _ = full_oracle(IDENTITY, BASE, beta, gamma)
     assert bits(sol.report, sol.value) == bits(*want)
@@ -279,7 +308,7 @@ def test_grid_pass_count(monkeypatch):
     for beta, gamma in oracle_sweep_lines():
         hd.oracle_dist(beta, gamma)
     assert len(searches) == 47
-    assert sum(map(len, searches)) <= 4000
+    assert sum(len(seen) for _, _, seen in searches) <= 4000
     # a far line searches a second grid out to its certified horizon
     searches.clear()
     hd.oracle_dist(1e12, 0.0)
