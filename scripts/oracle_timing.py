@@ -13,9 +13,10 @@ line the script prints:
 * the grids the query searched and the branch and bound's steps per grid
   (one distance each);
 * the refine's evaluations apart: the distances it evaluated (calls to
-  ``dist_correlated`` outside the search) and the slopes it evaluated
-  (calls to the function of ``pointmetric._line_dist_fn``, 0 on a tree
-  without it, which refines by golden section);
+  ``dist_correlated`` outside the search, 0 where the refine takes its
+  values from the closure) and the calls of the closure of
+  ``pointmetric._line_dist_fn``, which gives the distance and its slope
+  (0 on a tree without it, which refines by golden section);
 * the branch and bound's own time per query: its wall time less the time
   inside its ``dist_correlated`` calls.  It comes from a separate pass with
   both functions wrapped, so the wrappers' own cost (a few tenths of a us
@@ -50,9 +51,9 @@ from scan_timing import load_tree, mean_us  # noqa: E402
 
 class Split:
     """Wraps a package's branch and bound, the distance it evaluates and
-    the refine's slope, and accumulates, per query, the grids, the
-    distances inside the search, the refine's distances and slopes, and
-    the search's time less its distances' time."""
+    the refine's closure, and accumulates, per query, the grids, the
+    distances inside the search, the refine's distances and closure calls,
+    and the search's time less its distances' time."""
 
     def __init__(self, package):
         self.ld = importlib.import_module(package.__name__ + ".linedist")
@@ -62,7 +63,7 @@ class Split:
         self.reset()
 
     def reset(self) -> None:
-        self.grids = self.steps = self.values = self.slopes = 0
+        self.grids = self.steps = self.values = self.calls = 0
         self.inside = False
         self.search_s = self.dist_s = 0.0
 
@@ -73,7 +74,7 @@ class Split:
             fn = self.slope_fn(*args)
 
             def counted(v):
-                self.slopes += 1
+                self.calls += 1
                 return fn(v)
 
             return counted
@@ -111,8 +112,8 @@ class Split:
 
 
 def split_line(splits: list[Split], line: tuple, passes: int) -> list[tuple]:
-    """(grids, steps per grid, the refine's distances, the refine's slopes,
-    search's own us) per query of line, for each split's package; the
+    """(grids, steps per grid, the refine's distances, the refine's closure
+    calls, search's own us) per query of line, for each split's package; the
     packages take turns on every pass, in reverse order on every other
     pass."""
     for s in splits:
@@ -123,7 +124,7 @@ def split_line(splits: list[Split], line: tuple, passes: int) -> list[tuple]:
             with s:
                 s.oracle_dist(*line)
     return [
-        (s.grids / passes, s.steps / s.grids, s.values / passes, s.slopes / passes,
+        (s.grids / passes, s.steps / s.grids, s.values / passes, s.calls / passes,
          (s.search_s - s.dist_s) / passes * 1e6)
         for s in splits
     ]
@@ -150,14 +151,14 @@ def main() -> int:
         rows.append((line, times[0], split_line(splits, line, args.passes)))
 
     against = " / against" if args.against else ""
-    print(f"{'line':30s} grids steps/grid refine d refine d'   oracle us{against}"
+    print(f"{'line':30s} grids steps/grid refine d refine fn   oracle us{against}"
           f"   search own us{against}")
     for line, times, counts in rows:
         label = f"({line[0]!r}, {line[1]!r})"
-        grids, steps, values, slopes, _ = counts[0]
+        grids, steps, values, calls, _ = counts[0]
         oracle = " / ".join(f"{t:7.1f}" for t in times)
         own = " / ".join(f"{c[4]:7.1f}" for c in counts)
-        print(f"{label:30s} {grids:5.0f} {steps:10.1f} {values:8.0f} {slopes:9.0f}"
+        print(f"{label:30s} {grids:5.0f} {steps:10.1f} {values:8.0f} {calls:9.0f}"
               f"   {oracle}   {own}")
     n = len(rows)
     for k, name in enumerate(["this tree", "against"][: len(packages)]):
@@ -166,12 +167,12 @@ def main() -> int:
         grids = sum(r[2][k][0] for r in rows)
         steps = sum(r[2][k][0] * r[2][k][1] for r in rows) / grids
         values = statistics.fmean(r[2][k][2] for r in rows)
-        slopes = statistics.fmean(r[2][k][3] for r in rows)
+        calls = statistics.fmean(r[2][k][3] for r in rows)
         search = steps * grids / n
         print(f"{name:9s} mean over {n} lines: oracle_dist {oracle:7.1f} us, search own "
               f"{own:7.1f} us, {grids:.0f} grids, {steps:.1f} steps per grid; per query "
               f"{search:.1f} search distances, {values:.1f} refine distances, "
-              f"{slopes:.1f} refine slopes")
+              f"{calls:.1f} refine closure calls")
     if len(packages) > 1:
         ratio = statistics.fmean(r[1][1] for r in rows) / statistics.fmean(r[1][0] for r in rows)
         print(f"speed-up of oracle_dist x{ratio:.3f}")

@@ -7,11 +7,13 @@ row by row, on seeded line-mix-like lines and 50-strike smile ladders.
 
 Every row of every line's search table, zero-width rows included, is
 scanned once; the scan then feeds both refines (``solvers._refine_root``
-on the row's objective and derivative, and ``solvers._refine``, the
-golden refine), so the two minima differ only by their refine.  The
-script prints, per workload, the rows each refine method settled, the
-derivative evaluations per line and the gap of the derivative-root
-minimum above golden's by band of |theta*|.
+on the row's closure ``linedist._row_fn``, which gives the objective and
+its derivative, and ``solvers._refine``, the golden refine, on the
+objective), so the two minima differ only by their refine.  The script
+prints, per workload, the rows each refine method settled, the calls of
+the closure per line (those of the rows that fall back to golden apart)
+and the gap of the derivative-root minimum above golden's by band of
+|theta*|.
 With ``--exact N`` it evaluates, for the N rows where the derivative-root
 minimum lies furthest above golden's, both argmins on the objective in
 60-digit arithmetic (mpmath, which is not a dependency of the package).
@@ -48,12 +50,12 @@ STRIKES = tuple(100.0 * math.exp(-1.0 + 2.0 * j / 49.0) for j in range(50))
 
 class Row(NamedTuple):
     """One compared row: its line, branch and refine method, the
-    derivative evaluations it spent, the two minima and their argmins."""
+    closure calls its refine made, the two minima and their argmins."""
 
     line: tuple[float, float]
     row: ld._Search
     method: str
-    dfn_evals: int
+    evals: int
     value: float
     theta: float
     golden: float
@@ -132,17 +134,17 @@ def compare(lines: list[tuple[float, float]], tol: float = 1e-9) -> list[Row]:
             continue
         for row in rows:
             nodes = solvers._scan_nodes(row.lo, row.hi)
-            fn, dfn = ld._row_fn(row), ld._row_dfn(row)
+            fn = ld._row_fn(row)
             calls = [0]
 
-            def counted(t: float) -> float:
+            def counted(t: float) -> tuple[float, float]:
                 calls[0] += 1
-                return dfn(t)
+                return fn(t)
 
             try:
                 fs = ld._scan_block([row], nodes[None, :])[0]
-                rep, val = solvers._refine_root(fn, counted, nodes, fs, tol)
-                gold, gval = solvers._refine(fn, nodes, fs, tol)
+                rep, val = solvers._refine_root(counted, nodes, fs, tol)
+                gold, gval = solvers._refine(lambda t: fn(t)[0], nodes, fs, tol)
             except hd.HestonDistError:
                 continue
             out.append(Row(line, row, rep.method, calls[0], val, rep.value,
@@ -155,8 +157,10 @@ def summary(name: str, lines: int, rows: list[Row]) -> list[str]:
     out = [f"{name}: {lines} lines, {len(rows)} rows"]
     for method in METHODS:
         out.append(f"  {method:16s} {sum(r.method == method for r in rows):7d} rows")
-    evals = sum(r.dfn_evals for r in rows)
-    out.append(f"  derivative evaluations per line: {evals / max(lines, 1):.2f}")
+    evals = sum(r.evals for r in rows)
+    golden = sum(r.evals for r in rows if r.method == "grid-refine")
+    out.append(f"  closure calls per line: {evals / max(lines, 1):.2f} "
+               f"({golden / max(lines, 1):.2f} of them in grid-refine rows)")
     out.append("  gap above golden by |theta*|: rows, worst relative gap, "
                f"rows > {ULP_GATE} ulp, rows failing the gate")
     for lo, hi in BANDS:

@@ -10,14 +10,15 @@ quadratic in sqrt(v) whose coefficients involve coef_A and coef_B; s_plus /
 s_minus are its roots and lambda_plus / lambda_minus the corresponding
 half-squared distances.  The roots are written once, here: the raw forms
 ``_s_plus_raw``/``_s_minus_raw`` (discriminant clamped at zero) are the
-line solvers' scalar objectives, which the line scan kernel
-(``linedist._objective_many``) repeats bit for bit on arrays, and the
-public ``s_plus``/``s_minus`` check the line first and then evaluate the
-same raw root.  ``_coefs`` gives coef_A and coef_B together, for one
-domain check and one evaluation of each sine.  The level curve is written
-once, in theta^3-scaled terms (``_curve_terms``): ``lambda_big``, ``xi``
-and the curve functions in ``levelsets`` are each one formula over them,
-for every theta in (0, 2*pi).  ``f_of``, ``eta_alpha`` and ``zeta`` are
+roots of the line solvers' objective, which the line scan kernel
+(``linedist._objective_many``) and the row closure (``linedist._row_fn``,
+next to its slope) repeat bit for bit; the public ``s_plus``/``s_minus``
+check the line first and then evaluate the same raw root.  ``_coefs``
+gives coef_A and coef_B together, for one domain check and one
+evaluation of each sine.  The level curve is written once, in
+theta^3-scaled terms (``_curve_terms``): ``lambda_big``, ``xi`` and the
+curve functions in ``levelsets`` are each one formula over them, for
+every theta in (0, 2*pi).  ``f_of``, ``eta_alpha`` and ``zeta`` are
 written once, as closures over their first argument (``_f_of_fn``,
 ``_eta_alpha_fn``, ``_zeta_fn``) that the root solves evaluate in one frame
 per call; the two-argument forms call them.
@@ -446,8 +447,8 @@ def _check_two_roots(beta: float, gamma: float, theta: float) -> None:
 # tangency-endpoint inverse solve, so the raw roots clamp it to zero.  At a
 # tangency minimizer the objective is first-order stationary in the root,
 # which bounds the induced value error by the square of the clamp.  They take
-# A and B from _coefs and form the discriminant inline; the scalar line
-# objective (linedist._row_fn) is built on them.
+# A and B from _coefs and form the discriminant inline, as the scalar line
+# objective (linedist._row_fn) does where it does not clamp the root.
 
 
 def _s_plus_raw(beta: float, gamma: float, theta: float) -> float:
@@ -529,7 +530,8 @@ def _half_sq_from_root(theta: float, s: float) -> float:
     which cannot underflow for any positive theta below 2*pi but the
     least, 5e-324, where theta/2 rounds to 0; the value is inf there, as
     in linedist._objective_many, whose clamp and _row_fn's take it to
-    _HUGE.
+    _HUGE.  _row_fn repeats this arithmetic where it does not clamp the
+    root.
     """
     ratio = math.sin(0.5 * theta) / theta
     q4 = math.sin(0.25 * theta)

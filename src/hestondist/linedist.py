@@ -26,21 +26,21 @@ incumbent by more than TIE_RTOL (_answer).
 
 One array kernel, _objective_many, evaluates every row's objective from
 per-node parameters, in buffers of its own, and evaluates each
-coefficient form, root and axis value only on the nodes that need it;
-_row_fn is a row's scalar form, built from the scalar roots of corefuncs,
-and the two agree bit for bit on every node.  _row_dfn is the derivative
-of _row_fn, in one closure frame.
+coefficient form, root and axis value only on the nodes that need it.
+_row_fn is a row's scalar form, one closure frame that gives the
+objective and its derivative at an index; its objective agrees with the
+kernel bit for bit on every node.
 
 _solve_many, behind both dist_to_line (a batch of one line) and
 smile_table (a ladder), builds the tables of its lines, solving each
 distinct psi_inv argument once, and minimizes every row the same way
 (solvers._minimize_rows): the scans as 2-D blocks of up to 16 rows, one
 kernel call per block, so a single line's one or two rows take one call;
-then each row's refine, a root solve of _row_dfn where it changes sign
-around the best node, otherwise the golden section on _row_fn.  An error
-fails only its own line, and so does a distance beyond double range.
-The intersection roots themselves live in corefuncs (_s_plus_raw and
-_s_minus_raw).
+then each row's refine on _row_fn, a root solve of the derivative where
+it changes sign around the best node, otherwise the golden section on the
+objective.  An error fails only its own line, and so does a distance
+beyond double range.  The intersection roots themselves live in
+corefuncs (_s_plus_raw and _s_minus_raw).
 
 Every closed-form path is validated against oracle_dist, a deliberately
 slow reference that minimizes the scalar point distance along the line
@@ -216,7 +216,7 @@ def _objective_many(
     Each node carries its row's parameters, broadcast against theta: the
     line, the root (a scalar minus evaluates only that root) and the
     objective's value at the axis node theta = 0 (nan where the row has no
-    axis node).  _row_fn is the scalar form; the two agree bit for bit.
+    axis node).  _row_fn's value is the scalar form, bit for bit.
 
     One kernel, in buffers of its own (theta is never written): A and B
     by their direct forms, with the series of cf._coefs_series written
@@ -321,53 +321,43 @@ def _axis_node_value(row: _Search) -> float:
     return math.nan if row.axis is None else _axis_value(row.axis)
 
 
-def _row_fn(row: _Search) -> Callable[[float], float]:
-    """A row's objective at one index t, as the refine calls it:
-    cf._half_sq_from_root of the row's root (cf._s_plus_raw or
-    cf._s_minus_raw), clamped: a negative root counts as 0 and a
-    non-finite one as _ROOT_HUGE, and an astronomically distant candidate
-    saturates at _HUGE instead of overflowing, which keeps the scan sound.
-    At t = 0 it is the axis value where the row has one; elsewhere outside
-    (0, 2*pi) it raises the DomainError of cf._coefs."""
-    beta, gamma, axis = row.beta, row.gamma, row.axis
-    root = cf._s_minus_raw if row.minus else cf._s_plus_raw
-    if axis is not None:
-        axis = _axis_value(axis)
+def _row_fn(row: _Search) -> Callable[[float], tuple[float, float]]:
+    """t -> (lambda, d(lambda)/dt) for one row, in one closure frame:
+    lambda is cf._half_sq_from_root of the row's root (cf._s_plus_raw or
+    cf._s_minus_raw), clamped: a negative root counts as 0, a non-finite
+    one as _ROOT_HUGE, and a value beyond the double range saturates at
+    _HUGE, which keeps the scan sound.  At t = 0 it is the axis value where
+    the row has one; elsewhere outside (0, 2*pi) the closure raises the
+    DomainError of cf._coefs.  The slope is the chain rule through A and B
+    (below SMALL_ANGLE their series; above it P' = 2 sin(t/2)^2 for
+    P = t - sin(t) and U' = (t/2) sin(t/2) for U = 2 sin(t/2) - t cos(t/2)),
+    through the root of F(s) = q s^2 - 2 a s + p implicitly, ds/dt =
+    -F_t/F_s with F_s = +-2 sqrt(disc) on the plus and the minus root, and
+    through lambda = N t^2/(2 sin(t/2)^2), N = (s - 1)^2 + 4 s sin(t/4)^2,
+    whose terms also give the value.  Where the discriminant is clamped
+    (the tangency end) the slope is +-inf with the sign of the one-sided
+    limit; it is nan at the axis node, where t*p3 underflows, at the minus
+    pole and where the root is clamped, where the value takes the raw root."""
+    beta, gamma, minus = row.beta, row.gamma, row.minus
+    raw = cf._s_minus_raw if minus else cf._s_plus_raw
+    axis = None if row.axis is None else _axis_value(row.axis)
+    nan, inf, sin, isfinite = math.nan, math.inf, math.sin, math.isfinite
 
-    def fn(t: float) -> float:
-        if t == 0.0 and axis is not None:
-            return axis
-        s = root(beta, gamma, t)
+    def clamped(t: float) -> float:
+        s = raw(beta, gamma, t)
         if s < 0.0:
             s = 0.0
-        elif not math.isfinite(s):
+        elif not isfinite(s):
             s = _ROOT_HUGE
         val = cf._half_sq_from_root(t, s)
-        return val if math.isfinite(val) else _HUGE
+        return val if isfinite(val) else _HUGE
 
-    return fn
-
-
-def _row_dfn(row: _Search) -> Callable[[float], float]:
-    """The derivative d(lambda)/dt of _row_fn(row) at one index t, in one
-    closure frame, for the refine's root solve.
-
-    The chain rule runs through A and B (below SMALL_ANGLE the derivatives
-    of their series; above it P' = 2 sin(t/2)^2 for P = t - sin(t) and
-    U' = (t/2) sin(t/2) for U = 2 sin(t/2) - t cos(t/2)), through the root
-    of F(s) = q s^2 - 2 a s + p implicitly, ds/dt = -F_t/F_s with
-    F_s = +2 sqrt(disc) on the plus root and -2 sqrt(disc) on the minus
-    root, and through lambda = N t^2/(2 sin(t/2)^2), whose
-    N = s^2 - 2 s cos(t/2) + 1 is _row_fn's (s - 1)^2 + 4 s sin(t/4)^2.
-    Where the discriminant is clamped (the tangency end) it is +-inf with
-    the sign of the one-sided limit; it is nan outside (0, 2*pi), at the
-    axis node t = 0 and where _row_fn clamps the root."""
-    beta, gamma, minus = row.beta, row.gamma, row.minus
-
-    def dfn(t: float) -> float:
+    def fn(t: float) -> tuple[float, float]:
         if not 0.0 < t < cf.TWO_PI:
-            return math.nan
-        sh = math.sin(0.5 * t)
+            if t == 0.0 and axis is not None:
+                return axis, nan
+            return clamped(t), nan  # raises the DomainError of cf._coefs
+        sh = sin(0.5 * t)
         if t < cf.SMALL_ANGLE:
             t2 = t * t
             p3, u3 = cf._p_r3(t2), cf._u_r3(t2)
@@ -375,7 +365,7 @@ def _row_dfn(row: _Search) -> Callable[[float], float]:
             # underflows
             ratio = cf._sin_half_r(t2)
             if t * p3 == 0.0:
-                return math.nan  # where _row_fn itself divides by zero
+                return clamped(t), nan  # where B is inf
             dp3 = t * (-1.0 / 60.0 + t2 / 1260.0)
             du3 = t * (-1.0 / 240.0 + t2 / 13440.0)
             dsr = t * (-1.0 / 24.0 + t2 / 960.0)
@@ -386,10 +376,11 @@ def _row_dfn(row: _Search) -> Callable[[float], float]:
             da = (-du3 - a * dp3) / p3
             db = b * (2.0 * dsr / ratio - 1.0 / t - dp3 / p3)
             u_ts = t * u3 / ratio  # U/(t sin(t/2))
+            half = sh / t  # the value's sin(t/2)/t, as _half_sq_from_root's
         else:
-            ratio = sh / t
+            ratio = half = sh / t
             ch = math.cos(0.5 * t)
-            p = t - math.sin(t)
+            p = t - sin(t)
             u = 2.0 * sh - t * ch
             a = -u / p
             b = 2.0 * sh * sh / p
@@ -404,25 +395,30 @@ def _row_dfn(row: _Search) -> Callable[[float], float]:
         if not minus:
             s, sign = p / (a - root), 1.0
         elif q == 0.0:
-            return math.nan  # the larger root diverges at the tangent index
+            return clamped(t), nan  # the larger root diverges at the tangent index
         else:
             s, sign = (a - root) / q, -1.0
-        if not 0.0 <= s < math.inf:
-            return math.nan
+        if not 0.0 <= s < inf:
+            return clamped(t), nan
+        q4 = sin(0.25 * t)
+        n = (s - 1.0) * (s - 1.0) + 4.0 * s * q4 * q4
+        val = n / (2.0 * half * half)
+        if not isfinite(val):
+            val = _HUGE
         f_t = -gamma * db * s * s - 2.0 * da * s - beta * db
-        q4 = math.sin(0.25 * t)
         s_c = (s - 1.0) + 2.0 * q4 * q4  # s - cos(t/2)
         if root == 0.0:
+            if disc != disc:
+                val = clamped(t)  # the raw root is nan there
             # lambda' ~ (t/sin(t/2))^2 * ds/dt * (s - cos(t/2)), and ds/dt
             # has the sign of -F_t/F_s as sqrt(disc) falls to +0
             if f_t == 0.0 or s_c == 0.0 or f_t != f_t:
-                return math.nan
-            return math.copysign(math.inf, f_t) * -sign * math.copysign(1.0, s_c)
+                return val, nan
+            return val, math.copysign(inf, f_t) * -sign * math.copysign(1.0, s_c)
         ds = -f_t / (sign * 2.0 * root)
-        n = (s - 1.0) * (s - 1.0) + 4.0 * s * q4 * q4
-        return (2.0 * ds * s_c + s * sh + n * u_ts) / (2.0 * ratio * ratio)
+        return val, (2.0 * ds * s_c + s * sh + n * u_ts) / (2.0 * ratio * ratio)
 
-    return dfn
+    return fn
 
 
 def _scan_block(rows: list[_Search], nodes: np.ndarray) -> np.ndarray:
@@ -572,7 +568,7 @@ def _solve_many(
     The search tables of all lines are built first, sharing psi_inv by
     argument; solvers._minimize_rows then scans their rows in 2-D blocks
     (all of a single line's rows in one kernel call) and refines each row
-    on its scalar objective (_row_fn) and derivative (_row_dfn)."""
+    on its objective and derivative (_row_fn)."""
     memo: dict[float, float] = {}
     rows: list[_Search] = []
     pending: list = []
@@ -589,7 +585,6 @@ def _solve_many(
         pending.append(line)
     results = _minimize_rows(
         [_row_fn(r) for r in rows],
-        [_row_dfn(r) for r in rows],
         lambda sel, nodes: _scan_block([rows[i] for i in sel], nodes),
         [r.lo for r in rows],
         [r.hi for r in rows],
@@ -804,16 +799,16 @@ def _oracle(
     under the frame's metric, and the report whose value is the v of the
     argmin: the first minimum of the point distance over a v-grid, then
     the root of its slope along the line in the cell pair around it
-    (solvers._refine_root on the slope of pointmetric._line_dist_fn).
+    (solvers._refine_root on pointmetric._line_dist_fn's distance and slope).
     Every point is sheared on its own; the line reduction of
     dist_to_line_correlated, which this referees, is not used.
 
     Each grid's first minimum is found by _branch_and_bound from the node
     bounds of _lower_bounds and cones of slope _line_slope(frame, gamma).
-    Every value the search and the refine compare comes from one function,
-    dist_correlated; the slope only places the refine's points.  A cell
-    pair whose end slope is not finite (one end at v = 0, or at p0) or
-    does not change sign takes the golden refine.
+    Every value the search and the refine compare is dist_correlated's,
+    which _line_dist_fn forms bit for bit; the slope only places the
+    refine's points.  A cell pair whose end slope is not finite (one end
+    at v = 0, or at p0) or does not change sign takes the golden refine.
 
     The best node d1 of the grid on [0, _ORACLE_HORIZON] certifies the
     horizon H* = (sqrt(v0) + c*d1/2)^2 by the horizontal bound: the argmin
@@ -826,13 +821,9 @@ def _oracle(
     if not v0 > 0.0:
         raise DomainError("the source point must have v0 > 0")
     slope = _line_slope(frame, gamma)
-    with_slope = _line_dist_fn(frame, p0, beta, gamma)
 
     def along(v: float) -> float:
         return dist_correlated(frame, p0, (beta + gamma * v, v))
-
-    def along_slope(v: float) -> float:
-        return with_slope(v)[1]
 
     def grid(horizon: float) -> tuple[np.ndarray, np.ndarray]:
         vs = np.linspace(0.0, horizon, _ORACLE_CELLS + 1)
@@ -849,7 +840,7 @@ def _oracle(
         )
     if horizon > _ORACLE_HORIZON:
         vs, ds = grid(horizon)
-    return _refine_root(along, along_slope, vs, ds, 1e-9)
+    return _refine_root(_line_dist_fn(frame, p0, beta, gamma), vs, ds, 1e-9)
 
 
 def oracle_dist(beta: float, gamma: float) -> DistanceSolution:

@@ -29,24 +29,24 @@ report, on the caller's one-frame objective; ``_brent`` subtracts the target.
 ``minimize_on_interval`` scans by calling ``fn`` on each node, then
 refines by golden section (``_refine``).
 
-``_refine_root`` refines at the root of the objective's derivative.  It
-serves the line rows of ``_minimize_rows`` (below) and the oracle, which
-hands it a grid from its branch and bound and the slope of the distance
-along the line: the scalar distance at the nodes it evaluated and, at the
-others, a lower bound above the grid's minimum, so that the refine
-settles on the same cell as on the full grid.
+``_refine_root`` refines at the root of the objective's derivative, on
+one closure of (objective, slope).  It serves the line rows of
+``_minimize_rows`` (below) and the oracle, which hands it a grid from its
+branch and bound and the distance along the line: the scalar distance at
+the nodes it evaluated and, at the others, a lower bound above the grid's
+minimum, so that the refine settles on the same cell as on the full grid.
 
 ``_minimize_rows`` runs many minimizations with the scan and the errors of
 ``minimize_on_interval``.  It scans the rows as 2-D blocks of
 ``SCAN_BLOCK_ROWS`` rows (16 rows of 257 nodes, about 4096 nodes), one
 array call per block, which bounds its memory, and refines each row on
-its own scalar objective and that objective's derivative
-(``_refine_root``): an end node whose derivative points out of the
-interval is the answer ("endpoint"); where the derivative changes sign
-across the cell pair around the best node, Brent's root solve of the
-derivative finds the minimizer in a few steps ("derivative-root"); any
-other row takes the golden refine and returns exactly what
-``minimize_on_interval`` returns ("grid-refine").  Errors stay per row.
+its own closure (``_refine_root``): an end node whose derivative points
+out of the interval is the answer ("endpoint"); where the derivative
+changes sign across the cell pair around the best node, Brent's root
+solve of the derivative finds the minimizer in a few steps
+("derivative-root"); any other row takes the golden refine and returns
+exactly what ``minimize_on_interval`` returns ("grid-refine").  Errors
+stay per row.
 The line solver minimizes every line's rows through it.
 """
 
@@ -478,44 +478,51 @@ def _golden_refine(
 
 
 def _refine_root(
-    fn: Callable[[float], float], dfn: Callable[[float], float],
+    fn: Callable[[float], tuple[float, float]],
     nodes: np.ndarray, fs: np.ndarray, tol: float,
 ) -> tuple[SolveReport, float]:
-    """_refine's answer through the root of the derivative dfn of fn, with
-    the same node check and the same cell pair [a, b] around the first
-    minimum node i.
+    """_refine's answer through the root of the slope, where fn returns
+    (value, slope), with the same node check and cell pair [a, b] around
+    the first minimum node i.
 
-    An end node i whose derivative points out of the interval is the
-    answer ("endpoint", 0 iterations).  Otherwise, where dfn(a) < 0 <
-    dfn(b), both finite, Brent solves dfn = 0 on [a, b] to
-    _ROOT_XTOL_SCALE times the golden stop width and fn is evaluated once
-    at the root; the node is kept where it is lower ("derivative-root",
-    Brent's iterations, the stop width as residual).  Every other row, and
-    a root solve that meets a nan, takes the golden refine of _refine."""
+    An end node i whose slope points out of the interval is the answer
+    ("endpoint", 0 iterations).  Otherwise, where slope(a) < 0 < slope(b),
+    both finite, Brent solves slope = 0 on [a, b] to _ROOT_XTOL_SCALE
+    times the golden stop width; it returns a point whose slope it took,
+    whose value is kept where it is lower than the node's
+    ("derivative-root", Brent's iterations, the stop width as residual).
+    Every other row, and a root solve that meets a nan, takes the golden
+    refine of _refine on the value."""
     i, a, b = _best_cell(nodes, fs)
     best_x, best_f = float(nodes[i]), float(fs[i])
+    values = {}  # fn's value at every point whose slope was taken
+
+    def slope(x: float) -> float:
+        values[x], d = fn(x)
+        return d
+
     db = None
     if i == nodes.size - 1:
-        db = dfn(b)
+        db = slope(b)
         if db < 0.0:
             return SolveReport(best_x, 0, 0.0, "endpoint"), best_f
-    da = dfn(a)
+    da = slope(a)
     if i == 0 and da > 0.0:
         return SolveReport(best_x, 0, 0.0, "endpoint"), best_f
     if -math.inf < da < 0.0:
-        db = dfn(b) if db is None else db
+        db = slope(b) if db is None else db
         if 0.0 < db < math.inf:
             xtol = max(_ROOT_XTOL_SCALE * _golden_width(tol, a, b), 5e-324)
             try:
-                root, _, iters = _solve(dfn, a, b, 0.0, xtol, 200, da, db)
+                root, _, iters = _solve(slope, a, b, 0.0, xtol, 200, da, db)
             except ConvergenceError:
                 pass
             else:
-                froot = fn(root)
+                froot = values[root]
                 if froot < best_f:
                     best_x, best_f = root, froot
                 return SolveReport(best_x, iters, xtol, "derivative-root"), best_f
-    return _golden_refine(fn, a, b, best_x, best_f, tol)
+    return _golden_refine(lambda x: fn(x)[0], a, b, best_x, best_f, tol)
 
 
 # The node indices 0, 1, ..., SCAN_CELLS of every scan, as floats.
@@ -547,26 +554,25 @@ def _scan_nodes(lo, hi) -> np.ndarray:
 SCAN_BLOCK_ROWS = 16
 
 def _minimize_rows(
-    fns: list[Callable[[float], float]],
-    dfns: list[Callable[[float], float]],
+    fns: list[Callable[[float], tuple[float, float]]],
     scan: Callable[[list[int], np.ndarray], np.ndarray],
     los: list[float],
     his: list[float],
     tol: float = MIN_TOL,
 ) -> list[tuple[SolveReport, float] | HestonDistError]:
-    """The minimum of fns[i] on [los[i], his[i]] for every row i, or the
-    error minimize_on_interval(fns[i], (los[i], his[i]), tol) raises: the
-    same scan of every interval, zero-width ones included, and the same
-    errors.
+    """The minimum of the objective f_i on [los[i], his[i]] for every row
+    i, or the error minimize_on_interval(f_i, (los[i], his[i]), tol)
+    raises: the same scan of every interval, zero-width ones included, and
+    the same errors.  fns[i] returns (f_i, its slope).
 
     ``scan(rows, nodes)`` evaluates the rows (a list of indices) at a 2-D
-    block of nodes, one row of nodes each, and must equal their scalar
+    block of nodes, one row of nodes each, and must equal their
     objectives bit for bit.  The scan evaluates SCAN_BLOCK_ROWS rows per
     call; a block that raises a HestonDistError is evaluated again row by
     row, so the error fails only the rows that raise it on their own.
-    Each row is then refined on its own by ``_refine_root`` on ``fns[i]``
-    and its derivative ``dfns[i]``; a row that falls back to the golden
-    refine returns what minimize_on_interval returns."""
+    Each row is then refined on its own by ``_refine_root`` on ``fns[i]``;
+    a row that falls back to the golden refine returns what
+    minimize_on_interval returns."""
     out: list = [None] * len(fns)
     live = []
     for i, (lo, hi) in enumerate(zip(los, his)):
@@ -589,7 +595,7 @@ def _minimize_rows(
                 out[i] = errors[k]
                 continue
             try:
-                out[i] = _refine_root(fns[i], dfns[i], nodes[k], fs[k], tol)
+                out[i] = _refine_root(fns[i], nodes[k], fs[k], tol)
             except HestonDistError as exc:
                 out[i] = exc
     return out

@@ -71,11 +71,13 @@ def vertical_variant_bracket(beta: float, variant: str) -> tuple[float, float]:
 def line_objective(beta: float, gamma: float, minus: bool = False, axis=None):
     """(scalar, array form) of the line solvers' objective through one
     intersection root of the line, with the axis crossing at v = axis as
-    its theta = 0 node when axis is given."""
+    its theta = 0 node when axis is given: the scalar is the value of
+    linedist._row_fn."""
     row = ld._Search("", beta, gamma, minus, 0.0, 0.0, axis)
     axis_value = ld._axis_node_value(row)
+    fn = ld._row_fn(row)
     return (
-        ld._row_fn(row),
+        lambda t: fn(t)[0],
         lambda ts: ld._objective_many(ts, beta, gamma, minus, axis_value),
     )
 

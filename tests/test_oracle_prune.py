@@ -7,7 +7,8 @@ sheared abscissas) and, from every evaluated node v_k, the cone
 d(v_k) - L|sqrt(v) - sqrt(v_k)| with L = ``linedist._line_slope``.  The
 reference, ``full_oracle``, evaluates every node of the same grids with
 the scalar ``dist_correlated`` and refines as the oracle does, with
-``solvers._refine_root`` on the slope of ``pointmetric._line_dist_fn``.
+``solvers._refine_root`` on ``pointmetric._line_dist_fn``, the distance
+and its slope along the line.
 ``scripts/oracle_references.py`` runs it once on every ``CASES`` line and
 records value, report, argmin and each grid's minimum d1 in
 ``oracle_references.txt``.  The oracle must agree with that file bit for
@@ -66,8 +67,6 @@ CASES = {
 def full_oracle(frame, p0, beta, gamma):
     """The oracle on full grids: ((report, value), grids), every node of
     each grid evaluated by the scalar distance."""
-    with_slope = pm._line_dist_fn(frame, p0, beta, gamma)
-
     def along(v):
         return pm.dist_correlated(frame, p0, (beta + gamma * v, v))
 
@@ -81,7 +80,7 @@ def full_oracle(frame, p0, beta, gamma):
     if horizon > ld._ORACLE_HORIZON:
         grids.append(grid(horizon))
     vs, ds = grids[-1]
-    refined = solvers._refine_root(along, lambda v: with_slope(v)[1], vs, ds, 1e-9)
+    refined = solvers._refine_root(pm._line_dist_fn(frame, p0, beta, gamma), vs, ds, 1e-9)
     return refined, grids
 
 

@@ -59,9 +59,10 @@ def test_golden_rows_equal_the_golden_refine(rows):
 
 
 def test_derivative_evaluations(gate, rows):
-    # about 7 derivative evaluations per line-mix line (golden spends ~32
-    # objective evaluations per row)
+    # about 7 calls of the row's closure per line-mix line, the golden
+    # refine's calls on its few rows included (golden spends ~32 objective
+    # evaluations per row)
     lines = {r.line for r in rows}
-    evals = sum(r.dfn_evals for r in rows)
+    evals = sum(r.evals for r in rows)
     assert evals <= 8 * len(lines)
-    assert all(r.dfn_evals == 1 for r in rows if r.method == "endpoint")
+    assert all(r.evals == 1 for r in rows if r.method == "endpoint")

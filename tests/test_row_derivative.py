@@ -1,8 +1,9 @@
-"""linedist._row_dfn is the derivative of the row objective linedist._row_fn:
-it agrees with a complex-step derivative of the same arithmetic on every
-branch and on both sides of SMALL_ANGLE, is +-inf with the sign of the
-one-sided limit where the discriminant is clamped, and nan where the
-objective has no derivative."""
+"""The slope that linedist._row_fn returns with the row objective is its
+derivative: it agrees with a complex-step derivative of the same arithmetic
+on every branch and on both sides of SMALL_ANGLE, is +-inf with the sign of
+the one-sided limit where the discriminant is clamped, and nan where the
+objective has no derivative; outside the objective's domain the closure
+raises."""
 
 import cmath
 import math
@@ -75,7 +76,7 @@ def complex_step(row, t):
     h = STEP * t
     lam, term = complex_row_fn(row)(complex(t, h))
     slope = lam.imag / h
-    return slope, max(abs(slope), ld._row_fn(row)(t) / t, abs(term) / h)
+    return slope, max(abs(slope), ld._row_fn(row)(t)[0] / t, abs(term) / h)
 
 
 def bound(t):
@@ -114,7 +115,7 @@ def row_points(draw):
 @given(row_points())
 def test_derivative_matches_the_complex_step(point):
     row, t = point
-    slope = ld._row_dfn(row)(t)
+    slope = ld._row_fn(row)(t)[1]
     assume(math.isfinite(slope))  # clamped discriminant: tested below
     want, scale = complex_step(row, t)
     assert abs(slope - want) <= bound(t) * scale, (row, t, slope, want)
@@ -135,7 +136,7 @@ def test_every_branch_on_both_sides_of_the_small_angle():
             (row,) = [r for r in ld._searches(beta, gamma, {}) if r.branch == branch]
             for u in (0.1, 0.5, 0.9):
                 t = row.lo + u * (row.hi - row.lo)
-                slope, (want, scale) = ld._row_dfn(row)(t), complex_step(row, t)
+                slope, (want, scale) = ld._row_fn(row)(t)[1], complex_step(row, t)
                 assert abs(slope - want) <= bound(t) * scale, (branch, beta, gamma, t)
                 bands.add((branch, 0 if t < cf.SMALL_ANGLE else 1 if t <= 1.0 else 2))
     assert bands == {(b, k) for b in BRANCHES for k in range(3)}
@@ -165,29 +166,33 @@ def test_clamped_discriminant_gives_the_signed_limit(line):
     for row in ld._searches(*line, {}):
         outside, inside = tangency_pair(row)
         assert cf.discriminant(row.beta, row.gamma, outside) <= 0.0
-        dfn = ld._row_dfn(row)
-        clamped, near = dfn(outside), dfn(inside)
+        fn = ld._row_fn(row)
+        clamped, near = fn(outside)[1], fn(inside)[1]
         assert math.isinf(clamped)
         # just inside the tangency end the derivative is large and of the
         # limit's sign
-        assert abs(near) > 1e3 * ld._row_fn(row)(inside) / inside
+        assert abs(near) > 1e3 * fn(inside)[0] / inside
         assert math.copysign(1.0, clamped) == math.copysign(1.0, near)
 
 
 def test_nan_where_the_objective_has_no_derivative():
     vertical = ld._searches(1.0, 0.0, {})[0]
-    dfn = ld._row_dfn(vertical)
+    fn = ld._row_fn(vertical)
+    # outside (0, 2*pi), and at t = 0 on a row without an axis node, the
+    # objective itself raises, and the refine never evaluates there
     for t in (0.0, -1.0, cf.TWO_PI, 7.0, math.nan, math.inf):
-        assert math.isnan(dfn(t))
+        with pytest.raises(hd.DomainError):
+            fn(t)
     # the plus root is negative beyond psi_inv(beta): _row_fn clamps it
     t = hd.psi_inv(1.0) + 0.5
     assert cf._s_plus_raw(1.0, 0.0, t) < 0.0
-    assert math.isnan(dfn(t))
+    assert math.isnan(fn(t)[1])
     # the axis node of a left-slanted row
     (left,) = ld._searches(1.0, -0.5, {})
     assert left.lo == 0.0 and left.axis is not None
-    assert ld._row_fn(left)(0.0) == ld._axis_value(left.axis)
-    assert math.isnan(ld._row_dfn(left)(0.0))
+    value, slope = ld._row_fn(left)(0.0)
+    assert value == ld._axis_value(left.axis)
+    assert math.isnan(slope)
     # the pole of the minus root, where _row_fn clamps it to _ROOT_HUGE
     theta = next(
         0.5 + k * 1e-3 for k in range(1500)
@@ -196,4 +201,4 @@ def test_nan_where_the_objective_has_no_derivative():
     gamma = 1.0 / cf.coef_B(theta)
     pole = ld._Search("slanted-minus", 0.5 * gamma, gamma, True, 0.0, 0.0)
     assert cf._s_minus_raw(0.5 * gamma, gamma, theta) == math.inf
-    assert math.isnan(ld._row_dfn(pole)(theta))
+    assert math.isnan(ld._row_fn(pole)(theta)[1])

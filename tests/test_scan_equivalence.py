@@ -63,7 +63,7 @@ def seeded_lines():
 @pytest.fixture(scope="module")
 def captured():
     """Every row _solve_many minimizes for dist_to_line on the seeded lines,
-    as a dict: the row, its one-frame objective fn and derivative dfn, the
+    as a dict: the row, its one-frame closure fn of (objective, slope), the
     block scan and the row's index in it, the row's result and every row of
     its batch."""
     found, tables = [], []
@@ -74,13 +74,13 @@ def captured():
         tables.append(rows)
         return rows
 
-    def record(fns, dfns, scan, los, his, tol):
-        results = minimize_rows(fns, dfns, scan, los, his, tol)
+    def record(fns, scan, los, his, tol):
+        results = minimize_rows(fns, scan, los, his, tol)
         rows = [r for table in tables for r in table]
         tables.clear()
         assert [(r.lo, r.hi) for r in rows] == list(zip(los, his))
         for i, row in enumerate(rows):
-            found.append(dict(row=row, fn=fns[i], dfn=dfns[i], scan=scan, index=i,
+            found.append(dict(row=row, fn=fns[i], scan=scan, index=i,
                               result=results[i], batch=(fns, los, his)))
         return results
 
@@ -122,7 +122,7 @@ class TestObjectivesOnScanNodes:
             values = call["scan"](rows, nodes)
             k = rows.index(call["index"])
             assert nodes[k].tolist() == scan_nodes(call["row"].lo, call["row"].hi)
-            assert_same_bits([call["fn"](x) for x in nodes[k].tolist()], values[k])
+            assert_same_bits([call["fn"](x)[0] for x in nodes[k].tolist()], values[k])
             axis_nodes += nodes[k, 0] == 0.0
         assert axis_nodes > 0
 
@@ -132,7 +132,7 @@ class TestObjectivesOnScanNodes:
         methods = set()
         for call in captured:
             fn, row = call["fn"], call["row"]
-            want = minimize_on_interval(fn, (row.lo, row.hi))
+            want = minimize_on_interval(lambda t: fn(t)[0], (row.lo, row.hi))
             report, value = call["result"]
             methods.add(report.method)
             if report.method == "grid-refine":
@@ -166,7 +166,7 @@ class TestObjectivesOnScanNodes:
             for minus in (False, True):
                 check_objective(line_objective(beta, gamma, minus=minus), nodes)
         row = ld._Search("", 1.0, 0.5, False, 5e-324, 5e-324)
-        assert_same_bits([ld._row_fn(row)(5e-324)],
+        assert_same_bits([ld._row_fn(row)(5e-324)[0]],
                          ld._scan_block([row], np.array([[5e-324]]))[0])
 
     def test_coefficients_reject_the_first_node_outside_the_domain(self):
@@ -228,6 +228,8 @@ class TestObjectivesOnScanNodes:
         assert 1.0 - recip_1 * cf.coef_B(1.0) == 0.0
         assert 1.0 - recip_small * cf.coef_B(1e-3) == 0.0
         cases = [
+            # p = 1 - beta*B = 0 and 1 - gamma*B = inf: a nan discriminant
+            (1.0, recip_1, -1e308, False, math.isnan),
             (1.0, -1e308, 0.0, False, lambda s: s == -math.inf),
             (2.5, 0.0, 0.0, False, lambda s: -math.inf < s < 0.0),
             (6.0, 1e300, -1.0, False, lambda s: 1e148 < s < ld._ROOT_HUGE),
@@ -247,7 +249,7 @@ class TestObjectivesOnScanNodes:
         thetas = [c[0] for c in cases]
         got = ld._scan_block(rows, np.array(thetas)[:, None])[:, 0]
         assert_same_bits([lam(t, s) for t, s in zip(thetas, roots)], got)
-        assert_same_bits([ld._row_fn(r)(t) for r, t in zip(rows, thetas)], got)
+        assert_same_bits([ld._row_fn(r)(t)[0] for r, t in zip(rows, thetas)], got)
         assert got[-3] == got[-4] == ld._HUGE
 
     def test_block_matches_each_row(self):
@@ -285,7 +287,7 @@ class TestObjectivesOnScanNodes:
         assert (values == ld._HUGE).any()
         for k, row in enumerate(rows):
             fn = ld._row_fn(row)
-            assert_same_bits([fn(t) for t in nodes[k].tolist()], values[k])
+            assert_same_bits([fn(t)[0] for t in nodes[k].tolist()], values[k])
             assert_same_bits(values[k], ld._scan_block([row], nodes[k:k + 1])[0])
 
     def test_axis_node(self):
@@ -327,7 +329,8 @@ signed_magnitudes = st.tuples(
 def test_row_objective_matches_the_kernel(beta, gamma):
     """On log-uniform lines of both signs the one-frame objective of every
     row equals the kernel at the scan nodes of the line's 2-D block, at
-    every point the golden refine visits and at the derivative root."""
+    every point the golden refine visits and at every point the
+    derivative-root refine evaluates."""
     line = ld._prelude(beta, gamma)
     assume(not isinstance(line, hd.DistanceSolution))
     rows = ld._searches(line[0], line[1], {})
@@ -336,7 +339,8 @@ def test_row_objective_matches_the_kernel(beta, gamma):
     nodes = solvers._scan_nodes(lo, hi)
     block = ld._scan_block(rows, nodes)
     for k, row in enumerate(rows):
-        fn = ld._row_fn(row)
+        pair = ld._row_fn(row)
+        fn = lambda t: pair(t)[0]
         assert_same_bits([fn(x) for x in nodes[k].tolist()], block[k])
         visited = []
         i = int(block[k].argmin())
@@ -344,8 +348,8 @@ def test_row_objective_matches_the_kernel(beta, gamma):
         b = float(nodes[k, min(i + 1, SCAN_CELLS)])
         solvers._golden(lambda t: visited.append(t) or fn(t), a, b, 1e-9, 200)
         assert len(visited) >= 2
-        solvers._refine_root(lambda t: visited.append(t) or fn(t), ld._row_dfn(row),
-                             nodes[k], block[k], 1e-9)
+        solvers._refine_root(lambda t: visited.append(t) or pair(t), nodes[k], block[k],
+                             1e-9)
         assert_same_bits(
             [fn(t) for t in visited], ld._scan_block([row], np.array([visited]))[0]
         )

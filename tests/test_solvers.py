@@ -13,6 +13,7 @@ from hestondist import (
     NonFiniteSampleError,
 )
 from hestondist import levelsets as ls
+from hestondist import linedist as ld
 from hestondist import solvers
 from hestondist.solvers import minimize_on_interval, solve_monotone
 
@@ -326,7 +327,7 @@ class TestArrayScan:
         fn_rows = lambda sel, ts: np.where(ts > 0.5, math.inf, ts)
         with pytest.raises(NonFiniteSampleError) as scalar:
             minimize_on_interval(fn, (0.0, 1.0))
-        (array,) = solvers._minimize_rows([fn], [_no_derivative], fn_rows, [0.0], [1.0])
+        (array,) = solvers._minimize_rows([_no_derivative(fn)], fn_rows, [0.0], [1.0])
         assert array.node_index == scalar.value.node_index == 129
         assert array.x == scalar.value.x
         assert type(scalar.value.x) is float
@@ -342,7 +343,7 @@ class TestArrayScan:
         fn_rows = lambda sel, ts: np.abs(np.abs(ts - 0.5) - 0.25)
         rep, val = minimize_on_interval(fn, (0.0, 1.0))
         assert solvers._minimize_rows(
-            [fn], [_no_derivative], fn_rows, [0.0], [1.0]
+            [_no_derivative(fn)], fn_rows, [0.0], [1.0]
         ) == [(rep, val)]
         assert rep.value == 0.25 and val == 0.0
         assert type(rep.value) is float and type(val) is float
@@ -351,7 +352,7 @@ class TestArrayScan:
         # all 257 nodes are lo, and the refine stays there
         fn = lambda t: (t - 3.0) ** 2
         rows = solvers._minimize_rows(
-            [fn, fn], [_no_derivative, lambda t: 2.0 * (t - 3.0)],
+            [_no_derivative(fn), _with_slope(fn, lambda t: 2.0 * (t - 3.0))],
             lambda sel, nodes: (nodes - 3.0) ** 2, [1.0, 1.0], [1.0, 1.0],
         )
         for rep, val in [minimize_on_interval(fn, (1.0, 1.0)), *rows]:
@@ -365,17 +366,22 @@ class TestArrayScan:
         hi = lo + 6e-13
         fn = lambda t: hi - t
         rows = solvers._minimize_rows(
-            [fn, fn], [_no_derivative, lambda t: -1.0],
+            [_no_derivative(fn), _with_slope(fn, lambda t: -1.0)],
             lambda sel, nodes: hi - nodes, [lo, lo], [hi, hi],
         )
         for rep, val in [minimize_on_interval(fn, (lo, hi)), *rows]:
             assert (rep.value, val) == (hi, 0.0)
 
 
-def _no_derivative(t):
-    """A derivative that is nan everywhere: every row falls back to the
-    golden refine."""
-    return math.nan
+def _with_slope(fn, dfn):
+    """The one closure the refine takes: t -> (fn(t), dfn(t))."""
+    return lambda t: (fn(t), dfn(t))
+
+
+def _no_derivative(fn):
+    """fn's closure with a slope that is nan everywhere: every row falls
+    back to the golden refine."""
+    return lambda t: (fn(t), math.nan)
 
 
 def _objective_rows():
@@ -394,7 +400,7 @@ def _objective_rows():
         (lambda t: t * t, lambda ts: ts * ts, (0.5, 4.0),             # endpoint
          lambda t: 2.0 * t),
         (lambda t: abs(abs(t - 0.5) - 0.25),                          # tie
-         lambda ts: np.abs(np.abs(ts - 0.5) - 0.25), (0.0, 1.0), _no_derivative),
+         lambda ts: np.abs(np.abs(ts - 0.5) - 0.25), (0.0, 1.0), lambda t: math.nan),
         (lambda t: (t - 3.0) ** 2, lambda ts: (ts - 3.0) ** 2, (1.0, 1.0),
          lambda t: 2.0 * (t - 3.0)),
         (lambda t: t, lambda ts: ts, (2.0, 2.0 + 1e-14), lambda t: 1.0),  # flat
@@ -402,7 +408,7 @@ def _objective_rows():
         (lambda t: math.inf if t > 0.5 else t,                        # inf node
          lambda ts: np.where(ts > 0.5, math.inf, ts), (0.0, 1.0), lambda t: 1.0),
         (lambda t: math.nan, lambda ts: np.full_like(ts, math.nan), (3.0, 3.0),
-         _no_derivative),
+         lambda t: math.nan),
     ]
 
     def raising(t):
@@ -428,8 +434,7 @@ def _minimize_rows(rows, tol=solvers.MIN_TOL, derivatives=False):
     """_minimize_rows on the rows, with their derivatives, or with none, so
     that every row takes the golden refine."""
     return solvers._minimize_rows(
-        [r[0] for r in rows],
-        [r[3] if derivatives else _no_derivative for r in rows],
+        [_with_slope(r[0], r[3]) if derivatives else _no_derivative(r[0]) for r in rows],
         _scan(rows), [r[2][0] for r in rows], [r[2][1] for r in rows], tol,
     )
 
@@ -480,30 +485,31 @@ class TestMinimizeRows:
         assert [type(g) for g in got] == [NonFiniteSampleError, DomainError]
 
     def test_refine_is_golden_on_the_scalar_objective(self):
-        # where the derivative gives no sign change, the scalar objective is
-        # called after the block scan exactly at the points _golden visits
-        # in the cell pair around the scan's minimum
+        # where the derivative gives no sign change, the closure is called
+        # after the block scan once for the slope at the cell pair's lower
+        # end, then exactly at the points _golden visits in the cell pair
+        # around the scan's minimum
         fn = lambda t: math.cos(3.0 * t) + 0.01 * t
         seen, visited = [], []
         scan = lambda sel, nodes: np.cos(3.0 * nodes) + 0.01 * nodes
         (got,) = solvers._minimize_rows(
-            [lambda t: seen.append(t) or fn(t)], [_no_derivative], scan, [0.0], [2.5]
+            [_no_derivative(lambda t: seen.append(t) or fn(t))], scan, [0.0], [2.5]
         )
         i, a, b = _scan_minimum(scan, 0.0, 2.5)
         solvers._golden(lambda t: visited.append(t) or fn(t), a, b, solvers.MIN_TOL, 200)
-        assert seen == visited
+        assert seen == [a, *visited]
         assert got == minimize_on_interval(fn, (0.0, 2.5))
 
     def test_refine_solves_the_derivative_root(self):
         # a sign change of the derivative across the cell pair: Brent on the
-        # derivative, then one evaluation of the objective at the root
+        # derivative, and the objective at the root is the value the
+        # closure gave with the slope there
         fn = lambda t: math.cos(3.0 * t) + 0.01 * t
         dfn = lambda t: -3.0 * math.sin(3.0 * t) + 0.01
-        seen, slopes = [], []
+        seen = []
         scan = lambda sel, nodes: np.cos(3.0 * nodes) + 0.01 * nodes
         ((rep, val),) = solvers._minimize_rows(
-            [lambda t: seen.append(t) or fn(t)],
-            [lambda t: slopes.append(t) or dfn(t)], scan, [0.0], [2.5],
+            [_with_slope(fn, lambda t: seen.append(t) or dfn(t))], scan, [0.0], [2.5],
         )
         _, a, b = _scan_minimum(scan, 0.0, 2.5)
         root, _, iters = solvers._solve(
@@ -512,8 +518,8 @@ class TestMinimizeRows:
         assert rep.method == "derivative-root"
         assert (rep.value, rep.iterations) == (root, iters)
         assert rep.residual == solvers._ROOT_XTOL_SCALE * solvers.MIN_TOL
-        assert seen == [root] and val == fn(root)
-        assert slopes[:2] == [a, b] and len(slopes) == iters + 1
+        assert root in seen and val == fn(root)
+        assert seen[:2] == [a, b] and len(seen) == iters + 1
         assert rep.value == pytest.approx((PI - math.asin(0.01 / 3.0)) / 3.0, abs=1e-12)
         _, golden = minimize_on_interval(fn, (0.0, 2.5))
         assert _within_gate(val, golden)
@@ -522,19 +528,58 @@ class TestMinimizeRows:
         # the first node is lowest and the derivative rises into the interval:
         # the node is the answer, and neither function is called again
         fn, dfn = (lambda t: t * t), (lambda t: 2.0 * t)
-        seen, slopes = [], []
+        seen = []
         ((rep, val),) = solvers._minimize_rows(
-            [lambda t: seen.append(t) or fn(t)],
-            [lambda t: slopes.append(t) or dfn(t)],
+            [_with_slope(lambda t: seen.append(t) or fn(t), dfn)],
             lambda sel, nodes: nodes * nodes, [0.5], [4.0],
         )
         assert (rep.value, rep.iterations, rep.residual, rep.method) == (0.5, 0, 0.0, "endpoint")
-        assert val == 0.25 and seen == [] and slopes == [0.5]
+        assert val == 0.25 and seen == [0.5]
         # the last node, falling toward it
         ((rep, val),) = solvers._minimize_rows(
-            [fn], [dfn], lambda sel, nodes: nodes * nodes, [-4.0], [-0.5]
+            [_with_slope(fn, dfn)], lambda sel, nodes: nodes * nodes, [-4.0], [-0.5]
         )
         assert (rep.value, rep.method, val) == (-0.5, "endpoint", 0.25)
+
+    def test_refine_evaluation_count(self):
+        # the closure is called once for every slope the refine takes and
+        # never again for a value: on a derivative-root row the two end
+        # slopes and one per Brent iteration but the last, the value at the
+        # root read from Brent's own call there; on an endpoint row once
+        def counted(fn, dfn):
+            return lambda t: calls.append(t) or (fn(t), dfn(t))
+
+        calls = []
+        fn = lambda t: math.cos(3.0 * t) + 0.01 * t
+        nodes = solvers._scan_nodes(0.0, 2.5)
+        rep, val = solvers._refine_root(
+            counted(fn, lambda t: -3.0 * math.sin(3.0 * t) + 0.01),
+            nodes, np.cos(3.0 * nodes) + 0.01 * nodes, solvers.MIN_TOL,
+        )
+        assert rep.method == "derivative-root" and rep.iterations > 1
+        assert len(calls) == rep.iterations + 1 and val == fn(rep.value)
+        calls.clear()
+        nodes = solvers._scan_nodes(0.5, 4.0)
+        rep, _ = solvers._refine_root(
+            counted(lambda t: t * t, lambda t: 2.0 * t), nodes, nodes * nodes, solvers.MIN_TOL
+        )
+        assert rep.method == "endpoint" and calls == [0.5]
+        # the rows of the line solver, every branch
+        methods = set()
+        for line in ((2.0, 0.5), (0.5, 2.0), (1.0, -0.5), (0.5, -2.0), (0.01, 0.0),
+                     (3.0, 0.0), (0.9, 0.9), (0.0, 1.5), (2e-3, 1e-3)):
+            for row in ld._searches(*line, {}):
+                calls.clear()
+                nodes = solvers._scan_nodes(row.lo, row.hi)
+                pair = ld._row_fn(row)
+                rep, val = solvers._refine_root(
+                    lambda t: calls.append(t) or pair(t),
+                    nodes, ld._scan_block([row], nodes[None, :])[0], solvers.MIN_TOL,
+                )
+                methods.add(rep.method)
+                want = 1 if rep.method == "endpoint" else rep.iterations + 1
+                assert len(calls) == want, (line, row, rep)
+        assert methods == {"derivative-root", "endpoint"}
 
     def test_an_inward_endpoint_derivative_is_solved(self):
         # the first node is lowest but the derivative points into the
@@ -542,7 +587,7 @@ class TestMinimizeRows:
         fn = lambda t: (t - 1e-3) ** 2
         dfn = lambda t: 2.0 * (t - 1e-3)
         ((rep, val),) = solvers._minimize_rows(
-            [fn], [dfn], lambda sel, nodes: (nodes - 1e-3) ** 2, [0.0], [1.0]
+            [_with_slope(fn, dfn)], lambda sel, nodes: (nodes - 1e-3) ** 2, [0.0], [1.0]
         )
         assert rep.method == "derivative-root"
         assert rep.value == pytest.approx(1e-3, abs=1e-15)
