@@ -1,23 +1,27 @@
 #!/usr/bin/env python3
-"""Time the arc-index solve per call and count its evaluations, optionally
-against another source tree in the same process.
+"""Time the point distance and the arc-index solve per call and count the
+solve's evaluations, optionally against another source tree in the same
+process.
 
     PYTHONPATH=src python scripts/index_timing.py
     PYTHONPATH=src python scripts/index_timing.py --against ../parent/src
 
-The inputs are the (x, v) pairs that ``dist`` hands to ``delta_of`` on the
-first ``--queries`` queries of the benchmark's point-pairs stream
-(``bench/workloads.py``) for each of ``--seeds``, recorded by running the
-queries once, and the 4096 nodes of the oracle's grid on the line x = 0.1,
-v in (0, 16].  For each set the script prints the mean time of one
-``delta_of`` call over ``--passes`` passes, and the mean and maximum number
-of evaluations of ``corefuncs._f_of_fn(v)`` per solve.
+The inputs are recorded by running the first ``--queries`` queries of the
+benchmark's point-pairs stream (``bench/workloads.py``) once for each of
+``--seeds``: the arguments of every ``dist`` call, through the package
+binding or through ``dist_correlated``, and the (x, v) pairs that ``dist``
+hands to ``delta_of``.  The 4096 nodes of the oracle's grid on the line
+x = 0.1, v in (0, 16], are a further set of solves.  For each set of
+``dist`` calls the script prints the mean time of one call over
+``--passes`` passes; for each set of solves, the mean time of one
+``delta_of`` call and the mean and maximum number of evaluations of
+``corefuncs._f_of_fn(v)`` per solve.
 
 ``--against SRC`` loads the package under ``SRC/hestondist`` as a second
-package (``scan_timing.load_tree``) and times its ``delta_of`` call by
-call, alternating with the package on ``PYTHONPATH``, so that both see the
-same load on a shared machine.  Its evaluations are counted through its own
-``corefuncs._f_of_fn``, so it may be an older tree.
+package (``scan_timing.load_tree``) and times its ``dist`` and ``delta_of``
+call by call, alternating with the package on ``PYTHONPATH``, so that both
+see the same load on a shared machine.  Its evaluations are counted through
+its own ``corefuncs._f_of_fn``, so it may be an older tree.
 """
 
 from __future__ import annotations
@@ -38,25 +42,33 @@ import workloads  # noqa: E402
 from scan_timing import load_tree, mean_us  # noqa: E402
 
 
-def point_pair_inputs(seed: int, queries: int) -> list[tuple[float, float]]:
-    """The arguments of every delta_of call that dist makes on the first
-    queries of the point-pairs stream of seed."""
-    seen = []
-    solve = pointmetric.delta_of
+def point_pair_inputs(seed: int, queries: int) -> tuple[list, list]:
+    """The arguments of every dist call on the first queries of the
+    point-pairs stream of seed, and of every delta_of call that dist
+    makes."""
+    pairs, solves = [], []
+    dist, solve = pointmetric.dist, pointmetric.delta_of
 
-    def record(x, v):
-        seen.append((x, v))
+    def record_dist(p0, p1):
+        pairs.append((p0, p1))
+        return dist(p0, p1)
+
+    def record_solve(x, v):
+        solves.append((x, v))
         return solve(x, v)
 
     load = workloads.WORKLOADS["point-pairs"](seed)
     stream = load.stream("timed")
-    pointmetric.delta_of = record
+    # dist_correlated calls pointmetric.dist, the workload calls hd.dist
+    hd.dist = pointmetric.dist = record_dist
+    pointmetric.delta_of = record_solve
     try:
         for _ in range(queries):
             load.run(next(stream))
     finally:
+        hd.dist = pointmetric.dist = dist
         pointmetric.delta_of = solve
-    return seen
+    return pairs, solves
 
 
 def evaluations(package, inputs: list) -> list[int]:
@@ -86,6 +98,11 @@ def evaluations(package, inputs: list) -> list[int]:
     return out
 
 
+def speed_up(times: list[float]) -> None:
+    if len(times) > 1:
+        print(f"  speed-up x{times[1] / times[0]:.3f}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
@@ -97,14 +114,21 @@ def main() -> int:
     packages = [hd]
     if args.against:
         packages.append(load_tree(args.against))
-    sets = {
-        f"point-pairs seed {seed}": point_pair_inputs(seed, args.queries)
-        for seed in args.seeds
-    }
+    errors = tuple(p.HestonDistError for p in packages)
+    calls, sets = {}, {}
+    for seed in args.seeds:
+        label = f"point-pairs seed {seed}"
+        calls[label], sets[label] = point_pair_inputs(seed, args.queries)
     sets["oracle grid x = 0.1"] = [
         (0.1, v) for v in np.linspace(0.0, 16.0, 4097)[1:].tolist()
     ]
     names = ["this tree", "against"][: len(packages)]
+    for label, pairs in calls.items():
+        times = mean_us([p.dist for p in packages], pairs, args.passes, errors)
+        print(f"{label} ({len(pairs)} dist calls)")
+        for name, us in zip(names, times):
+            print(f"  {name:9s} {us:6.2f} us/call")
+        speed_up(times)
     for label, inputs in sets.items():
         times = mean_us([p.delta_of for p in packages], inputs, args.passes, ())
         print(f"{label} ({len(inputs)} solves)")
@@ -114,8 +138,7 @@ def main() -> int:
                 f"  {name:9s} {us:6.2f} us/solve   evaluations per solve: "
                 f"mean {statistics.fmean(evals):5.2f}, max {max(evals)}"
             )
-        if len(times) > 1:
-            print(f"  speed-up x{times[1] / times[0]:.3f}")
+        speed_up(times)
     return 0
 
 

@@ -34,6 +34,7 @@ from .linedist import dist_to_line, dist_to_line_correlated, oracle_dist
 from .pointmetric import CorrelationFrame, dist, dist_correlated
 from .smile import SmileFailure, smile_table
 from .solution import DistanceSolution
+from .solvers import MIN_TOL
 
 JSON_DIGITS = 17
 CSV_DIGITS = 12
@@ -136,18 +137,17 @@ def _cmd_dist_point(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
 
 
 def _cmd_dist_line(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
-    tol = args.tol if args.tol is not None else 1e-9
     inputs = {
         "beta": args.beta, "gamma": args.gamma,
         "c": args.c, "rho": args.rho, "x0": args.x0, "v0": args.v0,
     }
     if args.c == 1.0 and args.rho == 0.0 and args.x0 == 0.0 and args.v0 == 1.0:
-        sol = dist_to_line(args.beta, args.gamma, tol=tol)
+        sol = dist_to_line(args.beta, args.gamma, tol=args.tol)
         outputs, diagnostics = _solution_outputs(sol)
     else:
         frame = CorrelationFrame(args.c, args.rho)
         value = dist_to_line_correlated(
-            frame, (args.x0, args.v0), args.beta, args.gamma, tol=tol
+            frame, (args.x0, args.v0), args.beta, args.gamma, tol=args.tol
         )
         outputs, diagnostics = {"value": value}, {}
     record = {
@@ -197,9 +197,8 @@ def _cmd_levelset_emit(args: argparse.Namespace) -> tuple[dict, list[dict] | Non
 
 
 def _cmd_smile(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
-    tol = args.tol if args.tol is not None else 1e-9
     frame = CorrelationFrame(args.c, args.rho)
-    entries = smile_table(args.spot, args.v0, frame, args.strikes, tol=tol)
+    entries = smile_table(args.spot, args.v0, frame, args.strikes, tol=args.tol)
     out_entries: list[dict] = []
     rows: list[dict] = []
     for e in entries:
@@ -244,18 +243,17 @@ def _compare_one(beta: float, gamma: float, tol: float) -> dict:
 
 
 def _cmd_oracle_compare(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
-    tol = args.tol if args.tol is not None else 1e-9
     if not args.grid and (args.beta is None or args.gamma is None):
         raise UsageError("oracle compare needs --beta and --gamma, or --grid")
     if args.grid:
         rows = [
-            _compare_one(b, g, tol)
+            _compare_one(b, g, args.tol)
             for b in _ORACLE_GRID_BETA
             for g in _ORACLE_GRID_GAMMA
             if b + g != 0.0
         ]
     else:
-        rows = [_compare_one(args.beta, args.gamma, tol)]
+        rows = [_compare_one(args.beta, args.gamma, args.tol)]
     record = {
         "kind": "oracle-compare",
         "inputs": {"beta": args.beta, "gamma": args.gamma, "grid": bool(args.grid)},
@@ -319,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         "implied-volatility limit.",
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--tol", type=_tolerance, default=None,
+    parser.add_argument("--tol", type=_tolerance, default=MIN_TOL,
                         help="solver tolerance override")
     parser.add_argument("--quiet-meta", action="store_true",
                         help="suppress the version banner in the output")

@@ -542,27 +542,27 @@ def _half_sq_from_root(theta: float, s: float) -> float:
         return math.inf
 
 
-def lambda_plus(beta: float, gamma: float, theta: float) -> float:
-    """Half-squared distance from (0, 1) to the smaller-v intersection of
-    the line (beta, gamma) with the level curve theta."""
-    s = s_plus(beta, gamma, theta)
+def _lambda_at_root(root: Callable, name: str, beta: float, gamma: float, theta: float) -> float:
+    """Half-squared distance from (0, 1) to the intersection at the root s
+    = root(beta, gamma, theta), named name in the error where s < 0."""
+    s = root(beta, gamma, theta)
     if s < 0.0:
         raise DomainError(
-            f"s_plus({beta!r}, {gamma!r}, {theta!r}) < 0: no intersection on "
+            f"{name}({beta!r}, {gamma!r}, {theta!r}) < 0: no intersection on "
             "this branch"
         )
     return _half_sq_from_root(theta, s)
+
+
+def lambda_plus(beta: float, gamma: float, theta: float) -> float:
+    """Half-squared distance from (0, 1) to the smaller-v intersection of
+    the line (beta, gamma) with the level curve theta."""
+    return _lambda_at_root(s_plus, "s_plus", beta, gamma, theta)
 
 
 def lambda_minus(beta: float, gamma: float, theta: float) -> float:
     """Half-squared distance from (0, 1) to the larger-v intersection."""
-    s = s_minus(beta, gamma, theta)
-    if s < 0.0:
-        raise DomainError(
-            f"s_minus({beta!r}, {gamma!r}, {theta!r}) < 0: no intersection on "
-            "this branch"
-        )
-    return _half_sq_from_root(theta, s)
+    return _lambda_at_root(s_minus, "s_minus", beta, gamma, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ from .pointmetric import (
     dist_correlated,
 )
 from .solution import DistanceSolution
-from .solvers import SolveReport, _minimize_rows, _refine_root
+from .solvers import MIN_TOL, SolveReport, _minimize_rows, _refine_root
 
 # Half-open interval ends (where lambda_minus blows up) are closed at this
 # offset; the objective diverges there, so no minimum is lost.
@@ -661,7 +661,7 @@ def _mirrored(sol: DistanceSolution) -> DistanceSolution:
     )
 
 
-def dist_to_line(beta: float, gamma: float, tol: float = 1e-9) -> DistanceSolution:
+def dist_to_line(beta: float, gamma: float, tol: float = MIN_TOL) -> DistanceSolution:
     """Distance from (0, 1) to the line x = beta + gamma*v, any real
     parameters."""
     (sol,) = _solve_many([(beta, gamma)], tol)
@@ -694,7 +694,7 @@ def dist_to_line_correlated(
     p0: tuple[float, float],
     beta: float,
     gamma: float,
-    tol: float = 1e-9,
+    tol: float = MIN_TOL,
 ) -> float:
     """Distance from an arbitrary point p0 (with v0 > 0) to the line under
     the correlated-model metric, by reduction to the uncorrelated base
@@ -805,10 +805,11 @@ def _oracle(
 
     Each grid's first minimum is found by _branch_and_bound from the node
     bounds of _lower_bounds and cones of slope _line_slope(frame, gamma).
-    Every value the search and the refine compare is dist_correlated's,
-    which _line_dist_fn forms bit for bit; the slope only places the
-    refine's points.  A cell pair whose end slope is not finite (one end
-    at v = 0, or at p0) or does not change sign takes the golden refine.
+    Every value the search and the refine compare is dist_correlated's:
+    _line_dist_fn forms it by the same _reduce and _dist_base calls, and
+    its slope only places the refine's points.  A cell pair whose end
+    slope is not finite (one end at v = 0, or at p0) or does not change
+    sign takes the golden refine.
 
     The best node d1 of the grid on [0, _ORACLE_HORIZON] certifies the
     horizon H* = (sqrt(v0) + c*d1/2)^2 by the horizontal bound: the argmin
@@ -840,7 +841,7 @@ def _oracle(
         )
     if horizon > _ORACLE_HORIZON:
         vs, ds = grid(horizon)
-    return _refine_root(_line_dist_fn(frame, p0, beta, gamma), vs, ds, 1e-9)
+    return _refine_root(_line_dist_fn(frame, p0, beta, gamma), vs, ds, MIN_TOL)
 
 
 def oracle_dist(beta: float, gamma: float) -> DistanceSolution:

@@ -10,18 +10,19 @@ scaling identities
 
     d((x0,v0),(x1,v1)) = sqrt(v0) * d((0,1), ((x1-x0)/v0, v1/v0)),   v0 > 0,
 
-swapping the points first if only v1 is off the boundary.  The correlated
-model with vol-of-vol c and correlation rho reduces to the uncorrelated one
-through the shear (x, v) -> ((c*x - rho*v)/sqrt(1-rho^2), v) and division
-by c; CorrelationFrame holds this reduction, for points and for lines,
-and no other module computes sqrt(1-rho^2).
+with the points swapped where v1 > _SWAP_RATIO*v0, which covers v0 = 0.
+The correlated model with vol-of-vol c and correlation rho reduces to the
+uncorrelated one through the shear (x, v) -> ((c*x - rho*v)/sqrt(1-rho^2),
+v) and division by c; CorrelationFrame holds this reduction, for points
+and for lines, and no other module computes sqrt(1-rho^2).
 
 The inner form (sqrt(v)-1)^2 + 4 sqrt(v) sin(delta/4)^2 is a sum of two
 nonnegative terms and avoids the subtractive cancellation of the raw
 v + 1 - 2 sqrt(v) cos(delta/2) near v ~ 1, delta ~ 0.
 
-The distance has one evaluation, the scalar one: the brute-force oracles
-of linedist call dist_correlated node by node.
+Every point distance takes one path: _reduce, then _dist_base.  dist
+calls them, and so does the oracle's line closure _line_dist_fn, which
+adds only the slope along the line.
 """
 
 from __future__ import annotations
@@ -142,19 +143,38 @@ def delta_of(x: float, v: float) -> float:
     )
 
 
-def _dist_base(x: float, v: float) -> float:
-    """Distance from the base point (0, 1) to (x, v)."""
-    s = math.sqrt(v)
+_SWAP_RATIO = 1e12
+
+
+def _reduce(x0: float, v0: float, x1: float, v1: float) -> tuple[float, float, float]:
+    """(x, w, scale) with d((x0, v0), (x1, v1)) = scale*d((0, 1), (x, w)):
+    translate and divide by v0, or by v1 where v1 > _SWAP_RATIO*v0, which
+    covers v0 = 0.  Normalizing by the larger variance keeps the reduced
+    point representable when the ratio is extreme (symmetry of the
+    metric)."""
+    if v1 > v0 * _SWAP_RATIO:
+        return (x0 - x1) / v1, v0 / v1, math.sqrt(v1)
+    return (x1 - x0) / v0, v1 / v0, math.sqrt(v0)
+
+
+def _dist_base(x: float, w: float) -> tuple[float, float, float, float, float]:
+    """Distance from the base point (0, 1) to (x, w), with the terms its
+    slope needs: (D, d, s, ratio, rad), where D = ratio*rad, d =
+    |delta_of(x, w)|, s = sqrt(w), ratio = d/sin(d/2) and rad =
+    sqrt((s - 1)^2 + 4s sin(d/4)^2); at x = 0, d = 0 and ratio = 2."""
+    s = math.sqrt(w)
     if x == 0.0:
-        return 2.0 * abs(s - 1.0)
-    d = abs(delta_of(x, v))
+        return 2.0 * abs(s - 1.0), 0.0, s, 2.0, abs(s - 1.0)
+    d = abs(delta_of(x, w))
     q4 = math.sin(0.25 * d)
     inner = (s - 1.0) ** 2 + 4.0 * s * q4 * q4
     # d/sin(d/2) = 2 + d^2/12 + ...: below 1e-8 the correction is sub-ulp
     ratio = 2.0 if d < 1e-8 else d / math.sin(0.5 * d)
     if inner < _INNER_FLOOR:
-        return ratio * math.hypot(s - 1.0, 2.0 * math.sqrt(s) * q4)
-    return ratio * math.sqrt(inner)
+        rad = math.hypot(s - 1.0, 2.0 * math.sqrt(s) * q4)
+    else:
+        rad = math.sqrt(inner)
+    return ratio * rad, d, s, ratio, rad
 
 
 # Below this the inner form of _dist_base may have lost bits: q4*q4
@@ -184,18 +204,12 @@ def dist(p0: tuple[float, float], p1: tuple[float, float]) -> float:
             "both points lie on the boundary v = 0; the distance formula "
             "does not apply"
         )
-    if v0 == 0.0:
-        x0, v0, x1, v1 = x1, v1, x0, v0
-    elif v1 > v0 * 1e12:
-        # normalizing by the larger variance keeps the reduced coordinates
-        # representable when the ratio is extreme (symmetry of the metric)
-        x0, v0, x1, v1 = x1, v1, x0, v0
-    x = (x1 - x0) / v0
+    x, w, scale = _reduce(x0, v0, x1, v1)
     if not math.isfinite(x):
         raise DomainError(
             f"the reduced abscissa (x1 - x0)/v0 of {p0!r}, {p1!r} overflows"
         )
-    return math.sqrt(v0) * _dist_base(x, v1 / v0)
+    return scale * _dist_base(x, w)[0]
 
 
 def dist_correlated(
@@ -216,12 +230,10 @@ def _line_dist_fn(
     dist_correlated(frame, p0, (beta + gamma*v, v)) is the distance from
     p0 (v0 > 0) to the point of the line x = beta + gamma*v at ordinate v.
 
-    D is formed as dist_correlated forms it, bit for bit: the same shear,
-    the swap where v > 1e12*v0, the reduced point (x, w) and _dist_base's
-    x = 0, small-index and _INNER_FLOOR forms.  The slope is the chain
-    rule along that path.  With d = |delta_of(x, w)| and s = sqrt(w) the
-    base distance is R*sqrt(I), R = d/sin(d/2), I = (s - 1)^2 + 4s
-    sin(d/4)^2, and f_of(w, d) = |x| gives dd = (d|x| - f_w dw)/f_d.
+    D is dist_correlated's own path: the shear, then _reduce and
+    _dist_base.  The slope is the chain rule along that path.  With d, s,
+    R = d/sin(d/2) and sqrt(I), I = (s - 1)^2 + 4s sin(d/4)^2, from
+    _dist_base, f_of(w, d) = |x| gives dd = (d|x| - f_w dw)/f_d.
     f = (s - 1)^2 fp + 4s fq, with fp = f_of(0, d), so s*f_w = (s - 1) fp
     + 2 fq.  Below SMALL_ANGLE fp, fq, f_d and R' are Taylor series to
     d^7, exact to rounding; above it they are closed forms, with the
@@ -233,44 +245,29 @@ def _line_dist_fn(
     x0, v0 = p0
     if not v0 > 0.0:
         raise DomainError("the source point must have v0 > 0")
-    c, rho, root = frame.c, frame.rho, frame._root()
-    sx0 = frame.shear(x0, v0)[0]
-    eta = frame.shear(gamma, 1.0)[0]  # the sheared line's dx/dv
-    gap = sx0 - frame.shear(beta, 0.0)[0]  # sheared p0 less the line's foot at v = 0
-    r0, cut = math.sqrt(v0), v0 * 1e12
-    sqrt, sin = math.sqrt, math.sin
+    c, shear = frame.c, frame.shear
+    sx0 = shear(x0, v0)[0]
+    eta = shear(gamma, 1.0)[0]  # the sheared line's dx/dv
+    gap = sx0 - shear(beta, 0.0)[0]  # sheared p0 less the line's foot at v = 0
+    r0, cut = math.sqrt(v0), v0 * _SWAP_RATIO
+    sin = math.sin
 
     def fn(v: float) -> tuple[float, float]:
         if not 0.0 <= v < math.inf:
             raise DomainError(f"v must be nonnegative and finite, got {v!r}")
-        sx1 = (c * (beta + gamma * v) - rho * v) / root
-        swap = v > cut
-        if swap:
-            x, w, scale = (sx0 - sx1) / v, v0 / v, sqrt(v)
-        else:
-            x, w, scale = (sx1 - sx0) / v0, v / v0, r0
+        x, w, scale = _reduce(sx0, v0, shear(beta + gamma * v, v)[0], v)
         if not math.isfinite(x):
             raise DomainError(f"the reduced abscissa at v = {v!r} overflows")
-        s = sqrt(w)
+        base, d, s, ratio, rad = _dist_base(x, w)
+        if not rad > 0.0:
+            return scale * base / c, math.nan
         if x == 0.0:
-            base = 2.0 * abs(s - 1.0)
             # the base distance is even in x; in w its slope is sign(s - 1)/s
-            gx, gw = 0.0, math.copysign(1.0, s - 1.0) if s != 1.0 else math.nan
+            gx, gw = 0.0, math.copysign(1.0, s - 1.0)
         else:
-            d = abs(delta_of(x, w))
             q4 = sin(0.25 * d)
             q2 = q4 * q4
             s1 = (s - 1.0) ** 2
-            inner = s1 + 4.0 * s * q4 * q4
-            # d/sin(d/2) = 2 + d^2/12 + ...: below 1e-8 the correction is sub-ulp
-            ratio = 2.0 if d < 1e-8 else d / sin(0.5 * d)
-            if inner < _INNER_FLOOR:
-                rad = math.hypot(s - 1.0, 2.0 * sqrt(s) * q4)
-            else:
-                rad = sqrt(inner)
-            base = ratio * rad
-            if not rad > 0.0:
-                return scale * base / c, math.nan
             sh = sin(0.5 * d)
             if d < cf.SMALL_ANGLE:
                 t2 = d * d
@@ -296,7 +293,7 @@ def _line_dist_fn(
             gx = (dratio * rad + ratio * s * sh / (2.0 * rad)) / fd
             gw = ratio * (s - 1.0 + 2.0 * q2) / (2.0 * rad) - gx * ((s - 1.0) * fp + 2.0 * fq)
             gx = math.copysign(gx, x)
-        if swap:
+        if v > cut:
             # x = (sx0 - sx1)/v and w = v0/v: dx/dv = -gap/v^2, dw/dv = -w/v
             slope = (0.5 * base - gx * gap / v - s * gw) / (c * scale)
         else:

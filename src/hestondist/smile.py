@@ -32,6 +32,7 @@ from .errors import AtTheMoneyError, DomainError, HestonDistError
 from .linedist import _solve_many, dist_to_line
 from .pointmetric import CorrelationFrame
 from .solution import DistanceSolution
+from .solvers import MIN_TOL
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def _smile_point(
     )
 
 
-def iv_limit(q: SmileQuery, tol: float = 1e-9) -> SmilePoint:
+def iv_limit(q: SmileQuery, tol: float = MIN_TOL) -> SmilePoint:
     """Zero-maturity implied-volatility limit for one query."""
     beta, gamma = reduced_line(q)
     return _smile_point(q, beta, gamma, dist_to_line(beta, gamma, tol=tol))
@@ -119,7 +120,7 @@ def smile_table(
     v0: float,
     frame: CorrelationFrame,
     strikes: list[float],
-    tol: float = 1e-9,
+    tol: float = MIN_TOL,
 ) -> list[SmilePoint | SmileFailure]:
     """Evaluate a ladder of strikes; entries for failing strikes record the
     error instead of aborting the ladder.  Order is preserved.

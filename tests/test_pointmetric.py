@@ -140,6 +140,25 @@ class TestDist:
     def test_boundary_start_swaps(self):
         assert hd.dist((1.0, 0.0), (1.0, 4.0)) == hd.dist((1.0, 4.0), (1.0, 0.0))
 
+    def test_swapped_pairs_are_symmetric_bit_for_bit(self):
+        # where v1 > 1e12*v0 (and where v0 = 0) both orders normalize by
+        # v1, so they give the same double; below the swap each order
+        # normalizes by its own first variance and may differ in the last
+        # bits, at v1 = 1e12*v0 too
+        v0 = 0.3
+        for x0, x1 in ((0.0, 1.0), (-2.5, 7.0), (1e3, -1e-3)):
+            for v1 in (math.nextafter(v0 * 1e12, math.inf), 7e15, 1e30):
+                assert hd.dist((x0, v0), (x1, v1)) == hd.dist((x1, v1), (x0, v0))
+        for p0, p1 in (((0.5, 0.0), (-1.0, 2.0)), ((-4.0, 0.0), (1e5, 1e-3))):
+            assert hd.dist(p0, p1) == hd.dist(p1, p0)
+
+    def test_swap_keeps_the_reduced_abscissa_finite(self):
+        # normalized by v0, the abscissa would be 1e10/1e-300 = 1e310 and
+        # raise; normalized by v1 it is 1e-10
+        d = hd.dist((0.0, 1e-300), (1e10, 1e10))
+        assert d == 258190.4512827772
+        assert d == hd.dist((1e10, 1e10), (0.0, 1e-300))
+
     def test_boundary_pair_rejected(self):
         with pytest.raises(BoundaryPairError):
             hd.dist((0.0, 0.0), (1.0, 0.0))
