@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time the line scan kernel per block, on the rows of seeded line-mix
-lines, optionally against another source tree in the same process.
+lines, and smile ladders, optionally against another source tree in the
+same process.
 
     PYTHONPATH=src python scripts/scan_timing.py --seed 1
     PYTHONPATH=src python scripts/scan_timing.py --seed 1 --against ../parent/src
+    PYTHONPATH=src python scripts/scan_timing.py --lines 0 --ladders 40 --against ../parent/src
 
 The rows are those of the first ``--lines`` lines of the benchmark's
 line-mix stream (``bench/workloads.py``), each line's search table built
@@ -11,13 +13,16 @@ on its own.  The script prints the mean time of one
 ``linedist._scan_block`` call on blocks of 1 row (every row alone), 2 rows
 (the lines with two rows) and 16 rows (consecutive rows), over
 ``--passes`` passes, and the mean time of one ``dist_to_line`` call on the
-same lines.
+same lines.  ``--ladders N`` adds the mean time of one ``smile_table`` call
+on the first N ladders of the smile-ladder stream, each call as the
+benchmark makes it; ``--lines 0`` leaves the line timings out.
 
 ``--against SRC`` loads the package under ``SRC/hestondist`` as a second
 package and times it call by call, alternating with the package on
 ``PYTHONPATH``, so that both see the same load on a shared machine.  Only
-``_scan_block`` and ``dist_to_line`` of that package are called, with the
-rows and nodes built here, so it may be an older tree.
+``_scan_block``, ``dist_to_line``, ``smile_table`` and ``CorrelationFrame``
+of that package are called, with the rows and nodes built here, so it may
+be an older tree.
 """
 
 from __future__ import annotations
@@ -79,6 +84,17 @@ def mean_us(fns: list, calls: list, passes: int, errors: tuple) -> list[float]:
     return [t / (passes * len(calls)) * 1e6 for t in total]
 
 
+def ladder(package):
+    """smile_table of a package, called on a smile-ladder query's arguments
+    as the benchmark calls it."""
+    spot = workloads.SmileLadder.SPOT
+
+    def call(c, rho, v0, strikes, _probe):
+        return package.smile_table(spot, v0, package.CorrelationFrame(c, rho), strikes)
+
+    return call
+
+
 def report(label: str, times: list[float]) -> None:
     line = f"{label:36s} {times[0]:7.1f} us"
     if len(times) > 1:
@@ -91,15 +107,19 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--lines", type=int, default=4000)
     parser.add_argument("--passes", type=int, default=3)
+    parser.add_argument("--ladders", type=int, default=0)
     parser.add_argument("--against", type=Path, metavar="SRC")
     args = parser.parse_args()
 
     kernels, solvers = [ld._scan_block], [ld.dist_to_line]
+    smiles = [ladder(hd)]
     errors: tuple = (hd.HestonDistError,)
     if args.against:
-        other = load_tree(args.against).linedist
+        package = load_tree(args.against)
+        other = package.linedist
         kernels.append(other._scan_block)
         solvers.append(other.dist_to_line)
+        smiles.append(ladder(package))
         errors += (other.HestonDistError,)
 
     stream = workloads.WORKLOADS["line-mix"](args.seed).stream("timed")
@@ -119,10 +139,17 @@ def main() -> int:
         16: [block(rows[i:i + 16]) for i in range(0, len(rows) - 15, 16)],
     }
     for size, group in blocks.items():
-        label = f"_scan_block, {size:2d}-row blocks"
-        report(f"{label} ({len(group)})", mean_us(kernels, group, args.passes, errors))
-    report(f"dist_to_line ({len(lines)} lines)",
-           mean_us(solvers, lines, args.passes, errors))
+        if group:
+            label = f"_scan_block, {size:2d}-row blocks ({len(group)})"
+            report(label, mean_us(kernels, group, args.passes, errors))
+    if lines:
+        report(f"dist_to_line ({len(lines)} lines)",
+               mean_us(solvers, lines, args.passes, errors))
+    if args.ladders:
+        stream = workloads.WORKLOADS["smile-ladder"](args.seed).stream("timed")
+        queries = [next(stream).args for _ in range(args.ladders)]
+        report(f"smile_table ({len(queries)} ladders)",
+               mean_us(smiles, queries, args.passes, errors))
     return 0
 
 

@@ -39,8 +39,13 @@ kernel call per block, so a single line's one or two rows take one call;
 then each row's refine on _row_fn, a root solve of the derivative where
 it changes sign around the best node, otherwise the golden section on the
 objective.  An error fails only its own line, and so does a distance
-beyond double range.  The intersection roots themselves live in
-corefuncs (_s_plus_raw and _s_minus_raw).
+beyond double range.  It returns, for each searched line, a _Found
+record: the winning row, its report, the half-squared distance and the
+distance.  Only dist_to_line assembles a DistanceSolution from it
+(_solution: the argmin on the row's root, the signed arc index, both
+reflected where the mirror image was searched); smile_table reads the
+distance alone.  The intersection roots themselves live in corefuncs
+(_s_plus_raw and _s_minus_raw).
 
 Every closed-form path is validated against oracle_dist, a deliberately
 slow reference that minimizes the scalar point distance along the line
@@ -57,7 +62,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -521,18 +526,35 @@ def _searches(
     ]
 
 
+class _Found(NamedTuple):
+    """A searched line's answer as _solve_many finds it: the line searched
+    (_prelude's flushed and mirrored parameters) and whether it is the
+    given line's mirror image, then the winning row, its minimization
+    report, the half-squared distance and the distance."""
+
+    beta: float
+    gamma: float
+    mirrored: bool
+    row: _Search
+    report: SolveReport
+    half_squared: float
+    value: float
+
+
 def _answer(
     line: tuple[float, float],
     beta: float,
     gamma: float,
+    mirrored: bool,
     rows: list[_Search],
     results: Iterable[tuple[SolveReport, float] | HestonDistError],
-) -> DistanceSolution:
-    """The solution for the searched line (beta, gamma) from every row's
-    minimization, in row order: the first error is raised, and a later row
-    wins only when it is lower by more than TIE_RTOL, so near-ties keep the
-    earlier (plus) argmin.  Where the distance overflows (the winning
-    half-squared distance saturated at _HUGE, or lies above half of it) a
+) -> _Found:
+    """The record of the searched line (beta, gamma), the mirror image of
+    the given line where mirrored, from every row's minimization, in row
+    order: the first error is raised, and a later row wins only when it is
+    lower by more than TIE_RTOL, so near-ties keep the earlier (plus)
+    argmin.  Where the distance overflows (the winning half-squared
+    distance saturated at _HUGE, or lies above half of it) a
     ConvergenceError names the given line."""
     best = None
     for row, result in zip(rows, results):
@@ -547,23 +569,18 @@ def _answer(
         raise ConvergenceError(
             f"the distance to the line {line!r} overflows the double range"
         )
-    v = _v_at(row, report.value)
-    return DistanceSolution(
-        value=value,
-        half_squared=half_sq,
-        # a vertical line's abscissa is beta even where v overflows
-        argmin=ManifoldPoint(beta + gamma * v if gamma else beta, v),
-        theta_at_argmin=row.sign * report.value,
-        branch=row.branch,
-        report=report,
-    )
+    return _Found(beta, gamma, mirrored, row, report, half_sq, value)
 
 
 def _solve_many(
     lines: list[tuple[float, float]], tol: float
-) -> list[DistanceSolution | HestonDistError]:
-    """The distance to every line, or the error that line raises; an error
-    fails only its own line.
+) -> list[DistanceSolution | _Found | HestonDistError]:
+    """The answer for every line, or the error that line raises; an error
+    fails only its own line.  A line through or next to the base point is
+    answered in closed form by _prelude, a DistanceSolution; every other
+    line's answer is its _Found record, which holds the distance as
+    .value, and which _solution turns into dist_to_line's
+    DistanceSolution.
 
     The search tables of all lines are built first, sharing psi_inv by
     argument; solvers._minimize_rows then scans their rows in 2-D blocks
@@ -576,10 +593,9 @@ def _solve_many(
         try:
             line = _prelude(beta, gamma)
             if not isinstance(line, DistanceSolution):
-                beta, gamma, mirrored = line
                 start = len(rows)
-                rows += _searches(beta, gamma, memo)
-                line = (beta, gamma, mirrored, start, len(rows))
+                rows += _searches(line[0], line[1], memo)
+                line = (line, start, len(rows))
         except HestonDistError as exc:
             line = exc
         pending.append(line)
@@ -590,19 +606,45 @@ def _solve_many(
         [r.hi for r in rows],
         tol,
     )
-    out: list[DistanceSolution | HestonDistError] = []
+    out: list[DistanceSolution | _Found | HestonDistError] = []
     for given, line in zip(lines, pending):
         if isinstance(line, tuple):
-            beta, gamma, mirrored, start, end = line
+            searched, start, end = line
             try:
-                line = _answer(given, beta, gamma, rows[start:end], results[start:end])
+                line = _answer(given, *searched, rows[start:end], results[start:end])
             except HestonDistError as exc:
                 line = exc
-            else:
-                if mirrored:
-                    line = _mirrored(line)
         out.append(line)
     return out
+
+
+def _solution(
+    found: DistanceSolution | _Found | HestonDistError,
+) -> DistanceSolution:
+    """dist_to_line's answer from _solve_many's entry for its line: the
+    line's error is raised, a closed-form answer returned as it is, and a
+    searched line's solution assembled from its winning row, with the
+    argmin on the row's root (_v_at) and the row's signed arc index, both
+    reflected across x = 0 where the mirror image was searched."""
+    if isinstance(found, HestonDistError):
+        raise found
+    if isinstance(found, DistanceSolution):
+        return found
+    beta, gamma, mirrored, row, report, half_sq, value = found
+    v = _v_at(row, report.value)
+    # a vertical line's abscissa is beta even where v overflows
+    x = beta + gamma * v if gamma else beta
+    theta = row.sign * report.value
+    if mirrored:
+        x, theta = -x, -theta
+    return DistanceSolution(
+        value=value,
+        half_squared=half_sq,
+        argmin=ManifoldPoint(x, v),
+        theta_at_argmin=theta,
+        branch=row.branch,
+        report=report,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -652,22 +694,11 @@ def _prelude(
     return beta, gamma, False
 
 
-def _mirrored(sol: DistanceSolution) -> DistanceSolution:
-    """The solution for the line reflected across x = 0."""
-    return replace(
-        sol,
-        argmin=ManifoldPoint(-sol.argmin.x, sol.argmin.v),
-        theta_at_argmin=-sol.theta_at_argmin,
-    )
-
-
 def dist_to_line(beta: float, gamma: float, tol: float = MIN_TOL) -> DistanceSolution:
     """Distance from (0, 1) to the line x = beta + gamma*v, any real
     parameters."""
-    (sol,) = _solve_many([(beta, gamma)], tol)
-    if isinstance(sol, HestonDistError):
-        raise sol
-    return sol
+    (found,) = _solve_many([(beta, gamma)], tol)
+    return _solution(found)
 
 
 def dist_to_tangent_line(theta: float) -> DistanceSolution:

@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import corefuncs as cf
 from .errors import BoundaryPairError, DomainError
 from .solvers import arc_index_tol, newton_to_two_pi
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # h_lower, the floor of the arc-index solve's start and the base of its
 # stop width, is clipped to these

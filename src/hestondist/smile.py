@@ -19,8 +19,10 @@ unconditionally.
 
 All strikes of a smile share gamma, so smile_table solves the reduced
 lines of a ladder as one batch (linedist._solve_many), which minimizes
-the rows of a long ladder together: each entry equals iv_limit for its
-strike bit for bit, or records the error iv_limit raises.
+the rows of a long ladder together and returns each line's distance
+without building the DistanceSolution that iv_limit's dist_to_line
+assembles: each entry equals iv_limit for its strike bit for bit, or
+records the error iv_limit raises.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from .errors import AtTheMoneyError, DomainError, HestonDistError
 from .linedist import _solve_many, dist_to_line
 from .pointmetric import CorrelationFrame
-from .solution import DistanceSolution
 from .solvers import MIN_TOL
 
 
@@ -81,16 +82,23 @@ class SmileFailure:
 def reduced_line(q: SmileQuery) -> tuple[float, float]:
     """(beta, gamma) of the base-geometry line encoding the query: the
     correlated model's line x = log(K/S0) seen from (0, v0)."""
+    return _reduced(q)[1:]
+
+
+def _reduced(q: SmileQuery) -> tuple[float, float, float]:
+    """The query's log-moneyness m = log(K/S0) and its reduced line
+    (beta, gamma)."""
     m = math.log(q.strike / q.spot)
     beta, gamma, _ = q.frame._reduce_line((0.0, q.v0), m, 0.0)
-    return beta, gamma
+    return m, beta, gamma
 
 
 def _smile_point(
-    q: SmileQuery, beta: float, gamma: float, sol: DistanceSolution
+    q: SmileQuery, m: float, beta: float, gamma: float, distance: float
 ) -> SmilePoint:
-    m = math.log(q.strike / q.spot)
-    if not sol.value > 0.0:
+    """The entry of the query whose log-moneyness is m, at the distance
+    to its reduced line (beta, gamma)."""
+    if not distance > 0.0:
         # (0,1) on the reduced line is impossible for K != S0
         raise HestonDistError(
             "degenerate reduction: zero distance for an off-the-money query"
@@ -98,17 +106,17 @@ def _smile_point(
     return SmilePoint(
         strike=q.strike,
         log_moneyness=m,
-        iv_limit=q.frame.c * abs(m) / (math.sqrt(q.v0) * sol.value),
+        iv_limit=q.frame.c * abs(m) / (math.sqrt(q.v0) * distance),
         line_beta=beta,
         line_gamma=gamma,
-        distance=sol.value,
+        distance=distance,
     )
 
 
 def iv_limit(q: SmileQuery, tol: float = MIN_TOL) -> SmilePoint:
     """Zero-maturity implied-volatility limit for one query."""
-    beta, gamma = reduced_line(q)
-    return _smile_point(q, beta, gamma, dist_to_line(beta, gamma, tol=tol))
+    m, beta, gamma = _reduced(q)
+    return _smile_point(q, m, beta, gamma, dist_to_line(beta, gamma, tol=tol).value)
 
 
 def _failure(strike: float, exc: HestonDistError) -> SmileFailure:
@@ -126,24 +134,26 @@ def smile_table(
     error instead of aborting the ladder.  Order is preserved.
 
     Every entry equals what iv_limit gives for its strike, bit for bit, or
-    records the error iv_limit raises; the reduced lines of the whole
-    ladder are solved as one batch."""
+    records the error iv_limit raises.  The reduced lines of the whole
+    ladder are solved as one batch (linedist._solve_many), and each entry
+    reads only its line's distance from it: no DistanceSolution is built
+    for a searched line."""
     queries: list[SmileQuery | SmileFailure] = []
     for k in strikes:
         try:
             queries.append(SmileQuery(spot, k, v0, frame))
         except HestonDistError as exc:
             queries.append(_failure(k, exc))
-    lines = [reduced_line(q) for q in queries if isinstance(q, SmileQuery)]
-    sols = iter(zip(lines, _solve_many(lines, tol)))
+    reduced = [_reduced(q) for q in queries if isinstance(q, SmileQuery)]
+    answers = iter(zip(reduced, _solve_many([r[1:] for r in reduced], tol)))
     out: list[SmilePoint | SmileFailure] = []
     for q in queries:
         if isinstance(q, SmileQuery):
-            (beta, gamma), sol = next(sols)
+            (m, beta, gamma), found = next(answers)
             try:
-                if isinstance(sol, HestonDistError):
-                    raise sol
-                q = _smile_point(q, beta, gamma, sol)
+                if isinstance(found, HestonDistError):
+                    raise found
+                q = _smile_point(q, m, beta, gamma, found.value)
             except HestonDistError as exc:
                 q = _failure(q.strike, exc)
         out.append(q)

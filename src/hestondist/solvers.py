@@ -39,11 +39,14 @@ minimum, so that the refine settles on the same cell as on the full grid.
 ``_minimize_rows`` runs many minimizations with the scan and the errors of
 ``minimize_on_interval``.  It scans the rows as 2-D blocks of
 ``SCAN_BLOCK_ROWS`` rows (16 rows of 257 nodes, about 4096 nodes), one
-array call per block, which bounds its memory, and refines each row on
-its own closure (``_refine_root``): an end node whose derivative points
-out of the interval is the answer ("endpoint"); where the derivative
-changes sign across the cell pair around the best node, Brent's root
-solve of the derivative finds the minimizer in a few steps
+array call per block, which bounds its memory.  One ``argmin`` and one
+finiteness check pick every row's best node in a block; a block that
+holds a non-finite value picks row by row (``_best_cell``), so each row
+raises its own first non-finite node.  It then refines each row on its
+own closure from that cell, as ``_refine_root`` does: an end node whose
+derivative points out of the interval is the answer ("endpoint"); where
+the derivative changes sign across the cell pair around the best node,
+Brent's root solve of the derivative finds the minimizer in a few steps
 ("derivative-root"); any other row takes the golden refine and returns
 exactly what ``minimize_on_interval`` returns ("grid-refine").  Errors
 stay per row.
@@ -460,7 +463,12 @@ def _best_cell(nodes: np.ndarray, fs: np.ndarray) -> tuple[int, float, float]:
     if not finite.all():
         i = int(finite.argmin())
         raise NonFiniteSampleError(i, float(nodes[i]), float(fs[i]))
-    i = int(fs.argmin())
+    return _cell(nodes, int(fs.argmin()))
+
+
+def _cell(nodes: np.ndarray, i: int) -> tuple[int, float, float]:
+    """The node index i and the ends of the cell pair around it,
+    [nodes[i - 1], nodes[i + 1]] clipped to the scan."""
     return i, float(nodes[max(i - 1, 0)]), float(nodes[min(i + 1, nodes.size - 1)])
 
 
@@ -493,7 +501,16 @@ def _refine_root(
     ("derivative-root", Brent's iterations, the stop width as residual).
     Every other row, and a root solve that meets a nan, takes the golden
     refine of _refine on the value."""
-    i, a, b = _best_cell(nodes, fs)
+    return _refine_cell(fn, nodes, fs, _best_cell(nodes, fs), tol)
+
+
+def _refine_cell(
+    fn: Callable[[float], tuple[float, float]],
+    nodes: np.ndarray, fs: np.ndarray, cell: tuple[int, float, float], tol: float,
+) -> tuple[SolveReport, float]:
+    """_refine_root from the best node's cell (i, a, b), as _best_cell
+    gives it, on nodes whose values fs are finite."""
+    i, a, b = cell
     best_x, best_f = float(nodes[i]), float(fs[i])
     values = {}  # fn's value at every point whose slope was taken
 
@@ -570,9 +587,14 @@ def _minimize_rows(
     objectives bit for bit.  The scan evaluates SCAN_BLOCK_ROWS rows per
     call; a block that raises a HestonDistError is evaluated again row by
     row, so the error fails only the rows that raise it on their own.
-    Each row is then refined on its own by ``_refine_root`` on ``fns[i]``;
-    a row that falls back to the golden refine returns what
-    minimize_on_interval returns."""
+    Where every value of a block is finite, one argmin over the block
+    gives every row's first minimum node, and its cell is gathered by
+    scalar indexing; a block with a non-finite value (a row that raised
+    included) takes each row's node by _best_cell, which raises the row's
+    NonFiniteSampleError at its first non-finite node.  Each row is then
+    refined on its own on ``fns[i]`` from that cell, by the code
+    ``_refine_root`` runs after ``_best_cell``; a row that falls back to
+    the golden refine returns what minimize_on_interval returns."""
     out: list = [None] * len(fns)
     live = []
     for i, (lo, hi) in enumerate(zip(los, his)):
@@ -590,12 +612,17 @@ def _minimize_rows(
             hi = np.array([[his[i]] for i in rows])
             nodes = _scan_nodes(lo, hi)
         fs, errors = _scan_rows(scan, rows, nodes)
+        finite = np.isfinite(fs).all()
+        best = fs.argmin(axis=1)
         for k, i in enumerate(rows):
             if k in errors:
                 out[i] = errors[k]
                 continue
+            row_nodes, row_fs = nodes[k], fs[k]
             try:
-                out[i] = _refine_root(fns[i], nodes[k], fs[k], tol)
+                cell = (_cell(row_nodes, int(best[k])) if finite
+                        else _best_cell(row_nodes, row_fs))
+                out[i] = _refine_cell(fns[i], row_nodes, row_fs, cell, tol)
             except HestonDistError as exc:
                 out[i] = exc
     return out

@@ -46,12 +46,8 @@ def solve_batched(lines, tol=1e-9):
 
 
 def batched(lines, tol=1e-9):
-    def result(sol):
-        if isinstance(sol, hd.HestonDistError):
-            raise sol
-        return sol
-
-    return [outcome(lambda s=s: result(s)) for s in solve_batched(lines, tol)]
+    """Every line's answer from the batch, as dist_to_line assembles it."""
+    return [outcome(lambda s=s: ld._solution(s)) for s in solve_batched(lines, tol)]
 
 
 def single(lines, tol=1e-9):
@@ -84,7 +80,7 @@ def test_batch_matches_each_line():
 
 
 def test_batch_scans_the_narrow_window():
-    (sol,) = solve_batched([NARROW])
+    sol = ld._solution(*solve_batched([NARROW]))
     (row, _) = ld._searches(*NARROW, {})
     assert (sol.theta_at_argmin, sol.report.method) == (row.hi, "endpoint")
     assert outcome(lambda: sol) == outcome(lambda: hd.dist_to_line(*NARROW))
@@ -143,7 +139,7 @@ def test_ladder_shares_psi_inv_through_the_bindings(monkeypatch, batch):
     assert gamma > 0.0 and all(0.0 < b < 0.5 * math.pi for b, _ in lines)
     # the ladder alone, or inside a batch padded with other lines
     sols = solve_batched(lines) if batch else ld._solve_many(lines, 1e-9)
-    assert all(isinstance(s, hd.DistanceSolution) for s in sols)
+    assert all(isinstance(s, ld._Found) for s in sols)
     assert calls["eta_alpha_inv"]
     assert calls["psi_inv"].count((gamma,)) == 1
     assert len(set(calls["psi_inv"])) == len(calls["psi_inv"])

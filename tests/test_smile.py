@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import hestondist as hd
 from hestondist import AtTheMoneyError, DomainError
 from hestondist import linedist as ld
 from hestondist.smile import SmileFailure, reduced_line
+from hestondist.solution import DistanceSolution
 
 # frozen vertical-line reference (see test_linedist)
 DHAT_1_0 = 0.965128520259887
@@ -128,3 +130,65 @@ class TestSmileTable:
             assert entry.error.startswith(
                 "NonFiniteSampleError" if failure == "non-finite" else "DomainError"
             )
+
+
+def _entry_bits(entry):
+    """A smile entry with every float as float.hex, or a failure's text."""
+    if isinstance(entry, SmileFailure):
+        return entry.strike.hex(), entry.error
+    return tuple(getattr(entry, f).hex() for f in (
+        "strike", "log_moneyness", "iv_limit", "line_beta", "line_gamma", "distance"
+    ))
+
+
+def _iv_limit_entry(spot, v0, frame, strike):
+    """iv_limit's entry for one strike, or the failure smile_table records."""
+    try:
+        return hd.iv_limit(hd.SmileQuery(spot, strike, v0, frame))
+    except hd.HestonDistError as exc:
+        return SmileFailure(strike, f"{type(exc).__name__}: {exc}")
+
+
+def _ladders():
+    """(spot, v0, frame, strikes): seeded ladders with rho < 0, rho = 0 and
+    rho > 0, each holding an at-the-money strike, and a ladder at v0 =
+    1e-306 whose reduced lines lie at |beta| ~ 8e305, where the plus
+    root's discriminant overflows."""
+    rng = random.Random(20091206)
+    out = []
+    for rho in (-0.9, -0.45, 0.0, 0.3, 0.85):
+        for _ in range(2):
+            c, v0 = rng.uniform(0.2, 2.0), rng.uniform(0.01, 0.2)
+            ms = sorted(rng.uniform(-1.0, 1.0) for _ in range(24))
+            strikes = [100.0 * math.exp(m) for m in ms]
+            strikes.insert(12, 100.0)
+            out.append((100.0, v0, hd.CorrelationFrame(c, rho), strikes))
+    out.append((100.0, 1e-306, hd.CorrelationFrame(1.0, 0.5), [50.0, 200.0]))
+    return out
+
+
+def test_smile_table_is_iv_limit_strike_by_strike(monkeypatch):
+    built = []
+    init = DistanceSolution.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DistanceSolution, "__init__", counted)
+    mirrored = 0
+    for spot, v0, frame, strikes in _ladders():
+        entries = hd.smile_table(spot, v0, frame, strikes)
+        assert built == []
+        want = [_iv_limit_entry(spot, v0, frame, k) for k in strikes]
+        assert len(built) == sum(isinstance(w, hd.SmilePoint) for w in want)
+        built.clear()
+        assert list(map(_entry_bits, entries)) == list(map(_entry_bits, want))
+        mirrored += sum(
+            isinstance(e, hd.SmilePoint) and e.line_beta < 0.0 for e in entries
+        )
+        if v0 > 1e-300:
+            failures = [e for e in entries if isinstance(e, SmileFailure)]
+            assert [f.strike for f in failures] == [100.0]
+            assert failures[0].error.startswith("AtTheMoneyError")
+    assert mirrored > 0

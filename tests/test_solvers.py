@@ -581,6 +581,42 @@ class TestMinimizeRows:
                 assert len(calls) == want, (line, row, rep)
         assert methods == {"derivative-root", "endpoint"}
 
+    def test_block_pick_matches_one_row_blocks(self):
+        # one argmin and one finiteness check pick every row's best node in
+        # a block; a block with a non-finite value or a row whose scan
+        # raises picks row by row.  Either way each row's answer is the one
+        # it gets in a block of its own, bit for bit, and each bad row's
+        # error the one minimize_on_interval raises
+        rows = _objective_rows()
+        # twelve interior minima and one at an end, an inf node, a raising scan
+        good, inf, raising = rows[:13], rows[17], rows[19]
+        tie = (lambda t: abs(abs(t - 0.5) - 0.25),
+               lambda ts: np.abs(np.abs(ts - 0.5) - 0.25), (0.0, 1.0),
+               lambda t: math.copysign(1.0, (t - 0.5) * (abs(t - 0.5) - 0.25)))
+        nan = (lambda t: math.nan if t > 0.6 else (t - 0.3) ** 2,
+               lambda ts: np.where(ts > 0.6, math.nan, (ts - 0.3) ** 2), (0.0, 1.0),
+               lambda t: 2.0 * (t - 0.3))
+        blocks = (good[:12] + [tie, nan, inf, raising], good + [tie, nan, inf],
+                  [tie] + good)
+        for block in blocks:
+            assert len(block) <= solvers.SCAN_BLOCK_ROWS
+            got = _minimize_rows(block, derivatives=True)
+            for row, result in zip(block, got):
+                (alone,) = _minimize_rows([row], derivatives=True)
+                assert _bits(result) == _bits(alone)
+                if row in (nan, inf, raising):
+                    with pytest.raises(HestonDistError) as want:
+                        minimize_on_interval(row[0], row[2])
+                    assert _bits(result) == _bits(want.value)
+            # the first of the two minimum nodes
+            assert got[block.index(tie)][0].value == 0.25
+        errors = _minimize_rows([nan, inf, raising], derivatives=True)
+        assert [(type(e), getattr(e, "node_index", None)) for e in errors] == [
+            (NonFiniteSampleError, 154), (NonFiniteSampleError, 129),
+            (DomainError, None),
+        ]
+        assert errors[0].x == 154 / 256 and math.isnan(errors[0].value)
+
     def test_an_inward_endpoint_derivative_is_solved(self):
         # the first node is lowest but the derivative points into the
         # interval: the root lies in the first cell
@@ -604,6 +640,18 @@ def _within_gate(value, golden):
     these objectives are of order 1, so a minimum near 0 carries their
     rounding, not its own."""
     return value <= golden + 8 * math.ulp(1.0)
+
+
+def _bits(result):
+    """A row's (report, value) with every float as float.hex, or its error's
+    type, message and node fields."""
+    if isinstance(result, Exception):
+        fields = [getattr(result, k, None) for k in ("node_index", "x", "value")]
+        return type(result), str(result), *(
+            f.hex() if isinstance(f, float) else f for f in fields
+        )
+    rep, val = result
+    return rep.value.hex(), rep.iterations, rep.residual.hex(), rep.method, val.hex()
 
 
 def _raise_or(result):
