@@ -89,6 +89,10 @@ SCAN_CELLS = 256
 # agrees).  The factor costs about 0.5 more derivative evaluations per
 # line.
 _ROOT_XTOL_SCALE = 1e-3
+# An infinite end slope of the refine's cell (the tangency end of a line
+# row, v = 0 on the oracle's line) is handed to Brent as this finite value
+# of its sign: Brent needs finite end values, and only their signs bracket.
+_SLOPE_CAP = 1e300
 _GROW_STEPS = 200
 
 
@@ -495,12 +499,12 @@ def _refine_root(
 
     An end node i whose slope points out of the interval is the answer
     ("endpoint", 0 iterations).  Otherwise, where slope(a) < 0 < slope(b),
-    both finite, Brent solves slope = 0 on [a, b] to _ROOT_XTOL_SCALE
-    times the golden stop width; it returns a point whose slope it took,
-    whose value is kept where it is lower than the node's
+    infinite ones included, Brent solves slope = 0 on [a, b] to
+    _ROOT_XTOL_SCALE times the golden stop width; it returns a point whose
+    slope it took, whose value is kept where it is lower than the node's
     ("derivative-root", Brent's iterations, the stop width as residual).
-    Every other row, and a root solve that meets a nan, takes the golden
-    refine of _refine on the value."""
+    Every other row (a nan end slope included), and a root solve that
+    meets a nan, takes the golden refine of _refine on the value."""
     return _refine_cell(fn, nodes, fs, _best_cell(nodes, fs), tol)
 
 
@@ -526,10 +530,12 @@ def _refine_cell(
     da = slope(a)
     if i == 0 and da > 0.0:
         return SolveReport(best_x, 0, 0.0, "endpoint"), best_f
-    if -math.inf < da < 0.0:
+    if da < 0.0:
         db = slope(b) if db is None else db
-        if 0.0 < db < math.inf:
+        if db > 0.0:
             xtol = max(_ROOT_XTOL_SCALE * _golden_width(tol, a, b), 5e-324)
+            # an infinite end slope enters Brent as a finite one of its sign
+            da, db = max(da, -_SLOPE_CAP), min(db, _SLOPE_CAP)
             try:
                 root, _, iters = _solve(slope, a, b, 0.0, xtol, 200, da, db)
             except ConvergenceError:

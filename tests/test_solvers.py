@@ -524,6 +524,34 @@ class TestMinimizeRows:
         _, golden = minimize_on_interval(fn, (0.0, 2.5))
         assert _within_gate(val, golden)
 
+    @pytest.mark.parametrize("end, slope", [(1, -math.inf), (2, math.inf)])
+    def test_infinite_end_slope_brackets_the_root(self, end, slope):
+        # an infinite slope at an end of the cell pair (a line row's
+        # tangency end, v = 0 on the oracle's line) brackets the root by
+        # its sign, as a finite one does
+        fn = lambda t: math.cos(3.0 * t) + 0.01 * t
+        dfn = lambda t: -3.0 * math.sin(3.0 * t) + 0.01
+        nodes = solvers._scan_nodes(0.0, 2.5)
+        fs = np.array([fn(t) for t in nodes.tolist()])
+        x = solvers._best_cell(nodes, fs)[end]
+        pair = lambda t: (fn(t), slope if t == x else dfn(t))
+        rep, val = solvers._refine_root(pair, nodes, fs, solvers.MIN_TOL)
+        assert rep.method == "derivative-root"
+        assert rep.value == pytest.approx((PI - math.asin(0.01 / 3.0)) / 3.0, abs=1e-12)
+        assert val == fn(rep.value)
+
+    @pytest.mark.parametrize("end", [1, 2])
+    def test_nan_end_slope_takes_the_golden_refine(self, end):
+        fn = lambda t: math.cos(3.0 * t) + 0.01 * t
+        dfn = lambda t: -3.0 * math.sin(3.0 * t) + 0.01
+        nodes = solvers._scan_nodes(0.0, 2.5)
+        fs = np.array([fn(t) for t in nodes.tolist()])
+        x = solvers._best_cell(nodes, fs)[end]
+        pair = lambda t: (fn(t), math.nan if t == x else dfn(t))
+        got = solvers._refine_root(pair, nodes, fs, solvers.MIN_TOL)
+        assert got[0].method == "grid-refine"
+        assert got == minimize_on_interval(fn, (0.0, 2.5))
+
     def test_endpoint_with_an_outward_derivative(self):
         # the first node is lowest and the derivative rises into the interval:
         # the node is the answer, and neither function is called again
