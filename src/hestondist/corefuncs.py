@@ -21,7 +21,9 @@ curve functions in ``levelsets`` are each one formula over them, for
 every theta in (0, 2*pi).  ``f_of``, ``eta_alpha`` and ``zeta`` are
 written once, as closures over their first argument (``_f_of_fn``,
 ``_eta_alpha_fn``, ``_zeta_fn``) that the root solves evaluate in one frame
-per call; the two-argument forms call them.
+per call; the two-argument forms call them.  Those that Newton steps
+invert give (value, slope), as do ``_psi_fn`` and ``_eta_fn``; psi, eta
+and eta_alpha are formed from one set of terms (``_psi_terms``).
 
 All functions here are pure, stateless and raise DomainError outside their
 stated domains rather than returning NaN.  A level-curve value beyond the
@@ -121,14 +123,34 @@ def psi(theta: float) -> float:
         if theta == 0.0:
             raise DomainError("psi is undefined at theta = 0")
         return -psi(-theta)
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
+    return _psi_terms(theta)[0]
+
+
+def _psi_terms(t: float) -> tuple[float, float, float, float]:
+    """(psi, A, psi', A') at t in (0, 2*pi); DomainError elsewhere.  Above
+    SMALL_ANGLE, with sh = sin(t/2) and P = t - sin t: psi' = (2 sh^2 -
+    psi sin t)/(2 sh^2) and A' = (-(t/2) sh - 2 A sh^2)/P.  Below it psi'
+    is psi/t and A' is 0 (psi is odd, A even): within O(t^2) of the
+    derivatives, close enough for a safeguarded Newton step."""
+    if not 0.0 < t < TWO_PI:
+        _check_angle_open(t)
+    if t < SMALL_ANGLE:
+        t2 = t * t
+        p3 = _p_r3(t2)
         sr = _sin_half_r(t2)
-        return theta * _p_r3(t2) / (2.0 * sr * sr)
-    # (theta - sin theta)/(1 - cos theta) with 1 - cos theta formed as
-    # 2*sin(theta/2)^2, in one frame: psi is the objective of psi_inv
-    sh = math.sin(0.5 * theta)
-    return (theta - math.sin(theta)) / (2.0 * sh * sh)
+        ps = t * p3 / (2.0 * sr * sr)
+        return ps, -_u_r3(t2) / p3, ps / t, 0.0
+    sh, sd = math.sin(0.5 * t), math.sin(t)
+    p, den = t - sd, 2.0 * sh * sh
+    ps = p / den
+    a = -(2.0 * sh - t * math.cos(0.5 * t)) / p
+    return ps, a, (den - ps * sd) / den, (-0.5 * t * sh - a * den) / p
+
+
+def _psi_fn(theta: float) -> tuple[float, float]:
+    """(psi, psi') at theta in (0, 2*pi): the objective of psi_inv."""
+    ps, _, dps, _ = _psi_terms(theta)
+    return ps, dps
 
 
 def f_of(v: float, delta: float) -> float:
@@ -311,44 +333,40 @@ def eta(theta: float) -> float:
     """psi(theta) * (1 - A(theta)): the boundary-intercept index at which a
     line with beta = gamma becomes tangent to a level curve.  Strictly
     increasing on (0, 2*pi) with limits 0 and infinity."""
-    _check_angle_open(theta)
-    return psi(theta) * (1.0 - coef_A(theta))
+    return _eta_fn(theta)[0]
+
+
+def _eta_fn(theta: float) -> tuple[float, float]:
+    """(eta, psi' (1 - A) - psi A'): the objective of eta_inv."""
+    ps, a, dps, da = _psi_terms(theta)
+    return ps * (1.0 - a), dps * (1.0 - a) - ps * da
 
 
 def eta_alpha(alpha: float, theta: float) -> float:
     """Tangency index for lines with distinct parameters: equals
     psi^2*A^2/(alpha - psi) + psi, defined for 0 < theta < psi^{-1}(alpha)
     and strictly increasing there."""
-    return _eta_alpha_fn(alpha)(theta)
+    return _eta_alpha_fn(alpha)(theta)[0]
 
 
-def _eta_alpha_fn(alpha: float) -> Callable[[float], float]:
-    """eta_alpha(alpha, .) as a function of theta alone, with alpha checked
-    once: the objective of eta_alpha_inv, one frame per evaluation.  Like
-    eta_alpha it raises DomainError at and beyond the tangency ceiling."""
+def _eta_alpha_fn(alpha: float) -> Callable[[float], tuple[float, float]]:
+    """(eta_alpha(alpha, .), its slope) as a function of theta alone, with
+    alpha checked once: the objective of eta_alpha_inv.  Like eta_alpha it
+    raises DomainError at and beyond the tangency ceiling.  With
+    r = psi A/(alpha - psi), which does not underflow where psi^2 does, the
+    value is psi A r + psi and the slope psi' + 2 r (psi' A + psi A') +
+    r^2 psi'."""
     if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha!r}")
 
-    def eta_alpha_at(theta: float) -> float:
-        # psi and coef_A inlined, from one sin(theta/2) and one theta - sin theta
-        if SMALL_ANGLE <= theta < TWO_PI:
-            sh = math.sin(0.5 * theta)
-            p = theta - math.sin(theta)
-            ps = p / (2.0 * sh * sh)
-            a = -(2.0 * sh - theta * math.cos(0.5 * theta)) / p
-        elif 0.0 < theta < SMALL_ANGLE:
-            t2 = theta * theta
-            p3 = _p_r3(t2)
-            sr = _sin_half_r(t2)
-            ps = theta * p3 / (2.0 * sr * sr)
-            a = -_u_r3(t2) / p3
-        else:
-            _check_angle_open(theta)
+    def eta_alpha_at(theta: float) -> tuple[float, float]:
+        ps, a, dps, da = _psi_terms(theta)
         if ps >= alpha:
             raise DomainError(
                 f"theta={theta!r} is not below the tangency ceiling psi^-1({alpha!r})"
             )
-        return ps * ps * a * a / (alpha - ps) + ps
+        r = ps * a / (alpha - ps)
+        return ps * a * r + ps, dps + 2.0 * r * (dps * a + ps * da) + r * r * dps
 
     return eta_alpha_at
 

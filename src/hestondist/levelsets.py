@@ -18,9 +18,9 @@ slope ~ 3/theta, the curvature ~ 1/theta^2 near the curve start) is inf.
 This module also hosts the inverse index maps (psi, eta, eta_alpha, zeta,
 x_crit are all strictly monotone) that the line-distance reductions use to
 build their minimization intervals.  psi, eta and eta_alpha are inverted
-by one march toward a ceiling (``solvers.invert_below``: 2*pi, and
-psi_inv(alpha) for eta_alpha); zeta and x_crit are solved on fixed
-brackets.
+as the arc index is (``solvers.newton_to_two_pi``, below 2*pi and below
+psi_inv(alpha)), from an asymptotic start and to ``arc_index_tol`` of a
+certified lower bound; zeta and x_crit are solved by Brent on [0, pi].
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ from . import corefuncs as cf
 from .errors import DomainError
 from .pointmetric import ManifoldPoint
 from .solution import DistanceSolution
-from .solvers import INDEX_TOL, _solve, invert_below
-
-_EPS_ANGLE = 1e-12
+from .solvers import INDEX_TOL, _solve, arc_index_tol, newton_to_two_pi
 
 
 @dataclass(frozen=True)
@@ -168,32 +166,44 @@ def psi_inv(y: float) -> float:
     """Inverse of the boundary-abscissa map psi on (0, inf)."""
     if not y > 0.0:
         raise DomainError(f"psi_inv needs a positive argument, got {y!r}")
-    return invert_below(cf.psi, y, min(_EPS_ANGLE, y), math.tau)
+    # psi <= theta/2 on (0, pi]: theta >= 2y, or theta > pi (width INDEX_TOL)
+    return newton_to_two_pi(cf._psi_fn, y, _psi_start(y), arc_index_tol(2.0 * y))
+
+
+def _psi_start(y: float) -> float:
+    # psi ~ theta/3 near 0 and 4*pi/(2*pi - theta)^2 near 2*pi
+    return 3.0 * y if y < 1.0 else cf.TWO_PI - 2.0 * math.sqrt(math.pi / y)
 
 
 def eta_inv(y: float) -> float:
     """Inverse of the equal-parameter tangency index eta on (0, inf)."""
     if not y > 0.0:
         raise DomainError(f"eta_inv needs a positive argument, got {y!r}")
-    return invert_below(cf.eta, y, min(_EPS_ANGLE, y), math.tau)
+    # theta/2 <= eta <= 2*psi <= theta on (0, pi] (eta(pi) > 1): [y, 2y] holds
+    # the root.  eta ~ theta/2 near 0 and 8*pi/(2*pi - theta)^2 near 2*pi
+    tol = arc_index_tol(y)
+    if y <= tol:
+        return y
+    start = 2.0 * y if y < 1.0 else cf.TWO_PI - math.sqrt(8.0 * math.pi / y)
+    return newton_to_two_pi(cf._eta_fn, y, start, tol)
 
 
-def eta_alpha_inv(
-    alpha: float, y: float, *, ceiling: float | None = None
-) -> float:
-    """Inverse of eta_alpha(alpha, .) on its domain (0, psi_inv(alpha)).
-
-    Marches toward the domain ceiling psi_inv(alpha) as psi_inv and eta_inv
-    march toward 2*pi (``solvers.invert_below``), and returns the last
-    point evaluated where the target cannot be bracketed at double
-    resolution.  ``ceiling`` is psi_inv(alpha) where the caller has already
-    solved it.
-    """
+def eta_alpha_inv(alpha: float, y: float, *, ceiling: float | None = None) -> float:
+    """Inverse of eta_alpha(alpha, .) on its domain (0, psi_inv(alpha)),
+    solved below that ceiling; the caller may pass psi_inv(alpha) as
+    ``ceiling``."""
     if not y > 0.0:
         raise DomainError(f"eta_alpha_inv needs a positive argument, got {y!r}")
     if ceiling is None:
         ceiling = psi_inv(alpha)
-    return invert_below(cf._eta_alpha_fn(alpha), y, min(_EPS_ANGLE, y), ceiling)
+    # Start at the smaller root psi of eta_alpha = y with A^2 = 1/4.  A^2 <=
+    # 1 gives psi >= m = y*alpha/(alpha + y): theta >= 2m where 2m <= pi.
+    # Both in s = min/max of (y, alpha), which neither overflows nor underflows.
+    small, large = (y, alpha) if y < alpha else (alpha, y)
+    s = small / large
+    ps = 2.0 * small / (1.0 + s + math.sqrt(1.0 - s + s * s))
+    tol = arc_index_tol(2.0 * small / (1.0 + s))
+    return newton_to_two_pi(cf._eta_alpha_fn(alpha), y, _psi_start(ps), tol, ceiling)
 
 
 def x_crit_inv(y: float) -> float:

@@ -9,14 +9,10 @@ interval is scanned and refined, however narrow: a near-diagonal line's
 tangency window can be 6e-13 wide at theta ~ 2e-4 and still hold a
 minimum well below its lower end's value.  A zero-width interval scans
 257 copies of lo, and the refine returns lo with 0 iterations.
-``invert_below`` inverts an increasing function below a ceiling for the
-psi, eta and eta_alpha maps (2*pi for the first two, psi_inv(alpha) for
-eta_alpha): it grows the root bracket toward the ceiling, returns the
-last point it evaluated when the march saturates, and otherwise solves to
-``INDEX_TOL``.  The arc index has a slope at hand, and
-``newton_to_two_pi`` inverts it by Newton steps inside a bracket that every
-value tightens, to ``arc_index_tol`` of its certified lower bound (small
-indices need a relative stop).
+Every index map (the arc index; psi, eta and eta_alpha) has a slope at
+hand, and ``newton_to_two_pi`` inverts it below its ceiling by Newton
+steps inside a bracket that every value tightens, to ``arc_index_tol``
+of a certified lower bound (small indices need a relative stop).
 
 Every other root solve is a pure-Python port of SciPy's ``brentq.c``: it
 visits the same iterates and reports the same iteration count as
@@ -72,7 +68,7 @@ from .errors import (
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 ROOT_TOL = 1e-12
-INDEX_TOL = 1e-13  # absolute tolerance of the line-map inversions
+INDEX_TOL = 1e-13  # absolute tolerance of the index-map inversions
 # Smallest stop width of the arc-index solve: about 20 subnormal ulps.  On
 # a subnormal lower bound INDEX_TOL*lo rounds to 0, and so does 4 ulp of a
 # subnormal root: a solve with no width could never stop.
@@ -89,9 +85,7 @@ SCAN_CELLS = 256
 # agrees).  The factor costs about 0.5 more derivative evaluations per
 # line.
 _ROOT_XTOL_SCALE = 1e-3
-# An infinite end slope of the refine's cell (the tangency end of a line
-# row, v = 0 on the oracle's line) is handed to Brent as this finite value
-# of its sign: Brent needs finite end values, and only their signs bracket.
+# Brent's finite stand-in for an infinite end slope of the refine's cell
 _SLOPE_CAP = 1e300
 _GROW_STEPS = 200
 
@@ -290,38 +284,6 @@ def _golden(
     return d, fd, it, b - a
 
 
-def invert_below(
-    fn: Callable[[float], float], target: float, lo: float, ceiling: float
-) -> float:
-    """The argument in (lo, ceiling) where an increasing fn reaches target,
-    given fn(lo) <= target.
-
-    Marches from lo toward ceiling, halving the gap, until fn reaches
-    target, then solves on [lo, hi] to ``INDEX_TOL``, handing the march's
-    last value fn(hi) to the solve.  The march saturates where the next
-    point rounds to the last one or to the ceiling, or where fn raises
-    DomainError there (a rounded ceiling can sit just past fn's domain):
-    it then returns the last point evaluated, lo if none was: below a
-    ceiling of 2*pi, the largest double below 2*pi.  The gap reaches one
-    ulp of the ceiling within about 54 halvings, so the step budget is
-    never exhausted."""
-    hi = lo
-    for _ in range(_GROW_STEPS):
-        nxt = ceiling - 0.5 * (ceiling - hi)
-        if nxt <= hi or nxt >= ceiling:
-            return hi
-        try:
-            f_hi = fn(nxt)
-        except DomainError:
-            return hi
-        hi = nxt
-        if f_hi >= target:
-            return _solve(fn, lo, hi, target, INDEX_TOL, 200, None, f_hi)[0]
-    raise ConvergenceError(f"target {target!r} not reached below {ceiling!r}")
-
-
-# the largest double below 2*pi (math.tau == corefuncs.TWO_PI)
-_CAP = math.nextafter(math.tau, 0.0)
 _INF = math.inf
 _NAN = math.nan
 
@@ -331,44 +293,49 @@ def newton_to_two_pi(
     target: float,
     start: float,
     tol: float,
+    ceiling: float = math.tau,
 ) -> float:
-    """The angle in (0, 2*pi) where an increasing fn reaches target > 0,
-    by Newton steps from ``start`` (clipped to the largest double below
-    2*pi) inside a bracket that every value tightens; fn returns (value,
-    slope) and ``tol`` is positive.
+    """The angle in (0, ceiling) where an increasing fn reaches target > 0,
+    by Newton steps from ``start`` (clipped to the cap, the largest double
+    below the ceiling) inside a bracket that every value tightens; fn
+    returns (value, slope) and ``tol`` is positive.
 
-    The bracket starts as [0, 2*pi) (fn(0) = 0 < target) and each value
+    The bracket starts as [0, cap] (fn(0) = 0 < target) and each value
     moves one end: a value below target the lower, any other, an
-    overflowed inf included, the upper.  A Newton step below half the stop
-    width, or above half the step before last (the test of rtsafe in
-    Numerical Recipes: the iteration has stopped converging quadratically,
-    as rounding noise in fn makes it do next to the root), probes past the
-    Newton root instead: by half a stop width the first time, which closes
-    the bracket as Brent's smallest step does, and twice as far each time
-    after, which gets past a stretch where rounding makes fn flat or
-    backward.  A step that leaves the bracket, or that a slope which is not
-    positive and finite cannot take, is a bisection: at the geometric mean
-    of the ends where they are more than a factor 4 apart, so that a root
-    many decades below the upper end is reached in a few steps, else at
-    their midpoint.  The solve stops once the bracket is no wider than
-    ``tol`` + 4 ulp of the iterate (ends that are adjacent doubles always
-    are) and returns the secant point of its ends.  Returns the largest
-    double below 2*pi when fn stays below target there, and the smallest
-    subnormal, never 0, when the root lies below it.  No angle is
-    evaluated twice."""
-    lo, hi = 0.0, _CAP
+    overflowed inf included, the upper, as does a DomainError of fn (a
+    rounded ceiling can sit just past fn's domain).  A Newton step below
+    half the stop width, or above half the step before last (the test of
+    rtsafe in Numerical Recipes: the iteration has stopped converging
+    quadratically, as rounding noise in fn makes it do next to the root),
+    probes past the Newton root instead: by half a stop width the first
+    time, which closes the bracket as Brent's smallest step does, and
+    twice as far each time after, which gets past a stretch where rounding
+    makes fn flat or backward.  A step that leaves the bracket, or that a
+    slope which is not positive and finite cannot take, is a bisection: at
+    the geometric mean of the ends where they are more than a factor 4
+    apart, so that a root many decades below the upper end is reached in a
+    few steps, else at their midpoint.  The solve stops once the bracket
+    is no wider than ``tol`` + 4 ulp of the iterate (adjacent doubles
+    always are) and returns the secant point of its ends (the lower end
+    where the upper one raised), the cap where fn stays below target, and
+    the smallest subnormal, never 0, below it.  No angle is evaluated twice."""
+    cap = math.nextafter(ceiling, 0.0)
+    lo, hi = 0.0, cap
     r_lo = r_hi = _INF  # |fn - target| at the ends; inf: never taken
     top = False  # whether fn(hi) is known
     reach = 0.5  # of the stop width: how far past its root a probe lands
-    last = prior = _CAP  # the lengths of the last two steps
-    d = start if start < _CAP else _CAP
+    last = prior = cap  # the lengths of the last two steps
+    d = start if start < cap else cap
     for _ in range(_GROW_STEPS):
-        f, slope = fn(d)
+        try:
+            f, slope = fn(d)
+        except DomainError:  # past fn's domain: an upper end
+            f = slope = _INF
         r = f - target
         if r < 0.0:
             lo, r_lo = d, -r
-            if lo == _CAP:
-                return lo  # saturated one ulp below 2*pi
+            if lo == cap:
+                return lo  # saturated one ulp below the ceiling
         elif r == 0.0:
             return d
         else:
@@ -376,7 +343,7 @@ def newton_to_two_pi(
         width = tol + _RTOL * d
         if hi - lo <= width:
             # an inf residual (the lower end 0, an upper end never
-            # evaluated or overflowed) gives the other end
+            # evaluated, overflowed or past the domain) gives the other end
             return lo + (hi - lo) / (1.0 + r_hi / r_lo)
         nxt = _NAN
         if 0.0 < slope < _INF:
@@ -534,10 +501,9 @@ def _refine_cell(
         db = slope(b) if db is None else db
         if db > 0.0:
             xtol = max(_ROOT_XTOL_SCALE * _golden_width(tol, a, b), 5e-324)
-            # an infinite end slope enters Brent as a finite one of its sign
-            da, db = max(da, -_SLOPE_CAP), min(db, _SLOPE_CAP)
+            ends = max(da, -_SLOPE_CAP), min(db, _SLOPE_CAP)
             try:
-                root, _, iters = _solve(slope, a, b, 0.0, xtol, 200, da, db)
+                root, _, iters = _solve(slope, a, b, 0.0, xtol, 200, *ends)
             except ConvergenceError:
                 pass
             else:

@@ -111,15 +111,44 @@ def oracle_sweep_lines():
 # ---------------------------------------------------------------------------
 
 
+def _reference_rows() -> dict[tuple[str, tuple[float, ...]], float]:
+    """{(name, args): root} of every row of index_references.txt, which
+    scripts/index_references.py records; a row without a name is the arc
+    index, named delta_of here."""
+    rows = {}
+    with Path(__file__).with_name("index_references.txt").open() as fh:
+        for line in fh:
+            if line.startswith("#"):
+                continue
+            fields = line.split()
+            name = "delta_of" if "0x" in fields[0] else fields.pop(0)
+            *args, root = map(float.fromhex, fields)
+            rows[(name, tuple(args))] = root
+    return rows
+
+
 def index_references() -> dict[tuple[float, float], float]:
-    """{(x, v): delta} from index_references.txt, the 50-digit roots of
-    f_of(v, delta) = x that scripts/index_references.py records."""
-    path = Path(__file__).with_name("index_references.txt")
-    with path.open() as fh:
-        rows = [line.split() for line in fh if not line.startswith("#")]
-    return {
-        (float.fromhex(x), float.fromhex(v)): float.fromhex(d) for x, v, d in rows
-    }
+    """{(x, v): delta}: the 50-digit roots of f_of(v, delta) = x."""
+    return {args: d for (name, args), d in _reference_rows().items() if name == "delta_of"}
+
+
+def inverse_references() -> dict[tuple[str, tuple[float, ...]], float]:
+    """{(name, args): theta}: the 50-digit roots of the inverse index maps
+    psi_inv, eta_inv and eta_alpha_inv."""
+    return {key: t for key, t in _reference_rows().items() if key[0] != "delta_of"}
+
+
+def inverse_width(name: str, args: tuple[float, ...], theta: float) -> float:
+    """The stop width of the inverse map name(*args) at its answer theta:
+    arc_index_tol of the map's certified lower bound (2y for psi_inv, y
+    for eta_inv, 2*alpha*y/(alpha + y) for eta_alpha_inv), plus 4 ulp of
+    theta."""
+    if name == "eta_alpha_inv":
+        small, large = sorted(args)
+        lo = 2.0 * small / (1.0 + small / large)
+    else:
+        lo = (2.0 if name == "psi_inv" else 1.0) * args[0]
+    return solvers.arc_index_tol(lo) + 4.0 * math.ulp(1.0) * theta
 
 
 def arc_index_width(x: float, v: float, delta: float) -> float:

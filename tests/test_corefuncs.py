@@ -456,7 +456,8 @@ def two_argument_eta_alpha(alpha, theta):
         raise DomainError(
             f"theta={theta!r} is not below the tangency ceiling psi^-1({alpha!r})"
         )
-    return ps * ps * a * a / (alpha - ps) + ps
+    r = ps * a / (alpha - ps)
+    return ps * a * r + ps
 
 
 def two_argument_zeta(gamma, theta):
@@ -553,7 +554,7 @@ class TestOneFrameObjectives:
         # and the ceiling error are drawn
         want = outcome(two_argument_eta_alpha, alpha, theta)
         assert outcome(hd.eta_alpha, alpha, theta) == want
-        assert outcome(lambda: cf._eta_alpha_fn(alpha)(theta)) == want
+        assert outcome(lambda: cf._eta_alpha_fn(alpha)(theta)[0]) == want
 
     @given(
         SLOPES,

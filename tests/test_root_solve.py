@@ -1,12 +1,13 @@
 """The root solves, pinned bit for bit.
 
-``delta_of`` is pinned as its Newton-bisection solve's value and number of
-evaluations of ``corefuncs._f_of_fn(v)``, and each pinned value is checked
-against a 50-digit mpmath root (``index_references.txt``, written by
-``scripts/index_references.py``) to within the solve's stop width.  The
-inverse index maps are pinned as every SolveReport (value, iterations,
-residual) of their Brent solves, which were recorded with the scipy-backed
-solve that ``_brent`` replaced, as ``float.hex`` strings.  The differential
+``delta_of``, ``psi_inv``, ``eta_inv`` and ``eta_alpha_inv`` are pinned as
+their Newton-bisection solves' values and numbers of evaluations, and each
+pinned value is checked against a 50-digit mpmath root
+(``index_references.txt``, written by ``scripts/index_references.py``) to
+within the solve's stop width.  ``x_crit_inv`` and ``theta_crit`` are
+pinned as every SolveReport (value, iterations, residual) of their Brent
+solves, which were recorded with the scipy-backed solve that ``_brent``
+replaced, as ``float.hex`` strings.  The differential
 test against scipy's brentq runs only where scipy is installed; the
 package itself does not need it.
 """
@@ -17,13 +18,16 @@ import random
 import pytest
 
 import hestondist.levelsets as ls
+from hestondist import DomainError
 import hestondist.pointmetric as pm
 import hestondist.solvers as solvers
-from hestondist.solvers import ROOT_TOL, solve_monotone
+from hestondist.solvers import INDEX_TOL, ROOT_TOL, solve_monotone
 
-from conftest import arc_index_width, index_references
+from conftest import arc_index_width, index_references, inverse_references, inverse_width
 
 INDEX_REFERENCES = index_references()
+INVERSE_REFERENCES = inverse_references()
+NEWTON_MAPS = ("psi_inv", "eta_inv", "eta_alpha_inv")
 
 # delta_of(x, v) with x = f_of(v, delta): for v in (1, 0.25, 4, 37) the
 # small-angle deltas 1e-5, 3e-4, 2e-3, 9e-3, the near-2*pi deltas
@@ -153,53 +157,60 @@ DELTA_OF_PINS = [
     (86.51049238450226, 0.0, '0x1.799999999999ap+2',
      [('0x1.799999999999ap+2', 4)]),
 ]
+# The inverse index maps: name, arguments, value, reports.  x_crit_inv and
+# theta_crit run Brent: value is the answer and the reports are every
+# SolveReport (value, iterations, residual) of their solves.  psi_inv,
+# eta_inv and eta_alpha_inv run the Newton-bisection solve of delta_of:
+# the reports are (value, evaluations) of each solve, the ceiling
+# psi_inv(alpha) first for eta_alpha_inv, and value is the answer of the
+# Brent solve they ran before it.  theta_crit beyond pi/2 is psi_inv.
 INVERSE_MAP_PINS = [
     ('psi_inv', (0.001,), '0x1.8937440b89456p-9',
-     [('0x1.8937440b89456p-9', 5, '0x0.0p+0')]),
+     [('0x1.8937440b89457p-9', 3)]),
     ('eta_inv', (0.001,), '0x1.0624da5218b49p-9',
-     [('0x1.0624da5218b49p-9', 5, '0x0.0p+0')]),
+     [('0x1.0624da5218b4ap-9', 3)]),
     ('psi_inv', (0.3,), '0x1.c0f7d31b351acp-1',
-     [('0x1.c0f7d31b351acp-1', 7, '0x1.a000000000000p-51')]),
+     [('0x1.c0f7d31b351bep-1', 5)]),
     ('eta_inv', (0.3,), '0x1.2ebb4e2feee47p-1',
-     [('0x1.2ebb4e2feee47p-1', 7, '0x1.b000000000000p-50')]),
+     [('0x1.2ebb4e2feee59p-1', 5)]),
     ('psi_inv', (1.0,), '0x1.34bcc7fa591b2p+1',
-     [('0x1.34bcc7fa591b2p+1', 7, '0x0.0p+0')]),
+     [('0x1.34bcc7fa591b2p+1', 5)]),
     ('eta_inv', (1.0,), '0x1.bfabd562c1b97p+0',
-     [('0x1.bfabd562c1b97p+0', 8, '0x1.0000000000000p-53')]),
+     [('0x1.bfabd562c1b96p+0', 6)]),
     ('psi_inv', (1.5707963267948966,), '0x1.921fb54442d18p+1',
-     [('0x1.921fb54442d18p+1', 3, '0x0.0p+0')]),
+     [('0x1.921fb54442d18p+1', 6)]),
     ('eta_inv', (1.5707963267948966,), '0x1.33eb8317dd4c2p+1',
-     [('0x1.33eb8317dd4c2p+1', 8, '0x1.e000000000000p-49')]),
+     [('0x1.33eb8317dd4bbp+1', 6)]),
     ('psi_inv', (3.0,), '0x1.034ddfa0c8f5ep+2',
-     [('0x1.034ddfa0c8f5ep+2', 11, '0x1.0000000000000p-51')]),
+     [('0x1.034ddfa0c8f5ep+2', 6)]),
     ('eta_inv', (3.0,), '0x1.ae038068af1aap+1',
-     [('0x1.ae038068af1aap+1', 10, '0x1.7000000000000p-47')]),
+     [('0x1.ae038068af1b5p+1', 5)]),
     ('psi_inv', (40.0,), '0x1.6dda932676cadp+2',
-     [('0x1.6dda932676cadp+2', 12, '0x1.8000000000000p-46')]),
+     [('0x1.6dda932676cadp+2', 5)]),
     ('eta_inv', (40.0,), '0x1.5f2430775864fp+2',
-     [('0x1.5f2430775864fp+2', 8, '0x1.0000000000000p-45')]),
+     [('0x1.5f2430775864fp+2', 5)]),
     ('psi_inv', (10000.0,), '0x1.8fdae15cdfdc7p+2',
-     [('0x1.8fdae15cdfdc7p+2', 16, '0x1.5680000000000p-30')]),
+     [('0x1.8fdae15cdfdc9p+2', 4)]),
     ('eta_inv', (10000.0,), '0x1.8eea50a116664p+2',
-     [('0x1.8eea50a116664p+2', 9, '0x1.4c00000000000p-33')]),
+     [('0x1.8eea50a116664p+2', 4)]),
     ('eta_alpha_inv', (0.5, 0.2), '0x1.0b9d083119c62p-1',
-     [('0x1.66c0cdd4632c7p+0', 8, '0x1.0000000000000p-53'),
-      ('0x1.0b9d083119c62p-1', 7, '0x1.6000000000000p-52')]),
+     [('0x1.66c0cdd4632c7p+0', 5),
+      ('0x1.0b9d083119c6dp-1', 5)]),
     ('eta_alpha_inv', (1.0, 0.9), '0x1.ac9b29cdfcd00p+0',
-     [('0x1.34bcc7fa591b2p+1', 7, '0x0.0p+0'),
-      ('0x1.ac9b29cdfcd00p+0', 8, '0x1.0000000000000p-53')]),
+     [('0x1.34bcc7fa591b2p+1', 5),
+      ('0x1.ac9b29cdfcd00p+0', 7)]),
     ('eta_alpha_inv', (2.0, 1.5), '0x1.437bb97b593b2p+1',
-     [('0x1.c1123a518f69dp+1', 9, '0x0.0p+0'),
-      ('0x1.437bb97b593b2p+1', 8, '0x1.0000000000000p-47')]),
+     [('0x1.c1123a518f69dp+1', 6),
+      ('0x1.437bb97b593bbp+1', 8)]),
     ('eta_alpha_inv', (0.1, 0.05), '0x1.0382f6dfe64dfp-3',
-     [('0x1.3248a03d87321p-2', 7, '0x1.4800000000000p-51'),
-      ('0x1.0382f6dfe64dfp-3', 7, '0x1.3600000000000p-50')]),
+     [('0x1.3248a03d87359p-2', 4),
+      ('0x1.0382f6dfe6425p-3', 4)]),
     ('eta_alpha_inv', (3.0, 2.9), '0x1.aaf8be4ead2bbp+1',
-     [('0x1.034ddfa0c8f5ep+2', 11, '0x1.0000000000000p-51'),
-      ('0x1.aaf8be4ead2bbp+1', 10, '0x1.8000000000000p-50')]),
+     [('0x1.034ddfa0c8f5ep+2', 6),
+      ('0x1.aaf8be4ead2bbp+1', 8)]),
     ('eta_alpha_inv', (1.0, 0.0001), '0x1.3a909f8972462p-12',
-     [('0x1.34bcc7fa591b2p+1', 7, '0x0.0p+0'),
-      ('0x1.3a909f8972462p-12', 5, '0x1.2484000000000p-50')]),
+     [('0x1.34bcc7fa591b2p+1', 5),
+      ('0x1.3a909f897ffc3p-12', 3)]),
     ('x_crit_inv', (0.0001,), '0x1.a36e2eb7a165fp-14',
      [('0x1.a36e2eb7a165fp-14', 5, '0x1.0000000000000p-66')]),
     ('x_crit_inv', (0.2,), '0x1.9af9f353d39a2p-3',
@@ -219,7 +230,7 @@ INVERSE_MAP_PINS = [
     ('theta_crit', (1.5, 0.1), '0x1.22a4e2891d559p+1',
      [('0x1.22a4e2891d559p+1', 12, '0x1.0000000000000p-52')]),
     ('theta_crit', (2.0, 3.0), '0x1.c1123a518f69dp+1',
-     [('0x1.c1123a518f69dp+1', 9, '0x0.0p+0')]),
+     [('0x1.c1123a518f69dp+1', 6)]),
     ('theta_crit', (0.001, 0.001), '0x1.0624da521890ap-9',
      [('0x1.0624da521890ap-9', 5, '0x1.7ec0000000000p-52')]),
     ('theta_crit', (0.7853981633974483, 1.0), '0x1.921fb54442d18p+0',
@@ -228,20 +239,25 @@ INVERSE_MAP_PINS = [
 
 
 def _recording(monkeypatch, module):
-    """Record (value, iterations, residual) of every private solve, as the
-    SolveReport of solve_monotone would hold them, whether the module calls
-    it directly or through solvers.invert_below."""
+    """Record (value, iterations, residual) of every Brent solve of the
+    module, as the SolveReport of solve_monotone would hold them, and
+    (value, evaluations) of every Newton-bisection solve, in call order."""
     reports = []
-    solve = solvers._solve
+    solve, newton = solvers._solve, solvers.newton_to_two_pi
 
     def record(*args, **kwargs):
         root, froot, iterations = out = solve(*args, **kwargs)
         reports.append((root.hex(), iterations, abs(froot).hex()))
         return out
 
-    for m in (solvers, module):
-        if hasattr(m, "_solve"):
-            monkeypatch.setattr(m, "_solve", record)
+    def record_newton(fn, *args):
+        evaluations = []
+        root = newton(lambda d: evaluations.append(d) or fn(d), *args)
+        reports.append((root.hex(), len(evaluations)))
+        return root
+
+    monkeypatch.setattr(module, "_solve", record)
+    monkeypatch.setattr(module, "newton_to_two_pi", record_newton)
     return reports
 
 
@@ -270,8 +286,38 @@ def test_delta_of_pins(monkeypatch, x, v, brent, reports):
 @pytest.mark.parametrize("name, args, value, reports", INVERSE_MAP_PINS)
 def test_inverse_map_pins(monkeypatch, name, args, value, reports):
     seen = _recording(monkeypatch, ls)
-    assert getattr(ls, name)(*args).hex() == value
+    got = getattr(ls, name)(*args)
     assert seen == reports
+    if name not in NEWTON_MAPS:
+        assert got.hex() == value
+        return
+    # value is the parent Brent solve's answer, within INDEX_TOL + 4 ulp
+    width = inverse_width(name, args, got)
+    assert got.hex() == reports[-1][0]
+    assert abs(got - INVERSE_REFERENCES[(name, args)]) <= width
+    assert abs(got - float.fromhex(value)) <= width + INDEX_TOL + 4.0 * math.ulp(1.0) * got
+
+
+@pytest.mark.parametrize(
+    "name, args, theta", [(*key, theta) for key, theta in INVERSE_REFERENCES.items()]
+)
+def test_inverse_map_references(name, args, theta):
+    got = getattr(ls, name)(*args)
+    width = inverse_width(name, args, got) + _map_error(name, args, theta)
+    assert abs(got - theta) <= width, got.hex()
+
+
+def _map_error(name, args, theta):
+    """|map(theta) - y|/map'(theta) at the exact root theta: how far from
+    it the map, as evaluated in doubles, can reach the target.  Near
+    SMALL_ANGLE it exceeds the stop width (psi's theta - sin(theta)
+    cancels); 0 where theta rounds to 2*pi or the slope is 0."""
+    objective = {"psi_inv": ls.cf._psi_fn, "eta_inv": ls.cf._eta_fn}.get(name)
+    try:
+        value, slope = (objective or ls.cf._eta_alpha_fn(args[0]))(theta)
+        return abs(value - args[-1]) / slope
+    except (DomainError, ZeroDivisionError):
+        return 0.0
 
 
 def _monotone_cases():
@@ -324,12 +370,13 @@ def test_matches_scipy_brentq(xtol):
 )
 def test_inversion_evaluates_no_point_twice(target):
     seen = []
+    f_v = pm.cf._f_of_fn(0.7)
 
     def fn(d):
         seen.append(d)
-        return pm.cf.f_of(0.7, d)
+        return f_v(d)
 
-    solvers.invert_below(fn, target, 1e-12, math.tau)
+    solvers.newton_to_two_pi(fn, target, 1e-12, solvers.arc_index_tol(1e-12))
     assert len(seen) == len(set(seen))
 
 

@@ -169,53 +169,63 @@ def _recorded(fn, seen):
 
 
 class TestInvertBelow:
+    """newton_to_two_pi below a ceiling, as it inverts every index map."""
+
     def test_ends(self):
-        # out of reach: one ulp below 2*pi; met exactly at lo, or exactly
-        # at the first march point: that point
-        fn = lambda d: hd.f_of(0.3, d)
-        first = math.tau - 0.5 * (math.tau - 0.7)
-        assert solvers.invert_below(fn, 1e40, 1.0, math.tau) == math.nextafter(math.tau, 0.0)
-        assert solvers.invert_below(fn, fn(0.7), 0.7, math.tau) == 0.7
-        assert solvers.invert_below(fn, fn(first), 0.7, math.tau) == first
+        # out of reach: the cap one ulp below the ceiling; met exactly at
+        # the start: the start
+        f_v = ls.cf._f_of_fn(0.3)
+        cap = math.nextafter(math.tau, 0.0)
+        newton = solvers.newton_to_two_pi
+        assert newton(f_v, 1e40, 1.0, 1e-13) == cap
+        assert newton(f_v, f_v(0.7)[0], 0.7, 1e-13) == 0.7
+        assert newton(f_v, 1e40, 1.0, 1e-13, 0.5) == math.nextafter(0.5, 0.0)
 
     def test_saturation_returns_the_last_point_evaluated(self, monkeypatch):
         # psi(t) stays below 1e40 up to the largest double below 2*pi:
-        # the march evaluates that double last and returns it
+        # the solve evaluates that double last and returns it
         seen = []
-        monkeypatch.setattr(ls.cf, "psi", _recorded(ls.cf.psi, seen))
+        monkeypatch.setattr(ls.cf, "_psi_fn", _recorded(ls.cf._psi_fn, seen))
         got = ls.psi_inv(1e40)
         assert got == math.nextafter(math.tau, 0.0)
         assert seen[-1] == got
         assert len(seen) == len(set(seen))
 
     def test_nothing_to_march_returns_lo(self):
-        # a ceiling at or below lo leaves no point to evaluate
-        def fn(t):
-            raise AssertionError(f"evaluated at {t!r}")
-
-        assert solvers.invert_below(fn, 1.0, 0.5, 0.5) == 0.5
-        assert solvers.invert_below(fn, 1.0, 0.5, 0.25) == 0.5
+        # a start at or past the ceiling is the cap; where fn stays below
+        # the target there, the cap is the lower end and the answer, and
+        # the only point evaluated
+        seen = []
+        fn = lambda t: seen.append(t) or (t, 1.0)
+        cap = math.nextafter(0.5, 0.0)
+        assert solvers.newton_to_two_pi(fn, 1.0, 0.75, 1e-13, 0.5) == cap
+        assert seen == [cap]
 
     def test_domain_error_returns_the_last_point_evaluated(self):
-        # fn's domain ends at 1.0, below the ceiling 1.5: the march's
-        # second point 1.25 raises, and its first point 1.0 is the answer
+        # fn's domain ends at 1.0, below the ceiling 1.5: the points past it
+        # raise and are upper ends, and the answer is the lower end, the
+        # largest point evaluated in the domain, 1.0 less one ulp
         seen = []
 
         def fn(t):
             seen.append(t)
             if t > 1.0:
                 raise DomainError(f"t={t!r} is past the domain")
-            return t
+            return t, 1.0
 
-        assert solvers.invert_below(fn, 2.0, 0.5, 1.5) == 1.0
-        assert seen == [1.0, 1.25]
+        got = solvers.newton_to_two_pi(fn, 2.0, 0.5, 1e-13, 1.5)
+        assert got == max(t for t in seen if t <= 1.0) == math.nextafter(1.0, 0.0)
+        assert seen[:2] == [0.5, math.nextafter(1.5, 0.0)]
+        assert len(seen) == len(set(seen))
 
-    # (alpha, y) where the rounded ceiling psi_inv(alpha) lies just past
-    # eta_alpha's domain, and the answer: the last point the march
-    # evaluated, one ulp below the point it could not evaluate
+    # (alpha, y) and the answer of eta_alpha_inv near a rounded ceiling
+    # psi_inv(alpha): the first two stay below the target up to the cap one
+    # ulp below the ceiling, and return it; in the last the cap lies past
+    # eta_alpha's domain, raises and is an upper end
     ROUNDED_CEILINGS = [
         (8.638724563399447e29, 8.638724563399447e29, 6.283185307179581),
         (8.594372647533829e29, 8.594372507171565e29, 6.283185307179581),
+        (0.22869128061395577, 1e20, 0.6756236614931579),
     ]
 
     @pytest.mark.parametrize("alpha, y, want", ROUNDED_CEILINGS)
@@ -236,19 +246,20 @@ class TestInvertBelow:
 
             return record
 
+        cap = math.nextafter(ls.psi_inv(alpha), 0.0)
         monkeypatch.setattr(ls.cf, "_eta_alpha_fn", recording)
         got = ls.eta_alpha_inv(alpha, y)
         assert got == want
-        assert raised == [seen[-1]]
-        assert seen[-2] == got
+        assert raised == ([cap] if y > alpha else []) and cap in seen
         assert len(seen) == len(set(seen))
         assert hd.eta_alpha(alpha, got) < y  # in the domain, below the target
 
     @pytest.mark.parametrize("name, factory, args", [
-        ("psi_inv", "psi", [(1e-9,), (0.3,), (3.0,), (1e6,), (1e40,)]),
-        ("eta_inv", "eta", [(1e-9,), (0.3,), (3.0,), (1e6,), (1e40,)]),
+        ("psi_inv", "_psi_fn", [(1e-9,), (0.3,), (3.0,), (1e6,), (1e40,)]),
+        ("eta_inv", "_eta_fn", [(1e-9,), (0.3,), (3.0,), (1e6,), (1e40,)]),
         ("eta_alpha_inv", "_eta_alpha_fn",
-         [(1e6, 3.0), (0.01, 0.009), (8.638724563399447e29, 8.638724563399447e29)]),
+         [(1e6, 3.0), (0.01, 0.009), (8.638724563399447e29, 8.638724563399447e29),
+          (0.22869128061395577, 1e20)]),
     ])
     def test_no_point_is_evaluated_twice(self, monkeypatch, name, factory, args):
         seen = []
@@ -262,6 +273,11 @@ class TestInvertBelow:
             seen.clear()
             getattr(ls, name)(*a)
             assert seen and len(seen) == len(set(seen)), a
+
+    def test_smallest_subnormal_target(self):
+        # eta_inv(5e-324): its certified bracket [y, 2y] is narrower than
+        # the stop width, and its lower end is the answer
+        assert ls.eta_inv(5e-324) == 5e-324
 
 
 class TestMinimizeOnInterval:
