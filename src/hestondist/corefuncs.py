@@ -21,9 +21,8 @@ curve functions in ``levelsets`` are each one formula over them, for
 every theta in (0, 2*pi).  ``f_of``, ``eta_alpha`` and ``zeta`` are
 written once, as closures over their first argument (``_f_of_fn``,
 ``_eta_alpha_fn``, ``_zeta_fn``) that the root solves evaluate in one frame
-per call; the two-argument forms call them.  Those that Newton steps
-invert give (value, slope), as do ``_psi_fn`` and ``_eta_fn``; psi, eta
-and eta_alpha are formed from one set of terms (``_psi_terms``).
+per call; the two-argument forms call them.  Like ``_f_of_fn(v)``, ``_psi_fn``,
+``_eta_fn`` and ``_eta_alpha_fn(alpha)`` give (value, slope), from ``_psi_terms``.
 
 All functions here are pure, stateless and raise DomainError outside their
 stated domains rather than returning NaN.  A level-curve value beyond the

@@ -171,8 +171,11 @@ def psi_inv(y: float) -> float:
 
 
 def _psi_start(y: float) -> float:
-    # psi ~ theta/3 near 0 and 4*pi/(2*pi - theta)^2 near 2*pi
-    return 3.0 * y if y < 1.0 else cf.TWO_PI - 2.0 * math.sqrt(math.pi / y)
+    # psi = t/3 + t^3/90 + ... near 0, and 4*pi/e^2 + pi/3 - e/3 + ... near
+    # 2*pi (e = 2*pi - t), where 1/sqrt(y) for -e/3 fits y in [1, 100] best
+    if y < 1.0:
+        return 3.0 * y / (1.0 + 0.3 * y * y)
+    return cf.TWO_PI - 2.0 * math.sqrt(math.pi / (y - math.pi / 3.0 + 1.0 / math.sqrt(y)))
 
 
 def eta_inv(y: float) -> float:
@@ -196,9 +199,8 @@ def eta_alpha_inv(alpha: float, y: float, *, ceiling: float | None = None) -> fl
         raise DomainError(f"eta_alpha_inv needs a positive argument, got {y!r}")
     if ceiling is None:
         ceiling = psi_inv(alpha)
-    # Start at the smaller root psi of eta_alpha = y with A^2 = 1/4.  A^2 <=
-    # 1 gives psi >= m = y*alpha/(alpha + y): theta >= 2m where 2m <= pi.
-    # Both in s = min/max of (y, alpha), which neither overflows nor underflows.
+    # Start at the smaller root psi of eta_alpha = y with A^2 = 1/4; A^2 <= 1
+    # gives psi >= m = y*alpha/(alpha + y).  Both in s = min/max of (y, alpha).
     small, large = (y, alpha) if y < alpha else (alpha, y)
     s = small / large
     ps = 2.0 * small / (1.0 + s + math.sqrt(1.0 - s + s * s))

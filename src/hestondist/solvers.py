@@ -284,8 +284,7 @@ def _golden(
     return d, fd, it, b - a
 
 
-_INF = math.inf
-_NAN = math.nan
+_INF, _NAN = math.inf, math.nan
 
 
 def newton_to_two_pi(

@@ -166,51 +166,51 @@ DELTA_OF_PINS = [
 # Brent solve they ran before it.  theta_crit beyond pi/2 is psi_inv.
 INVERSE_MAP_PINS = [
     ('psi_inv', (0.001,), '0x1.8937440b89456p-9',
-     [('0x1.8937440b89457p-9', 3)]),
+     [('0x1.8937440b89456p-9', 2)]),
     ('eta_inv', (0.001,), '0x1.0624da5218b49p-9',
      [('0x1.0624da5218b4ap-9', 3)]),
     ('psi_inv', (0.3,), '0x1.c0f7d31b351acp-1',
-     [('0x1.c0f7d31b351bep-1', 5)]),
+     [('0x1.c0f7d31b351c3p-1', 4)]),
     ('eta_inv', (0.3,), '0x1.2ebb4e2feee47p-1',
      [('0x1.2ebb4e2feee59p-1', 5)]),
     ('psi_inv', (1.0,), '0x1.34bcc7fa591b2p+1',
-     [('0x1.34bcc7fa591b2p+1', 5)]),
+     [('0x1.34bcc7fa591b3p+1', 6)]),
     ('eta_inv', (1.0,), '0x1.bfabd562c1b97p+0',
      [('0x1.bfabd562c1b96p+0', 6)]),
     ('psi_inv', (1.5707963267948966,), '0x1.921fb54442d18p+1',
-     [('0x1.921fb54442d18p+1', 6)]),
+     [('0x1.921fb54442d18p+1', 5)]),
     ('eta_inv', (1.5707963267948966,), '0x1.33eb8317dd4c2p+1',
      [('0x1.33eb8317dd4bbp+1', 6)]),
     ('psi_inv', (3.0,), '0x1.034ddfa0c8f5ep+2',
-     [('0x1.034ddfa0c8f5ep+2', 6)]),
+     [('0x1.034ddfa0c8f5ep+2', 5)]),
     ('eta_inv', (3.0,), '0x1.ae038068af1aap+1',
      [('0x1.ae038068af1b5p+1', 5)]),
     ('psi_inv', (40.0,), '0x1.6dda932676cadp+2',
-     [('0x1.6dda932676cadp+2', 5)]),
+     [('0x1.6dda932676cadp+2', 4)]),
     ('eta_inv', (40.0,), '0x1.5f2430775864fp+2',
      [('0x1.5f2430775864fp+2', 5)]),
     ('psi_inv', (10000.0,), '0x1.8fdae15cdfdc7p+2',
-     [('0x1.8fdae15cdfdc9p+2', 4)]),
+     [('0x1.8fdae15cdfdc9p+2', 3)]),
     ('eta_inv', (10000.0,), '0x1.8eea50a116664p+2',
      [('0x1.8eea50a116664p+2', 4)]),
     ('eta_alpha_inv', (0.5, 0.2), '0x1.0b9d083119c62p-1',
      [('0x1.66c0cdd4632c7p+0', 5),
-      ('0x1.0b9d083119c6dp-1', 5)]),
+      ('0x1.0b9d083119c6cp-1', 5)]),
     ('eta_alpha_inv', (1.0, 0.9), '0x1.ac9b29cdfcd00p+0',
-     [('0x1.34bcc7fa591b2p+1', 5),
-      ('0x1.ac9b29cdfcd00p+0', 7)]),
+     [('0x1.34bcc7fa591b3p+1', 6),
+      ('0x1.ac9b29cdfcd01p+0', 5)]),
     ('eta_alpha_inv', (2.0, 1.5), '0x1.437bb97b593b2p+1',
-     [('0x1.c1123a518f69dp+1', 6),
-      ('0x1.437bb97b593bbp+1', 8)]),
+     [('0x1.c1123a518f69dp+1', 5),
+      ('0x1.437bb97b593bcp+1', 7)]),
     ('eta_alpha_inv', (0.1, 0.05), '0x1.0382f6dfe64dfp-3',
-     [('0x1.3248a03d87359p-2', 4),
-      ('0x1.0382f6dfe6425p-3', 4)]),
+     [('0x1.3248a03d8732bp-2', 4),
+      ('0x1.0382f6dfe63f6p-3', 4)]),
     ('eta_alpha_inv', (3.0, 2.9), '0x1.aaf8be4ead2bbp+1',
-     [('0x1.034ddfa0c8f5ep+2', 6),
-      ('0x1.aaf8be4ead2bbp+1', 8)]),
+     [('0x1.034ddfa0c8f5ep+2', 5),
+      ('0x1.aaf8be4ead2bcp+1', 7)]),
     ('eta_alpha_inv', (1.0, 0.0001), '0x1.3a909f8972462p-12',
-     [('0x1.34bcc7fa591b2p+1', 5),
-      ('0x1.3a909f897ffc3p-12', 3)]),
+     [('0x1.34bcc7fa591b3p+1', 6),
+      ('0x1.3a909f897ffc3p-12', 2)]),
     ('x_crit_inv', (0.0001,), '0x1.a36e2eb7a165fp-14',
      [('0x1.a36e2eb7a165fp-14', 5, '0x1.0000000000000p-66')]),
     ('x_crit_inv', (0.2,), '0x1.9af9f353d39a2p-3',
@@ -230,7 +230,7 @@ INVERSE_MAP_PINS = [
     ('theta_crit', (1.5, 0.1), '0x1.22a4e2891d559p+1',
      [('0x1.22a4e2891d559p+1', 12, '0x1.0000000000000p-52')]),
     ('theta_crit', (2.0, 3.0), '0x1.c1123a518f69dp+1',
-     [('0x1.c1123a518f69dp+1', 6)]),
+     [('0x1.c1123a518f69dp+1', 5)]),
     ('theta_crit', (0.001, 0.001), '0x1.0624da521890ap-9',
      [('0x1.0624da521890ap-9', 5, '0x1.7ec0000000000p-52')]),
     ('theta_crit', (0.7853981633974483, 1.0), '0x1.921fb54442d18p+0',

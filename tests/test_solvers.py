@@ -225,7 +225,7 @@ class TestInvertBelow:
     ROUNDED_CEILINGS = [
         (8.638724563399447e29, 8.638724563399447e29, 6.283185307179581),
         (8.594372647533829e29, 8.594372507171565e29, 6.283185307179581),
-        (0.22869128061395577, 1e20, 0.6756236614931579),
+        (0.22869128061395577, 1e20, 0.6756236614931617),
     ]
 
     @pytest.mark.parametrize("alpha, y, want", ROUNDED_CEILINGS)
