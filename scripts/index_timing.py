@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 import hestondist as hd
-from hestondist import pointmetric
+from hestondist import levelsets, pointmetric
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -117,10 +117,8 @@ INVERSES = {"psi_inv": ("psi", "_psi_fn"), "eta_inv": ("eta", "_eta_fn"),
 
 def inverse_inputs(workload: str, seed: int, queries: int) -> dict[str, list]:
     """{map: [the arguments of each call]} on the first queries of the
-    workload's stream of seed; eta_alpha_inv's ceiling is passed as a
-    third argument."""
-    from hestondist import levelsets
-
+    workload's stream of seed; eta_alpha_inv's ceiling, which the line
+    searches always pass, is a third argument."""
     calls = {name: [] for name in INVERSES}
     originals = {name: getattr(levelsets, name) for name in INVERSES}
 
@@ -153,16 +151,17 @@ def inverse_evaluations(package, name: str, inputs: list) -> list[int]:
     cf = importlib.import_module(package.__name__ + ".corefuncs")
     count = [0]
 
-    def counting(fn, factory):
-        def counted(t):
+    def counted(fn):
+        def call(t):
             count[0] += 1
             return fn(t)
 
-        return (lambda a: counting(fn(a), False)) if factory else counted
+        return call
 
     saved = {f: getattr(cf, f) for f in INVERSES[name] if hasattr(cf, f)}
     for f, fn in saved.items():
-        setattr(cf, f, counting(fn, f == "_eta_alpha_fn"))
+        factory = f == "_eta_alpha_fn"
+        setattr(cf, f, (lambda a, fn=fn: counted(fn(a))) if factory else counted(fn))
     out = []
     try:
         for args in inputs:
