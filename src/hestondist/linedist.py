@@ -56,6 +56,13 @@ along the line rule out all but a few nodes.  The search keeps the nodes
 it may still evaluate as a live set, and works on that set alone.  The
 best node is refined at the root of the distance's slope along the line
 (pointmetric._line_dist_fn).
+
+numpy is imported by the functions that build or reduce arrays
+(_objective_many, _axis_nodes, _scan_block, _lower_bounds,
+_branch_and_bound and the oracle's grid), not by this module, so that
+importing the package loads numpy only when a line, smile or oracle scan
+first runs.  The package's __init__ still imports this module eagerly:
+the benchmark's tracer looks it up in sys.modules to wrap its functions.
 """
 
 from __future__ import annotations
@@ -63,9 +70,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from . import corefuncs as cf
 from . import levelsets as ls
@@ -80,6 +85,9 @@ from .pointmetric import (
 )
 from .solution import DistanceSolution
 from .solvers import MIN_TOL, SolveReport, _minimize_rows, _refine_root
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Half-open interval ends (where lambda_minus blows up) are closed at this
 # offset; the objective diverges there, so no minimum is lost.
@@ -233,6 +241,8 @@ def _objective_many(
     numpy's float64 sin, cos and sqrt matched math's on every argument
     tested, tan did not (README, "Numerical notes"), so the kernel uses
     only those three and arithmetic."""
+    import numpy as np
+
     least, most = theta.min(), theta.max()  # nan if any node is nan
     axis_nodes = None
     if not (0.0 < least and most < cf.TWO_PI):
@@ -313,6 +323,8 @@ def _axis_nodes(
     the least and the greatest node; where another node lies outside
     (0, 2*pi), the DomainError of cf._coefs for the first such node in C
     order."""
+    import numpy as np
+
     zero = theta == 0.0
     no_axis = np.isnan(axis)
     if not (least == 0.0 and most < cf.TWO_PI and not (zero & no_axis).any()):
@@ -431,6 +443,8 @@ def _scan_block(rows: list[_Search], nodes: np.ndarray) -> np.ndarray:
     row, in one kernel call.  A single row's parameters are Python floats;
     a larger block's are columns built from the rows, with minus a scalar
     where every row follows the same root."""
+    import numpy as np
+
     if len(rows) == 1:
         (row,) = rows
         return _objective_many(
@@ -767,6 +781,8 @@ def _lower_bounds(
     (2 sqrt(a) - sqrt(v0) - sqrt(v)), within a factor 1.26 of d far
     from p0, where the first bound is not.  roots is sqrt(vs), when the
     caller has it."""
+    import numpy as np
+
     x0, v0 = p0
     s0 = math.sqrt(v0)
     if roots is None:
@@ -797,6 +813,8 @@ def _branch_and_bound(
     unevaluated node is returned above the final level, so the minimum and
     its node are those of the full grid of distances; a node dropped early
     carries only the cones of the steps before its drop."""
+    import numpy as np
+
     live = np.arange(vs.size)  # the indices of the live nodes,
     lb, lr = bound, roots  # their bounds and their sqrt(v)
     ds = np.empty_like(vs)
@@ -858,6 +876,8 @@ def _oracle(
         return dist_correlated(frame, p0, (beta + gamma * v, v))
 
     def grid(horizon: float) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         vs = np.linspace(0.0, horizon, _ORACLE_CELLS + 1)
         roots = np.sqrt(vs)
         bound = _lower_bounds(frame, p0, beta + gamma * vs, vs, roots)

@@ -47,15 +47,21 @@ Brent's root solve of the derivative finds the minimizer in a few steps
 exactly what ``minimize_on_interval`` returns ("grid-refine").  Errors
 stay per row.
 The line solver minimizes every line's rows through it.
+
+numpy is imported by the functions that build or reduce arrays
+(``minimize_on_interval``, ``_best_cell``, ``_scan_nodes``,
+``_minimize_rows`` and ``_scan_rows``), not by this module, and the first
+scan builds ``_SCAN_STEPS``: the scalar solves behind the point,
+level-set and horizontal-line distances never load it.  The package's
+``__init__`` still imports every submodule eagerly, because the
+benchmark's tracer looks the modules it wraps up in ``sys.modules``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import (
     BracketError,
@@ -64,6 +70,9 @@ from .errors import (
     HestonDistError,
     NonFiniteSampleError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -405,6 +414,8 @@ def minimize_on_interval(
     the refine for the smallest width a double can hold, so it usually runs
     its whole budget of 200 steps.
     """
+    import numpy as np
+
     lo, hi = bracket
     _check_interval(lo, hi, tol)
     nodes = _scan_nodes(lo, hi)
@@ -429,6 +440,8 @@ def _best_cell(nodes: np.ndarray, fs: np.ndarray) -> tuple[int, float, float]:
     """The first minimum's node index i and the ends of the cell pair
     around it, [nodes[i - 1], nodes[i + 1]] clipped to the scan;
     NonFiniteSampleError at the first non-finite node."""
+    import numpy as np
+
     finite = np.isfinite(fs)
     if not finite.all():
         i = int(finite.argmin())
@@ -513,14 +526,20 @@ def _refine_cell(
     return _golden_refine(lambda x: fn(x)[0], a, b, best_x, best_f, tol)
 
 
-# The node indices 0, 1, ..., SCAN_CELLS of every scan, as floats.
-_SCAN_STEPS = np.arange(SCAN_CELLS + 1.0)
+# The node indices 0, 1, ..., SCAN_CELLS of every scan, as floats; the
+# first scan builds them.
+_SCAN_STEPS = None
 
 
 def _scan_nodes(lo, hi) -> np.ndarray:
     """The SCAN_CELLS + 1 scan nodes lo + i*h, h = (hi - lo)/SCAN_CELLS,
     the last one replaced by hi; a row of nodes for each entry when lo and
     hi are columns."""
+    global _SCAN_STEPS
+    if _SCAN_STEPS is None:
+        import numpy as np
+
+        _SCAN_STEPS = np.arange(SCAN_CELLS + 1.0)
     nodes = _SCAN_STEPS * ((hi - lo) / SCAN_CELLS)
     nodes += lo
     nodes[..., -1:] = hi
@@ -566,6 +585,8 @@ def _minimize_rows(
     refined on its own on ``fns[i]`` from that cell, by the code
     ``_refine_root`` runs after ``_best_cell``; a row that falls back to
     the golden refine returns what minimize_on_interval returns."""
+    import numpy as np
+
     out: list = [None] * len(fns)
     live = []
     for i, (lo, hi) in enumerate(zip(los, his)):
@@ -606,6 +627,8 @@ def _scan_rows(
 ) -> tuple[np.ndarray, dict[int, HestonDistError]]:
     """The rows' objectives at their nodes, and the error of every row (by
     position in rows) that raises one on its own."""
+    import numpy as np
+
     try:
         return np.asarray(scan(rows, nodes), dtype=float), {}
     except HestonDistError:
