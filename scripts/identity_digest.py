@@ -16,7 +16,6 @@ about ten seconds on one core.
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import math
@@ -31,8 +30,6 @@ def _canon(obj) -> str:
         return obj.hex()
     if isinstance(obj, (str, int)):
         return repr(obj)
-    if dataclasses.is_dataclass(obj):
-        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
     return "(" + ",".join(_canon(x) for x in obj) + ")"
 
 

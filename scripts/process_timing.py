@@ -10,9 +10,13 @@ tree's source directory: ``import hestondist``, ``import hestondist.cli``,
 and the CLI (``hestondist.cli:main``, as the ``heston-dist`` entry point
 runs it) on ``dist point``, ``dist level-set``, ``dist line`` and
 ``smile``.  Every spawn must exit 0.  One untimed spawn per tree and
-command fills the bytecode cache; then ``--spawns`` timed spawns follow
-for each, the trees taking turns in an order that flips on every round,
-so that both see the same load on a shared machine.  For each command
+command fills the bytecode cache, where bytecode is written at all: the
+first line printed says whether it is (``sys.flags.dont_write_bytecode``;
+the spawns inherit this environment, ``PYTHONDONTWRITEBYTECODE``
+included), and where it is not every spawn compiles the package anew.
+Then ``--spawns`` timed spawns follow for each, the trees taking turns
+in an order that flips on every round, so that both see the same load
+on a shared machine.  For each command
 and tree the script prints the median wall and its quartiles q1-q3 in
 ms, and with ``--against`` the ratio of the medians (against / this
 tree) and the number of rounds this tree was faster.  Both trees must
@@ -73,6 +77,8 @@ def main() -> int:
     if args.against:
         trees.append(args.against.resolve())
     names = ["this tree", "against"][: len(trees)]
+    writes = "do not write" if sys.flags.dont_write_bytecode else "write"
+    print(f"spawns {writes} bytecode (sys.flags.dont_write_bytecode)")
     for label, argv in COMMANDS.items():
         outputs = [spawn(src, argv)[1] for src in trees]
         if any(out != outputs[0] for out in outputs):

@@ -24,7 +24,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
 from typing import Any
 
 from . import __version__
@@ -205,8 +204,7 @@ def _cmd_smile(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
         if isinstance(e, SmileFailure):
             out_entries.append({"strike": e.strike, "error": e.error})
             continue
-        d = asdict(e)
-        out_entries.append(d)
+        out_entries.append(e._asdict())
         rows.append(
             {
                 "strike": e.strike,

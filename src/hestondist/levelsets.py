@@ -26,7 +26,7 @@ certified lower bound; zeta and x_crit are solved by Brent on [0, pi].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import corefuncs as cf
 from .errors import DomainError
@@ -35,8 +35,7 @@ from .solution import DistanceSolution
 from .solvers import INDEX_TOL, _solve, arc_index_tol, newton_to_two_pi
 
 
-@dataclass(frozen=True)
-class LevelCurveSample:
+class LevelCurveSample(NamedTuple):
     """One sampled point of a level curve with its first two x-derivatives."""
 
     theta: float

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from . import corefuncs as cf
@@ -98,8 +97,7 @@ EDGE_CLIP = 1e-9
 TIE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class AdmissibleInterval:
+class AdmissibleInterval(NamedTuple):
     """A theta-interval on which the line meets the level curves, with
     flags for which intersection roots apply.  Left endpoints that are
     mathematically open (the theta = 0 end of vertical-line sets, the
@@ -622,7 +620,7 @@ def _solve_many(
     )
     out: list[DistanceSolution | _Found | HestonDistError] = []
     for given, line in zip(lines, pending):
-        if isinstance(line, tuple):
+        if not isinstance(line, (DistanceSolution, HestonDistError)):
             searched, start, end = line
             try:
                 line = _answer(given, *searched, rows[start:end], results[start:end])

@@ -28,7 +28,6 @@ adds only the slope along the line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import corefuncs as cf
@@ -59,23 +58,23 @@ class DeltaCoordinate(NamedTuple):
     v: float
 
 
-@dataclass(frozen=True)
-class CorrelationFrame:
+class CorrelationFrame(NamedTuple("CorrelationFrame", [("c", float), ("rho", float)])):
     """Vol-of-vol and correlation of the correlated model.
 
     Drift parameters do not enter any distance formula and are not stored.
+    __new__ checks both fields; _make, and so _replace, builds through it.
     """
 
-    c: float
-    rho: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.c < math.inf):
-            raise DomainError(
-                f"vol-of-vol c must be positive and finite, got {self.c!r}"
-            )
-        if not (-1.0 < self.rho < 1.0):
-            raise DomainError(f"correlation must lie in (-1, 1), got {self.rho!r}")
+    def __new__(cls, c: float, rho: float) -> CorrelationFrame:
+        if not (0.0 < c < math.inf):
+            raise DomainError(f"vol-of-vol c must be positive and finite, got {c!r}")
+        if not (-1.0 < rho < 1.0):
+            raise DomainError(f"correlation must lie in (-1, 1), got {rho!r}")
+        return super().__new__(cls, c, rho)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # runs __new__
 
     def shear(
         self, x: float | np.ndarray, v: float | np.ndarray

@@ -11,8 +11,9 @@ where Dhat is the distance from (0, 1) to the line with
     gamma = -rho/sqrt(1-rho^2)
 
 in the uncorrelated base geometry: CorrelationFrame's reduction of the
-vertical line x = log(K/S0) seen from (0, v0).  At-the-money queries are
-rejected: the limit is qualitatively different there and out of scope.
+vertical line x = log(K/S0) seen from (0, v0).  SmileQuery.__new__ holds
+the checks of a query: it rejects a log(K/S0) that is not finite, and
+at-the-money queries, where the limit is qualitatively different.
 The validity conditions of the underlying asymptotic formula itself are a
 literature question; this module computes its right-hand side
 unconditionally.
@@ -28,7 +29,7 @@ records the error iv_limit raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AtTheMoneyError, DomainError, HestonDistError
 from .linedist import _solve_many, dist_to_line
@@ -36,33 +37,41 @@ from .pointmetric import CorrelationFrame
 from .solvers import MIN_TOL
 
 
-@dataclass(frozen=True)
-class SmileQuery:
+class SmileQuery(NamedTuple("SmileQuery", [
+    ("spot", float), ("strike", float), ("v0", float), ("frame", CorrelationFrame)
+])):
     """One implied-vol-limit evaluation: spot, strike, starting variance
     and the model frame.  v0 = 0 is rejected; the reduction requires a
-    positive starting variance."""
+    positive starting variance and a finite log-moneyness log(K/S0).
+    __new__ checks the fields; _make, and so _replace, builds through it."""
 
-    spot: float
-    strike: float
-    v0: float
-    frame: CorrelationFrame
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.spot > 0.0):
-            raise DomainError(f"spot must be positive, got {self.spot!r}")
-        if not (self.strike > 0.0):
-            raise DomainError(f"strike must be positive, got {self.strike!r}")
-        if not (self.v0 > 0.0):
-            raise DomainError(f"v0 must be positive, got {self.v0!r}")
-        if self.strike == self.spot:
+    def __new__(
+        cls, spot: float, strike: float, v0: float, frame: CorrelationFrame
+    ) -> SmileQuery:
+        if not (spot > 0.0):
+            raise DomainError(f"spot must be positive, got {spot!r}")
+        if not (strike > 0.0):
+            raise DomainError(f"strike must be positive, got {strike!r}")
+        if not (v0 > 0.0):
+            raise DomainError(f"v0 must be positive, got {v0!r}")
+        if strike == spot:
             raise AtTheMoneyError(
                 "strike equals spot: the small-maturity limit is undefined "
                 "at the money"
             )
+        if v0 == math.inf or not 0.0 < strike / spot < math.inf:
+            raise DomainError(
+                f"v0 and log(strike/spot) must be finite, got spot={spot!r}, "
+                f"strike={strike!r}, v0={v0!r}"
+            )
+        return super().__new__(cls, spot, strike, v0, frame)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # runs __new__
 
 
-@dataclass(frozen=True)
-class SmilePoint:
+class SmilePoint(NamedTuple):
     strike: float
     log_moneyness: float  # log(K/S0)
     iv_limit: float
@@ -71,8 +80,7 @@ class SmilePoint:
     distance: float
 
 
-@dataclass(frozen=True)
-class SmileFailure:
+class SmileFailure(NamedTuple):
     """A strike whose evaluation raised; collected, not fail-fast."""
 
     strike: float

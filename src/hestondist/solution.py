@@ -1,15 +1,15 @@
-"""Result record shared by the distance solvers."""
+"""Result record shared by the distance solvers: a NamedTuple that checks
+no field (CorrelationFrame and SmileQuery check theirs in __new__)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .pointmetric import ManifoldPoint
 from .solvers import SolveReport
 
 
-@dataclass(frozen=True)
-class DistanceSolution:
+class DistanceSolution(NamedTuple):
     """A computed distance together with where and how it was attained.
 
     ``value`` is the distance, ``half_squared`` its half-square (value =

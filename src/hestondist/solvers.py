@@ -60,7 +60,6 @@ benchmark's tracer looks the modules it wraps up in ``sys.modules``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import (
@@ -104,8 +103,7 @@ class Bracket(NamedTuple):
     hi: float
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """Outcome of a scalar solve: the located argument, the iteration count,
     the residual achieved and which method produced it.
 

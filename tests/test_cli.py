@@ -229,6 +229,16 @@ class TestSmileCommand:
         assert "error" in points[1]
         assert "iv_limit" in points[0] and "iv_limit" in points[2]
 
+    def test_json_collects_underflowing_moneyness(self, capsys):
+        code, out = run_cli(
+            capsys, "--quiet-meta", "smile", "--spot", "1e300", "--v0", "0.04",
+            "--c", "1", "--rho", "0.3", "--strikes", "1e-300,80",
+        )
+        assert code == 0
+        points = json.loads(out)["outputs"]["points"]
+        assert points[0]["error"].startswith("DomainError")
+        assert points[1]["strike"] == 80.0 and "iv_limit" in points[1]
+
 
 class TestOracleCompare:
     def test_single(self, capsys):

@@ -1,6 +1,7 @@
-"""numpy loads only where a grid is scanned: a child interpreter whose
-importer refuses every ``numpy`` module imports the package and answers
-the closed-form commands (points, level sets, horizontal lines, level-curve
+"""numpy loads only where a grid is scanned, and ``dataclasses`` never: a
+child interpreter whose importer refuses every ``numpy`` module and
+``dataclasses`` imports the package and the CLI and answers the
+closed-form commands (points, level sets, horizontal lines, level-curve
 samples), and a child without the refusal loads numpy only when a line is
 asked for.  Each child must print what this process prints."""
 
@@ -33,13 +34,13 @@ CHILD = """
 import contextlib, io, json, sys
 
 if sys.argv[2] == "refuse":
-    class RefuseNumpy:
+    class Refuse:
         def find_spec(self, name, path=None, target=None):
-            if name == "numpy" or name.startswith("numpy."):
-                raise ImportError(f"numpy is refused here: {name}")
+            if name in ("numpy", "dataclasses") or name.startswith("numpy."):
+                raise ImportError(f"{name} is refused here")
             return None
 
-    sys.meta_path.insert(0, RefuseNumpy())
+    sys.meta_path.insert(0, Refuse())
 import hestondist
 import hestondist.cli
 runs = [["numpy" in sys.modules]]

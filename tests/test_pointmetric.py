@@ -273,6 +273,17 @@ class TestCorrelated:
         with pytest.raises(DomainError):
             hd.CorrelationFrame(1.0, 1.0)
 
+    def test_frame_checked_on_every_route(self):
+        frame = hd.CorrelationFrame(c=1.5, rho=-0.6)
+        assert frame == (1.5, -0.6)
+        for build in (
+            lambda: hd.CorrelationFrame(c=0.0, rho=0.0),
+            lambda: frame._replace(rho=1.0),
+            lambda: hd.CorrelationFrame._make([1.0, 1.0]),
+        ):
+            with pytest.raises(DomainError):
+                build()
+
 
 class TestChart:
     def test_axis_points(self):

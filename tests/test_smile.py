@@ -70,6 +70,17 @@ class TestIvLimit:
         with pytest.raises(DomainError):
             hd.SmileQuery(100.0, 110.0, 0.0, hd.CorrelationFrame(1.0, 0.0))
 
+    def test_query_checked_on_every_route(self):
+        frame = hd.CorrelationFrame(1.0, 0.0)
+        q = hd.SmileQuery(spot=100.0, strike=110.0, v0=0.04, frame=frame)
+        with pytest.raises(AtTheMoneyError):
+            q._replace(strike=q.spot)
+        with pytest.raises(DomainError):
+            hd.SmileQuery._make([100.0, 110.0, 0.0, frame])
+        for field in ("spot", "strike", "v0"):
+            with pytest.raises(DomainError, match="must be finite"):
+                hd.SmileQuery(**{**q._asdict(), field: math.inf})
+
 
 class TestSmileTable:
     def test_empty(self):
@@ -99,6 +110,27 @@ class TestSmileTable:
         assert isinstance(entries[1], SmileFailure)
         assert "AtTheMoney" in entries[1].error
         assert isinstance(entries[2], hd.SmilePoint)
+
+    def test_log_moneyness_out_of_range_fails_its_strike(self):
+        # 1e-300/1e300 underflows to 0, so log(K/S0) is -inf
+        frame = hd.CorrelationFrame(1.0, 0.3)
+        bad, good = hd.smile_table(1e300, 0.04, frame, [1e-300, 80.0])
+        assert isinstance(bad, SmileFailure)
+        assert bad.error.startswith("DomainError")
+        want = hd.iv_limit(hd.SmileQuery(1e300, 80.0, 0.04, frame))
+        assert _entry_bits(good) == _entry_bits(want)
+        with pytest.raises(DomainError):
+            hd.iv_limit(hd.SmileQuery(1e300, 1e-300, 0.04, frame))
+
+    def test_infinite_spot_fails_strike_by_strike(self):
+        frame = hd.CorrelationFrame(1.0, 0.3)
+        entries = hd.smile_table(math.inf, 0.04, frame, [80.0, 100.0, 1e308])
+        assert [e.strike for e in entries] == [80.0, 100.0, 1e308]
+        assert all(
+            isinstance(e, SmileFailure) and e.error.startswith("DomainError")
+            and "must be finite" in e.error
+            for e in entries
+        )
 
     @pytest.mark.parametrize("failure", ["non-finite", "domain"])
     def test_one_failing_strike(self, monkeypatch, failure):
@@ -169,13 +201,13 @@ def _ladders():
 
 def test_smile_table_is_iv_limit_strike_by_strike(monkeypatch):
     built = []
-    init = DistanceSolution.__init__
+    new = DistanceSolution.__new__
 
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
+    def counted(cls, *args, **kwargs):
+        built.append(new(cls, *args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(DistanceSolution, "__init__", counted)
+    monkeypatch.setattr(DistanceSolution, "__new__", counted)
     mirrored = 0
     for spot, v0, frame, strikes in _ladders():
         entries = hd.smile_table(spot, v0, frame, strikes)
