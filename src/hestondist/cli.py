@@ -10,7 +10,7 @@ Subcommands::
     heston-dist smile --spot S --v0 V --c C --rho R --strikes k1,k2,...
     heston-dist oracle compare [--beta B --gamma G] [--grid]
 
-Global flags: ``--format {json,csv}`` (default json), ``--tol``,
+Global flags: ``--format {json,csv}`` (default json) and
 ``--quiet-meta``.  Output is a single JSON document or CSV table on
 stdout; identical argv yields byte-identical output.  Exit codes: 0 ok,
 2 usage error, 1 computation error (with a machine-readable error record).
@@ -33,7 +33,6 @@ from .linedist import dist_to_line, dist_to_line_correlated, oracle_dist
 from .pointmetric import CorrelationFrame, dist, dist_correlated
 from .smile import SmileFailure, smile_table
 from .solution import DistanceSolution
-from .solvers import MIN_TOL
 
 JSON_DIGITS = 17
 CSV_DIGITS = 12
@@ -141,13 +140,11 @@ def _cmd_dist_line(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
         "c": args.c, "rho": args.rho, "x0": args.x0, "v0": args.v0,
     }
     if args.c == 1.0 and args.rho == 0.0 and args.x0 == 0.0 and args.v0 == 1.0:
-        sol = dist_to_line(args.beta, args.gamma, tol=args.tol)
+        sol = dist_to_line(args.beta, args.gamma)
         outputs, diagnostics = _solution_outputs(sol)
     else:
         frame = CorrelationFrame(args.c, args.rho)
-        value = dist_to_line_correlated(
-            frame, (args.x0, args.v0), args.beta, args.gamma, tol=args.tol
-        )
+        value = dist_to_line_correlated(frame, (args.x0, args.v0), args.beta, args.gamma)
         outputs, diagnostics = {"value": value}, {}
     record = {
         "kind": "line-distance",
@@ -197,7 +194,7 @@ def _cmd_levelset_emit(args: argparse.Namespace) -> tuple[dict, list[dict] | Non
 
 def _cmd_smile(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     frame = CorrelationFrame(args.c, args.rho)
-    entries = smile_table(args.spot, args.v0, frame, args.strikes, tol=args.tol)
+    entries = smile_table(args.spot, args.v0, frame, args.strikes)
     out_entries: list[dict] = []
     rows: list[dict] = []
     for e in entries:
@@ -227,8 +224,8 @@ def _cmd_smile(args: argparse.Namespace) -> tuple[dict, list[dict] | None]:
     return record, rows
 
 
-def _compare_one(beta: float, gamma: float, tol: float) -> dict:
-    formula = dist_to_line(beta, gamma, tol=tol)
+def _compare_one(beta: float, gamma: float) -> dict:
+    formula = dist_to_line(beta, gamma)
     reference = oracle_dist(beta, gamma)
     return {
         "beta": beta,
@@ -245,13 +242,13 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> tuple[dict, list[dict] | No
         raise UsageError("oracle compare needs --beta and --gamma, or --grid")
     if args.grid:
         rows = [
-            _compare_one(b, g, args.tol)
+            _compare_one(b, g)
             for b in _ORACLE_GRID_BETA
             for g in _ORACLE_GRID_GAMMA
             if b + g != 0.0
         ]
     else:
-        rows = [_compare_one(args.beta, args.gamma, args.tol)]
+        rows = [_compare_one(args.beta, args.gamma)]
     record = {
         "kind": "oracle-compare",
         "inputs": {"beta": args.beta, "gamma": args.gamma, "grid": bool(args.grid)},
@@ -275,18 +272,6 @@ def _strike_list(text: str) -> list[float]:
         return [float(tok) for tok in text.split(",") if tok != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad strike list {text!r}: {exc}")
-
-
-def _tolerance(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not 0.0 <= tol < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text!r}"
-        )
-    return tol
 
 
 # A negative number, exponent form included.  argparse tells option values
@@ -315,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         "implied-volatility limit.",
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--tol", type=_tolerance, default=MIN_TOL,
-                        help="solver tolerance override")
     parser.add_argument("--quiet-meta", action="store_true",
                         help="suppress the version banner in the output")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -585,7 +585,7 @@ def _answer(
 
 
 def _solve_many(
-    lines: list[tuple[float, float]], tol: float
+    lines: list[tuple[float, float]],
 ) -> list[DistanceSolution | _Found | HestonDistError]:
     """The answer for every line, or the error that line raises; an error
     fails only its own line.  A line through or next to the base point is
@@ -616,7 +616,7 @@ def _solve_many(
         lambda sel, nodes: _scan_block([rows[i] for i in sel], nodes),
         [r.lo for r in rows],
         [r.hi for r in rows],
-        tol,
+        MIN_TOL,
     )
     out: list[DistanceSolution | _Found | HestonDistError] = []
     for given, line in zip(lines, pending):
@@ -706,10 +706,10 @@ def _prelude(
     return beta, gamma, False
 
 
-def dist_to_line(beta: float, gamma: float, tol: float = MIN_TOL) -> DistanceSolution:
+def dist_to_line(beta: float, gamma: float) -> DistanceSolution:
     """Distance from (0, 1) to the line x = beta + gamma*v, any real
     parameters."""
-    (found,) = _solve_many([(beta, gamma)], tol)
+    (found,) = _solve_many([(beta, gamma)])
     return _solution(found)
 
 
@@ -737,13 +737,12 @@ def dist_to_line_correlated(
     p0: tuple[float, float],
     beta: float,
     gamma: float,
-    tol: float = MIN_TOL,
 ) -> float:
     """Distance from an arbitrary point p0 (with v0 > 0) to the line under
     the correlated-model metric, by reduction to the uncorrelated base
     problem."""
     xi, eta, scale = frame._reduce_line(p0, beta, gamma)
-    return scale * dist_to_line(xi, eta, tol=tol).value
+    return scale * dist_to_line(xi, eta).value
 
 
 # ---------------------------------------------------------------------------

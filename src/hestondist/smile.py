@@ -34,7 +34,6 @@ from typing import NamedTuple
 from .errors import AtTheMoneyError, DomainError, HestonDistError
 from .linedist import _solve_many, dist_to_line
 from .pointmetric import CorrelationFrame
-from .solvers import MIN_TOL
 
 
 class SmileQuery(NamedTuple("SmileQuery", [
@@ -121,10 +120,10 @@ def _smile_point(
     )
 
 
-def iv_limit(q: SmileQuery, tol: float = MIN_TOL) -> SmilePoint:
+def iv_limit(q: SmileQuery) -> SmilePoint:
     """Zero-maturity implied-volatility limit for one query."""
     m, beta, gamma = _reduced(q)
-    return _smile_point(q, m, beta, gamma, dist_to_line(beta, gamma, tol=tol).value)
+    return _smile_point(q, m, beta, gamma, dist_to_line(beta, gamma).value)
 
 
 def _failure(strike: float, exc: HestonDistError) -> SmileFailure:
@@ -136,7 +135,6 @@ def smile_table(
     v0: float,
     frame: CorrelationFrame,
     strikes: list[float],
-    tol: float = MIN_TOL,
 ) -> list[SmilePoint | SmileFailure]:
     """Evaluate a ladder of strikes; entries for failing strikes record the
     error instead of aborting the ladder.  Order is preserved.
@@ -153,7 +151,7 @@ def smile_table(
         except HestonDistError as exc:
             queries.append(_failure(k, exc))
     reduced = [_reduced(q) for q in queries if isinstance(q, SmileQuery)]
-    answers = iter(zip(reduced, _solve_many([r[1:] for r in reduced], tol)))
+    answers = iter(zip(reduced, _solve_many([r[1:] for r in reduced])))
     out: list[SmilePoint | SmileFailure] = []
     for q in queries:
         if isinstance(q, SmileQuery):

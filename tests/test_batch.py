@@ -34,24 +34,24 @@ def outcome(call):
 BATCH = 50
 
 
-def solve_batched(lines, tol=1e-9):
+def solve_batched(lines):
     """_solve_many on the lines in groups of BATCH, each group padded to
     BATCH lines with other lines."""
     filler = table_lines()[::5][:BATCH]
     out = []
     for start in range(0, len(lines), BATCH):
         group = lines[start:start + BATCH]
-        out += ld._solve_many(group + filler[:BATCH - len(group)], tol)[:len(group)]
+        out += ld._solve_many(group + filler[:BATCH - len(group)])[:len(group)]
     return out
 
 
-def batched(lines, tol=1e-9):
+def batched(lines):
     """Every line's answer from the batch, as dist_to_line assembles it."""
-    return [outcome(lambda s=s: ld._solution(s)) for s in solve_batched(lines, tol)]
+    return [outcome(lambda s=s: ld._solution(s)) for s in solve_batched(lines)]
 
 
-def single(lines, tol=1e-9):
-    return [outcome(lambda b=b, g=g: hd.dist_to_line(b, g, tol=tol)) for b, g in lines]
+def single(lines):
+    return [outcome(lambda b=b, g=g: hd.dist_to_line(b, g)) for b, g in lines]
 
 
 def special_lines():
@@ -86,14 +86,8 @@ def test_batch_scans_the_narrow_window():
     assert outcome(lambda: sol) == outcome(lambda: hd.dist_to_line(*NARROW))
 
 
-@pytest.mark.parametrize("tol", [0.0, 1e-3, -1.0, math.nan])
-def test_batch_tolerances(tol):
-    lines = [(1.0, -1.0), (0.5, 2.0), (2.0, 0.5), (3.0, 0.0), (-1.0, 0.3)]
-    assert batched(lines, tol) == single(lines, tol)
-
-
 def test_empty_batch():
-    assert ld._solve_many([], 1e-9) == []
+    assert ld._solve_many([]) == []
     assert solve_batched([]) == []
 
 
@@ -138,7 +132,7 @@ def test_ladder_shares_psi_inv_through_the_bindings(monkeypatch, batch):
     gamma = lines[0][1]
     assert gamma > 0.0 and all(0.0 < b < 0.5 * math.pi for b, _ in lines)
     # the ladder alone, or inside a batch padded with other lines
-    sols = solve_batched(lines) if batch else ld._solve_many(lines, 1e-9)
+    sols = solve_batched(lines) if batch else ld._solve_many(lines)
     assert all(isinstance(s, ld._Found) for s in sols)
     assert calls["eta_alpha_inv"]
     assert calls["psi_inv"].count((gamma,)) == 1
