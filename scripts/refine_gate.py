@@ -11,7 +11,9 @@ on the row's closure ``linedist._row_fn``, which gives the objective and
 its derivative, and ``solvers._refine``, the golden refine, on the
 objective), so the two minima differ only by their refine.  The script
 prints, per workload, the rows each refine method settled, the calls of
-the closure per line (those of the rows that fall back to golden apart)
+the closure per line (those of the rows that fall back to golden apart),
+the derivative-root rows whose best scan node is the row's lower end (the
+ones whose root solve stops at Brent's floor) with their calls per row,
 and the gap of the derivative-root minimum above golden's by band of
 |theta*|.
 With ``--exact N`` it evaluates, for the N rows where the derivative-root
@@ -50,7 +52,8 @@ STRIKES = tuple(100.0 * math.exp(-1.0 + 2.0 * j / 49.0) for j in range(50))
 
 class Row(NamedTuple):
     """One compared row: its line, branch and refine method, the
-    closure calls its refine made, the two minima and their argmins."""
+    closure calls its refine made, the two minima and their argmins, and
+    whether the scan's best node is the row's lower end lo."""
 
     line: tuple[float, float]
     row: ld._Search
@@ -60,6 +63,7 @@ class Row(NamedTuple):
     theta: float
     golden: float
     golden_theta: float
+    from_lower: bool
 
     def gap(self) -> float:
         """How far the derivative-root minimum lies above golden's,
@@ -148,7 +152,7 @@ def compare(lines: list[tuple[float, float]], tol: float = 1e-9) -> list[Row]:
             except hd.HestonDistError:
                 continue
             out.append(Row(line, row, rep.method, calls[0], val, rep.value,
-                           gval, gold.value))
+                           gval, gold.value, int(fs.argmin()) == 0))
     return out
 
 
@@ -161,6 +165,10 @@ def summary(name: str, lines: int, rows: list[Row]) -> list[str]:
     golden = sum(r.evals for r in rows if r.method == "grid-refine")
     out.append(f"  closure calls per line: {evals / max(lines, 1):.2f} "
                f"({golden / max(lines, 1):.2f} of them in grid-refine rows)")
+    lower = [r for r in rows if r.method == "derivative-root" and r.from_lower]
+    out.append(f"  derivative-root rows refined from the lower end: {len(lower)}, "
+               f"{sum(r.evals for r in lower) / max(len(lower), 1):.2f} "
+               "closure calls per row")
     out.append("  gap above golden by |theta*|: rows, worst relative gap, "
                f"rows > {ULP_GATE} ulp, rows failing the gate")
     for lo, hi in BANDS:

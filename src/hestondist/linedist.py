@@ -740,8 +740,13 @@ def dist_to_line_correlated(
 ) -> float:
     """Distance from an arbitrary point p0 (with v0 > 0) to the line under
     the correlated-model metric, by reduction to the uncorrelated base
-    problem."""
+    problem.  DomainError where the reduction's scale sqrt(v0)/c
+    overflows (c below about 1e-308 for v0 = 1)."""
     xi, eta, scale = frame._reduce_line(p0, beta, gamma)
+    if scale == math.inf:
+        raise DomainError(
+            f"the scale sqrt(v0)/c overflows for c={frame.c!r}, v0={p0[1]!r}"
+        )
     return scale * dist_to_line(xi, eta).value
 
 

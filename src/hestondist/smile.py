@@ -23,7 +23,8 @@ lines of a ladder as one batch (linedist._solve_many), which minimizes
 the rows of a long ladder together and returns each line's distance
 without building the DistanceSolution that iv_limit's dist_to_line
 assembles: each entry equals iv_limit for its strike bit for bit, or
-records the error iv_limit raises.
+records the error iv_limit raises.  Neither takes a tolerance: the line
+solver sets its own stop widths.
 """
 
 from __future__ import annotations

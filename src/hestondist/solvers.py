@@ -84,14 +84,17 @@ _TOL_FLOOR = 1e-322
 _RTOL = 4.0 * math.ulp(1.0)  # brentq's smallest admissible rtol
 MIN_TOL = 1e-9
 SCAN_CELLS = 256
-# The derivative-root refine stops at this fraction of the golden stop
-# width.  Near the tangency end of small, nearly diagonal lines the line
-# objective is so sharply curved that golden's own width is too coarse:
-# on the line (1.494e-4, 1.218e-4) the derivative runs from -11 to +12 (in
-# units of lambda/theta) across 6e-13 in theta, and a root solved to the
-# golden width came out 9.8e-10 above golden's minimum (a real gap: mpmath
-# agrees).  The factor costs about 0.5 more derivative evaluations per
-# line.
+# The derivative-root refine of an interior cell stops at this fraction
+# of the golden stop width.  Near the tangency end of small, nearly
+# diagonal lines the line objective is so sharply curved that golden's own
+# width is too coarse: on the line (1.494e-4, 1.218e-4) the derivative runs
+# from -11 to +12 (in units of lambda/theta) across 6e-13 in theta, and a
+# root solved to the golden width came out 9.8e-10 above golden's minimum
+# (a real gap: mpmath agrees).  The factor costs about 0.5 more derivative
+# evaluations per line.  A cell at the row's first node stops at Brent's
+# own floor instead (_refine_cell): there the minimum can sit within
+# 2e-15 of a tangency end at theta ~ 2e-4, where the slope is -inf or
+# about 1e6, inside even this width.
 _ROOT_XTOL_SCALE = 1e-3
 # Brent's finite stand-in for an infinite end slope of the refine's cell
 _SLOPE_CAP = 1e300
@@ -477,8 +480,9 @@ def _refine_root(
     An end node i whose slope points out of the interval is the answer
     ("endpoint", 0 iterations).  Otherwise, where slope(a) < 0 < slope(b),
     infinite ones included, Brent solves slope = 0 on [a, b] to
-    _ROOT_XTOL_SCALE times the golden stop width; it returns a point whose
-    slope it took, whose value is kept where it is lower than the node's
+    _ROOT_XTOL_SCALE times the golden stop width, or, where i is the first
+    node, to its own 4-ulp floor; it returns a point whose slope it took,
+    whose value is kept where it is lower than the node's
     ("derivative-root", Brent's iterations, the stop width as residual).
     Every other row (a nan end slope included), and a root solve that
     meets a nan, takes the golden refine of _refine on the value."""
@@ -490,7 +494,9 @@ def _refine_cell(
     nodes: np.ndarray, fs: np.ndarray, cell: tuple[int, float, float], tol: float,
 ) -> tuple[SolveReport, float]:
     """_refine_root from the best node's cell (i, a, b), as _best_cell
-    gives it, on nodes whose values fs are finite."""
+    gives it, on nodes whose values fs are finite.  From the first node
+    (a line row's tangency end, where the minimum can lie a few ulp above
+    it) the root solve stops at Brent's floor, not at a width."""
     i, a, b = cell
     best_x, best_f = float(nodes[i]), float(fs[i])
     values = {}  # fn's value at every point whose slope was taken
@@ -510,7 +516,10 @@ def _refine_cell(
     if da < 0.0:
         db = slope(b) if db is None else db
         if db > 0.0:
-            xtol = max(_ROOT_XTOL_SCALE * _golden_width(tol, a, b), 5e-324)
+            if i == 0:  # Brent's own 4-ulp floor (_RTOL)
+                xtol = 5e-324
+            else:
+                xtol = max(_ROOT_XTOL_SCALE * _golden_width(tol, a, b), 5e-324)
             ends = max(da, -_SLOPE_CAP), min(db, _SLOPE_CAP)
             try:
                 root, _, iters = _solve(slope, a, b, 0.0, xtol, 200, *ends)

@@ -428,12 +428,19 @@ def complex_step_slope(v, delta):
     """d f_of(v, delta)/d delta by a complex step of 1e-20*delta on the
     direct form of f_of.  The step takes no difference of function values;
     its imaginary part of d - sin d is h*(1 - cos d), which cancels as
-    f_of's own d - sin d does."""
+    f_of's own d - sin d does.  Below SMALL_ANGLE the real part of d - sin d
+    would cancel too, and the quotient carries it into the slope, so there
+    d - sin d is its Taylor series."""
     h = 1e-20 * delta
     t = complex(delta, h)
     s = math.sqrt(v)
     sh, q4 = cmath.sin(0.5 * t), cmath.sin(0.25 * t)
-    num = (s - 1.0) ** 2 * (t - cmath.sin(t)) + 4.0 * s * q4 * q4 * (t + 2.0 * sh)
+    if delta < cf.SMALL_ANGLE:
+        t2 = t * t
+        p = t * t2 * (1 / 6 - t2 * (1 / 120 - t2 * (1 / 5040 - t2 / 362880)))
+    else:
+        p = t - cmath.sin(t)
+    num = (s - 1.0) ** 2 * p + 4.0 * s * q4 * q4 * (t + 2.0 * sh)
     return (num / (2.0 * sh * sh)).imag / h
 
 

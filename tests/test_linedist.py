@@ -321,3 +321,24 @@ class TestBranchLaw:
                 lm = hd.lambda_minus(beta, gamma, t)
                 assert lp <= lm + 1e-9 * max(1.0, lm)
             done += 1
+
+
+@pytest.mark.parametrize("line", [
+    (0.00010767238624940404, 0.00010767189315060647),
+    (0.00014098351297987718, 0.0001409833676576981),
+    (-0.00022579613302717833, -0.00022579571514624988),
+    (0.00015583862023028837, 0.00015583831468805504),
+    (-0.00010755576381973211, -0.00010755554041624564),
+    (0.0001034368601108212, 0.00010343672950475314),
+    (0.00017630564521144162, 0.00017630533661294005),
+    (0.0003306857862669418, 0.0003306854019799227),
+    (-0.0013804337897579018, -0.0013804337897579018),
+    (-0.0010542693756237745, -0.0010542693756237745),
+])
+def test_tangency_end_minimum(line):
+    # near-diagonal and equal lines whose minimum lies 2e-16 to 2e-15 above
+    # a row's tangency end lo, at theta ~ 2e-4, where the slope is -inf or
+    # about 1e6: a root solve stopped at a width of 1e-12*theta reads 1e-7
+    # to 1.5e-5 high
+    o = hd.oracle_dist(*line)
+    assert hd.dist_to_line(*line).value == pytest.approx(o.value, rel=1e-10)

@@ -65,21 +65,26 @@ def test_nan_argument_raises_domain_error(fn, position, args):
 
 
 # Finite line parameters so large, at angles so small, that beta*B or
-# gamma*B overflows: the public roots came out NaN (inf/inf, 0*inf).
+# gamma*B overflows: the public roots came out NaN (inf/inf, 0*inf).  A
+# vol-of-vol below about 1e-308 overflows the reduction's scale
+# sqrt(v0)/c, and the reduced line passes through (0, 1): 0*inf.
 NAN_RESULTS = [
-    (hd.s_plus, (1.28e189, 1e-308, 6.79e-285)),
-    (hd.s_minus, (-5e-324, 7.93e209, 1.95e-205)),
-    (hd.s_tangent, (0.0, 1e-308)),
-    (hd.lambda_plus, (3.12e300, -1.59e76, 6.46e-60)),
-    (hd.lambda_minus, (2.47e281, -1.7e308, 7.01e-97)),
+    (hd.s_plus, (1.28e189, 1e-308, 6.79e-285), "no representable root"),
+    (hd.s_minus, (-5e-324, 7.93e209, 1.95e-205), "no representable root"),
+    (hd.s_tangent, (0.0, 1e-308), "no representable root"),
+    (hd.lambda_plus, (3.12e300, -1.59e76, 6.46e-60), "no representable root"),
+    (hd.lambda_minus, (2.47e281, -1.7e308, 7.01e-97), "no representable root"),
+    (hd.dist_to_line_correlated,
+     (hd.CorrelationFrame(1e-310, 0.5), (0.0, 1.0), 1.0, 0.5), "overflows"),
 ]
 
 
 @pytest.mark.parametrize(
-    "fn, args", NAN_RESULTS, ids=[f"{fn.__name__}-{args}" for fn, args in NAN_RESULTS]
+    "fn, args, message", NAN_RESULTS,
+    ids=[f"{fn.__name__}-{args}" for fn, args, _ in NAN_RESULTS],
 )
-def test_nan_result_raises_domain_error(fn, args):
-    with pytest.raises(hd.DomainError, match="no representable root"):
+def test_nan_result_raises_domain_error(fn, args, message):
+    with pytest.raises(hd.DomainError, match=message):
         fn(*args)
 
 
