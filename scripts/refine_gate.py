@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Compare the line solver's derivative-root refine with the golden refine,
-row by row, on seeded line-mix-like lines and 50-strike smile ladders.
+"""Compare the line solver's refine with the golden refine, row by row, on
+seeded line-mix-like lines and 50-strike smile ladders.
 
     PYTHONPATH=src python scripts/refine_gate.py --seed 1
     PYTHONPATH=src python scripts/refine_gate.py --seed 1 --exact 40
@@ -8,17 +8,19 @@ row by row, on seeded line-mix-like lines and 50-strike smile ladders.
 Every row of every line's search table, zero-width rows included, is
 scanned once; the scan then feeds both refines (``solvers._refine_root``
 on the row's closure ``linedist._row_fn``, which gives the objective and
-its derivative, and ``solvers._refine``, the golden refine, on the
-objective), so the two minima differ only by their refine.  The script
-prints, per workload, the rows each refine method settled, the calls of
-the closure per line (those of the rows that fall back to golden apart),
-the derivative-root rows whose best scan node is the row's lower end (the
-ones whose root solve stops at Brent's floor) with their calls per row,
-and the gap of the derivative-root minimum above golden's by band of
-|theta*|.
-With ``--exact N`` it evaluates, for the N rows where the derivative-root
-minimum lies furthest above golden's, both argmins on the objective in
-60-digit arithmetic (mpmath, which is not a dependency of the package).
+its derivative, and ``solvers._refine``, the golden refine of
+``minimize_on_interval``, on the objective), so the two minima differ only
+by their refine.  The script prints, per workload, the rows each refine
+method settled, the calls of the closure per line (those of the rows that
+keep their best scan node apart), the derivative-root rows whose best scan
+node is the row's lower end (the ones whose root solve stops at Brent's
+floor) with their calls per row, and the gap of the line solver's minimum
+above golden's by band of |theta*|.
+With ``--exact N`` it evaluates, for the N rows where the line solver's
+minimum lies furthest above golden's, for every row beyond the gate and
+for every row that keeps its scan node ("scan-node"), both argmins on the
+objective in 60-digit arithmetic (mpmath, which is not a dependency of the
+package).
 
 ``tests/test_refine_gate.py`` runs the same comparison on fewer lines and
 holds every row to the gate: at most ``ULP_GATE`` ulp above golden where
@@ -46,7 +48,7 @@ ULP_GATE = 8  # above golden's minimum, where |theta*| >= 1
 # |theta| = 1, where one value carries up to ~1e-11 relative noise
 BAND_RTOL = 5e-11
 BANDS = ((0.0, cf.SMALL_ANGLE), (cf.SMALL_ANGLE, 1.0), (1.0, math.inf))
-METHODS = ("derivative-root", "endpoint", "grid-refine")
+METHODS = ("derivative-root", "endpoint", "scan-node")
 STRIKES = tuple(100.0 * math.exp(-1.0 + 2.0 * j / 49.0) for j in range(50))
 
 
@@ -66,8 +68,8 @@ class Row(NamedTuple):
     from_lower: bool
 
     def gap(self) -> float:
-        """How far the derivative-root minimum lies above golden's,
-        relative to golden's."""
+        """How far the line solver's minimum lies above golden's, relative
+        to golden's."""
         return (self.value - self.golden) / self.golden if self.golden else 0.0
 
     def ulps(self) -> float:
@@ -122,7 +124,7 @@ def ladders(seed: int, n: int) -> list[list[tuple[float, float]]]:
     return out
 
 
-def compare(lines: list[tuple[float, float]], tol: float = 1e-9) -> list[Row]:
+def compare(lines: list[tuple[float, float]]) -> list[Row]:
     """Both refines on every row of every line's search table (the lines
     share one psi_inv memo, as a ladder does), zero-width rows included;
     rows whose scan or refine raises are left out."""
@@ -147,8 +149,10 @@ def compare(lines: list[tuple[float, float]], tol: float = 1e-9) -> list[Row]:
 
             try:
                 fs = ld._scan_block([row], nodes[None, :])[0]
-                rep, val = solvers._refine_root(counted, nodes, fs, tol)
-                gold, gval = solvers._refine(lambda t: fn(t)[0], nodes, fs, tol)
+                rep, val = solvers._refine_root(counted, nodes, fs)
+                gold, gval = solvers._refine(
+                    lambda t: fn(t)[0], nodes, fs, solvers.MIN_TOL
+                )
             except hd.HestonDistError:
                 continue
             out.append(Row(line, row, rep.method, calls[0], val, rep.value,
@@ -162,9 +166,9 @@ def summary(name: str, lines: int, rows: list[Row]) -> list[str]:
     for method in METHODS:
         out.append(f"  {method:16s} {sum(r.method == method for r in rows):7d} rows")
     evals = sum(r.evals for r in rows)
-    golden = sum(r.evals for r in rows if r.method == "grid-refine")
+    kept = sum(r.evals for r in rows if r.method == "scan-node")
     out.append(f"  closure calls per line: {evals / max(lines, 1):.2f} "
-               f"({golden / max(lines, 1):.2f} of them in grid-refine rows)")
+               f"({kept / max(lines, 1):.2f} of them in scan-node rows)")
     lower = [r for r in rows if r.method == "derivative-root" and r.from_lower]
     out.append(f"  derivative-root rows refined from the lower end: {len(lower)}, "
                f"{sum(r.evals for r in lower) / max(len(lower), 1):.2f} "
@@ -196,9 +200,9 @@ def exact_objective(row: ld._Search, t: float, mp) -> object:
 
 
 def exact_gap(r: Row, mpmath) -> float:
-    """The exact objective's relative difference between the
-    derivative-root argmin and golden's, in 60-digit arithmetic: negative
-    where the derivative-root argmin is the lower one."""
+    """The exact objective's relative difference between the line solver's
+    argmin and golden's, in 60-digit arithmetic: negative where the line
+    solver's argmin is the lower one."""
     mp = mpmath.mp
     mp.dps = 60
     at_root = exact_objective(r.row, r.theta, mp)
@@ -207,8 +211,8 @@ def exact_gap(r: Row, mpmath) -> float:
 
 
 def exact_report(rows: list[Row], worst: int) -> list[str]:
-    """exact_gap of the worst rows by gap, and of every row beyond the
-    gate."""
+    """exact_gap of the worst rows by gap, of every row beyond the gate and
+    of every row that keeps its scan node."""
     try:
         import mpmath
     except ImportError:
@@ -217,10 +221,11 @@ def exact_report(rows: list[Row], worst: int) -> list[str]:
     for label, chosen in (
         (f"the {worst} worst rows", sorted(rows, key=Row.gap, reverse=True)[:worst]),
         ("the rows beyond the gate", [r for r in rows if not r.passes()]),
+        ("the scan-node rows", [r for r in rows if r.method == "scan-node"]),
     ):
         diffs = [exact_gap(r, mpmath) for r in chosen]
-        out.append(f"  exact objective at {label} ({len(chosen)}), (root - golden)/"
-                   f"golden: max {max(diffs, default=0.0):+.3g}, rows where root is "
+        out.append(f"  exact objective at {label} ({len(chosen)}), (line - golden)/"
+                   f"golden: max {max(diffs, default=0.0):+.3g}, rows where line is "
                    f"higher: {sum(d > 0.0 for d in diffs)}")
     return out
 

@@ -32,7 +32,7 @@ from . import corefuncs as cf
 from .errors import DomainError
 from .pointmetric import ManifoldPoint
 from .solution import DistanceSolution
-from .solvers import INDEX_TOL, _solve, arc_index_tol, newton_to_two_pi
+from .solvers import _TOL_FLOOR, INDEX_TOL, _solve, arc_index_tol, newton_to_two_pi
 
 
 class LevelCurveSample(NamedTuple):
@@ -219,7 +219,8 @@ def x_crit_inv(y: float) -> float:
 def theta_crit(beta: float, gamma: float) -> float:
     """Index of the unique nearest-point-curve crossing of the line
     (beta, gamma) with beta, gamma >= 0: the zeta root for beta <= pi/2 and
-    psi_inv(beta) beyond."""
+    psi_inv(beta) beyond.  The zeta root caps line rows, so it is solved to
+    Brent's 4-ulp floor: it must not fall below their tangency index."""
     if not (beta >= 0.0 and gamma >= 0.0):
         raise DomainError("theta_crit requires beta >= 0 and gamma >= 0")
     if beta > 0.5 * math.pi:
@@ -229,4 +230,4 @@ def theta_crit(beta: float, gamma: float) -> float:
     if z_pi <= beta:
         # enormous slopes push the crossing within one ulp of pi
         return math.pi
-    return _solve(zeta, 0.0, math.pi, beta, INDEX_TOL, 200, None, z_pi)[0]
+    return _solve(zeta, 0.0, math.pi, beta, _TOL_FLOOR, 200, None, z_pi)[0]

@@ -37,9 +37,9 @@ distinct psi_inv argument once, and minimizes every row the same way
 (solvers._minimize_rows): the scans as 2-D blocks of up to 16 rows, one
 kernel call per block, so a single line's one or two rows take one call;
 then each row's refine on _row_fn, a root solve of the derivative where
-it changes sign around the best node, otherwise the golden section on the
-objective.  An error fails only its own line, and so does a distance
-beyond double range.  It returns, for each searched line, a _Found
+it changes sign around the best node, otherwise that node.  An error
+fails only its own line, and so does a distance beyond double range.
+It returns, for each searched line, a _Found
 record: the winning row, its report, the half-squared distance and the
 distance.  Only dist_to_line assembles a DistanceSolution from it
 (_solution: the argmin on the row's root, the signed arc index, both
@@ -83,7 +83,7 @@ from .pointmetric import (
     dist_correlated,
 )
 from .solution import DistanceSolution
-from .solvers import MIN_TOL, SolveReport, _minimize_rows, _refine_root
+from .solvers import SolveReport, _minimize_rows, _refine_root
 
 if TYPE_CHECKING:
     import numpy as np
@@ -351,12 +351,20 @@ def _row_fn(row: _Search) -> Callable[[float], tuple[float, float]]:
     through lambda = N t^2/(2 sin(t/2)^2), N = (s - 1)^2 + 4 s sin(t/4)^2,
     whose terms also give the value.  Where the discriminant is clamped
     (the tangency end) the slope is +-inf with the sign of the one-sided
-    limit; it is nan at the axis node, where t*p3 underflows, at the minus
-    pole and where the root is clamped, where the value takes the raw root."""
+    limit.  At the axis node it is the one-sided limit 2(1 - 1/r)(v_a + r +
+    1)/(3 gamma), v_a the axis crossing and r = sqrt(v_a), and -inf where
+    v_a = 0; it is nan where t*p3 underflows, at the minus pole and where
+    the root is clamped, where the value takes the raw root."""
     beta, gamma, minus = row.beta, row.gamma, row.minus
     raw = cf._s_minus_raw if minus else cf._s_plus_raw
-    axis = None if row.axis is None else _axis_value(row.axis)
     nan, inf, sin, isfinite = math.nan, math.inf, math.sin, math.isfinite
+    axis = axis_slope = None
+    if row.axis is not None:
+        # the slope's limit 4(r - 1) s'(0), s'(0) = (v_a + r + 1)/(6 gamma r),
+        # is negative on every row with an axis node
+        v_a = row.axis
+        r, axis = math.sqrt(v_a), _axis_value(v_a)
+        axis_slope = 2.0 * (1.0 - 1.0 / r) * (v_a + r + 1.0) / (3.0 * gamma) if r else -inf
 
     def clamped(t: float) -> float:
         s = raw(beta, gamma, t)
@@ -370,7 +378,7 @@ def _row_fn(row: _Search) -> Callable[[float], tuple[float, float]]:
     def fn(t: float) -> tuple[float, float]:
         if not 0.0 < t < cf.TWO_PI:
             if t == 0.0 and axis is not None:
-                return axis, nan
+                return axis, axis_slope
             return clamped(t), nan  # raises the DomainError of cf._coefs
         sh = sin(0.5 * t)
         if t < cf.SMALL_ANGLE:
@@ -616,7 +624,6 @@ def _solve_many(
         lambda sel, nodes: _scan_block([rows[i] for i in sel], nodes),
         [r.lo for r in rows],
         [r.hi for r in rows],
-        MIN_TOL,
     )
     out: list[DistanceSolution | _Found | HestonDistError] = []
     for given, line in zip(lines, pending):
@@ -858,9 +865,9 @@ def _oracle(
     bounds of _lower_bounds and cones of slope _line_slope(frame, gamma).
     Every value the search and the refine compare is dist_correlated's:
     _line_dist_fn forms it by the same _reduce and _dist_base calls, and
-    its slope only places the refine's points.  A cell pair whose end
-    slope is not finite (one end at v = 0, or at p0) or does not change
-    sign takes the golden refine.
+    its slope only places the refine's points; an infinite end slope (at
+    v = 0) brackets the root by its sign.  A cell pair whose end slopes do
+    not change sign, or where one is nan, keeps the best node.
 
     The best node d1 of the grid on [0, _ORACLE_HORIZON] certifies the
     horizon H* = (sqrt(v0) + c*d1/2)^2 by the horizontal bound: the argmin
@@ -894,14 +901,14 @@ def _oracle(
         )
     if horizon > _ORACLE_HORIZON:
         vs, ds = grid(horizon)
-    return _refine_root(_line_dist_fn(frame, p0, beta, gamma), vs, ds, MIN_TOL)
+    return _refine_root(_line_dist_fn(frame, p0, beta, gamma), vs, ds)
 
 
 def oracle_dist(beta: float, gamma: float) -> DistanceSolution:
     """Formula-free reference distance from (0, 1) to the line: the best
     node of a certified v-grid, refined at the root of the distance's
     slope along the line (report.method "derivative-root"; "endpoint" or
-    the golden section's "grid-refine" where that root is not bracketed).
+    "scan-node", the best node, where that root is not bracketed).
     Raises ConvergenceError where the certified grid horizon is not
     finite."""
     report, value = _oracle(CorrelationFrame(1.0, 0.0), (0.0, 1.0), beta, gamma)

@@ -1,11 +1,11 @@
 """Bracketed scalar root finding and one-dimensional minimization.
 
 Every "solve the equation" and "minimize over the interval" step in the
-distance formulas funnels through these two routines.  The minimizer never
-assumes unimodality: a coarse uniform scan localizes the best cell before
-golden-section refinement, which keeps it robust on objectives whose
-interior critical-point structure is only known empirically.  Every
-interval is scanned and refined, however narrow: a near-diagonal line's
+distance formulas funnels through these routines.  The minimizers never
+assume unimodality: a coarse uniform scan localizes the best cell before
+the refine, which keeps them robust on objectives whose interior
+critical-point structure is only known empirically.  Every interval is
+scanned and refined, however narrow: a near-diagonal line's
 tangency window can be 6e-13 wide at theta ~ 2e-4 and still hold a
 minimum well below its lower end's value.  A zero-width interval scans
 257 copies of lo, and the refine returns lo with 0 iterations.
@@ -23,7 +23,7 @@ library's Brent solves run ``_solve``, ``solve_monotone`` without its
 report, on the caller's one-frame objective; ``_brent`` subtracts the target.
 
 ``minimize_on_interval`` scans by calling ``fn`` on each node, then
-refines by golden section (``_refine``).
+refines by golden section (``_refine``): no distance takes that path.
 
 ``_refine_root`` refines at the root of the objective's derivative, on
 one closure of (objective, slope).  It serves the line rows of
@@ -43,9 +43,8 @@ own closure from that cell, as ``_refine_root`` does: an end node whose
 derivative points out of the interval is the answer ("endpoint"); where
 the derivative changes sign across the cell pair around the best node,
 Brent's root solve of the derivative finds the minimizer in a few steps
-("derivative-root"); any other row takes the golden refine and returns
-exactly what ``minimize_on_interval`` returns ("grid-refine").  Errors
-stay per row.
+("derivative-root"); any other row keeps its best scan node
+("scan-node").  Errors stay per row.
 The line solver minimizes every line's rows through it.
 
 numpy is imported by the functions that build or reduce arrays
@@ -114,8 +113,10 @@ class SolveReport(NamedTuple):
     an exact formula.  A minimization reports the refine that settled it:
     "derivative-root" (Brent on the objective's derivative; iterations are
     Brent's and residual is its stop width), "endpoint" (an interval end
-    whose derivative points outward; no iterations) or "grid-refine" (the
-    golden section; residual is its final bracket width)."""
+    whose derivative points outward; no iterations), "scan-node" (the best
+    scan node, where the derivative brackets no root in its cell pair; no
+    iterations, residual is the cell pair's width) or "grid-refine"
+    (minimize_on_interval's golden section; residual is its bracket)."""
 
     value: float
     iterations: int
@@ -383,15 +384,10 @@ def arc_index_tol(lo: float) -> float:
     return tol if tol > _TOL_FLOOR else _TOL_FLOOR
 
 
-def _check_interval(lo: float, hi: float, tol: float) -> None:
-    """BracketError or DomainError where minimize_on_interval rejects the
-    interval [lo, hi] or tol."""
+def _check_interval(lo: float, hi: float) -> None:
+    """BracketError where minimize_on_interval rejects the interval [lo, hi]."""
     if hi < lo:
         raise BracketError(f"bracket must have lo <= hi, got [{lo!r}, {hi!r}]")
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(
-            f"minimizer tolerance must be finite and >= 0, got {tol!r}"
-        )
 
 
 def minimize_on_interval(
@@ -418,7 +414,9 @@ def minimize_on_interval(
     import numpy as np
 
     lo, hi = bracket
-    _check_interval(lo, hi, tol)
+    _check_interval(lo, hi)
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"minimizer tolerance must be finite and >= 0, got {tol!r}")
     nodes = _scan_nodes(lo, hi)
     # Python floats, so that fn divides as it does in the refine: a numpy
     # scalar would warn where a float raises ZeroDivisionError
@@ -432,9 +430,14 @@ def _refine(
     """minimize_on_interval after its scan, given the nodes and their
     values: NonFiniteSampleError at the first non-finite node, otherwise
     the golden refine, 200 steps at most, in the cell pair around the
-    first minimum."""
+    first minimum, which keeps that node where it finds nothing lower."""
     i, a, b = _best_cell(nodes, fs)
-    return _golden_refine(fn, a, b, float(nodes[i]), float(fs[i]), tol)
+    best_x, best_f = float(nodes[i]), float(fs[i])
+    gx, gf, iters, width = _golden(fn, a, b, tol, 200)
+    if gf < best_f:
+        best_x, best_f = gx, gf
+    # residual reports the final bracket width reached by the refinement
+    return SolveReport(best_x, iters, width, "grid-refine"), best_f
 
 
 def _best_cell(nodes: np.ndarray, fs: np.ndarray) -> tuple[int, float, float]:
@@ -456,26 +459,12 @@ def _cell(nodes: np.ndarray, i: int) -> tuple[int, float, float]:
     return i, float(nodes[max(i - 1, 0)]), float(nodes[min(i + 1, nodes.size - 1)])
 
 
-def _golden_refine(
-    fn: Callable[[float], float], a: float, b: float, best_x: float,
-    best_f: float, tol: float,
-) -> tuple[SolveReport, float]:
-    """The golden refine on [a, b], keeping the node (best_x, best_f)
-    where the refine finds nothing lower."""
-    gx, gf, iters, width = _golden(fn, a, b, tol, 200)
-    if gf < best_f:
-        best_x, best_f = gx, gf
-    # residual reports the final bracket width reached by the refinement
-    return SolveReport(best_x, iters, width, "grid-refine"), best_f
-
-
 def _refine_root(
-    fn: Callable[[float], tuple[float, float]],
-    nodes: np.ndarray, fs: np.ndarray, tol: float,
+    fn: Callable[[float], tuple[float, float]], nodes: np.ndarray, fs: np.ndarray
 ) -> tuple[SolveReport, float]:
-    """_refine's answer through the root of the slope, where fn returns
-    (value, slope), with the same node check and cell pair [a, b] around
-    the first minimum node i.
+    """The minimum at the root of the slope, where fn returns (value,
+    slope): _refine's node check, then _refine_cell from the cell pair
+    [a, b] around the first minimum node i.
 
     An end node i whose slope points out of the interval is the answer
     ("endpoint", 0 iterations).  Otherwise, where slope(a) < 0 < slope(b),
@@ -484,14 +473,15 @@ def _refine_root(
     node, to its own 4-ulp floor; it returns a point whose slope it took,
     whose value is kept where it is lower than the node's
     ("derivative-root", Brent's iterations, the stop width as residual).
-    Every other row (a nan end slope included), and a root solve that
-    meets a nan, takes the golden refine of _refine on the value."""
-    return _refine_cell(fn, nodes, fs, _best_cell(nodes, fs), tol)
+    Where no root is bracketed (end slopes of one sign, a nan end slope)
+    or the root solve meets a nan, the best node is the answer
+    ("scan-node", 0 iterations, the cell pair's width as residual)."""
+    return _refine_cell(fn, nodes, fs, _best_cell(nodes, fs))
 
 
 def _refine_cell(
     fn: Callable[[float], tuple[float, float]],
-    nodes: np.ndarray, fs: np.ndarray, cell: tuple[int, float, float], tol: float,
+    nodes: np.ndarray, fs: np.ndarray, cell: tuple[int, float, float],
 ) -> tuple[SolveReport, float]:
     """_refine_root from the best node's cell (i, a, b), as _best_cell
     gives it, on nodes whose values fs are finite.  From the first node
@@ -519,7 +509,7 @@ def _refine_cell(
             if i == 0:  # Brent's own 4-ulp floor (_RTOL)
                 xtol = 5e-324
             else:
-                xtol = max(_ROOT_XTOL_SCALE * _golden_width(tol, a, b), 5e-324)
+                xtol = max(_ROOT_XTOL_SCALE * _golden_width(MIN_TOL, a, b), 5e-324)
             ends = max(da, -_SLOPE_CAP), min(db, _SLOPE_CAP)
             try:
                 root, _, iters = _solve(slope, a, b, 0.0, xtol, 200, *ends)
@@ -530,7 +520,7 @@ def _refine_cell(
                 if froot < best_f:
                     best_x, best_f = root, froot
                 return SolveReport(best_x, iters, xtol, "derivative-root"), best_f
-    return _golden_refine(lambda x: fn(x)[0], a, b, best_x, best_f, tol)
+    return SolveReport(best_x, 0, b - a, "scan-node"), best_f
 
 
 # The node indices 0, 1, ..., SCAN_CELLS of every scan, as floats; the
@@ -572,12 +562,11 @@ def _minimize_rows(
     scan: Callable[[list[int], np.ndarray], np.ndarray],
     los: list[float],
     his: list[float],
-    tol: float = MIN_TOL,
 ) -> list[tuple[SolveReport, float] | HestonDistError]:
     """The minimum of the objective f_i on [los[i], his[i]] for every row
-    i, or the error minimize_on_interval(f_i, (los[i], his[i]), tol)
-    raises: the same scan of every interval, zero-width ones included, and
-    the same errors.  fns[i] returns (f_i, its slope).
+    i, or the error minimize_on_interval(f_i, (los[i], his[i])) raises: the
+    same scan of every interval, zero-width ones included, and the same
+    errors.  fns[i] returns (f_i, its slope).
 
     ``scan(rows, nodes)`` evaluates the rows (a list of indices) at a 2-D
     block of nodes, one row of nodes each, and must equal their
@@ -590,15 +579,14 @@ def _minimize_rows(
     included) takes each row's node by _best_cell, which raises the row's
     NonFiniteSampleError at its first non-finite node.  Each row is then
     refined on its own on ``fns[i]`` from that cell, by the code
-    ``_refine_root`` runs after ``_best_cell``; a row that falls back to
-    the golden refine returns what minimize_on_interval returns."""
+    ``_refine_root`` runs after ``_best_cell``."""
     import numpy as np
 
     out: list = [None] * len(fns)
     live = []
     for i, (lo, hi) in enumerate(zip(los, his)):
         try:
-            _check_interval(lo, hi, tol)
+            _check_interval(lo, hi)
             live.append(i)
         except HestonDistError as exc:
             out[i] = exc
@@ -621,7 +609,7 @@ def _minimize_rows(
             try:
                 cell = (_cell(row_nodes, int(best[k])) if finite
                         else _best_cell(row_nodes, row_fs))
-                out[i] = _refine_cell(fns[i], row_nodes, row_fs, cell, tol)
+                out[i] = _refine_cell(fns[i], row_nodes, row_fs, cell)
             except HestonDistError as exc:
                 out[i] = exc
     return out

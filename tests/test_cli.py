@@ -68,16 +68,17 @@ class TestRefineMethod:
     def candidate_lines(self):
         yield 1.0, 0.0
         yield 17.0, -49.0  # best scan node next to the axis node
-        for beta in (1e-3, 2e-3, 5e-3):  # near-diagonal: tangency-end minima
-            for offset in (1e-2, 1e-3, 1e-4):
-                yield beta, beta * (1.0 + offset)
+        # near-diagonal: a minimum at the tangency end, and a cell whose
+        # slopes bracket no root, where the best scan node is kept
+        yield 0.0036853876681807885, 0.00368539560311934
+        yield 0.0052448240800975505, 0.005244829547027076
 
     def test_each_method_through_the_cli(self, capsys):
         found = {}
         for beta, gamma in self.candidate_lines():
             sol = hd.dist_to_line(beta, gamma)
             found.setdefault(sol.report.method, (beta, gamma, sol))
-        assert set(found) == {"derivative-root", "endpoint", "grid-refine"}
+        assert set(found) == {"derivative-root", "endpoint", "scan-node"}
         for method, (beta, gamma, sol) in found.items():
             code, out = run_cli(capsys, "dist", "line", f"--beta={beta!r}",
                                 f"--gamma={gamma!r}")
@@ -88,7 +89,7 @@ class TestRefineMethod:
             assert doc["diagnostics"]["residual"] == sol.report.residual
             assert doc["outputs"]["value"] == sol.value
         assert found["endpoint"][2].report.iterations == 0
-        assert found["grid-refine"][2].report.iterations > 0
+        assert found["scan-node"][2].report.iterations == 0
 
 
 class TestOutputContract:

@@ -342,3 +342,19 @@ def test_tangency_end_minimum(line):
     # to 1.5e-5 high
     o = hd.oracle_dist(*line)
     assert hd.dist_to_line(*line).value == pytest.approx(o.value, rel=1e-10)
+
+
+@pytest.mark.parametrize("line", [
+    (-0.002151894335005844, -0.002151902337444505),
+    (0.001996168269921842, 0.001996175796396249),
+    (0.0017530252660861727, 0.0017530306902791705),
+    (-3.284462519645894e-05, -3.2845605304321946e-05),
+    (-3.1222577306924596e-05, -3.122320731197973e-05),
+])
+def test_nearest_point_cap_keeps_the_row_open(line):
+    # gamma slightly above beta: the rows end at the cap theta_crit(beta,
+    # gamma), which lies just above the tangency index.  Solved to an
+    # absolute 1e-13 the cap fell below it and the rows collapsed onto
+    # their lower end, 1.1e-6 to 0.39 relative above the oracle
+    o = hd.oracle_dist(*line)
+    assert hd.dist_to_line(*line).value == pytest.approx(o.value, rel=1e-10)

@@ -80,7 +80,7 @@ def full_oracle(frame, p0, beta, gamma):
     if horizon > ld._ORACLE_HORIZON:
         grids.append(grid(horizon))
     vs, ds = grids[-1]
-    refined = solvers._refine_root(pm._line_dist_fn(frame, p0, beta, gamma), vs, ds, 1e-9)
+    refined = solvers._refine_root(pm._line_dist_fn(frame, p0, beta, gamma), vs, ds)
     return refined, grids
 
 

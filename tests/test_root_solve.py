@@ -7,7 +7,9 @@ pinned value is checked against a 50-digit mpmath root
 within the solve's stop width.  ``x_crit_inv`` and ``theta_crit`` are
 pinned as every SolveReport (value, iterations, residual) of their Brent
 solves, which were recorded with the scipy-backed solve that ``_brent``
-replaced, as ``float.hex`` strings.  The differential
+replaced, as ``float.hex`` strings; the theta_crit solves that now stop at
+Brent's 4-ulp floor were re-recorded with ``_brent``, and every zeta root of
+theta_crit lies within one ulp of a 60-digit mpmath root.  The differential
 test against scipy's brentq runs only where scipy is installed; the
 package itself does not need it.
 """
@@ -221,18 +223,18 @@ INVERSE_MAP_PINS = [
      [('0x1.17024790e0d93p+1', 11, '0x0.0p+0')]),
     ('x_crit_inv', (1.5707,), '0x1.84b01ffdc01fap+1',
      [('0x1.84b01ffdc01fap+1', 17, '0x0.0p+0')]),
-    ('theta_crit', (0.1, 0.5), '0x1.2695abc1b5196p-1',
-     [('0x1.2695abc1b5196p-1', 7, '0x1.3800000000000p-50')]),
+    ('theta_crit', (0.1, 0.5), '0x1.2695abc1b518dp-1',
+     [('0x1.2695abc1b518dp-1', 8, '0x1.0000000000000p-55')]),
     ('theta_crit', (0.5, 2.0), '0x1.b7c29312ea97cp+0',
      [('0x1.b7c29312ea97cp+0', 9, '0x1.8000000000000p-52')]),
     ('theta_crit', (1.0, 1.0), '0x1.cca56bdb2eed5p+0',
      [('0x1.cca56bdb2eed5p+0', 9, '0x0.0p+0')]),
-    ('theta_crit', (1.5, 0.1), '0x1.22a4e2891d559p+1',
-     [('0x1.22a4e2891d559p+1', 12, '0x1.0000000000000p-52')]),
+    ('theta_crit', (1.5, 0.1), '0x1.22a4e2891d557p+1',
+     [('0x1.22a4e2891d557p+1', 12, '0x0.0p+0')]),
     ('theta_crit', (2.0, 3.0), '0x1.c1123a518f69dp+1',
      [('0x1.c1123a518f69dp+1', 5)]),
-    ('theta_crit', (0.001, 0.001), '0x1.0624da521890ap-9',
-     [('0x1.0624da521890ap-9', 5, '0x1.7ec0000000000p-52')]),
+    ('theta_crit', (0.001, 0.001), '0x1.0624da5218c08p-9',
+     [('0x1.0624da5218c08p-9', 6, '0x1.0000000000000p-62')]),
     ('theta_crit', (0.7853981633974483, 1.0), '0x1.921fb54442d18p+0',
      [('0x1.921fb54442d18p+0', 10, '0x1.0000000000000p-53')]),
 ]
@@ -296,6 +298,26 @@ def test_inverse_map_pins(monkeypatch, name, args, value, reports):
     assert got.hex() == reports[-1][0]
     assert abs(got - INVERSE_REFERENCES[(name, args)]) <= width
     assert abs(got - float.fromhex(value)) <= width + INDEX_TOL + 4.0 * math.ulp(1.0) * got
+
+
+# theta_crit's zeta roots (beta <= pi/2) rounded to the nearest double,
+# from a 60-digit mpmath bisection of zeta(gamma, theta) = beta on [0, pi].
+THETA_CRIT_ROOTS = [
+    ((0.1, 0.5), '0x1.2695abc1b518dp-1'),
+    ((0.5, 2.0), '0x1.b7c29312ea97cp+0'),
+    ((1.0, 1.0), '0x1.cca56bdb2eed5p+0'),
+    ((1.5, 0.1), '0x1.22a4e2891d557p+1'),
+    ((0.001, 0.001), '0x1.0624da5218c09p-9'),
+    ((0.7853981633974483, 1.0), '0x1.921fb54442d18p+0'),
+]
+
+
+@pytest.mark.parametrize("args, root", THETA_CRIT_ROOTS)
+def test_theta_crit_within_one_ulp_of_the_root(args, root):
+    # Brent stops at its 4-ulp floor; an absolute stop of INDEX_TOL left
+    # theta_crit(0.001, 0.001) 767 ulp below its root
+    root = float.fromhex(root)
+    assert abs(ls.theta_crit(*args) - root) <= math.ulp(root)
 
 
 @pytest.mark.parametrize(

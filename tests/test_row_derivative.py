@@ -1,9 +1,9 @@
 """The slope that linedist._row_fn returns with the row objective is its
 derivative: it agrees with a complex-step derivative of the same arithmetic
 on every branch and on both sides of SMALL_ANGLE, is +-inf with the sign of
-the one-sided limit where the discriminant is clamped, and nan where the
-objective has no derivative; outside the objective's domain the closure
-raises."""
+the one-sided limit where the discriminant is clamped, the one-sided limit
+in closed form at the theta = 0 axis node, and nan where the objective has
+no derivative; outside the objective's domain the closure raises."""
 
 import cmath
 import math
@@ -187,12 +187,14 @@ def test_nan_where_the_objective_has_no_derivative():
     t = hd.psi_inv(1.0) + 0.5
     assert cf._s_plus_raw(1.0, 0.0, t) < 0.0
     assert math.isnan(fn(t)[1])
-    # the axis node of a left-slanted row
+    # the axis node of a left-slanted row has a derivative: the one-sided
+    # limit in closed form (test_axis_node_slope_is_the_one_sided_limit)
     (left,) = ld._searches(1.0, -0.5, {})
-    assert left.lo == 0.0 and left.axis is not None
+    assert left.lo == 0.0 and left.axis == 2.0
     value, slope = ld._row_fn(left)(0.0)
-    assert value == ld._axis_value(left.axis)
-    assert math.isnan(slope)
+    assert value == ld._axis_value(2.0)
+    r = math.sqrt(2.0)
+    assert slope == 2.0 * (1.0 - 1.0 / r) * (2.0 + r + 1.0) / (3.0 * -0.5)
     # the pole of the minus root, where _row_fn clamps it to _ROOT_HUGE
     theta = next(
         0.5 + k * 1e-3 for k in range(1500)
@@ -202,3 +204,40 @@ def test_nan_where_the_objective_has_no_derivative():
     pole = ld._Search("slanted-minus", 0.5 * gamma, gamma, True, 0.0, 0.0)
     assert cf._s_minus_raw(0.5 * gamma, gamma, theta) == math.inf
     assert math.isnan(ld._row_fn(pole)(theta)[1])
+
+
+@pytest.mark.parametrize("line", [(1.0, -0.5), (40.0, -0.3), (0.5, -2.0), (0.01, -3.0)])
+def test_axis_node_slope_is_the_one_sided_limit(line):
+    # at the theta = 0 node of a left-slanted row (beta > |gamma|, and the
+    # mirrored row of beta < |gamma|) the slope is 2(1 - 1/r)(v_a + r +
+    # 1)/(3 gamma), v_a the axis crossing and r its root: negative, and
+    # the limit that the slope just above the node converges to
+    beta, gamma = ld._prelude(*line)[:2]
+    (row,) = ld._searches(beta, gamma, {})
+    assert row.lo == 0.0 and row.axis is not None
+    assert (row.sign < 0.0) == (line[0] < -line[1])
+    v_a = row.axis
+    r = math.sqrt(v_a)
+    fn = ld._row_fn(row)
+    value, slope = fn(0.0)
+    assert value == ld._axis_value(v_a)
+    want = 2.0 * (1.0 - 1.0 / r) * (v_a + r + 1.0) / (3.0 * row.gamma)
+    assert slope == want and slope < 0.0
+    errors = [abs(fn(h)[1] - slope) for h in (1e-3, 1e-5, 1e-7, 1e-9)]
+    assert errors == sorted(errors, reverse=True)
+    assert errors[-1] <= 1e-6 * abs(slope)
+    # and the difference quotient of the value
+    h = 1e-7
+    assert abs((fn(h)[0] - value) / h - slope) <= 1e-5 * abs(slope)
+
+
+def test_corner_axis_node_slope_is_minus_infinity():
+    # the beta = 0 corner row starts at the axis node v = 0, where the
+    # objective 2(sqrt(v) - 1)^2 falls with an infinite slope
+    (row,) = ld._searches(0.0, 1.5, {})
+    assert row.lo == 0.0 and row.axis == 0.0
+    fn = ld._row_fn(row)
+    assert fn(0.0) == (2.0, -math.inf)
+    slopes = [fn(h)[1] for h in (1e-3, 1e-6, 1e-9, 1e-12)]
+    assert all(s < 0.0 for s in slopes) and slopes == sorted(slopes, reverse=True)
+    assert slopes[-1] < -1e5

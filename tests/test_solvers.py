@@ -358,11 +358,12 @@ class TestArrayScan:
         fn = lambda t: abs(abs(t - 0.5) - 0.25)
         fn_rows = lambda sel, ts: np.abs(np.abs(ts - 0.5) - 0.25)
         rep, val = minimize_on_interval(fn, (0.0, 1.0))
-        assert solvers._minimize_rows(
+        ((row, row_val),) = solvers._minimize_rows(
             [_no_derivative(fn)], fn_rows, [0.0], [1.0]
-        ) == [(rep, val)]
-        assert rep.value == 0.25 and val == 0.0
-        assert type(rep.value) is float and type(val) is float
+        )
+        assert (row.value, row_val) == (rep.value, val) == (0.25, 0.0)
+        assert (row.iterations, row.method) == (0, "scan-node")
+        assert type(row.value) is float and type(row_val) is float
 
     def test_zero_width_interval_returns_lo(self):
         # all 257 nodes are lo, and the refine stays there
@@ -395,8 +396,8 @@ def _with_slope(fn, dfn):
 
 
 def _no_derivative(fn):
-    """fn's closure with a slope that is nan everywhere: every row falls
-    back to the golden refine."""
+    """fn's closure with a slope that is nan everywhere: every row keeps
+    its best scan node."""
     return lambda t: (fn(t), math.nan)
 
 
@@ -446,12 +447,12 @@ def _scan(rows):
     return scan
 
 
-def _minimize_rows(rows, tol=solvers.MIN_TOL, derivatives=False):
+def _minimize_rows(rows, derivatives=False):
     """_minimize_rows on the rows, with their derivatives, or with none, so
-    that every row takes the golden refine."""
+    that every row keeps its best scan node."""
     return solvers._minimize_rows(
         [_with_slope(r[0], r[3]) if derivatives else _no_derivative(r[0]) for r in rows],
-        _scan(rows), [r[2][0] for r in rows], [r[2][1] for r in rows], tol,
+        _scan(rows), [r[2][0] for r in rows], [r[2][1] for r in rows],
     )
 
 
@@ -464,30 +465,48 @@ def _result(call):
 
 
 class TestMinimizeRows:
-    """_minimize_rows returns what minimize_on_interval returns on every row
-    that takes the golden refine, and a minimum within the row gate of it
-    on every row that its derivative settles."""
+    """_minimize_rows scans every row as minimize_on_interval does and
+    raises its errors; a row keeps the first minimum node where its slope
+    brackets no root, and every other row's minimum lies within the row
+    gate of the golden refine's."""
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.0, -1.0])
     def test_matches_minimize_on_interval(self, tol):
+        # every tolerance of minimize_on_interval scans the same nodes and
+        # raises the same scan and bracket errors; the rows take no
+        # tolerance, so the one minimize_on_interval rejects moves none
         rows = _objective_rows()
         assert len(rows) > 2 * solvers.SCAN_BLOCK_ROWS
+        if tol < 0.0:
+            with pytest.raises(DomainError):
+                minimize_on_interval(rows[0][0], rows[0][2], tol=tol)
+            tol = solvers.MIN_TOL
         want = [
             _result(lambda r=r: minimize_on_interval(r[0], r[2], tol=tol))
             for r in rows
         ]
-        got = _minimize_rows(rows, tol)
-        assert [_result(lambda g=g: _raise_or(g)) for g in got] == want
+        for r, g, w in zip(rows, _minimize_rows(rows), want):
+            if isinstance(g, HestonDistError):
+                assert _result(lambda g=g: _raise_or(g)) == w
+                continue
+            rep, val = g
+            # minimize_on_interval's scalar scan and its first minimum node
+            nodes = solvers._scan_nodes(*r[2])
+            fs = np.array([r[0](x) for x in nodes.tolist()])
+            i, a, b = solvers._best_cell(nodes, fs)
+            assert (rep.value, rep.iterations, rep.residual, rep.method, val) == (
+                nodes[i], 0, b - a, "scan-node", fs[i]
+            )
+            assert float.fromhex(w[4]) <= val
         methods = set()
-        for g, w in zip(_minimize_rows(rows, tol, derivatives=True), want):
-            if isinstance(g, HestonDistError) or g[0].method == "grid-refine":
+        for g, w in zip(_minimize_rows(rows, derivatives=True), want):
+            if isinstance(g, HestonDistError):
                 assert _result(lambda g=g: _raise_or(g)) == w
                 continue
             rep, val = g
             methods.add(rep.method)
             assert _within_gate(val, float.fromhex(w[4])), (rep, w)
-        if tol >= 0.0:
-            assert methods == {"derivative-root", "endpoint"}
+        assert methods == {"derivative-root", "endpoint", "scan-node"}
 
     def test_non_finite_node(self):
         err = _minimize_rows(_objective_rows(), derivatives=True)[17]
@@ -501,20 +520,38 @@ class TestMinimizeRows:
         assert [type(g) for g in got] == [NonFiniteSampleError, DomainError]
 
     def test_refine_is_golden_on_the_scalar_objective(self):
-        # where the derivative gives no sign change, the closure is called
-        # after the block scan once for the slope at the cell pair's lower
-        # end, then exactly at the points _golden visits in the cell pair
-        # around the scan's minimum
+        # the reference of the row gate, minimize_on_interval, calls the
+        # objective after its scan exactly at the points _golden visits in
+        # the cell pair around the scan's minimum
         fn = lambda t: math.cos(3.0 * t) + 0.01 * t
         seen, visited = [], []
         scan = lambda sel, nodes: np.cos(3.0 * nodes) + 0.01 * nodes
-        (got,) = solvers._minimize_rows(
+        rep, val = minimize_on_interval(lambda t: seen.append(t) or fn(t), (0.0, 2.5))
+        i, a, b = _scan_minimum(scan, 0.0, 2.5)
+        gx, gf, iters, width = solvers._golden(
+            lambda t: visited.append(t) or fn(t), a, b, solvers.MIN_TOL, 200
+        )
+        nodes = solvers._scan_nodes(0.0, 2.5).tolist()
+        assert seen == [*nodes, *visited]
+        assert (rep, val) == ((gx, iters, width, "grid-refine"), gf)
+
+    def test_no_sign_change_keeps_the_scan_node(self):
+        # where the derivative gives no sign change, the closure is called
+        # after the block scan once, for the slope at the cell pair's lower
+        # end, and the row keeps the scan's first minimum node
+        fn = lambda t: math.cos(3.0 * t) + 0.01 * t
+        seen = []
+        scan = lambda sel, nodes: np.cos(3.0 * nodes) + 0.01 * nodes
+        ((rep, val),) = solvers._minimize_rows(
             [_no_derivative(lambda t: seen.append(t) or fn(t))], scan, [0.0], [2.5]
         )
         i, a, b = _scan_minimum(scan, 0.0, 2.5)
-        solvers._golden(lambda t: visited.append(t) or fn(t), a, b, solvers.MIN_TOL, 200)
-        assert seen == [a, *visited]
-        assert got == minimize_on_interval(fn, (0.0, 2.5))
+        assert seen == [a]
+        assert (rep.value, rep.iterations, rep.residual, rep.method) == (
+            solvers._scan_nodes(0.0, 2.5)[i], 0, b - a, "scan-node"
+        )
+        assert val == fn(rep.value)
+        assert minimize_on_interval(fn, (0.0, 2.5))[1] <= val
 
     def test_refine_solves_the_derivative_root(self):
         # a sign change of the derivative across the cell pair: Brent on the
@@ -551,22 +588,25 @@ class TestMinimizeRows:
         fs = np.array([fn(t) for t in nodes.tolist()])
         x = solvers._best_cell(nodes, fs)[end]
         pair = lambda t: (fn(t), slope if t == x else dfn(t))
-        rep, val = solvers._refine_root(pair, nodes, fs, solvers.MIN_TOL)
+        rep, val = solvers._refine_root(pair, nodes, fs)
         assert rep.method == "derivative-root"
         assert rep.value == pytest.approx((PI - math.asin(0.01 / 3.0)) / 3.0, abs=1e-12)
         assert val == fn(rep.value)
 
     @pytest.mark.parametrize("end", [1, 2])
-    def test_nan_end_slope_takes_the_golden_refine(self, end):
+    def test_nan_end_slope_keeps_the_scan_node(self, end):
         fn = lambda t: math.cos(3.0 * t) + 0.01 * t
         dfn = lambda t: -3.0 * math.sin(3.0 * t) + 0.01
         nodes = solvers._scan_nodes(0.0, 2.5)
         fs = np.array([fn(t) for t in nodes.tolist()])
-        x = solvers._best_cell(nodes, fs)[end]
+        i, a, b = solvers._best_cell(nodes, fs)
+        x = (a, b)[end - 1]
         pair = lambda t: (fn(t), math.nan if t == x else dfn(t))
-        got = solvers._refine_root(pair, nodes, fs, solvers.MIN_TOL)
-        assert got[0].method == "grid-refine"
-        assert got == minimize_on_interval(fn, (0.0, 2.5))
+        got = solvers._refine_root(pair, nodes, fs)
+        assert got == ((nodes[i], 0, b - a, "scan-node"), fs[i])
+        # the node the golden reference starts from, and keeps where it
+        # finds nothing lower
+        assert minimize_on_interval(fn, (0.0, 2.5))[1] <= fs[i]
 
     def test_endpoint_with_an_outward_derivative(self):
         # the first node is lowest and the derivative rises into the interval:
@@ -598,14 +638,14 @@ class TestMinimizeRows:
         nodes = solvers._scan_nodes(0.0, 2.5)
         rep, val = solvers._refine_root(
             counted(fn, lambda t: -3.0 * math.sin(3.0 * t) + 0.01),
-            nodes, np.cos(3.0 * nodes) + 0.01 * nodes, solvers.MIN_TOL,
+            nodes, np.cos(3.0 * nodes) + 0.01 * nodes,
         )
         assert rep.method == "derivative-root" and rep.iterations > 1
         assert len(calls) == rep.iterations + 1 and val == fn(rep.value)
         calls.clear()
         nodes = solvers._scan_nodes(0.5, 4.0)
         rep, _ = solvers._refine_root(
-            counted(lambda t: t * t, lambda t: 2.0 * t), nodes, nodes * nodes, solvers.MIN_TOL
+            counted(lambda t: t * t, lambda t: 2.0 * t), nodes, nodes * nodes
         )
         assert rep.method == "endpoint" and calls == [0.5]
         # the rows of the line solver, every branch
@@ -618,7 +658,7 @@ class TestMinimizeRows:
                 pair = ld._row_fn(row)
                 rep, val = solvers._refine_root(
                     lambda t: calls.append(t) or pair(t),
-                    nodes, ld._scan_block([row], nodes[None, :])[0], solvers.MIN_TOL,
+                    nodes, ld._scan_block([row], nodes[None, :])[0],
                 )
                 methods.add(rep.method)
                 want = 1 if rep.method == "endpoint" else rep.iterations + 1
