@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
-"""Compare the line solver's refine with the golden refine, row by row, on
-seeded line-mix-like lines and 50-strike smile ladders.
+"""Compare the line solver's minimization with the golden refine, row by
+row, on seeded line-mix-like lines and 50-strike smile ladders.
 
     PYTHONPATH=src python scripts/refine_gate.py --seed 1
     PYTHONPATH=src python scripts/refine_gate.py --seed 1 --exact 40
 
 Every row of every line's search table, zero-width rows included, is
-scanned once; the scan then feeds both refines (``solvers._refine_root``
-on the row's closure ``linedist._row_fn``, which gives the objective and
-its derivative, and ``solvers._refine``, the golden refine of
-``minimize_on_interval``, on the objective), so the two minima differ only
-by their refine.  The script prints, per workload, the rows each refine
-method settled, the calls of the closure per line (those of the rows that
-keep their best scan node apart), the derivative-root rows whose best scan
-node is the row's lower end (the ones whose root solve stops at Brent's
-floor) with their calls per row, and the gap of the line solver's minimum
-above golden's by band of |theta*|.
+minimized twice: by the line solver (``solvers._minimize_row`` on the
+row's closure ``linedist._row_fn``, which gives the objective and its
+derivative: a scan of 9 nodes, then the refine from the best one), and by
+``minimize_on_interval``, whose 257-node scan and golden refine are the
+reference.  The script prints, per workload, the rows each refine method
+settled, the calls of the closure per line in the 9-node scans and in the
+refines after them (those of the rows that keep their best scan node
+apart), the derivative-root rows whose best scan node is the row's lower
+end (the ones whose root solve stops at Brent's floor) with their refine
+calls per row, and the gap of the line solver's minimum above golden's by
+band of |theta*|.
 With ``--exact N`` it evaluates, for the N rows where the line solver's
 minimum lies furthest above golden's, for every row beyond the gate and
 for every row that keeps its scan node ("scan-node"), both argmins on the
@@ -49,13 +50,14 @@ ULP_GATE = 8  # above golden's minimum, where |theta*| >= 1
 BAND_RTOL = 5e-11
 BANDS = ((0.0, cf.SMALL_ANGLE), (cf.SMALL_ANGLE, 1.0), (1.0, math.inf))
 METHODS = ("derivative-root", "endpoint", "scan-node")
+SCAN_NODES = solvers.ROW_CELLS + 1  # the closure calls of a row's scan
 STRIKES = tuple(100.0 * math.exp(-1.0 + 2.0 * j / 49.0) for j in range(50))
 
 
 class Row(NamedTuple):
-    """One compared row: its line, branch and refine method, the
-    closure calls its refine made, the two minima and their argmins, and
-    whether the scan's best node is the row's lower end lo."""
+    """One compared row: its line, branch and refine method, the closure
+    calls its refine made after the scan, the two minima and their
+    argmins, and whether the scan's best node is the row's lower end lo."""
 
     line: tuple[float, float]
     row: ld._Search
@@ -125,9 +127,9 @@ def ladders(seed: int, n: int) -> list[list[tuple[float, float]]]:
 
 
 def compare(lines: list[tuple[float, float]]) -> list[Row]:
-    """Both refines on every row of every line's search table (the lines
-    share one psi_inv memo, as a ladder does), zero-width rows included;
-    rows whose scan or refine raises are left out."""
+    """Both minimizations of every row of every line's search table (the
+    lines share one psi_inv memo, as a ladder does), zero-width rows
+    included; rows whose scan or refine raises are left out."""
     memo: dict[float, float] = {}
     out = []
     for line in lines:
@@ -139,24 +141,24 @@ def compare(lines: list[tuple[float, float]]) -> list[Row]:
         except hd.HestonDistError:
             continue
         for row in rows:
-            nodes = solvers._scan_nodes(row.lo, row.hi)
             fn = ld._row_fn(row)
-            calls = [0]
+            seen: list[float] = []
 
             def counted(t: float) -> tuple[float, float]:
-                calls[0] += 1
-                return fn(t)
+                pair = fn(t)
+                seen.append(pair[0])
+                return pair
 
             try:
-                fs = ld._scan_block([row], nodes[None, :])[0]
-                rep, val = solvers._refine_root(counted, nodes, fs)
-                gold, gval = solvers._refine(
-                    lambda t: fn(t)[0], nodes, fs, solvers.MIN_TOL
+                rep, val = solvers._minimize_row(counted, row.lo, row.hi)
+                gold, gval = solvers.minimize_on_interval(
+                    lambda t: fn(t)[0], (row.lo, row.hi)
                 )
             except hd.HestonDistError:
                 continue
-            out.append(Row(line, row, rep.method, calls[0], val, rep.value,
-                           gval, gold.value, int(fs.argmin()) == 0))
+            scan = seen[:SCAN_NODES]  # the values at the scan's nodes
+            out.append(Row(line, row, rep.method, len(seen) - SCAN_NODES, val,
+                           rep.value, gval, gold.value, scan.index(min(scan)) == 0))
     return out
 
 
@@ -167,12 +169,13 @@ def summary(name: str, lines: int, rows: list[Row]) -> list[str]:
         out.append(f"  {method:16s} {sum(r.method == method for r in rows):7d} rows")
     evals = sum(r.evals for r in rows)
     kept = sum(r.evals for r in rows if r.method == "scan-node")
-    out.append(f"  closure calls per line: {evals / max(lines, 1):.2f} "
+    out.append(f"  closure calls per line: {SCAN_NODES * len(rows) / max(lines, 1):.2f} "
+               f"in scans, {evals / max(lines, 1):.2f} in refines "
                f"({kept / max(lines, 1):.2f} of them in scan-node rows)")
     lower = [r for r in rows if r.method == "derivative-root" and r.from_lower]
     out.append(f"  derivative-root rows refined from the lower end: {len(lower)}, "
                f"{sum(r.evals for r in lower) / max(len(lower), 1):.2f} "
-               "closure calls per row")
+               "refine calls per row")
     out.append("  gap above golden by |theta*|: rows, worst relative gap, "
                f"rows > {ULP_GATE} ulp, rows failing the gate")
     for lo, hi in BANDS:

@@ -1,28 +1,27 @@
 #!/usr/bin/env python3
-"""Time the line scan kernel per block, on the rows of seeded line-mix
-lines, and smile ladders, optionally against another source tree in the
-same process.
+"""Time the line rows' minimization on seeded line-mix lines and smile
+ladders, optionally against another source tree in the same process.
 
     PYTHONPATH=src python scripts/scan_timing.py --seed 1
     PYTHONPATH=src python scripts/scan_timing.py --seed 1 --against ../parent/src
     PYTHONPATH=src python scripts/scan_timing.py --lines 0 --ladders 40 --against ../parent/src
 
-The rows are those of the first ``--lines`` lines of the benchmark's
-line-mix stream (``bench/workloads.py``), each line's search table built
-on its own.  The script prints the mean time of one
-``linedist._scan_block`` call on blocks of 1 row (every row alone), 2 rows
-(the lines with two rows) and 16 rows (consecutive rows), over
-``--passes`` passes, and the mean time of one ``dist_to_line`` call on the
-same lines.  ``--ladders N`` adds the mean time of one ``smile_table`` call
-on the first N ladders of the smile-ladder stream, each call as the
-benchmark makes it; ``--lines 0`` leaves the line timings out.
+The lines are the first ``--lines`` lines of the benchmark's line-mix
+stream (``bench/workloads.py``).  The script prints the mean time of one
+``linedist._solve_many`` call on one line (the line's search table and
+the minimization of its rows, without the DistanceSolution) and of one
+``dist_to_line`` call, over ``--passes`` passes.  ``--ladders N`` adds the
+mean time of one ``_solve_many`` call on the reduced lines of each of the
+first N ladders of the smile-ladder stream, and of one ``smile_table``
+call as the benchmark makes it; ``--lines 0`` leaves the line timings
+out.  Each tree answers one line before the timings start.
 
 ``--against SRC`` loads the package under ``SRC/hestondist`` as a second
 package and times it call by call, alternating with the package on
 ``PYTHONPATH``, so that both see the same load on a shared machine.  Only
-``_scan_block``, ``dist_to_line``, ``smile_table`` and ``CorrelationFrame``
-of that package are called, with the rows and nodes built here, so it may
-be an older tree.
+``_solve_many``, ``dist_to_line``, ``smile_table``, ``CorrelationFrame``
+and ``smile.reduced_line`` of that package are called, so it may be an
+older tree.
 """
 
 from __future__ import annotations
@@ -33,10 +32,7 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 import hestondist as hd
-from hestondist import linedist as ld
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -52,16 +48,6 @@ def load_tree(src: Path):
     sys.modules[spec.name] = package
     spec.loader.exec_module(package)
     return package
-
-
-def block(rows: list) -> tuple[list, np.ndarray]:
-    """The rows and their scan nodes, lo + i*(hi - lo)/256 with the last
-    node hi, as solvers._minimize_rows builds them."""
-    lo = np.array([[r.lo] for r in rows])
-    hi = np.array([[r.hi] for r in rows])
-    nodes = lo + np.arange(257.0) * ((hi - lo) / 256)
-    nodes[:, -1:] = hi
-    return rows, nodes
 
 
 def mean_us(fns: list, calls: list, passes: int, errors: tuple) -> list[float]:
@@ -111,46 +97,44 @@ def main() -> int:
     parser.add_argument("--against", type=Path, metavar="SRC")
     args = parser.parse_args()
 
-    kernels, solvers = [ld._scan_block], [ld.dist_to_line]
-    smiles = [ladder(hd)]
+    packages = [hd]
     errors: tuple = (hd.HestonDistError,)
     if args.against:
-        package = load_tree(args.against)
-        other = package.linedist
-        kernels.append(other._scan_block)
-        solvers.append(other.dist_to_line)
-        smiles.append(ladder(package))
-        errors += (other.HestonDistError,)
+        packages.append(load_tree(args.against))
+        errors += (packages[1].HestonDistError,)
+    for package in packages:  # a tree that scans with numpy imports it here
+        package.dist_to_line(1.0, 0.5)
 
     stream = workloads.WORKLOADS["line-mix"](args.seed).stream("timed")
     lines = [next(stream).args[:2] for _ in range(args.lines)]
-    tables = []
-    for beta, gamma in lines:
-        try:
-            line = ld._prelude(beta, gamma)
-        except hd.HestonDistError:
-            continue
-        if not isinstance(line, hd.DistanceSolution):
-            tables.append(ld._searches(line[0], line[1], {}))
-    rows = [r for table in tables for r in table]
-    blocks = {
-        1: [block([r]) for r in rows],
-        2: [block(t) for t in tables if len(t) == 2],
-        16: [block(rows[i:i + 16]) for i in range(0, len(rows) - 15, 16)],
-    }
-    for size, group in blocks.items():
-        if group:
-            label = f"_scan_block, {size:2d}-row blocks ({len(group)})"
-            report(label, mean_us(kernels, group, args.passes, errors))
     if lines:
+        batches = [([line],) for line in lines]
+        report(f"_solve_many, one line ({len(lines)} lines)",
+               mean_us([p.linedist._solve_many for p in packages], batches,
+                       args.passes, errors))
         report(f"dist_to_line ({len(lines)} lines)",
-               mean_us(solvers, lines, args.passes, errors))
+               mean_us([p.dist_to_line for p in packages], lines, args.passes, errors))
     if args.ladders:
         stream = workloads.WORKLOADS["smile-ladder"](args.seed).stream("timed")
         queries = [next(stream).args for _ in range(args.ladders)]
+        report(f"_solve_many, one ladder ({len(queries)} ladders)",
+               mean_us([reduced_ladder(p) for p in packages], queries, args.passes, errors))
         report(f"smile_table ({len(queries)} ladders)",
-               mean_us(smiles, queries, args.passes, errors))
+               mean_us([ladder(p) for p in packages], queries, args.passes, errors))
     return 0
+
+
+def reduced_ladder(package):
+    """_solve_many of a package on the reduced lines of a smile-ladder
+    query's arguments."""
+    spot, reduced = workloads.SmileLadder.SPOT, package.smile.reduced_line
+
+    def call(c, rho, v0, strikes, _probe):
+        frame = package.CorrelationFrame(c, rho)
+        lines = [reduced(package.SmileQuery(spot, k, v0, frame)) for k in strikes if k != spot]
+        return package.linedist._solve_many(lines)
+
+    return call
 
 
 if __name__ == "__main__":

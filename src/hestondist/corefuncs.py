@@ -10,10 +10,10 @@ quadratic in sqrt(v) whose coefficients involve coef_A and coef_B; s_plus /
 s_minus are its roots and lambda_plus / lambda_minus the corresponding
 half-squared distances.  The roots are written once, here: the raw forms
 ``_s_plus_raw``/``_s_minus_raw`` (discriminant clamped at zero) are the
-roots of the line solvers' objective, which the line scan kernel
-(``linedist._objective_many``) and the row closure (``linedist._row_fn``,
-next to its slope) repeat bit for bit; the public ``s_plus``/``s_minus``
-check the line first and then evaluate the same raw root.  ``_coefs``
+roots of the line solvers' objective, which the row closure
+(``linedist._row_fn``, next to its slope) repeats bit for bit; the public
+``s_plus``/``s_minus`` check the line first and then evaluate the same
+raw root.  ``_coefs``
 gives coef_A and coef_B together, for one domain check and one
 evaluation of each sine.  The level curve is written once, in
 theta^3-scaled terms (``_curve_terms``): ``lambda_big``, ``xi`` and the
@@ -307,10 +307,8 @@ def _coefs(theta: float) -> tuple[float, float]:
     return -(2.0 * sh - theta * math.cos(0.5 * theta)) / p, 2.0 * sh * sh / p
 
 
-def _coefs_series(t):
-    """The series branch of _coefs, for a float or an array (the line
-    scan kernel, linedist._objective_many, evaluates it on its nodes below
-    SMALL_ANGLE)."""
+def _coefs_series(t: float) -> tuple[float, float]:
+    """The series branch of _coefs."""
     t2 = t * t
     p3 = _p_r3(t2)
     sr = _sin_half_r(t2)
@@ -318,8 +316,7 @@ def _coefs_series(t):
     try:
         return a, 2.0 * sr * sr / (t * p3)
     except ZeroDivisionError:
-        # t*p3 underflows to 0 below t = 2e-323, where B = 1/psi is inf;
-        # the array path's division gives inf there too
+        # t*p3 underflows to 0 below t = 2e-323, where B = 1/psi is inf
         return a, math.inf
 
 
@@ -545,10 +542,9 @@ def _half_sq_from_root(theta: float, s: float) -> float:
 
     theta^2/(2 sin(theta/2)^2) is formed from the ratio sin(theta/2)/theta,
     which cannot underflow for any positive theta below 2*pi but the
-    least, 5e-324, where theta/2 rounds to 0; the value is inf there, as
-    in linedist._objective_many, whose clamp and _row_fn's take it to
-    _HUGE.  _row_fn repeats this arithmetic where it does not clamp the
-    root.
+    least, 5e-324, where theta/2 rounds to 0; the value is inf there, and
+    _row_fn's clamp takes it to _HUGE.  _row_fn repeats this arithmetic
+    wherever its root is finite.
     """
     ratio = math.sin(0.5 * theta) / theta
     q4 = math.sin(0.25 * theta)

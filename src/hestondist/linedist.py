@@ -24,20 +24,16 @@ root, the axis crossing where the interval starts at theta = 0), the
 interval and the sign of the line's own index.  A later row must beat the
 incumbent by more than TIE_RTOL (_answer).
 
-One array kernel, _objective_many, evaluates every row's objective from
-per-node parameters, in buffers of its own, and evaluates each
-coefficient form, root and axis value only on the nodes that need it.
-_row_fn is a row's scalar form, one closure frame that gives the
-objective and its derivative at an index; its objective agrees with the
-kernel bit for bit on every node.
+_row_fn is a row's objective, one closure frame that gives the
+half-squared distance and its derivative at an index, with a one-sided
+slope in closed form at the row's ends.
 
 _solve_many, behind both dist_to_line (a batch of one line) and
 smile_table (a ladder), builds the tables of its lines, solving each
 distinct psi_inv argument once, and minimizes every row the same way
-(solvers._minimize_rows): the scans as 2-D blocks of up to 16 rows, one
-kernel call per block, so a single line's one or two rows take one call;
-then each row's refine on _row_fn, a root solve of the derivative where
-it changes sign around the best node, otherwise that node.  An error
+(solvers._minimize_rows): a scan of 9 nodes on _row_fn, each of which
+gives its value and its slope, then a root solve of the derivative where
+it changes sign next to the best node, otherwise that node.  An error
 fails only its own line, and so does a distance beyond double range.
 It returns, for each searched line, a _Found
 record: the winning row, its report, the half-squared distance and the
@@ -57,12 +53,11 @@ it may still evaluate as a live set, and works on that set alone.  The
 best node is refined at the root of the distance's slope along the line
 (pointmetric._line_dist_fn).
 
-numpy is imported by the functions that build or reduce arrays
-(_objective_many, _axis_nodes, _scan_block, _lower_bounds,
-_branch_and_bound and the oracle's grid), not by this module, so that
-importing the package loads numpy only when a line, smile or oracle scan
-first runs.  The package's __init__ still imports this module eagerly:
-the benchmark's tracer looks it up in sys.modules to wrap its functions.
+numpy is imported only by the oracle's functions that build or reduce
+arrays (_lower_bounds, _branch_and_bound and its grid), so that
+dist_to_line and smile_table never load it.  The package's __init__
+still imports this module eagerly: the benchmark's tracer looks it up in
+sys.modules to wrap its functions.
 """
 
 from __future__ import annotations
@@ -215,127 +210,6 @@ class _Search(NamedTuple):
     sign: float = 1.0
 
 
-def _objective_many(
-    theta: np.ndarray,
-    beta: np.ndarray | float,
-    gamma: np.ndarray | float,
-    minus: np.ndarray | bool,
-    axis: np.ndarray | float,
-) -> np.ndarray:
-    """Every row's objective at its nodes: the half-squared distance
-    through its intersection root, or to the axis crossing at theta = 0.
-    Each node carries its row's parameters, broadcast against theta: the
-    line, the root (a scalar minus evaluates only that root) and the
-    objective's value at the axis node theta = 0 (nan where the row has no
-    axis node).  _row_fn's value is the scalar form, bit for bit.
-
-    One kernel, in buffers of its own (theta is never written): A and B
-    by their direct forms, with the series of cf._coefs_series written
-    over the nodes below SMALL_ANGLE only; the root of each row, the
-    clamps of _row_fn, and the axis value written over the axis nodes.
-    An angle outside (0, 2*pi) that is not an axis node raises the
-    DomainError of cf._coefs for the first such node in C order.
-
-    numpy's float64 sin, cos and sqrt matched math's on every argument
-    tested, tan did not (README, "Numerical notes"), so the kernel uses
-    only those three and arithmetic."""
-    import numpy as np
-
-    least, most = theta.min(), theta.max()  # nan if any node is nan
-    axis_nodes = None
-    if not (0.0 < least and most < cf.TWO_PI):
-        axis_nodes = _axis_nodes(theta, least, most, axis)
-    # Python floats overflow to inf and turn inf - inf into nan without a
-    # word, and the direct forms are 0/0 at the axis nodes and the tiny
-    # angles that are written over; the clamps below saturate the rest
-    with np.errstate(all="ignore"):
-        half = 0.5 * theta
-        sh = np.sin(half)
-        if most < cf.SMALL_ANGLE:
-            a, b = cf._coefs_series(theta)
-        else:
-            # A = (t cos(t/2) - 2 sin(t/2))/(t - sin t): the negation of
-            # _coefs' -(2 sin(t/2) - t cos(t/2)), exactly, as A is never 0
-            a = np.cos(half, out=half)
-            a *= theta
-            b = 2.0 * sh  # then 2 sin(t/2)^2, B's numerator
-            a -= b
-            p = np.sin(theta)
-            np.subtract(theta, p, out=p)
-            a /= p
-            b *= sh
-            b /= p
-            if least < cf.SMALL_ANGLE:
-                small = theta < cf.SMALL_ANGLE
-                a[small], b[small] = cf._coefs_series(theta[small])
-        # -p = beta*B - 1 and -q = gamma*B - 1 are the negations of the
-        # scalar p and q and den = root - A that of A - root (> 0), so the
-        # ratios below are _s_plus_raw's p/(A - root) and _s_minus_raw's
-        # (A - root)/q bit for bit, and at the pole q = 0 den/(+0) is the
-        # scalar's +inf.  A root of p = 0 comes out +0.0 where the scalar
-        # has -0.0; either gives the same value.
-        neg_p = beta * b
-        neg_p -= 1.0
-        neg_q = np.multiply(gamma, b, out=b)
-        neg_q -= 1.0
-        disc = a * a
-        disc -= neg_q * neg_p
-        np.maximum(disc, 0.0, out=disc)
-        den = np.sqrt(disc, out=disc)
-        den -= a
-        if isinstance(minus, np.ndarray):
-            s = np.divide(neg_p, den, out=neg_p)
-            np.divide(den, neg_q, out=s, where=minus)
-        elif minus:
-            s = np.divide(den, neg_q, out=neg_q)
-        else:
-            s = np.divide(neg_p, den, out=neg_p)
-        # _row_fn's clamps: a negative root counts as 0, and a value that
-        # is not finite saturates at _HUGE (fmin also takes nan to _HUGE).
-        # A non-finite root needs no clamp of its own: _row_fn's _ROOT_HUGE
-        # overflows to inf as well, as 2 sin(t/2)^2/t^2 <= 1/2.
-        np.maximum(s, 0.0, out=s)
-        # cf._half_sq_from_root
-        val = s - 1.0
-        val *= val
-        s *= 4.0
-        q4 = np.multiply(0.25, theta)
-        np.sin(q4, out=q4)
-        s *= q4
-        s *= q4
-        val += s
-        ratio = np.divide(sh, theta, out=sh)
-        sq = np.multiply(2.0, ratio, out=q4)
-        sq *= ratio
-        val /= sq
-        np.fmin(val, _HUGE, out=val)
-    if axis_nodes is not None:
-        np.copyto(val, axis, where=axis_nodes)
-    return val
-
-
-def _axis_nodes(
-    theta: np.ndarray, least: float, most: float, axis: np.ndarray | float
-) -> np.ndarray:
-    """The nodes theta = 0, all of them in rows with an axis value, given
-    the least and the greatest node; where another node lies outside
-    (0, 2*pi), the DomainError of cf._coefs for the first such node in C
-    order."""
-    import numpy as np
-
-    zero = theta == 0.0
-    no_axis = np.isnan(axis)
-    if not (least == 0.0 and most < cf.TWO_PI and not (zero & no_axis).any()):
-        inside = (0.0 < theta) & (theta < cf.TWO_PI) | zero & ~no_axis
-        cf._check_angle_open(float(theta.flat[np.argmin(inside)]))
-    return zero
-
-
-def _axis_node_value(row: _Search) -> float:
-    """The objective at the theta = 0 node, nan where the row has none."""
-    return math.nan if row.axis is None else _axis_value(row.axis)
-
-
 def _row_fn(row: _Search) -> Callable[[float], tuple[float, float]]:
     """t -> (lambda, d(lambda)/dt) for one row, in one closure frame:
     lambda is cf._half_sq_from_root of the row's root (cf._s_plus_raw or
@@ -351,10 +225,13 @@ def _row_fn(row: _Search) -> Callable[[float], tuple[float, float]]:
     through lambda = N t^2/(2 sin(t/2)^2), N = (s - 1)^2 + 4 s sin(t/4)^2,
     whose terms also give the value.  Where the discriminant is clamped
     (the tangency end) the slope is +-inf with the sign of the one-sided
-    limit.  At the axis node it is the one-sided limit 2(1 - 1/r)(v_a + r +
-    1)/(3 gamma), v_a the axis crossing and r = sqrt(v_a), and -inf where
-    v_a = 0; it is nan where t*p3 underflows, at the minus pole and where
-    the root is clamped, where the value takes the raw root."""
+    limit.  At the row's ends it is the one-sided limit in closed form: at
+    the axis node 2(1 - 1/r)(v_a + r + 1)/(3 gamma), v_a the axis crossing
+    and r = sqrt(v_a), and -inf where v_a = 0; where a negative root is
+    clamped (psi_inv(beta) on a plus root) the root's slope at s = 0; at
+    the minus pole, where the root and lambda diverge, +inf.  It is nan
+    where t*p3 underflows and where the root is not finite, where the
+    value takes the raw root."""
     beta, gamma, minus = row.beta, row.gamma, row.minus
     raw = cf._s_minus_raw if minus else cf._s_plus_raw
     nan, inf, sin, isfinite = math.nan, math.inf, math.sin, math.isfinite
@@ -418,10 +295,16 @@ def _row_fn(row: _Search) -> Callable[[float], tuple[float, float]]:
         if not minus:
             s, sign = p / (a - root), 1.0
         elif q == 0.0:
-            return clamped(t), nan  # the larger root diverges at the tangent index
+            # the larger root diverges at the tangent index psi_inv(gamma),
+            # above every minus row: lambda rises without bound into it
+            return clamped(t), inf
         else:
             s, sign = (a - root) / q, -1.0
-        if not 0.0 <= s < inf:
+        if s < 0.0:
+            # a plus root past psi_inv(beta) by rounding, at the row's end:
+            # the root counts as 0, and the slope is that of the side s > 0
+            s = 0.0
+        elif not s < inf:
             return clamped(t), nan
         q4 = sin(0.25 * t)
         n = (s - 1.0) * (s - 1.0) + 4.0 * s * q4 * q4
@@ -442,26 +325,6 @@ def _row_fn(row: _Search) -> Callable[[float], tuple[float, float]]:
         return val, (2.0 * ds * s_c + s * sh + n * u_ts) / (2.0 * ratio * ratio)
 
     return fn
-
-
-def _scan_block(rows: list[_Search], nodes: np.ndarray) -> np.ndarray:
-    """The rows' objectives on a 2-D block of nodes, one row of nodes per
-    row, in one kernel call.  A single row's parameters are Python floats;
-    a larger block's are columns built from the rows, with minus a scalar
-    where every row follows the same root."""
-    import numpy as np
-
-    if len(rows) == 1:
-        (row,) = rows
-        return _objective_many(
-            nodes, row.beta, row.gamma, row.minus, _axis_node_value(row)
-        )
-    beta, gamma, axis = np.array(
-        [(r.beta, r.gamma, _axis_node_value(r)) for r in rows]
-    ).T[:, :, None]
-    minus = {r.minus for r in rows}
-    minus = minus.pop() if len(minus) == 1 else np.array([[r.minus] for r in rows])
-    return _objective_many(nodes, beta, gamma, minus, axis)
 
 
 def _v_at(row: _Search, t: float) -> float:
@@ -603,9 +466,8 @@ def _solve_many(
     DistanceSolution.
 
     The search tables of all lines are built first, sharing psi_inv by
-    argument; solvers._minimize_rows then scans their rows in 2-D blocks
-    (all of a single line's rows in one kernel call) and refines each row
-    on its objective and derivative (_row_fn)."""
+    argument; solvers._minimize_rows then scans and refines each row on
+    its objective and derivative (_row_fn)."""
     memo: dict[float, float] = {}
     rows: list[_Search] = []
     pending: list = []
@@ -620,10 +482,7 @@ def _solve_many(
             line = exc
         pending.append(line)
     results = _minimize_rows(
-        [_row_fn(r) for r in rows],
-        lambda sel, nodes: _scan_block([rows[i] for i in sel], nodes),
-        [r.lo for r in rows],
-        [r.hi for r in rows],
+        [_row_fn(r) for r in rows], [r.lo for r in rows], [r.hi for r in rows]
     )
     out: list[DistanceSolution | _Found | HestonDistError] = []
     for given, line in zip(lines, pending):

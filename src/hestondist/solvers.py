@@ -1,14 +1,12 @@
 """Bracketed scalar root finding and one-dimensional minimization.
 
 Every "solve the equation" and "minimize over the interval" step in the
-distance formulas funnels through these routines.  The minimizers never
-assume unimodality: a coarse uniform scan localizes the best cell before
-the refine, which keeps them robust on objectives whose interior
-critical-point structure is only known empirically.  Every interval is
-scanned and refined, however narrow: a near-diagonal line's
-tangency window can be 6e-13 wide at theta ~ 2e-4 and still hold a
+distance formulas funnels through these routines.  Each minimization
+first scans its interval at uniform nodes and refines from the best one.
+Every interval is scanned and refined, however narrow: a near-diagonal
+line's tangency window can be 6e-13 wide at theta ~ 2e-4 and still hold a
 minimum well below its lower end's value.  A zero-width interval scans
-257 copies of lo, and the refine returns lo with 0 iterations.
+copies of lo, and the refine returns lo with 0 iterations.
 Every index map (the arc index; psi, eta and eta_alpha) has a slope at
 hand, and ``newton_to_two_pi`` inverts it below its ceiling by Newton
 steps inside a bracket that every value tightens, to ``arc_index_tol``
@@ -22,38 +20,30 @@ endpoints or the root.  The package has no SciPy dependency.  The
 library's Brent solves run ``_solve``, ``solve_monotone`` without its
 report, on the caller's one-frame objective; ``_brent`` subtracts the target.
 
-``minimize_on_interval`` scans by calling ``fn`` on each node, then
-refines by golden section (``_refine``): no distance takes that path.
+``minimize_on_interval`` scans ``SCAN_CELLS`` + 1 nodes by calling ``fn``
+on each, then refines by golden section (``_refine``): no distance takes
+that path.
 
-``_refine_root`` refines at the root of the objective's derivative, on
-one closure of (objective, slope).  It serves the line rows of
-``_minimize_rows`` (below) and the oracle, which hands it a grid from its
-branch and bound and the distance along the line: the scalar distance at
-the nodes it evaluated and, at the others, a lower bound above the grid's
-minimum, so that the refine settles on the same cell as on the full grid.
+``_minimize_rows`` minimizes the line rows, one closure of (objective,
+slope) per row, each on its own: ``ROW_CELLS`` + 1 = 9 nodes in Python
+floats, each of which gives its value and its slope, then one refine from
+the first minimum node that reuses those slopes.  ``_refine_root`` serves
+the oracle, which hands it a grid from its branch and bound and the
+distance along the line: the scalar distance at the nodes it evaluated
+and, at the others, a lower bound above the grid's minimum, so that the
+refine settles on the same cell as on the full grid; it takes the slopes
+at the ends of the cell pair around the best node.  Both end in
+``_settle``: an end node whose slope points out of the interval is the
+answer ("endpoint"); where the slope changes sign across the cell,
+Brent's root solve of the slope finds the minimizer in a few steps
+("derivative-root"); any other row keeps its best node ("scan-node").
 
-``_minimize_rows`` runs many minimizations with the scan and the errors of
-``minimize_on_interval``.  It scans the rows as 2-D blocks of
-``SCAN_BLOCK_ROWS`` rows (16 rows of 257 nodes, about 4096 nodes), one
-array call per block, which bounds its memory.  One ``argmin`` and one
-finiteness check pick every row's best node in a block; a block that
-holds a non-finite value picks row by row (``_best_cell``), so each row
-raises its own first non-finite node.  It then refines each row on its
-own closure from that cell, as ``_refine_root`` does: an end node whose
-derivative points out of the interval is the answer ("endpoint"); where
-the derivative changes sign across the cell pair around the best node,
-Brent's root solve of the derivative finds the minimizer in a few steps
-("derivative-root"); any other row keeps its best scan node
-("scan-node").  Errors stay per row.
-The line solver minimizes every line's rows through it.
-
-numpy is imported by the functions that build or reduce arrays
-(``minimize_on_interval``, ``_best_cell``, ``_scan_nodes``,
-``_minimize_rows`` and ``_scan_rows``), not by this module, and the first
-scan builds ``_SCAN_STEPS``: the scalar solves behind the point,
-level-set and horizontal-line distances never load it.  The package's
-``__init__`` still imports every submodule eagerly, because the
-benchmark's tracer looks the modules it wraps up in ``sys.modules``.
+numpy is imported only by the functions that build or reduce arrays
+(``minimize_on_interval``, ``_best_cell`` and ``_scan_nodes``), and the
+first such scan builds ``_SCAN_STEPS``: the point, level-set, line and
+smile distances never load it.  The package's ``__init__`` still imports
+every submodule eagerly, because the benchmark's tracer looks the modules
+it wraps up in ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -83,6 +73,10 @@ _TOL_FLOOR = 1e-322
 _RTOL = 4.0 * math.ulp(1.0)  # brentq's smallest admissible rtol
 MIN_TOL = 1e-9
 SCAN_CELLS = 256
+# Cells of a line row's scan (9 nodes).  The rows are unimodal on every
+# line measured (README, "Numerical notes"); 17 nodes cost smile ladders
+# 0.81x, and 5 nodes moved 11 of 3000 line-mix answers by more than 1e-6.
+ROW_CELLS = 8
 # The derivative-root refine of an interior cell stops at this fraction
 # of the golden stop width.  Near the tangency end of small, nearly
 # diagonal lines the line objective is so sharply curved that golden's own
@@ -91,18 +85,13 @@ SCAN_CELLS = 256
 # root solved to the golden width came out 9.8e-10 above golden's minimum
 # (a real gap: mpmath agrees).  The factor costs about 0.5 more derivative
 # evaluations per line.  A cell at the row's first node stops at Brent's
-# own floor instead (_refine_cell): there the minimum can sit within
+# own floor instead (_settle): there the minimum can sit within
 # 2e-15 of a tangency end at theta ~ 2e-4, where the slope is -inf or
 # about 1e6, inside even this width.
 _ROOT_XTOL_SCALE = 1e-3
 # Brent's finite stand-in for an infinite end slope of the refine's cell
 _SLOPE_CAP = 1e300
 _GROW_STEPS = 200
-
-
-class Bracket(NamedTuple):
-    lo: float
-    hi: float
 
 
 class SolveReport(NamedTuple):
@@ -114,8 +103,8 @@ class SolveReport(NamedTuple):
     "derivative-root" (Brent on the objective's derivative; iterations are
     Brent's and residual is its stop width), "endpoint" (an interval end
     whose derivative points outward; no iterations), "scan-node" (the best
-    scan node, where the derivative brackets no root in its cell pair; no
-    iterations, residual is the cell pair's width) or "grid-refine"
+    scan node, where the derivative brackets no root in its cell; no
+    iterations, residual is the cell's width) or "grid-refine"
     (minimize_on_interval's golden section; residual is its bracket)."""
 
     value: float
@@ -126,7 +115,7 @@ class SolveReport(NamedTuple):
 
 def solve_monotone(
     fn: Callable[[float], float],
-    bracket: Bracket | tuple[float, float],
+    bracket: tuple[float, float],
     target: float = 0.0,
     tol: float = ROOT_TOL,
     max_iter: int = 200,
@@ -392,7 +381,7 @@ def _check_interval(lo: float, hi: float) -> None:
 
 def minimize_on_interval(
     fn: Callable[[float], float],
-    bracket: Bracket | tuple[float, float],
+    bracket: tuple[float, float],
     tol: float = MIN_TOL,
 ) -> tuple[SolveReport, float]:
     """Minimize fn over a closed interval; returns (argmin report, value).
@@ -450,12 +439,7 @@ def _best_cell(nodes: np.ndarray, fs: np.ndarray) -> tuple[int, float, float]:
     if not finite.all():
         i = int(finite.argmin())
         raise NonFiniteSampleError(i, float(nodes[i]), float(fs[i]))
-    return _cell(nodes, int(fs.argmin()))
-
-
-def _cell(nodes: np.ndarray, i: int) -> tuple[int, float, float]:
-    """The node index i and the ends of the cell pair around it,
-    [nodes[i - 1], nodes[i + 1]] clipped to the scan."""
+    i = int(fs.argmin())
     return i, float(nodes[max(i - 1, 0)]), float(nodes[min(i + 1, nodes.size - 1)])
 
 
@@ -463,75 +447,85 @@ def _refine_root(
     fn: Callable[[float], tuple[float, float]], nodes: np.ndarray, fs: np.ndarray
 ) -> tuple[SolveReport, float]:
     """The minimum at the root of the slope, where fn returns (value,
-    slope): _refine's node check, then _refine_cell from the cell pair
-    [a, b] around the first minimum node i.
+    slope): _refine's node check, then the refine from the cell pair
+    [a, b] around the first minimum node i, taking the slope at a and,
+    where it decides the outcome, at b.
 
     An end node i whose slope points out of the interval is the answer
-    ("endpoint", 0 iterations).  Otherwise, where slope(a) < 0 < slope(b),
-    infinite ones included, Brent solves slope = 0 on [a, b] to
-    _ROOT_XTOL_SCALE times the golden stop width, or, where i is the first
-    node, to its own 4-ulp floor; it returns a point whose slope it took,
-    whose value is kept where it is lower than the node's
-    ("derivative-root", Brent's iterations, the stop width as residual).
-    Where no root is bracketed (end slopes of one sign, a nan end slope)
-    or the root solve meets a nan, the best node is the answer
-    ("scan-node", 0 iterations, the cell pair's width as residual)."""
-    return _refine_cell(fn, nodes, fs, _best_cell(nodes, fs))
+    ("endpoint", 0 iterations).  Otherwise _settle solves the slope's root
+    on [a, b] where slope(a) < 0 < slope(b), and keeps the best node
+    elsewhere."""
+    i, a, b = _best_cell(nodes, fs)
+    x, f = float(nodes[i]), float(fs[i])
+    values: dict[float, float] = {}
+    slope = _recorder(fn, values)
+    last, db = i == nodes.size - 1, _NAN
+    if last:
+        db = slope(b)
+        if db < 0.0:
+            return SolveReport(x, 0, 0.0, "endpoint"), f
+    da = slope(a)
+    if i == 0 and da > 0.0:
+        return SolveReport(x, 0, 0.0, "endpoint"), f
+    if da < 0.0 and not last:
+        db = slope(b)
+    return _settle(slope, values, x, f, a, b, da, db, i == 0)
 
 
-def _refine_cell(
-    fn: Callable[[float], tuple[float, float]],
-    nodes: np.ndarray, fs: np.ndarray, cell: tuple[int, float, float],
-) -> tuple[SolveReport, float]:
-    """_refine_root from the best node's cell (i, a, b), as _best_cell
-    gives it, on nodes whose values fs are finite.  From the first node
-    (a line row's tangency end, where the minimum can lie a few ulp above
-    it) the root solve stops at Brent's floor, not at a width."""
-    i, a, b = cell
-    best_x, best_f = float(nodes[i]), float(fs[i])
-    values = {}  # fn's value at every point whose slope was taken
+def _recorder(
+    fn: Callable[[float], tuple[float, float]], values: dict[float, float]
+) -> Callable[[float], float]:
+    """fn's slope, recording in values fn's value at every point taken."""
 
     def slope(x: float) -> float:
         values[x], d = fn(x)
         return d
 
-    db = None
-    if i == nodes.size - 1:
-        db = slope(b)
-        if db < 0.0:
-            return SolveReport(best_x, 0, 0.0, "endpoint"), best_f
-    da = slope(a)
-    if i == 0 and da > 0.0:
-        return SolveReport(best_x, 0, 0.0, "endpoint"), best_f
-    if da < 0.0:
-        db = slope(b) if db is None else db
-        if db > 0.0:
-            if i == 0:  # Brent's own 4-ulp floor (_RTOL)
-                xtol = 5e-324
-            else:
-                xtol = max(_ROOT_XTOL_SCALE * _golden_width(MIN_TOL, a, b), 5e-324)
-            ends = max(da, -_SLOPE_CAP), min(db, _SLOPE_CAP)
-            try:
-                root, _, iters = _solve(slope, a, b, 0.0, xtol, 200, *ends)
-            except ConvergenceError:
-                pass
-            else:
-                froot = values[root]
-                if froot < best_f:
-                    best_x, best_f = root, froot
-                return SolveReport(best_x, iters, xtol, "derivative-root"), best_f
-    return SolveReport(best_x, 0, b - a, "scan-node"), best_f
+    return slope
 
 
-# The node indices 0, 1, ..., SCAN_CELLS of every scan, as floats; the
-# first scan builds them.
+def _settle(
+    slope: Callable[[float], float], values: dict[float, float], x: float,
+    f: float, a: float, b: float, da: float, db: float, first: bool,
+) -> tuple[SolveReport, float]:
+    """The refine from the best node x (value f) in the cell [a, b] whose
+    end slopes are da and db (nan: not taken); values holds the
+    objective at a and b and receives it at every point slope takes.
+
+    Where da < 0 < db, infinite ones included, Brent solves slope = 0 on
+    [a, b] to _ROOT_XTOL_SCALE times the golden stop width, or, where the
+    best node is the scan's first, to its own 4-ulp floor; it returns a
+    point whose slope it took, whose value is kept where it is lower than
+    the node's ("derivative-root", Brent's iterations, the stop width as
+    residual).  Where no root is bracketed (end slopes of one sign, a nan
+    end slope) or the root solve meets a nan, the best node is the answer
+    ("scan-node", 0 iterations, the cell's width as residual)."""
+    if da < 0.0 < db:
+        if first:  # Brent's own 4-ulp floor (_RTOL)
+            xtol = 5e-324
+        else:
+            xtol = max(_ROOT_XTOL_SCALE * _golden_width(MIN_TOL, a, b), 5e-324)
+        ends = max(da, -_SLOPE_CAP), min(db, _SLOPE_CAP)
+        try:
+            root, _, iters = _solve(slope, a, b, 0.0, xtol, 200, *ends)
+        except ConvergenceError:
+            pass
+        else:
+            froot = values[root]
+            if froot < f:
+                x, f = root, froot
+            return SolveReport(x, iters, xtol, "derivative-root"), f
+    return SolveReport(x, 0, b - a, "scan-node"), f
+
+
+# The node indices 0, 1, ..., SCAN_CELLS of minimize_on_interval's scan,
+# as floats; its first scan builds them.
 _SCAN_STEPS = None
 
 
-def _scan_nodes(lo, hi) -> np.ndarray:
+def _scan_nodes(lo: float, hi: float) -> np.ndarray:
     """The SCAN_CELLS + 1 scan nodes lo + i*h, h = (hi - lo)/SCAN_CELLS,
-    the last one replaced by hi; a row of nodes for each entry when lo and
-    hi are columns."""
+    the last one replaced by hi."""
     global _SCAN_STEPS
     if _SCAN_STEPS is None:
         import numpy as np
@@ -539,100 +533,70 @@ def _scan_nodes(lo, hi) -> np.ndarray:
         _SCAN_STEPS = np.arange(SCAN_CELLS + 1.0)
     nodes = _SCAN_STEPS * ((hi - lo) / SCAN_CELLS)
     nodes += lo
-    nodes[..., -1:] = hi
+    nodes[-1] = hi
     return nodes
 
 
 # ---------------------------------------------------------------------------
-# many minimizations at once
+# the line rows
 # ---------------------------------------------------------------------------
 
-# Rows per 2-D scan block: 16 rows of SCAN_CELLS + 1 = 257 nodes (4112
-# nodes).  On 50-strike smile ladders (about 68 rows each; 2-core x86-64,
-# Python 3.11, numpy 2.4; bench/run.py smile-ladder, 10 s runs, seeds 1-10
-# in alternating pairs) 16-row blocks ran at a median 178 ladders/s
-# against 164 for 8-row blocks (8 rows won 2 of 10 pairs), and at 181
-# against 182 for 32-row blocks (32 rows won 5 of 10): larger blocks gain
-# nothing measurable and hold more memory (one block per ladder took
-# 1.9 MB of traced peak memory against 0.5 MB for 16 rows).
-SCAN_BLOCK_ROWS = 16
 
 def _minimize_rows(
     fns: list[Callable[[float], tuple[float, float]]],
-    scan: Callable[[list[int], np.ndarray], np.ndarray],
     los: list[float],
     his: list[float],
 ) -> list[tuple[SolveReport, float] | HestonDistError]:
     """The minimum of the objective f_i on [los[i], his[i]] for every row
-    i, or the error minimize_on_interval(f_i, (los[i], his[i])) raises: the
-    same scan of every interval, zero-width ones included, and the same
-    errors.  fns[i] returns (f_i, its slope).
-
-    ``scan(rows, nodes)`` evaluates the rows (a list of indices) at a 2-D
-    block of nodes, one row of nodes each, and must equal their
-    objectives bit for bit.  The scan evaluates SCAN_BLOCK_ROWS rows per
-    call; a block that raises a HestonDistError is evaluated again row by
-    row, so the error fails only the rows that raise it on their own.
-    Where every value of a block is finite, one argmin over the block
-    gives every row's first minimum node, and its cell is gathered by
-    scalar indexing; a block with a non-finite value (a row that raised
-    included) takes each row's node by _best_cell, which raises the row's
-    NonFiniteSampleError at its first non-finite node.  Each row is then
-    refined on its own on ``fns[i]`` from that cell, by the code
-    ``_refine_root`` runs after ``_best_cell``."""
-    import numpy as np
-
-    out: list = [None] * len(fns)
-    live = []
-    for i, (lo, hi) in enumerate(zip(los, his)):
+    i, or the error the row raises, which fails that row alone; fns[i]
+    returns (f_i, its slope).  Each row is _minimize_row's."""
+    out: list[tuple[SolveReport, float] | HestonDistError] = []
+    for fn, lo, hi in zip(fns, los, his):
         try:
-            _check_interval(lo, hi)
-            live.append(i)
+            out.append(_minimize_row(fn, lo, hi))
         except HestonDistError as exc:
-            out[i] = exc
-    for start in range(0, len(live), SCAN_BLOCK_ROWS):
-        rows = live[start:start + SCAN_BLOCK_ROWS]
-        if len(rows) == 1:  # floats broadcast faster than 1x1 columns
-            nodes = _scan_nodes(los[rows[0]], his[rows[0]])[None, :]
-        else:
-            lo = np.array([[los[i]] for i in rows])
-            hi = np.array([[his[i]] for i in rows])
-            nodes = _scan_nodes(lo, hi)
-        fs, errors = _scan_rows(scan, rows, nodes)
-        finite = np.isfinite(fs).all()
-        best = fs.argmin(axis=1)
-        for k, i in enumerate(rows):
-            if k in errors:
-                out[i] = errors[k]
-                continue
-            row_nodes, row_fs = nodes[k], fs[k]
-            try:
-                cell = (_cell(row_nodes, int(best[k])) if finite
-                        else _best_cell(row_nodes, row_fs))
-                out[i] = _refine_cell(fns[i], row_nodes, row_fs, cell)
-            except HestonDistError as exc:
-                out[i] = exc
+            out.append(exc)
     return out
 
 
-def _scan_rows(
-    scan: Callable[[list[int], np.ndarray], np.ndarray],
-    rows: list[int],
-    nodes: np.ndarray,
-) -> tuple[np.ndarray, dict[int, HestonDistError]]:
-    """The rows' objectives at their nodes, and the error of every row (by
-    position in rows) that raises one on its own."""
-    import numpy as np
+def _minimize_row(
+    fn: Callable[[float], tuple[float, float]], lo: float, hi: float
+) -> tuple[SolveReport, float]:
+    """The minimum of the objective on [lo, hi], where fn returns (value,
+    slope): a scan of the ROW_CELLS + 1 nodes lo + j*(hi - lo)/ROW_CELLS,
+    the last one hi, each evaluated once, then one refine from the first
+    minimum node i that reuses the nodes' slopes.
 
-    try:
-        return np.asarray(scan(rows, nodes), dtype=float), {}
-    except HestonDistError:
-        pass
-    vals = np.full(nodes.shape, math.nan)
-    errors = {}
-    for k, i in enumerate(rows):
-        try:
-            vals[k] = scan([i], nodes[k:k + 1])[0]
-        except HestonDistError as exc:
-            errors[k] = exc
-    return vals, errors
+    Where the slope changes sign between i and a neighbour, the cell
+    between them brackets the root: [i - 1, i] where slope(i - 1) < 0 <
+    slope(i), [i, i + 1] where slope(i) < 0 < slope(i + 1).  Otherwise an
+    end node whose slope points out of the interval is the answer
+    ("endpoint"), and any other row is settled on the cell pair [i - 1,
+    i + 1], clipped to the scan.  _settle takes it from there.  lo > hi
+    raises BracketError, and the first node whose value is not finite
+    NonFiniteSampleError; an error of fn propagates."""
+    _check_interval(lo, hi)
+    h = (hi - lo) / ROW_CELLS
+    xs = [lo + j * h for j in range(ROW_CELLS)]
+    xs.append(hi)
+    fs, ds = [], []
+    for j, x in enumerate(xs):
+        f, d = fn(x)
+        if not -_INF < f < _INF:
+            raise NonFiniteSampleError(j, x, f)
+        fs.append(f)
+        ds.append(d)
+    f = min(fs)
+    i = fs.index(f)
+    d = ds[i]
+    if i and ds[i - 1] < 0.0 < d:
+        a, b = i - 1, i
+    elif i < ROW_CELLS and d < 0.0 < ds[i + 1]:
+        a, b = i, i + 1
+    elif i == ROW_CELLS and d < 0.0 or i == 0 and d > 0.0:
+        return SolveReport(xs[i], 0, 0.0, "endpoint"), f
+    else:
+        a, b = max(i - 1, 0), min(i + 1, ROW_CELLS)
+    values = {xs[a]: fs[a], xs[b]: fs[b]}
+    return _settle(_recorder(fn, values), values, xs[i], f, xs[a], xs[b],
+                   ds[a], ds[b], i == 0)

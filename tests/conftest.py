@@ -68,24 +68,17 @@ def vertical_variant_bracket(beta: float, variant: str) -> tuple[float, float]:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def line_objective(beta: float, gamma: float, minus: bool = False, axis=None):
-    """(scalar, array form) of the line solvers' objective through one
-    intersection root of the line, with the axis crossing at v = axis as
-    its theta = 0 node when axis is given: the scalar is the value of
-    linedist._row_fn."""
-    row = ld._Search("", beta, gamma, minus, 0.0, 0.0, axis)
-    axis_value = ld._axis_node_value(row)
-    fn = ld._row_fn(row)
-    return (
-        lambda t: fn(t)[0],
-        lambda ts: ld._objective_many(ts, beta, gamma, minus, axis_value),
-    )
+def vertical_objective(beta: float):
+    """The line solvers' objective of the vertical line x = beta: the
+    value of linedist._row_fn on its plus root."""
+    fn = ld._row_fn(ld._Search("", beta, 0.0, False, 0.0, 0.0))
+    return lambda t: fn(t)[0]
 
 
 def vertical_variant_distance(beta: float, variant: str, tol: float = 1e-9) -> float:
     """The vertical-line distance minimized over a variant bracket, as
     dist_to_line minimizes it over vertical_bracket."""
-    fn, _ = line_objective(beta, 0.0)
+    fn = vertical_objective(beta)
     _, half_sq = hd.minimize_on_interval(
         fn, vertical_variant_bracket(beta, variant), tol=tol
     )

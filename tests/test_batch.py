@@ -12,7 +12,7 @@ from hestondist import linedist as ld
 from hestondist import solvers
 from hestondist.solvers import minimize_on_interval
 from hestondist.smile import reduced_line
-from test_scan_equivalence import SEARCH_KINDS, search_kind, table_lines
+from test_linedist import SEARCH_KINDS, search_kind, table_lines
 
 # a near-diagonal line whose two rows share one tangency window, 6e-13 wide
 # at theta ~ 2.3e-4, with the minimum at the window's upper end
@@ -178,10 +178,9 @@ def test_ladders_match_iv_limit(rho):
 
 
 def test_every_line_failing(monkeypatch):
-    def broken(theta, *params):
+    def broken(t):
         raise hd.DomainError("objective unavailable")
 
-    monkeypatch.setattr(ld, "_objective_many", broken)
     monkeypatch.setattr(ld, "_row_fn", lambda row: broken)
     lines = [(0.5, 2.0), (1.0, -1.0), (3.0, 0.0), (-1.0, 0.3), NARROW]
     assert batched(lines) == single(lines)

@@ -1,9 +1,10 @@
-"""numpy loads only where a grid is scanned, and ``dataclasses`` never: a
-child interpreter whose importer refuses every ``numpy`` module and
-``dataclasses`` imports the package and the CLI and answers the
-closed-form commands (points, level sets, horizontal lines, level-curve
-samples), and a child without the refusal loads numpy only when a line is
-asked for.  Each child must print what this process prints."""
+"""numpy loads only where the oracle scans its grid, and ``dataclasses``
+never: a child interpreter whose importer refuses every ``numpy`` module
+and ``dataclasses`` imports the package and the CLI and answers every
+command but the oracle's (points, level sets, horizontal lines,
+level-curve samples, lines and smiles), and a child without the refusal
+loads numpy only when an oracle comparison is asked for.  Each child must
+print what this process prints."""
 
 import contextlib
 import io
@@ -25,10 +26,14 @@ CLOSED_FORM = [
     ["dist", "level-set", "--theta", "1.5707963267948966"],
     ["dist", "horizontal", "--tau", "4"],
     ["levelset", "emit", "--theta", "1.2", "--x-max", "3", "--samples", "7"],
+    ["dist", "line", "--beta", "1", "--gamma", "0.5", "--c", "2", "--rho", "-0.5",
+     "--x0", "0.1", "--v0", "0.04"],
+    ["dist", "line", "--beta", "-1", "--gamma", "0.3"],
+    ["smile", "--spot", "100", "--v0", "0.04", "--c", "1.3", "--rho", "-0.6",
+     "--strikes", "80,90,100,110,120"],
 ]
 
-LINE = ["dist", "line", "--beta", "1", "--gamma", "0.5", "--c", "2", "--rho", "-0.5",
-        "--x0", "0.1", "--v0", "0.04"]
+ORACLE = ["oracle", "compare", "--beta", "2", "--gamma", "3"]
 
 CHILD = """
 import contextlib, io, json, sys
@@ -82,9 +87,10 @@ def test_closed_forms_run_with_numpy_refused():
         assert out == _here(argv), argv
 
 
-def test_numpy_loads_on_the_first_line():
-    commands = [CLOSED_FORM[0], LINE]
-    (loaded,), point, line = _child(commands, "allow")
+def test_numpy_loads_on_the_first_oracle_compare():
+    commands = [CLOSED_FORM[0], CLOSED_FORM[5], ORACLE]
+    (loaded,), point, line, oracle = _child(commands, "allow")
     assert not loaded  # after import hestondist.cli
     assert point == [0, _here(CLOSED_FORM[0]), False]
-    assert line == [0, _here(LINE), True]
+    assert line == [0, _here(CLOSED_FORM[5]), False]
+    assert oracle == [0, _here(ORACLE), True]

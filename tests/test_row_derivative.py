@@ -1,9 +1,11 @@
 """The slope that linedist._row_fn returns with the row objective is its
 derivative: it agrees with a complex-step derivative of the same arithmetic
 on every branch and on both sides of SMALL_ANGLE, is +-inf with the sign of
-the one-sided limit where the discriminant is clamped, the one-sided limit
-in closed form at the theta = 0 axis node, and nan where the objective has
-no derivative; outside the objective's domain the closure raises."""
+the one-sided limit where the discriminant is clamped, and the one-sided
+limit in closed form at the row's ends (the theta = 0 axis node, a plus
+root clamped at psi_inv(beta), the minus pole); it is nan only where B
+overflows.  Outside the objective's domain the closure raises, and its
+value equals the clamped raw root's bit for bit."""
 
 import cmath
 import math
@@ -183,10 +185,11 @@ def test_nan_where_the_objective_has_no_derivative():
     for t in (0.0, -1.0, cf.TWO_PI, 7.0, math.nan, math.inf):
         with pytest.raises(hd.DomainError):
             fn(t)
-    # the plus root is negative beyond psi_inv(beta): _row_fn clamps it
-    t = hd.psi_inv(1.0) + 0.5
-    assert cf._s_plus_raw(1.0, 0.0, t) < 0.0
-    assert math.isnan(fn(t)[1])
+    # where t*p3 underflows (B is inf) the value takes the raw root and
+    # the slope is nan
+    row = ld._searches(1.0, 0.5, {})[0]
+    value, slope = ld._row_fn(row)(5e-324)
+    assert value == ld._HUGE and math.isnan(slope)
     # the axis node of a left-slanted row has a derivative: the one-sided
     # limit in closed form (test_axis_node_slope_is_the_one_sided_limit)
     (left,) = ld._searches(1.0, -0.5, {})
@@ -195,7 +198,40 @@ def test_nan_where_the_objective_has_no_derivative():
     assert value == ld._axis_value(2.0)
     r = math.sqrt(2.0)
     assert slope == 2.0 * (1.0 - 1.0 / r) * (2.0 + r + 1.0) / (3.0 * -0.5)
-    # the pole of the minus root, where _row_fn clamps it to _ROOT_HUGE
+
+
+END_LINES = [
+    (1e3, 1e3), (100.0, 100.0), (76.74314024832942, 83.18566325047897),
+    (-71.18692720798528, -33.52646257855852), (1.0, -0.5),
+]
+
+
+@pytest.mark.parametrize("line", END_LINES)
+def test_clamped_root_end_slope_is_the_slope_one_ulp_inside(line):
+    # the plus and left-slanted rows of these lines end at psi_inv(beta),
+    # where the plus root rounds below 0 and _row_fn clamps it: the slope
+    # there is the root's at s = 0, the one-sided limit from inside the
+    # row, and the value is the clamped root's
+    beta, gamma, _ = ld._prelude(*line)
+    ends = 0
+    for row in ld._searches(beta, gamma, {}):
+        raw = cf._s_minus_raw if row.minus else cf._s_plus_raw
+        if not raw(row.beta, row.gamma, row.hi) < 0.0:
+            continue
+        ends += 1
+        fn = ld._row_fn(row)
+        value, slope = fn(row.hi)
+        inside = fn(math.nextafter(row.hi, row.lo))[1]
+        assert value == lam(row.hi, raw(row.beta, row.gamma, row.hi))
+        assert math.isfinite(slope) and slope > 0.0
+        assert abs(slope - inside) <= 1e-9 * abs(inside), (row, slope, inside)
+    assert ends == 1
+
+
+def test_minus_pole_slope_is_plus_infinity():
+    # at the pole of the minus root, where 1 - gamma*B is exactly zero, the
+    # root and lambda rise without bound as theta grows to it, so the slope
+    # from below is +inf; the value is the clamped root's
     theta = next(
         0.5 + k * 1e-3 for k in range(1500)
         if 1.0 - (1.0 / cf.coef_B(0.5 + k * 1e-3)) * cf.coef_B(0.5 + k * 1e-3) == 0.0
@@ -203,7 +239,54 @@ def test_nan_where_the_objective_has_no_derivative():
     gamma = 1.0 / cf.coef_B(theta)
     pole = ld._Search("slanted-minus", 0.5 * gamma, gamma, True, 0.0, 0.0)
     assert cf._s_minus_raw(0.5 * gamma, gamma, theta) == math.inf
-    assert math.isnan(ld._row_fn(pole)(theta)[1])
+    fn = ld._row_fn(pole)
+    assert fn(theta) == (lam(theta, math.inf), math.inf)
+    below = [fn(theta - h)[1] for h in (1e-3, 1e-5, 1e-7)]
+    assert 0.0 < below[0] < below[1] < below[2]
+
+
+def lam(theta, s):
+    """The clamps of linedist._row_fn on a root s: a negative root counts as
+    0, a non-finite one as _ROOT_HUGE, an overflowing value as _HUGE."""
+    if s < 0.0:
+        s = 0.0
+    elif not math.isfinite(s):
+        s = ld._ROOT_HUGE
+    val = cf._half_sq_from_root(theta, s)
+    return val if math.isfinite(val) else ld._HUGE
+
+
+def test_root_clamps():
+    # one index for each clamp of a raw root: (theta, beta, gamma, minus)
+    # and the root it reaches; _row_fn's value equals the clamped root's,
+    # bit for bit.  A zero root is -0.0: p = 1 - beta*B is +0.0 where it
+    # vanishes, and p/(A - root) has the sign of A < 0.
+    recip_1 = 1.0 / cf.coef_B(1.0)
+    recip_small = 1.0 / cf.coef_B(1e-3)
+    assert 1.0 - recip_1 * cf.coef_B(1.0) == 0.0
+    assert 1.0 - recip_small * cf.coef_B(1e-3) == 0.0
+    cases = [
+        # p = 1 - beta*B = 0 and 1 - gamma*B = inf: a nan discriminant
+        (1.0, recip_1, -1e308, False, math.isnan),
+        (1.0, -1e308, 0.0, False, lambda s: s == -math.inf),
+        (2.5, 0.0, 0.0, False, lambda s: -math.inf < s < 0.0),
+        (6.0, 1e300, -1.0, False, lambda s: 1e148 < s < ld._ROOT_HUGE),
+        (1e-3, recip_small, 0.0, False, lambda s: s == 0.0 and math.copysign(1.0, s) < 0.0),
+        (3.0, 2.0, 0.5, False, lambda s: 0.0 < s < 1.0),
+        (1.0, recip_1, 0.0, False, lambda s: s == 0.0 and math.copysign(1.0, s) < 0.0),
+        (6.2, 1e300, 1e5, False, lambda s: ld._ROOT_HUGE < s < math.inf),
+        (2.0, 1e200, 1e5, False, lambda s: ld._ROOT_HUGE < s < math.inf),
+        (1.0, 0.5 * recip_1, recip_1, True, lambda s: s == math.inf),
+        (1.0, -1e308, 1e308, False, math.isnan),
+    ]
+    got = []
+    for t, beta, gamma, minus, kind in cases:
+        s = (cf._s_minus_raw if minus else cf._s_plus_raw)(beta, gamma, t)
+        assert kind(s), (t, beta, gamma, s)
+        value = ld._row_fn(ld._Search("", beta, gamma, minus, t, t))(t)[0]
+        assert value.hex() == lam(t, s).hex(), (t, beta, gamma, minus)
+        got.append(value)
+    assert got[-3] == got[-4] == ld._HUGE
 
 
 @pytest.mark.parametrize("line", [(1.0, -0.5), (40.0, -0.3), (0.5, -2.0), (0.01, -3.0)])

@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 import hestondist as hd
@@ -140,15 +139,21 @@ class TestSmileTable:
         strikes = [100.0 * math.exp(-0.775 + 0.05 * j) for j in range(32)]
         broken = 21
         target, _ = reduced_line(hd.SmileQuery(100.0, strikes[broken], 0.06, frame))
-        objective = ld._objective_many
+        row_fn = ld._row_fn
 
-        def forced(theta, beta, gamma, minus, axis):
-            hit = np.broadcast_to(np.asarray(beta) == target, theta.shape)
-            if failure == "domain" and hit.any():
-                raise DomainError(f"forced failure at beta={target!r}")
-            return np.where(hit, math.inf, objective(theta, beta, gamma, minus, axis))
+        def forced(row):
+            fn = row_fn(row)
+            if abs(row.beta) != abs(target):
+                return fn
 
-        monkeypatch.setattr(ld, "_objective_many", forced)
+            def broken_fn(t):
+                if failure == "domain":
+                    raise DomainError(f"forced failure at beta={target!r}")
+                return math.inf, fn(t)[1]
+
+            return broken_fn
+
+        monkeypatch.setattr(ld, "_row_fn", forced)
         entries = hd.smile_table(100.0, 0.06, frame, strikes)
         for j, (k, entry) in enumerate(zip(strikes, entries)):
             q = hd.SmileQuery(100.0, k, 0.06, frame)

@@ -335,42 +335,44 @@ class TestMinimizeOnInterval:
 
 
 class TestArrayScan:
-    """The array scan of _minimize_rows behaves exactly like the scalar scan
-    of minimize_on_interval."""
+    """The scan of a line row (_minimize_rows, ROW_CELLS + 1 nodes in
+    Python floats) and minimize_on_interval's 257-node array scan each
+    reject the first non-finite node of their own nodes, and keep the
+    first of tied minima."""
 
     def test_non_finite_node_matches_scalar_scan(self):
         fn = lambda t: math.inf if t > 0.5 else t
-        fn_rows = lambda sel, ts: np.where(ts > 0.5, math.inf, ts)
         with pytest.raises(NonFiniteSampleError) as scalar:
             minimize_on_interval(fn, (0.0, 1.0))
-        (array,) = solvers._minimize_rows([_no_derivative(fn)], fn_rows, [0.0], [1.0])
-        assert array.node_index == scalar.value.node_index == 129
-        assert array.x == scalar.value.x
-        assert type(scalar.value.x) is float
+        (row,) = solvers._minimize_rows([_no_derivative(fn)], [0.0], [1.0])
+        assert scalar.value.node_index == 129
+        assert (row.node_index, row.x) == (5, 0.625) == (5, row_nodes(0.0, 1.0)[5])
+        assert type(scalar.value.x) is float and type(row.x) is float
 
     def test_nan_node_is_rejected(self):
         with pytest.raises(NonFiniteSampleError) as exc:
             minimize_on_interval(lambda t: math.nan if t == 0.25 else t, (0.0, 1.0))
         assert exc.value.node_index == 64
+        (row,) = solvers._minimize_rows(
+            [_no_derivative(lambda t: math.nan if t == 0.25 else t)], [0.0], [1.0]
+        )
+        assert row.node_index == 2 and math.isnan(row.value)
 
     def test_tie_goes_to_lowest_index(self):
-        # equal minima at the nodes 0.25 and 0.75 (indices 64 and 192)
+        # equal minima at the nodes 0.25 and 0.75 of both scans
         fn = lambda t: abs(abs(t - 0.5) - 0.25)
-        fn_rows = lambda sel, ts: np.abs(np.abs(ts - 0.5) - 0.25)
         rep, val = minimize_on_interval(fn, (0.0, 1.0))
-        ((row, row_val),) = solvers._minimize_rows(
-            [_no_derivative(fn)], fn_rows, [0.0], [1.0]
-        )
+        ((row, row_val),) = solvers._minimize_rows([_no_derivative(fn)], [0.0], [1.0])
         assert (row.value, row_val) == (rep.value, val) == (0.25, 0.0)
         assert (row.iterations, row.method) == (0, "scan-node")
         assert type(row.value) is float and type(row_val) is float
 
     def test_zero_width_interval_returns_lo(self):
-        # all 257 nodes are lo, and the refine stays there
+        # every node is lo, and the refine stays there
         fn = lambda t: (t - 3.0) ** 2
         rows = solvers._minimize_rows(
             [_no_derivative(fn), _with_slope(fn, lambda t: 2.0 * (t - 3.0))],
-            lambda sel, nodes: (nodes - 3.0) ** 2, [1.0, 1.0], [1.0, 1.0],
+            [1.0, 1.0], [1.0, 1.0],
         )
         for rep, val in [minimize_on_interval(fn, (1.0, 1.0)), *rows]:
             assert (rep.value, rep.iterations, rep.residual) == (1.0, 0, 0.0)
@@ -383,11 +385,17 @@ class TestArrayScan:
         hi = lo + 6e-13
         fn = lambda t: hi - t
         rows = solvers._minimize_rows(
-            [_no_derivative(fn), _with_slope(fn, lambda t: -1.0)],
-            lambda sel, nodes: hi - nodes, [lo, lo], [hi, hi],
+            [_no_derivative(fn), _with_slope(fn, lambda t: -1.0)], [lo, lo], [hi, hi],
         )
         for rep, val in [minimize_on_interval(fn, (lo, hi)), *rows]:
             assert (rep.value, val) == (hi, 0.0)
+
+
+def row_nodes(lo, hi):
+    """The nodes of a line row's scan, lo + j*(hi - lo)/ROW_CELLS with the
+    last one hi, as _minimize_row builds them."""
+    h = (hi - lo) / solvers.ROW_CELLS
+    return [lo + j * h for j in range(solvers.ROW_CELLS)] + [hi]
 
 
 def _with_slope(fn, dfn):
@@ -402,58 +410,52 @@ def _no_derivative(fn):
 
 
 def _objective_rows():
-    """Rows of (scalar objective, array form, bracket, derivative) for
-    _minimize_rows: interior, endpoint and tied minima, zero-width and
-    narrow intervals, rejected brackets, a non-finite node and an objective
-    that raises."""
+    """Rows of (objective, bracket, derivative) for _minimize_rows:
+    interior, endpoint and tied minima, zero-width and narrow intervals,
+    rejected brackets, a non-finite node and an objective that raises."""
     rows = []
     for k in range(12):
+        # up to two local minima, more than a cell apart, as the scan of a
+        # row needs (test_wiggle_within_a_cell_keeps_the_best_node)
         c = -1.0 + 0.37 * k
-        rows.append((lambda t, c=c: (t - c) ** 2 + 0.1 * math.cos(7.0 * t),
-                     lambda ts, c=c: (ts - c) ** 2 + 0.1 * np.cos(7.0 * ts),
+        rows.append((lambda t, c=c: (t - c) ** 2 + 0.3 * math.cos(3.0 * t),
                      (-2.0 + 0.1 * k, 3.0 - 0.05 * k),
-                     lambda t, c=c: 2.0 * (t - c) - 0.7 * math.sin(7.0 * t)))
+                     lambda t, c=c: 2.0 * (t - c) - 0.9 * math.sin(3.0 * t)))
     rows += [
-        (lambda t: t * t, lambda ts: ts * ts, (0.5, 4.0),             # endpoint
-         lambda t: 2.0 * t),
-        (lambda t: abs(abs(t - 0.5) - 0.25),                          # tie
-         lambda ts: np.abs(np.abs(ts - 0.5) - 0.25), (0.0, 1.0), lambda t: math.nan),
-        (lambda t: (t - 3.0) ** 2, lambda ts: (ts - 3.0) ** 2, (1.0, 1.0),
-         lambda t: 2.0 * (t - 3.0)),
-        (lambda t: t, lambda ts: ts, (2.0, 2.0 + 1e-14), lambda t: 1.0),  # flat
-        (lambda t: t, lambda ts: ts, (1.0, 0.0), lambda t: 1.0),      # reversed
-        (lambda t: math.inf if t > 0.5 else t,                        # inf node
-         lambda ts: np.where(ts > 0.5, math.inf, ts), (0.0, 1.0), lambda t: 1.0),
-        (lambda t: math.nan, lambda ts: np.full_like(ts, math.nan), (3.0, 3.0),
-         lambda t: math.nan),
+        (lambda t: t * t, (0.5, 4.0), lambda t: 2.0 * t),             # endpoint
+        (lambda t: abs(abs(t - 0.5) - 0.25), (0.0, 1.0), lambda t: math.nan),  # tie
+        (lambda t: (t - 3.0) ** 2, (1.0, 1.0), lambda t: 2.0 * (t - 3.0)),
+        (lambda t: t, (2.0, 2.0 + 1e-14), lambda t: 1.0),             # flat
+        (lambda t: t, (1.0, 0.0), lambda t: 1.0),                     # reversed
+        (lambda t: math.inf if t > 0.5 else t, (0.0, 1.0), lambda t: 1.0),  # inf node
+        (lambda t: math.nan, (3.0, 3.0), lambda t: math.nan),
     ]
 
     def raising(t):
         raise DomainError(f"no value at {t!r}")
 
-    rows.append((raising, lambda ts: raising(float(ts.flat[0])), (0.0, 1.0), raising))
-    rows.append((raising, lambda ts: raising(float(ts.flat[0])), (0.25, 0.25), raising))
-    rows += [(lambda t: (t - 0.3) ** 4, lambda ts: (ts - 0.3) ** 4, (0.0, 2.0 ** k),
-              lambda t: 4.0 * (t - 0.3) ** 3)
+    rows.append((raising, (0.0, 1.0), raising))
+    rows.append((raising, (0.25, 0.25), raising))
+    rows += [(lambda t: (t - 0.3) ** 4, (0.0, 2.0 ** k), lambda t: 4.0 * (t - 0.3) ** 3)
              for k in range(-3, 9)]
     return rows
-
-
-def _scan(rows):
-    """The block scan of the rows for _minimize_rows, from their array forms."""
-    def scan(sel, nodes):
-        return np.array([rows[i][1](x) for i, x in zip(sel, nodes)], dtype=float)
-
-    return scan
 
 
 def _minimize_rows(rows, derivatives=False):
     """_minimize_rows on the rows, with their derivatives, or with none, so
     that every row keeps its best scan node."""
     return solvers._minimize_rows(
-        [_with_slope(r[0], r[3]) if derivatives else _no_derivative(r[0]) for r in rows],
-        _scan(rows), [r[2][0] for r in rows], [r[2][1] for r in rows],
+        [_with_slope(r[0], r[2]) if derivatives else _no_derivative(r[0]) for r in rows],
+        [r[1][0] for r in rows], [r[1][1] for r in rows],
     )
+
+
+def _golden_on_row_scan(fn, bracket, tol):
+    """minimize_on_interval on the nodes of a line row's scan: the golden
+    refine in the cell pair around the first minimum of row_nodes."""
+    solvers._check_interval(*bracket)
+    nodes = np.array(row_nodes(*bracket))
+    return solvers._refine(fn, nodes, np.array([fn(x) for x in nodes.tolist()]), tol)
 
 
 def _result(call):
@@ -465,33 +467,36 @@ def _result(call):
 
 
 class TestMinimizeRows:
-    """_minimize_rows scans every row as minimize_on_interval does and
-    raises its errors; a row keeps the first minimum node where its slope
-    brackets no root, and every other row's minimum lies within the row
-    gate of the golden refine's."""
+    """_minimize_rows scans every row at ROW_CELLS + 1 nodes and raises
+    minimize_on_interval's errors; a row keeps the first minimum node where
+    its slope brackets no root, and every other row's minimum lies within
+    the row gate of the golden refine's from the same nodes."""
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.0, -1.0])
     def test_matches_minimize_on_interval(self, tol):
-        # every tolerance of minimize_on_interval scans the same nodes and
-        # raises the same scan and bracket errors; the rows take no
-        # tolerance, so the one minimize_on_interval rejects moves none
+        # the rows raise the errors of minimize_on_interval, at the first
+        # bad node of their own scan; the rows take no tolerance, so the
+        # one minimize_on_interval rejects moves none
         rows = _objective_rows()
-        assert len(rows) > 2 * solvers.SCAN_BLOCK_ROWS
         if tol < 0.0:
             with pytest.raises(DomainError):
-                minimize_on_interval(rows[0][0], rows[0][2], tol=tol)
+                minimize_on_interval(rows[0][0], rows[0][1], tol=tol)
             tol = solvers.MIN_TOL
         want = [
-            _result(lambda r=r: minimize_on_interval(r[0], r[2], tol=tol))
+            _result(lambda r=r: _golden_on_row_scan(r[0], r[1], tol)) for r in rows
+        ]
+        scalar = [
+            _result(lambda r=r: minimize_on_interval(r[0], r[1], tol=tol))[0]
             for r in rows
         ]
-        for r, g, w in zip(rows, _minimize_rows(rows), want):
+        for r, g, w, kind in zip(rows, _minimize_rows(rows), want, scalar):
             if isinstance(g, HestonDistError):
                 assert _result(lambda g=g: _raise_or(g)) == w
+                assert type(g).__name__ == kind
                 continue
             rep, val = g
-            # minimize_on_interval's scalar scan and its first minimum node
-            nodes = solvers._scan_nodes(*r[2])
+            # the first minimum node of the row's scan and its cell pair
+            nodes = np.array(row_nodes(*r[1]))
             fs = np.array([r[0](x) for x in nodes.tolist()])
             i, a, b = solvers._best_cell(nodes, fs)
             assert (rep.value, rep.iterations, rep.residual, rep.method, val) == (
@@ -508,10 +513,25 @@ class TestMinimizeRows:
             assert _within_gate(val, float.fromhex(w[4])), (rep, w)
         assert methods == {"derivative-root", "endpoint", "scan-node"}
 
+    def test_wiggle_within_a_cell_keeps_the_best_node(self):
+        # the scan resolves only minima more than a cell apart: where the
+        # cell after the best node holds a lower minimum and a maximum,
+        # the slopes at the nodes bracket no root, and the row keeps its
+        # best node above the minimum a 257-node scan finds.  The line
+        # rows have one minimum each (README, "Numerical notes").
+        fn = lambda t: (t + 1.0) ** 2 + 0.1 * math.cos(7.0 * t)
+        dfn = lambda t: 2.0 * (t + 1.0) - 0.7 * math.sin(7.0 * t)
+        ((rep, val),) = solvers._minimize_rows([_with_slope(fn, dfn)], [-2.0], [3.0])
+        nodes = row_nodes(-2.0, 3.0)
+        i = nodes.index(rep.value)
+        assert rep.method == "scan-node" and fn(nodes[i + 1]) > val
+        assert all(dfn(t) < 0.0 for t in nodes[i - 1:i + 2])
+        assert minimize_on_interval(fn, (-2.0, 3.0))[1] < val - 0.05
+
     def test_non_finite_node(self):
         err = _minimize_rows(_objective_rows(), derivatives=True)[17]
         assert isinstance(err, NonFiniteSampleError)
-        assert (err.node_index, err.x, err.value) == (129, 0.50390625, math.inf)
+        assert (err.node_index, err.x, err.value) == (5, 0.625, math.inf)
         assert type(err.x) is float
 
     def test_every_scanned_row_fails(self):
@@ -525,46 +545,46 @@ class TestMinimizeRows:
         # the cell pair around the scan's minimum
         fn = lambda t: math.cos(3.0 * t) + 0.01 * t
         seen, visited = [], []
-        scan = lambda sel, nodes: np.cos(3.0 * nodes) + 0.01 * nodes
         rep, val = minimize_on_interval(lambda t: seen.append(t) or fn(t), (0.0, 2.5))
-        i, a, b = _scan_minimum(scan, 0.0, 2.5)
+        nodes = solvers._scan_nodes(0.0, 2.5)
+        i, a, b = solvers._best_cell(nodes, np.cos(3.0 * nodes) + 0.01 * nodes)
         gx, gf, iters, width = solvers._golden(
             lambda t: visited.append(t) or fn(t), a, b, solvers.MIN_TOL, 200
         )
-        nodes = solvers._scan_nodes(0.0, 2.5).tolist()
-        assert seen == [*nodes, *visited]
+        assert seen == [*nodes.tolist(), *visited]
         assert (rep, val) == ((gx, iters, width, "grid-refine"), gf)
 
     def test_no_sign_change_keeps_the_scan_node(self):
         # where the derivative gives no sign change, the closure is called
-        # after the block scan once, for the slope at the cell pair's lower
-        # end, and the row keeps the scan's first minimum node
+        # at the scan's nodes alone, and the row keeps the first minimum
+        # node, with its cell pair's width as residual
         fn = lambda t: math.cos(3.0 * t) + 0.01 * t
         seen = []
-        scan = lambda sel, nodes: np.cos(3.0 * nodes) + 0.01 * nodes
         ((rep, val),) = solvers._minimize_rows(
-            [_no_derivative(lambda t: seen.append(t) or fn(t))], scan, [0.0], [2.5]
+            [_no_derivative(lambda t: seen.append(t) or fn(t))], [0.0], [2.5]
         )
-        i, a, b = _scan_minimum(scan, 0.0, 2.5)
-        assert seen == [a]
+        nodes = row_nodes(0.0, 2.5)
+        assert seen == nodes
         assert (rep.value, rep.iterations, rep.residual, rep.method) == (
-            solvers._scan_nodes(0.0, 2.5)[i], 0, b - a, "scan-node"
+            nodes[3], 0, nodes[4] - nodes[2], "scan-node"
         )
-        assert val == fn(rep.value)
+        assert val == fn(rep.value) == min(map(fn, nodes))
         assert minimize_on_interval(fn, (0.0, 2.5))[1] <= val
 
     def test_refine_solves_the_derivative_root(self):
-        # a sign change of the derivative across the cell pair: Brent on the
-        # derivative, and the objective at the root is the value the
+        # the slope changes sign between the best node and its upper
+        # neighbour: Brent on the slope in that cell, from the slopes the
+        # scan took, and the objective at the root is the value the
         # closure gave with the slope there
         fn = lambda t: math.cos(3.0 * t) + 0.01 * t
         dfn = lambda t: -3.0 * math.sin(3.0 * t) + 0.01
         seen = []
-        scan = lambda sel, nodes: np.cos(3.0 * nodes) + 0.01 * nodes
         ((rep, val),) = solvers._minimize_rows(
-            [_with_slope(fn, lambda t: seen.append(t) or dfn(t))], scan, [0.0], [2.5],
+            [_with_slope(fn, lambda t: seen.append(t) or dfn(t))], [0.0], [2.5],
         )
-        _, a, b = _scan_minimum(scan, 0.0, 2.5)
+        nodes = row_nodes(0.0, 2.5)
+        a, b = nodes[3], nodes[4]
+        assert dfn(a) < 0.0 < dfn(b) and dfn(nodes[2]) < 0.0
         root, _, iters = solvers._solve(
             dfn, a, b, 0.0, solvers._ROOT_XTOL_SCALE * solvers.MIN_TOL, 200, None, None
         )
@@ -572,10 +592,25 @@ class TestMinimizeRows:
         assert (rep.value, rep.iterations) == (root, iters)
         assert rep.residual == solvers._ROOT_XTOL_SCALE * solvers.MIN_TOL
         assert root in seen and val == fn(root)
-        assert seen[:2] == [a, b] and len(seen) == iters + 1
+        # each node's slope once, then one per Brent iteration but the last
+        assert seen[:9] == nodes and len(seen) == 9 + iters - 1
         assert rep.value == pytest.approx((PI - math.asin(0.01 / 3.0)) / 3.0, abs=1e-12)
         _, golden = minimize_on_interval(fn, (0.0, 2.5))
         assert _within_gate(val, golden)
+
+    def test_sign_change_below_the_best_node(self):
+        # the slope changes sign between the best node and its lower
+        # neighbour: the cell [i - 1, i] brackets the root
+        fn = lambda t: (t - 0.36) ** 2
+        dfn = lambda t: 2.0 * (t - 0.36)
+        ((rep, val),) = solvers._minimize_rows([_with_slope(fn, dfn)], [0.0], [1.0])
+        nodes = row_nodes(0.0, 1.0)
+        assert min(map(fn, nodes)) == fn(nodes[3]) and dfn(nodes[2]) < 0.0 < dfn(nodes[3])
+        assert rep.method == "derivative-root"
+        assert rep.value == pytest.approx(0.36, abs=1e-12) and val == fn(rep.value)
+        assert rep.residual == solvers._ROOT_XTOL_SCALE * solvers._golden_width(
+            solvers.MIN_TOL, nodes[2], nodes[3]
+        )
 
     @pytest.mark.parametrize("end, slope", [(1, -math.inf), (2, math.inf)])
     def test_infinite_end_slope_brackets_the_root(self, end, slope):
@@ -592,6 +627,11 @@ class TestMinimizeRows:
         assert rep.method == "derivative-root"
         assert rep.value == pytest.approx((PI - math.asin(0.01 / 3.0)) / 3.0, abs=1e-12)
         assert val == fn(rep.value)
+        # and on a row, at the end of the cell its scan brackets
+        x = row_nodes(0.0, 2.5)[2 + end]
+        ((rep, val),) = solvers._minimize_rows([pair], [0.0], [2.5])
+        assert rep.method == "derivative-root"
+        assert rep.value == pytest.approx((PI - math.asin(0.01 / 3.0)) / 3.0, abs=1e-12)
 
     @pytest.mark.parametrize("end", [1, 2])
     def test_nan_end_slope_keeps_the_scan_node(self, end):
@@ -607,22 +647,24 @@ class TestMinimizeRows:
         # the node the golden reference starts from, and keeps where it
         # finds nothing lower
         assert minimize_on_interval(fn, (0.0, 2.5))[1] <= fs[i]
+        # a row whose best node's neighbours both have a nan slope
+        rn = row_nodes(0.0, 2.5)
+        pair = lambda t: (fn(t), math.nan if t in (rn[2], rn[4]) else dfn(t))
+        ((rep, val),) = solvers._minimize_rows([pair], [0.0], [2.5])
+        assert (rep, val) == ((rn[3], 0, rn[4] - rn[2], "scan-node"), fn(rn[3]))
 
     def test_endpoint_with_an_outward_derivative(self):
         # the first node is lowest and the derivative rises into the interval:
-        # the node is the answer, and neither function is called again
+        # the node is the answer, and the closure is called at the nodes alone
         fn, dfn = (lambda t: t * t), (lambda t: 2.0 * t)
         seen = []
         ((rep, val),) = solvers._minimize_rows(
-            [_with_slope(lambda t: seen.append(t) or fn(t), dfn)],
-            lambda sel, nodes: nodes * nodes, [0.5], [4.0],
+            [_with_slope(lambda t: seen.append(t) or fn(t), dfn)], [0.5], [4.0],
         )
         assert (rep.value, rep.iterations, rep.residual, rep.method) == (0.5, 0, 0.0, "endpoint")
-        assert val == 0.25 and seen == [0.5]
+        assert val == 0.25 and seen == row_nodes(0.5, 4.0)
         # the last node, falling toward it
-        ((rep, val),) = solvers._minimize_rows(
-            [_with_slope(fn, dfn)], lambda sel, nodes: nodes * nodes, [-4.0], [-0.5]
-        )
+        ((rep, val),) = solvers._minimize_rows([_with_slope(fn, dfn)], [-4.0], [-0.5])
         assert (rep.value, rep.method, val) == (-0.5, "endpoint", 0.25)
 
     def test_refine_evaluation_count(self):
@@ -648,75 +690,63 @@ class TestMinimizeRows:
             counted(lambda t: t * t, lambda t: 2.0 * t), nodes, nodes * nodes
         )
         assert rep.method == "endpoint" and calls == [0.5]
-        # the rows of the line solver, every branch
+        # the rows of the line solver, every branch: each scan node once,
+        # then one call per Brent iteration but the last
         methods = set()
         for line in ((2.0, 0.5), (0.5, 2.0), (1.0, -0.5), (0.5, -2.0), (0.01, 0.0),
                      (3.0, 0.0), (0.9, 0.9), (0.0, 1.5), (2e-3, 1e-3)):
             for row in ld._searches(*line, {}):
                 calls.clear()
-                nodes = solvers._scan_nodes(row.lo, row.hi)
                 pair = ld._row_fn(row)
-                rep, val = solvers._refine_root(
-                    lambda t: calls.append(t) or pair(t),
-                    nodes, ld._scan_block([row], nodes[None, :])[0],
+                ((rep, val),) = solvers._minimize_rows(
+                    [lambda t: calls.append(t) or pair(t)], [row.lo], [row.hi]
                 )
                 methods.add(rep.method)
-                want = 1 if rep.method == "endpoint" else rep.iterations + 1
+                assert calls[:9] == row_nodes(row.lo, row.hi)
+                want = 9 + (rep.iterations - 1 if rep.method == "derivative-root" else 0)
                 assert len(calls) == want, (line, row, rep)
+                assert len(set(calls)) == len(calls)
         assert methods == {"derivative-root", "endpoint"}
 
     def test_block_pick_matches_one_row_blocks(self):
-        # one argmin and one finiteness check pick every row's best node in
-        # a block; a block with a non-finite value or a row whose scan
-        # raises picks row by row.  Either way each row's answer is the one
-        # it gets in a block of its own, bit for bit, and each bad row's
-        # error the one minimize_on_interval raises
+        # each row's answer is the one it gets alone, bit for bit, whatever
+        # rows it is minimized with, and each bad row fails alone with the
+        # error type minimize_on_interval raises
         rows = _objective_rows()
         # twelve interior minima and one at an end, an inf node, a raising scan
         good, inf, raising = rows[:13], rows[17], rows[19]
-        tie = (lambda t: abs(abs(t - 0.5) - 0.25),
-               lambda ts: np.abs(np.abs(ts - 0.5) - 0.25), (0.0, 1.0),
+        tie = (lambda t: abs(abs(t - 0.5) - 0.25), (0.0, 1.0),
                lambda t: math.copysign(1.0, (t - 0.5) * (abs(t - 0.5) - 0.25)))
-        nan = (lambda t: math.nan if t > 0.6 else (t - 0.3) ** 2,
-               lambda ts: np.where(ts > 0.6, math.nan, (ts - 0.3) ** 2), (0.0, 1.0),
+        nan = (lambda t: math.nan if t > 0.6 else (t - 0.3) ** 2, (0.0, 1.0),
                lambda t: 2.0 * (t - 0.3))
         blocks = (good[:12] + [tie, nan, inf, raising], good + [tie, nan, inf],
                   [tie] + good)
         for block in blocks:
-            assert len(block) <= solvers.SCAN_BLOCK_ROWS
             got = _minimize_rows(block, derivatives=True)
             for row, result in zip(block, got):
                 (alone,) = _minimize_rows([row], derivatives=True)
                 assert _bits(result) == _bits(alone)
                 if row in (nan, inf, raising):
                     with pytest.raises(HestonDistError) as want:
-                        minimize_on_interval(row[0], row[2])
-                    assert _bits(result) == _bits(want.value)
+                        minimize_on_interval(row[0], row[1])
+                    assert type(result) is type(want.value)
             # the first of the two minimum nodes
             assert got[block.index(tie)][0].value == 0.25
         errors = _minimize_rows([nan, inf, raising], derivatives=True)
         assert [(type(e), getattr(e, "node_index", None)) for e in errors] == [
-            (NonFiniteSampleError, 154), (NonFiniteSampleError, 129),
+            (NonFiniteSampleError, 5), (NonFiniteSampleError, 5),
             (DomainError, None),
         ]
-        assert errors[0].x == 154 / 256 and math.isnan(errors[0].value)
+        assert errors[0].x == 0.625 and math.isnan(errors[0].value)
 
     def test_an_inward_endpoint_derivative_is_solved(self):
         # the first node is lowest but the derivative points into the
         # interval: the root lies in the first cell
         fn = lambda t: (t - 1e-3) ** 2
         dfn = lambda t: 2.0 * (t - 1e-3)
-        ((rep, val),) = solvers._minimize_rows(
-            [_with_slope(fn, dfn)], lambda sel, nodes: (nodes - 1e-3) ** 2, [0.0], [1.0]
-        )
+        ((rep, val),) = solvers._minimize_rows([_with_slope(fn, dfn)], [0.0], [1.0])
         assert rep.method == "derivative-root"
         assert rep.value == pytest.approx(1e-3, abs=1e-15)
-
-
-def _scan_minimum(scan, lo, hi):
-    """The scan's minimum node and its cell pair, as _refine finds them."""
-    nodes = solvers._scan_nodes(lo, hi)
-    return solvers._best_cell(nodes, scan(None, nodes))
 
 
 def _within_gate(value, golden):
