@@ -12,7 +12,7 @@ from hestondist import linedist as ld
 from hestondist import solvers
 from hestondist.solvers import minimize_on_interval
 from hestondist.smile import reduced_line
-from test_linedist import SEARCH_KINDS, search_kind, table_lines
+from test_scan_equivalence import SEARCH_KINDS, search_kind, table_lines
 
 # a near-diagonal line whose two rows share one tangency window, 6e-13 wide
 # at theta ~ 2.3e-4, with the minimum at the window's upper end
